@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """Benchmark the compiled kernel lane against the pure-Python fallback.
 
-Times the three hot operations on identical inputs and prints a table:
+Times the three hot operations on identical inputs, and the direct scan
+(each value also checked by elimination: the 8x8 circulant of q in the pure
+lane, the 16x16 in the compiled lane), and prints a table:
 
-    python benchmarks/bench_kernels.py [--dets N] [--scan N]
+    python benchmarks/bench_kernels.py [--dets N] [--scan N] [--scan-direct N]
 """
 
 import argparse
@@ -29,9 +31,9 @@ def time_terms(lane, batches, reps=1):
     return (time.perf_counter() - t0) / (reps * len(batches))
 
 
-def time_scan(lane, count):
+def time_scan(lane, values, count, direct=False):
     t0 = time.perf_counter()
-    lane.scan_range((-1, 0, 1), 0, count)
+    lane.scan_range(values, 0, count, direct)
     return (time.perf_counter() - t0) / count
 
 
@@ -41,6 +43,8 @@ def main() -> None:
                         help="random elements for the determinant timings")
     parser.add_argument("--scan", type=int, default=200_000,
                         help="elements for the scan timing")
+    parser.add_argument("--scan-direct", type=int, default=5000,
+                        help="elements for the direct {0,1} scan timing")
     parser.add_argument("--height", type=int, default=9)
     parser.add_argument("--seed", type=int, default=42)
     args = parser.parse_args()
@@ -62,7 +66,10 @@ def main() -> None:
     rows = [
         (f"group_det (h={args.height})", lambda ln: time_dets(ln, batches)),
         ("factored_terms", lambda ln: time_terms(ln, batches, reps=5)),
-        (f"scan_range ({args.scan} elts)", lambda ln: time_scan(ln, args.scan)),
+        (f"scan_range ({args.scan} elts)",
+         lambda ln: time_scan(ln, (-1, 0, 1), args.scan)),
+        (f"scan_range direct ({args.scan_direct})",
+         lambda ln: time_scan(ln, (0, 1), args.scan_direct, direct=True)),
     ]
     for label, fn in rows:
         times = {name: fn(ln) for name, ln in lanes.items()}

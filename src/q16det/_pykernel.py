@@ -4,11 +4,17 @@ is unavailable, and the reference its outputs are compared against.
 All three entry points are exact over arbitrary-precision integers:
 
 * :func:`group_det`   - 16x16 group determinant by fraction-free (Bareiss)
-  elimination,
+  elimination of the literal ``DET_INDEX`` matrix,
 * :func:`factored_terms` - the tuple (A, B, C, X, Y) of the determinant
   factorization,
 * :func:`scan_range`  - enumeration of a contiguous index range of a
   coefficient-support scan, returning mergeable tallies.
+
+Direct scans (``scan_range(..., direct=True)``) check each element against
+:func:`circulant_det`, which eliminates the 8x8 circulant of
+q = f(x)*f(1/x) - x**4*g(x)*g(1/x) mod x**8 - 1 instead of the 16x16
+matrix; certificates and crosschecks keep the literal 16x16 via
+:func:`group_det`.  Both eliminations share :func:`_bareiss`.
 
 The compiled lane in ``q16det._kernel`` implements the same interface with
 128-bit arithmetic and falls back per call (returning None) when it cannot
@@ -24,19 +30,20 @@ from ._cayley import DET_INDEX
 LANE = "pure"
 
 
-def _bareiss16(m: list[list[int]]) -> int:
-    """Exact determinant of a 16x16 integer matrix; destroys its argument.
+def _bareiss(m: list[list[int]]) -> int:
+    """Exact determinant of a square integer matrix; destroys its argument.
 
     Fraction-free elimination: every intermediate entry is (up to sign) a
     minor of the original matrix, and each division is exact.  Zero pivots
     are handled by row swaps; a column with no usable pivot means the
     determinant is 0.
     """
+    n = len(m)
     sign = 1
     prev = 1
-    for k in range(15):
+    for k in range(n - 1):
         if m[k][k] == 0:
-            for r in range(k + 1, 16):
+            for r in range(k + 1, n):
                 if m[r][k] != 0:
                     m[k], m[r] = m[r], m[k]
                     sign = -sign
@@ -45,18 +52,18 @@ def _bareiss16(m: list[list[int]]) -> int:
                 return 0
         pivot = m[k][k]
         row_k = m[k]
-        for i in range(k + 1, 16):
+        for i in range(k + 1, n):
             row_i = m[i]
             lead = row_i[k]
             if lead == 0:
-                for j in range(k + 1, 16):
+                for j in range(k + 1, n):
                     row_i[j] = row_i[j] * pivot // prev
             else:
-                for j in range(k + 1, 16):
+                for j in range(k + 1, n):
                     row_i[j] = (row_i[j] * pivot - lead * row_k[j]) // prev
                 row_i[k] = 0
         prev = pivot
-    return sign * m[15][15]
+    return sign * m[n - 1][n - 1]
 
 
 def group_det(a: Sequence[int], b: Sequence[int]) -> int:
@@ -64,7 +71,40 @@ def group_det(a: Sequence[int], b: Sequence[int]) -> int:
     coefficients ``a`` and Y-block coefficients ``b``."""
     c = list(a) + list(b)
     m = [[c[i] for i in row] for row in DET_INDEX]
-    return _bareiss16(m)
+    return _bareiss(m)
+
+
+def circulant_q(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Coefficients q[0..7] of q = f(x)*f(1/x) - x**4*g(x)*g(1/x) mod x**8 - 1,
+    built from the integer autocorrelations of ``a`` and ``b``."""
+    q = [0] * 8
+    for i in range(8):
+        ai = a[i]
+        if ai:
+            for j in range(8):
+                q[(i - j) % 8] += ai * a[j]
+        bi = b[i]
+        if bi:
+            for j in range(8):
+                q[(i - j + 4) % 8] -= bi * b[j]
+    return q
+
+
+#: Layout of the 8x8 circulant of q: C[i][j] = q[(j - i) % 8].
+_CIRCULANT_INDEX = tuple(tuple((j - i) % 8 for j in range(8)) for i in range(8))
+
+
+def circulant_det(a: Sequence[int], b: Sequence[int]) -> int:
+    """Group determinant of the element, as the determinant of the 8x8
+    circulant of :func:`circulant_q`.
+
+    The 16x16 matrix is [[F, G1], [G2, F']] with 8x8 circulant blocks, which
+    commute, so its determinant is that of one 8x8 circulant (Silvester,
+    "Determinants of block matrices", 2000).  Exact, but not the literal
+    definition: certificates and crosschecks use :func:`group_det`.
+    """
+    q = circulant_q(a, b)
+    return _bareiss([[q[k] for k in row] for row in _CIRCULANT_INDEX])
 
 
 def factored_terms(a: Sequence[int], b: Sequence[int]) -> tuple[int, int, int, int, int]:
@@ -93,12 +133,6 @@ def factored_terms(a: Sequence[int], b: Sequence[int]) -> tuple[int, int, int, i
     return A, B, C, X, Y
 
 
-def factored_det(a: Sequence[int], b: Sequence[int]) -> int:
-    A, B, C, X, Y = factored_terms(a, b)
-    D = X * X - 2 * Y * Y
-    return A * B * C * C * D * D
-
-
 def scan_range(
     values: Sequence[int],
     start: int,
@@ -119,8 +153,8 @@ def scan_range(
     * odd3_violations: distinct odd values congruent 3 mod 4
     * five_mod8: all distinct values congruent 5 mod 8
     * sample: distinct values with |value| <= sample_abs_limit
-    * direct_mismatches: distinct values where Bareiss and the factored
-      product disagreed (only populated when ``direct`` is true)
+    * direct_mismatches: distinct values where :func:`circulant_det` and the
+      factored product disagreed (only populated when ``direct`` is true)
     """
     base = len(values)
     digits = [0] * 16
@@ -148,7 +182,7 @@ def scan_range(
         D = X * X - 2 * Y * Y
         det = A * B * C * C * D * D
         if direct:
-            if group_det(a, b) != det:
+            if circulant_det(a, b) != det:
                 direct_mismatches.add(det)
 
         if det == 0:

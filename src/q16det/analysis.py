@@ -184,7 +184,15 @@ class AuditReport:
 
 def run_parity_audits(count: int, seed: int, height: int = 9) -> AuditReport:
     """Audit ``count`` seeded random elements that admit the normalization;
-    draws that do not (wrong residue class) are skipped and counted."""
+    draws that do not (wrong residue class) are skipped and counted.
+
+    ``height`` must be at least 1: the only element of height 0 is zero,
+    which never meets the preconditions, so the draws would never end.
+    """
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
+    if height < 1:
+        raise ValueError(f"height must be >= 1, got {height}")
     rng = random.Random(seed)
     report = AuditReport(count=count, seed=seed, height=height)
     t0 = time.perf_counter()
@@ -270,6 +278,8 @@ def exhaustive_scan(
     values = tuple(sorted(set(int(v) for v in support)))
     if not values:
         raise ValueError("support must be non-empty")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     total = len(values) ** 16
     if total > budget:
         raise BudgetExceeded(
@@ -351,23 +361,34 @@ class CrosscheckReport:
     seed: int
     lane: str
     elapsed_s: float
+    mismatches: int = 0
+    detail: str = ""
+
+    @property
+    def ok(self) -> bool:
+        return self.mismatches == 0
 
     def to_dict(self) -> dict:
-        return {
+        doc = {
             "count": self.count,
             "height": self.height,
             "seed": self.seed,
             "lane": self.lane,
-            "mismatches": 0,
-            "ok": True,
+            "mismatches": self.mismatches,
+            "ok": self.ok,
             "elapsed_s": round(self.elapsed_s, 3),
         }
+        if self.detail:
+            doc["detail"] = self.detail
+        return doc
 
 
 def random_crosscheck(count: int, height: int, seed: int) -> CrosscheckReport:
     """Assert direct = factored determinant on ``count`` seeded random
     elements with coefficients in [-height, height].  Raises MismatchFound
     on the first disagreement (an implementation bug signal)."""
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
     rng = random.Random(seed)
     t0 = time.perf_counter()
     for i in range(count):

@@ -13,12 +13,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__, analysis, kernel
 from .classifier import Classification, classify, classify_and_witness
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, MismatchFound
 from .exact_eval import determinant_from_factored, factored_form
 from .group_algebra import GroupRingElement, direct_determinant
 from .witness import WitnessCertificate
@@ -171,6 +172,18 @@ def _int_arg(text: str) -> int:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
 
 
+def _int_at_least(low: int):
+    """argparse type: a decimal integer no smaller than ``low``."""
+
+    def parse(text: str) -> int:
+        n = _int_arg(text)
+        if n < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {n}")
+        return n
+
+    return parse
+
+
 def _coeff_list(text: str) -> list[int]:
     parts = [p for p in text.replace(",", " ").split() if p]
     if len(parts) != 16:
@@ -297,18 +310,28 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_crosscheck(args) -> int:
-    report = analysis.random_crosscheck(args.count, args.height, args.seed)
-    doc = report.to_dict()
-    _emit(
-        doc,
-        args.json,
-        [
-            f"crosscheck: {report.count} random elements, height {report.height}, "
-            f"seed {report.seed}: 0 mismatches "
-            f"({report.lane} lane, {report.elapsed_s:.2f}s)"
-        ],
-    )
-    return EXIT_OK
+    t0 = time.perf_counter()
+    try:
+        report = analysis.random_crosscheck(args.count, args.height, args.seed)
+    except MismatchFound as exc:
+        report = analysis.CrosscheckReport(
+            count=args.count,
+            height=args.height,
+            seed=args.seed,
+            lane=kernel.ACTIVE_LANE,
+            elapsed_s=time.perf_counter() - t0,
+            mismatches=1,
+            detail=str(exc),
+        )
+    human = [
+        f"crosscheck: {report.count} random elements, height {report.height}, "
+        f"seed {report.seed}: {report.mismatches} mismatches "
+        f"({report.lane} lane, {report.elapsed_s:.2f}s)"
+    ]
+    if report.detail:
+        human.append(f"  {report.detail}")
+    _emit(report.to_dict(), args.json, human)
+    return EXIT_OK if report.ok else EXIT_FAIL
 
 
 def _cmd_audit(args) -> int:
@@ -366,29 +389,35 @@ def build_parser() -> argparse.ArgumentParser:
         default=[0, 1],
         metavar="v1,v2,...",
     )
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_int_at_least(1), default=1)
     p.add_argument(
         "--limit",
         type=int,
         default=analysis.DEFAULT_SCAN_BUDGET,
         help="refuse scans larger than this many elements (exit 3)",
     )
-    p.add_argument("--direct", action="store_true", help="force the 16x16 elimination path")
+    p.add_argument(
+        "--direct",
+        action="store_true",
+        help="also check each factored value against an eliminated determinant "
+        "(the 8x8 circulant of q in the pure lane, 16x16 in the compiled lane); "
+        "certificates and crosscheck keep the literal 16x16",
+    )
     p.add_argument("--json", action="store_true")
     p.add_argument("--output-dir", default=None, help="also write scan_report.json here")
     p.set_defaults(func=_cmd_scan)
 
     p = sub.add_parser("crosscheck", help="random direct-vs-factored agreement check")
-    p.add_argument("--count", type=int, default=100_000)
-    p.add_argument("--height", type=int, default=9)
+    p.add_argument("--count", type=_int_at_least(0), default=100_000)
+    p.add_argument("--height", type=_int_at_least(0), default=9)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_crosscheck)
 
     p = sub.add_parser("audit", help="residue/parity audit of random normalized pairs")
-    p.add_argument("--count", type=int, default=10_000)
+    p.add_argument("--count", type=_int_at_least(0), default=10_000)
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--height", type=int, default=9)
+    p.add_argument("--height", type=_int_at_least(1), default=9)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_audit)
 

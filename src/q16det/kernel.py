@@ -6,6 +6,12 @@ arithmetic, and a pure-Python twin (``q16det._pykernel``) exact for
 arbitrary integers.  The compiled lane is picked at import when present;
 every wrapper here falls back to the pure lane whenever the compiled lane
 declines a call (returns None), so results are always exact.
+
+:func:`group_det` always eliminates the literal 16x16 matrix, the
+definition that certificates and crosschecks rely on.  Direct scans
+(``scan_range(..., direct=True)``) eliminate the equal 8x8 circulant of
+q = f(x)*f(1/x) - x**4*g(x)*g(1/x) in the pure lane, and the 16x16 in the
+compiled lane.
 """
 
 from __future__ import annotations

@@ -1,7 +1,9 @@
 import random
+from dataclasses import replace
 
 import pytest
 
+from q16det import _pykernel, analysis, kernel
 from q16det.analysis import (
     AuditReport,
     ChebyshevCoeffs,
@@ -12,8 +14,13 @@ from q16det.analysis import (
     random_crosscheck,
     run_parity_audits,
 )
-from q16det.errors import BudgetExceeded, PreconditionUnreachable
-from q16det.exact_eval import QuadraticSqrt2, eval_at_omega, norm_sq_omega
+from q16det.errors import BudgetExceeded, MismatchFound, PreconditionUnreachable
+from q16det.exact_eval import (
+    QuadraticSqrt2,
+    eval_at_omega,
+    factored_form,
+    norm_sq_omega,
+)
 from q16det.group_algebra import GroupRingElement
 
 from oracles import chebyshev_expand, laurent_self_product
@@ -89,6 +96,13 @@ class TestParityAudit:
         r2 = run_parity_audits(200, seed=5)
         assert (r1.audited, r1.skipped) == (r2.audited, r2.skipped)
 
+    def test_bad_height_and_count_rejected(self):
+        # height 0 draws only the zero element, which never normalizes
+        with pytest.raises(ValueError):
+            run_parity_audits(5, seed=1, height=0)
+        with pytest.raises(ValueError):
+            run_parity_audits(-5, seed=1)
+
 
 class TestExhaustiveScan:
     def test_binary_support_tallies(self):
@@ -122,6 +136,19 @@ class TestExhaustiveScan:
         assert rep.ok
         assert rep.even == 32768 and rep.odd == 32768
 
+    def test_direct_mode_reports_disagreement(self, monkeypatch):
+        real = _pykernel.circulant_det
+        monkeypatch.setattr(kernel, "active", kernel.pure)
+        monkeypatch.setattr(_pykernel, "circulant_det", lambda a, b: real(a, b) + 1)
+        rep = exhaustive_scan((1,), direct=True)
+        assert rep.violations == [("0", "direct and factored determinants disagree")]
+        assert exhaustive_scan((1,)).ok  # the factored-only scan never calls it
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_bad_worker_count_rejected(self, workers):
+        with pytest.raises(ValueError):
+            exhaustive_scan((0, 1), workers=workers)
+
     def test_budget_exceeded(self):
         with pytest.raises(BudgetExceeded):
             exhaustive_scan((-2, -1, 0, 1, 2))
@@ -146,3 +173,14 @@ class TestRandomCrosscheck:
         # the RNG stream is lane-independent; both lanes must accept it
         rep = random_crosscheck(200, 9, seed=42)
         assert rep.count == 200
+
+    def test_negative_count_rejected(self):
+        with pytest.raises(ValueError):
+            random_crosscheck(-5, 9, seed=1)
+
+    def test_mismatch_raises(self, monkeypatch):
+        monkeypatch.setattr(
+            analysis, "factored_form", lambda e: replace(factored_form(e), A=0)
+        )
+        with pytest.raises(MismatchFound):
+            random_crosscheck(20, 9, seed=42)

@@ -1,18 +1,22 @@
 import json
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
+from q16det import _pykernel, analysis, kernel
 from q16det.cli import (
     EXIT_BUDGET,
     EXIT_FAIL,
     EXIT_OK,
+    EXIT_USAGE,
     CertificateDocument,
     certificate_document,
     main,
     verify_document,
 )
+from q16det.exact_eval import factored_form
 from q16det.witness import witness_odd_5mod8
 
 
@@ -20,6 +24,12 @@ def run(capsys, *argv):
     rc = main(list(argv))
     out = capsys.readouterr()
     return rc, out.out, out.err
+
+
+def usage_error(capsys, *argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    return exc.value.code, capsys.readouterr().err
 
 
 class TestClassifyCommand:
@@ -120,6 +130,22 @@ class TestScanCommand:
         doc = json.loads((tmp_path / "scan_report.json").read_text())
         assert doc["total"] == 65536
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_bad_workers_exit_2(self, capsys, workers):
+        code, err = usage_error(capsys, "scan", "--support", "0,1", "--workers", workers)
+        assert code == EXIT_USAGE and "--workers" in err
+
+    def test_direct_disagreement_exit_1(self, capsys, monkeypatch):
+        real = _pykernel.circulant_det
+        monkeypatch.setattr(kernel, "active", kernel.pure)
+        monkeypatch.setattr(_pykernel, "circulant_det", lambda a, b: real(a, b) + 1)
+        rc, out, _ = run(capsys, "scan", "--support", "1", "--direct", "--json")
+        doc = json.loads(out)
+        assert rc == EXIT_FAIL and doc["ok"] is False
+        assert doc["violations"] == [
+            {"value": "0", "reason": "direct and factored determinants disagree"}
+        ]
+
 
 class TestCrosscheckAndAudit:
     def test_crosscheck(self, capsys):
@@ -129,6 +155,24 @@ class TestCrosscheckAndAudit:
         )
         doc = json.loads(out)
         assert rc == EXIT_OK and doc["mismatches"] == 0
+
+    def test_crosscheck_mismatch_report(self, capsys, monkeypatch):
+        monkeypatch.setattr(
+            analysis, "factored_form", lambda e: replace(factored_form(e), A=0)
+        )
+        rc, out, _ = run(capsys, "crosscheck", "--count", "20", "--json")
+        doc = json.loads(out)
+        assert rc == EXIT_FAIL
+        assert doc["ok"] is False and doc["mismatches"] == 1
+        assert doc["detail"].startswith("element #") and "factored 0" in doc["detail"]
+
+    def test_crosscheck_negative_count_exit_2(self, capsys):
+        code, err = usage_error(capsys, "crosscheck", "--count", "-5")
+        assert code == EXIT_USAGE and "--count" in err
+
+    def test_audit_zero_height_exit_2(self, capsys):
+        code, err = usage_error(capsys, "audit", "--height", "0")
+        assert code == EXIT_USAGE and "--height" in err
 
     def test_audit(self, capsys):
         rc, out, _ = run(capsys, "audit", "--count", "300", "--seed", "1", "--json")

@@ -1,5 +1,6 @@
-"""Agreement between the compiled and pure kernel lanes, and the fallback
-path for inputs the compiled lane declines."""
+"""Agreement between the compiled and pure kernel lanes, the fallback
+path for inputs the compiled lane declines, and the 8x8 circulant
+determinant behind pure-lane direct scans."""
 
 import random
 
@@ -7,6 +8,9 @@ import pytest
 
 from q16det import kernel
 from q16det._cayley import DET_INDEX, INVERSE, MUL_TABLE, inv, mul
+from q16det._pykernel import circulant_det, circulant_q
+
+from oracles import fraction_det
 
 compiled_available = kernel.compiled is not None
 needs_compiled = pytest.mark.skipif(
@@ -106,3 +110,45 @@ def test_pure_lane_never_declines():
     b = [1] * 8
     assert kernel.pure.group_det(a, b) is not None
     assert kernel.pure.factored_terms(a, b) is not None
+
+
+def _oracle_det(a, b):
+    c = list(a) + list(b)
+    return fraction_det([[c[i] for i in row] for row in DET_INDEX])
+
+
+class TestCirculantBridge:
+    @pytest.mark.parametrize("height", [1, 9, 10**6])
+    def test_matches_group_det_and_oracle(self, height):
+        rng = random.Random(height)
+        for k in range(300):
+            a = [rng.randint(-height, height) for _ in range(8)]
+            b = [rng.randint(-height, height) for _ in range(8)]
+            det = circulant_det(a, b)
+            assert det == kernel.pure.group_det(a, b)
+            if k < 30:
+                assert det == _oracle_det(a, b)
+
+    @pytest.mark.parametrize("support", [(0, 1), (-1, 0)])
+    def test_sparse_singular_heavy_elements(self, support):
+        rng = random.Random(sum(support))
+        dets = []
+        for k in range(500):
+            c = [rng.choice(support) for _ in range(16)]
+            det = circulant_det(c[:8], c[8:])
+            assert det == kernel.pure.group_det(c[:8], c[8:])
+            if k < 50:
+                assert det == _oracle_det(c[:8], c[8:])
+            dets.append(det)
+        # about 46% of these elements are singular
+        assert 100 < dets.count(0) < 400
+
+    def test_q_at_plus_and_minus_one(self):
+        rng = random.Random(5)
+        for _ in range(300):
+            a = [rng.randint(-9, 9) for _ in range(8)]
+            b = [rng.randint(-9, 9) for _ in range(8)]
+            q = circulant_q(a, b)
+            A, B, _, _, _ = kernel.pure.factored_terms(a, b)
+            assert sum(q) == A
+            assert sum(q[0::2]) - sum(q[1::2]) == B
