@@ -5,7 +5,7 @@ Times the three hot operations on identical inputs, and the direct scan
 (each value also checked by elimination: the 8x8 circulant of q in the pure
 lane, the 16x16 in the compiled lane), and prints a table:
 
-    python benchmarks/bench_kernels.py [--dets N] [--scan N] [--scan-direct N]
+    python benchmarks/bench_kernels.py [--dets N] [--scan N]
 """
 
 import argparse
@@ -13,6 +13,9 @@ import random
 import time
 
 from q16det import kernel
+
+# elements of {0,1}^16 in the direct scan row
+SCAN_DIRECT_ELEMS = 5000
 
 
 def time_dets(lane, batches, reps=1):
@@ -43,8 +46,6 @@ def main() -> None:
                         help="random elements for the determinant timings")
     parser.add_argument("--scan", type=int, default=200_000,
                         help="elements for the scan timing")
-    parser.add_argument("--scan-direct", type=int, default=5000,
-                        help="elements for the direct {0,1} scan timing")
     parser.add_argument("--height", type=int, default=9)
     parser.add_argument("--seed", type=int, default=42)
     args = parser.parse_args()
@@ -68,8 +69,8 @@ def main() -> None:
         ("factored_terms", lambda ln: time_terms(ln, batches, reps=5)),
         (f"scan_range ({args.scan} elts)",
          lambda ln: time_scan(ln, (-1, 0, 1), args.scan)),
-        (f"scan_range direct ({args.scan_direct})",
-         lambda ln: time_scan(ln, (0, 1), args.scan_direct, direct=True)),
+        (f"scan_range direct ({SCAN_DIRECT_ELEMS})",
+         lambda ln: time_scan(ln, (0, 1), SCAN_DIRECT_ELEMS, direct=True)),
     ]
     for label, fn in rows:
         times = {name: fn(ln) for name, ln in lanes.items()}

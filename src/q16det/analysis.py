@@ -386,24 +386,30 @@ class CrosscheckReport:
 def random_crosscheck(count: int, height: int, seed: int) -> CrosscheckReport:
     """Assert direct = factored determinant on ``count`` seeded random
     elements with coefficients in [-height, height].  Raises MismatchFound
-    on the first disagreement (an implementation bug signal)."""
+    on the first disagreement (an implementation bug signal); its ``report``
+    counts the elements checked up to and including that one."""
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
     rng = random.Random(seed)
     t0 = time.perf_counter()
+
+    def report(checked: int, detail: str = "") -> CrosscheckReport:
+        return CrosscheckReport(
+            count=checked,
+            height=height,
+            seed=seed,
+            lane=kernel.ACTIVE_LANE,
+            elapsed_s=time.perf_counter() - t0,
+            mismatches=1 if detail else 0,
+            detail=detail,
+        )
+
     for i in range(count):
         coeffs = [rng.randint(-height, height) for _ in range(16)]
         e = GroupRingElement.from_coeffs(coeffs)
         direct = direct_determinant(e)
         fact = determinant_from_factored(factored_form(e))
         if direct != fact:
-            raise MismatchFound(
-                f"element #{i} {coeffs}: direct {direct} != factored {fact}"
-            )
-    return CrosscheckReport(
-        count=count,
-        height=height,
-        seed=seed,
-        lane=kernel.ACTIVE_LANE,
-        elapsed_s=time.perf_counter() - t0,
-    )
+            msg = f"element #{i} {coeffs}: direct {direct} != factored {fact}"
+            raise MismatchFound(msg, report(i + 1, msg))
+    return report(count)

@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -310,19 +309,10 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_crosscheck(args) -> int:
-    t0 = time.perf_counter()
     try:
         report = analysis.random_crosscheck(args.count, args.height, args.seed)
     except MismatchFound as exc:
-        report = analysis.CrosscheckReport(
-            count=args.count,
-            height=args.height,
-            seed=args.seed,
-            lane=kernel.ACTIVE_LANE,
-            elapsed_s=time.perf_counter() - t0,
-            mismatches=1,
-            detail=str(exc),
-        )
+        report = exc.report
     human = [
         f"crosscheck: {report.count} random elements, height {report.height}, "
         f"seed {report.seed}: {report.mismatches} mismatches "

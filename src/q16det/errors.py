@@ -55,7 +55,15 @@ class BudgetExceeded(Q16DetError, RuntimeError):
 
 
 class MismatchFound(Q16DetError, RuntimeError):
-    """The two determinant computation paths disagreed (implementation bug)."""
+    """The two determinant computation paths disagreed (implementation bug).
+
+    ``report``, when the raiser has one, describes the run up to and
+    including the disagreeing element.
+    """
+
+    def __init__(self, message: str, report=None):
+        super().__init__(message)
+        self.report = report
 
 
 class InternalInconsistency(Q16DetError, RuntimeError):

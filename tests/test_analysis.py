@@ -182,5 +182,9 @@ class TestRandomCrosscheck:
         monkeypatch.setattr(
             analysis, "factored_form", lambda e: replace(factored_form(e), A=0)
         )
-        with pytest.raises(MismatchFound):
+        with pytest.raises(MismatchFound) as exc:
             random_crosscheck(20, 9, seed=42)
+        rep = exc.value.report
+        assert rep.mismatches == 1 and not rep.ok
+        assert rep.detail == str(exc.value)
+        assert rep.detail.startswith(f"element #{rep.count - 1} ")

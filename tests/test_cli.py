@@ -164,7 +164,8 @@ class TestCrosscheckAndAudit:
         doc = json.loads(out)
         assert rc == EXIT_FAIL
         assert doc["ok"] is False and doc["mismatches"] == 1
-        assert doc["detail"].startswith("element #") and "factored 0" in doc["detail"]
+        assert doc["detail"].startswith(f"element #{doc['count'] - 1} ")
+        assert "factored 0" in doc["detail"]
 
     def test_crosscheck_negative_count_exit_2(self, capsys):
         code, err = usage_error(capsys, "crosscheck", "--count", "-5")

@@ -9,6 +9,7 @@ import pytest
 from q16det import kernel
 from q16det._cayley import DET_INDEX, INVERSE, MUL_TABLE, inv, mul
 from q16det._pykernel import circulant_det, circulant_q
+from q16det.group_algebra import GroupRingElement, determinant_matrix
 
 from oracles import fraction_det
 
@@ -113,8 +114,7 @@ def test_pure_lane_never_declines():
 
 
 def _oracle_det(a, b):
-    c = list(a) + list(b)
-    return fraction_det([[c[i] for i in row] for row in DET_INDEX])
+    return fraction_det(determinant_matrix(GroupRingElement.from_coeffs(list(a) + list(b))))
 
 
 class TestCirculantBridge:
