@@ -35,6 +35,3 @@ INVERSE = tuple(inv(i) for i in range(16))
 DET_INDEX = tuple(
     tuple(MUL_TABLE[g][INVERSE[h]] for h in range(16)) for g in range(16)
 )
-
-#: Flat row-major copy of DET_INDEX used by the kernels.
-DET_INDEX_FLAT = tuple(DET_INDEX[g][h] for g in range(16) for h in range(16))

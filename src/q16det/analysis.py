@@ -27,10 +27,8 @@ from .errors import (
 from .exact_eval import (
     QuadraticSqrt2,
     determinant_from_factored,
-    eval_at_omega,
     eval_at_pm1,
     factored_form,
-    norm_sq_omega,
 )
 from .group_algebra import (
     GroupRingElement,
@@ -129,12 +127,10 @@ def parity_audit(e: GroupRingElement) -> ParityAuditRecord:
     zf = chebyshev_eval_omega(cc)
     zg = chebyshev_eval_omega(dd)
     z = zf + zg
-    # Two-path agreement with the direct norm computation.
-    z_direct = norm_sq_omega(eval_at_omega(norm.a)) + norm_sq_omega(
-        eval_at_omega(norm.b)
-    )
-    if z != z_direct:
-        raise InternalInconsistency(f"Chebyshev path {z} != norm path {z_direct}")
+    # Two-path agreement with the evaluation kernel.
+    _, _, _, x, y = kernel.factored_terms(norm.a, norm.b)
+    if (z.x, z.y) != (x, y):
+        raise InternalInconsistency(f"Chebyshev path {z} != kernel path {(x, y)}")
     D = z.norm()
     checks = {
         "c0 odd": cc.c[0] % 2 == 1,
@@ -280,6 +276,8 @@ def exhaustive_scan(
         raise ValueError("support must be non-empty")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+    if budget < 1:
+        raise ValueError(f"budget must be >= 1, got {budget}")
     total = len(values) ** 16
     if total > budget:
         raise BudgetExceeded(

@@ -159,9 +159,8 @@ def _emit(doc: dict, as_json: bool, human_lines: list[str]) -> None:
 def _write_out(out_dir: str | None, name: str, doc: dict) -> None:
     if out_dir is None:
         return
-    path = Path(out_dir)
-    path.mkdir(parents=True, exist_ok=True)
-    (path / name).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    path = Path(out_dir) / name
+    path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
 
 
 def _int_arg(text: str) -> int:
@@ -382,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=_int_at_least(1), default=1)
     p.add_argument(
         "--limit",
-        type=int,
+        type=_int_at_least(1),
         default=analysis.DEFAULT_SCAN_BUDGET,
         help="refuse scans larger than this many elements (exit 3)",
     )
@@ -416,6 +415,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    out_dir = getattr(args, "output_dir", None)
+    if out_dir is not None:
+        try:
+            Path(out_dir).mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            print(
+                f"q16det: cannot use --output-dir {out_dir}: {exc.strerror}",
+                file=sys.stderr,
+            )
+            return EXIT_USAGE
     return args.func(args)
 
 

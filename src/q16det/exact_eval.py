@@ -1,54 +1,33 @@
-"""Exact evaluation of the determinant factorization A * B * C**2 * D**2.
+"""The Z[sqrt(2)] type and the factored form A, B, C, D of the determinant.
 
 A group-ring element is split into two degree-7 polynomials f (coefficients
 a0..a7 of the X-block) and g (coefficients b0..b7 of the Y-block).  The
-determinant factors through evaluations at the roots of x**8 - 1:
+determinant factors as A * B * C**2 * D**2 through evaluations at the roots
+of x**8 - 1:
 
     A = f(1)**2  - g(1)**2
     B = f(-1)**2 - g(-1)**2
     C = |f(i)|**2 - |g(i)|**2
     D = (|f(w)|**2 + |g(w)|**2) * (|f(w**3)|**2 + |g(w**3)|**2)
 
-with w a primitive 8th root of unity.  Everything here is exact integer
-arithmetic: evaluations at i live in the Gaussian integers, evaluations at w
-in Z[w]/(w**4 + 1), and |f(w)|**2 + |g(w)|**2 is an element X + Y*sqrt(2) of
-the real quadratic ring Z[sqrt(2)] whose ring norm X**2 - 2*Y**2 is exactly
-the product over w and w**3.  No floating point is used anywhere.
+with w a primitive 8th root of unity.  |f(w)|**2 + |g(w)|**2 is an element
+z = X + Y*sqrt(2) of the real quadratic ring Z[sqrt(2)], and the conjugation
+sqrt(2) -> -sqrt(2) realizes the evaluation at w**3, so D is the ring norm
+X**2 - 2*Y**2.  The integers (A, B, C, X, Y) come from
+:func:`q16det.kernel.factored_terms`; this module wraps them.  No floating
+point is used anywhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
+from . import kernel
 from .errors import InternalInconsistency
 
 if TYPE_CHECKING:  # pragma: no cover
     from .group_algebra import GroupRingElement
-
-
-@dataclass(frozen=True)
-class GaussianInt:
-    """A Gaussian integer re + im*i."""
-
-    re: int
-    im: int
-
-    def __add__(self, other: "GaussianInt") -> "GaussianInt":
-        return GaussianInt(self.re + other.re, self.im + other.im)
-
-    def __mul__(self, other: "GaussianInt") -> "GaussianInt":
-        return GaussianInt(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    def conjugate(self) -> "GaussianInt":
-        return GaussianInt(self.re, -self.im)
-
-    def norm(self) -> int:
-        """|z|**2 = re**2 + im**2, a nonnegative integer."""
-        return self.re * self.re + self.im * self.im
 
 
 def _sign_plus_sqrt2(x: int, y: int) -> int:
@@ -69,6 +48,15 @@ def _sign_plus_sqrt2(x: int, y: int) -> int:
     if x > 0:  # y < 0
         return 1 if x * x > 2 * y * y else -1
     return 1 if x * x < 2 * y * y else -1
+
+
+def totally_nonneg(x: int, y: int) -> bool:
+    """x + y*sqrt(2) >= 0 under both real embeddings, exactly.
+
+    Both embeddings x +- y*sqrt(2) are nonnegative iff x >= |y|*sqrt(2),
+    i.e. x >= 0 and x**2 >= 2*y**2.
+    """
+    return x >= 0 and x * x >= 2 * y * y
 
 
 @dataclass(frozen=True)
@@ -106,46 +94,11 @@ class QuadraticSqrt2:
         )
 
     def is_totally_nonneg(self) -> bool:
-        s1, s2 = self.embedding_signs()
-        return s1 >= 0 and s2 >= 0
+        return totally_nonneg(self.x, self.y)
 
     def is_totally_positive(self) -> bool:
         s1, s2 = self.embedding_signs()
         return s1 > 0 and s2 > 0
-
-
-@dataclass(frozen=True)
-class CyclotomicZ8:
-    """c0 + c1*w + c2*w**2 + c3*w**3 with w**4 = -1 (conductor-8 integers)."""
-
-    c: tuple[int, int, int, int]
-
-    def __add__(self, other: "CyclotomicZ8") -> "CyclotomicZ8":
-        a, b = self.c, other.c
-        return CyclotomicZ8((a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3]))
-
-    def __mul__(self, other: "CyclotomicZ8") -> "CyclotomicZ8":
-        a, b = self.c, other.c
-        out = [0, 0, 0, 0]
-        for i in range(4):
-            ai = a[i]
-            if ai == 0:
-                continue
-            for j in range(4):
-                k = i + j
-                if k < 4:
-                    out[k] += ai * b[j]
-                else:
-                    out[k - 4] -= ai * b[j]  # w**4 = -1
-        return CyclotomicZ8(tuple(out))
-
-    def conjugate(self) -> "CyclotomicZ8":
-        """Complex conjugation w -> w**-1 = -w**3."""
-        c = self.c
-        return CyclotomicZ8((c[0], -c[3], -c[2], -c[1]))
-
-    def is_zero(self) -> bool:
-        return self.c == (0, 0, 0, 0)
 
 
 @dataclass(frozen=True)
@@ -171,55 +124,11 @@ def eval_at_pm1(e: "GroupRingElement") -> tuple[int, int, int, int]:
     return f1, g1, fm1, gm1
 
 
-def eval_at_i(poly: Sequence[int]) -> GaussianInt:
-    """Evaluate a degree-7 integer polynomial at i (using i**2 = -1)."""
-    a = poly
-    return GaussianInt(a[0] - a[2] + a[4] - a[6], a[1] - a[3] + a[5] - a[7])
-
-
-def eval_at_omega(poly: Sequence[int]) -> CyclotomicZ8:
-    """Evaluate a degree-7 integer polynomial at w, folding by w**4 = -1."""
-    a = poly
-    return CyclotomicZ8((a[0] - a[4], a[1] - a[5], a[2] - a[6], a[3] - a[7]))
-
-
-def norm_sq_omega(z: CyclotomicZ8) -> QuadraticSqrt2:
-    """|z|**2 = z * conj(z) as an element of Z[sqrt(2)].
-
-    Closed form in the folded coordinates (c0, c1, c2, c3):
-
-        |z|**2 = (c0**2 + c1**2 + c2**2 + c3**2)
-                 + (c0*c1 - c0*c3 + c1*c2 + c2*c3) * sqrt(2)
-
-    which is the expansion of (c0 + (c1 - c3)/sqrt(2))**2
-    + (c2 + (c1 + c3)/sqrt(2))**2.  The result is cross-checked against the
-    product z * conj(z) computed in cyclotomic arithmetic: that product must
-    have coordinates of the shape (X, Y, 0, -Y), i.e. lie in Z[sqrt(2)] with
-    sqrt(2) = w - w**3.
-    """
-    c0, c1, c2, c3 = z.c
-    x = c0 * c0 + c1 * c1 + c2 * c2 + c3 * c3
-    y = c0 * c1 - c0 * c3 + c1 * c2 + c2 * c3
-    prod = (z * z.conjugate()).c
-    if prod != (x, y, 0, -y):
-        raise InternalInconsistency(
-            f"norm closed form disagrees with cyclotomic product: {prod} vs {(x, y)}"
-        )
-    return QuadraticSqrt2(x, y)
-
-
 def factored_form(e: "GroupRingElement") -> FactoredForm:
-    """Exact Frobenius factorization data of a group-ring element.
-
-    The conjugation sqrt(2) -> -sqrt(2) realizes the evaluation at w**3, so
-    D is obtained as the ring norm of z = |f(w)|**2 + |g(w)|**2 without ever
-    evaluating at w**3 separately.
-    """
-    f1, g1, fm1, gm1 = eval_at_pm1(e)
-    A = f1 * f1 - g1 * g1
-    B = fm1 * fm1 - gm1 * gm1
-    C = eval_at_i(e.a).norm() - eval_at_i(e.b).norm()
-    z = norm_sq_omega(eval_at_omega(e.a)) + norm_sq_omega(eval_at_omega(e.b))
+    """Exact factorization data of a group-ring element, from
+    :func:`q16det.kernel.factored_terms`."""
+    A, B, C, X, Y = kernel.factored_terms(e.a, e.b)
+    z = QuadraticSqrt2(X, Y)
     if not z.is_totally_nonneg():
         raise InternalInconsistency(f"sum of norms {z} not totally nonnegative")
     return FactoredForm(A=A, B=B, C=C, D=z.norm(), z=z)

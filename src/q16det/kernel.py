@@ -7,6 +7,11 @@ arbitrary integers.  The compiled lane is picked at import when present;
 every wrapper here falls back to the pure lane whenever the compiled lane
 declines a call (returns None), so results are always exact.
 
+Each lane computes the evaluations at 1, -1, i and w in its
+``factored_terms`` only: scans call it per element, and
+:func:`q16det.exact_eval.factored_form` and the witness and audit checks
+read it through :func:`factored_terms` here.
+
 :func:`group_det` always eliminates the literal 16x16 matrix, the
 definition that certificates and crosschecks rely on.  Direct scans
 (``scan_range(..., direct=True)``) eliminate the equal 8x8 circulant of

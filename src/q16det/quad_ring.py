@@ -20,7 +20,7 @@ from .errors import (
     NotPrime,
     NoValidArrangement,
 )
-from .exact_eval import QuadraticSqrt2
+from .exact_eval import QuadraticSqrt2, totally_nonneg
 from .primes import is_probable_prime
 
 
@@ -198,18 +198,6 @@ def unit_adjust(s: SplitSolution, target: int) -> SplitSolution:
     return SplitSolution(X=x, Y=y, p=s.p)
 
 
-def _tot_nonneg(x: int, y: int) -> bool:
-    """x + y*sqrt(2) >= 0 under both real embeddings, exactly."""
-    if x < 0:
-        return False  # sum of embeddings is 2x
-    if y == 0:
-        return True
-    yy2 = 2 * y * y
-    xx = x * x
-    # One embedding is x - |y|*sqrt(2); nonnegative iff x^2 >= 2y^2.
-    return xx >= yy2
-
-
 def _square_candidates(target: QuadraticSqrt2) -> list[tuple[int, int]]:
     """All canonical pairs (alpha, beta) whose square fits under the target
     in both embeddings; ascending lexicographic (|alpha|, |beta|) order with
@@ -222,7 +210,7 @@ def _square_candidates(target: QuadraticSqrt2) -> list[tuple[int, int]]:
         bmax = isqrt(rem // 2) if rem >= 0 else -1
         bmin = 0 if a == 0 else -bmax
         for b in range(bmin, bmax + 1):
-            if _tot_nonneg(tx - (a * a + 2 * b * b), ty - 2 * a * b):
+            if totally_nonneg(tx - (a * a + 2 * b * b), ty - 2 * a * b):
                 out.append((a, b))
     out.sort(key=lambda ab: (abs(ab[0]), abs(ab[1]), ab[1] < 0))
     return out
@@ -242,7 +230,7 @@ def _dfs_four(target: QuadraticSqrt2, cands: list[tuple[int, int]]) -> list[tupl
             a, b = cands[i]
             nx = rx - (a * a + 2 * b * b)
             ny = ry - 2 * a * b
-            if not _tot_nonneg(nx, ny):
+            if not totally_nonneg(nx, ny):
                 continue
             chosen.append((a, b))
             if rec(nx, ny, i, depth + 1):

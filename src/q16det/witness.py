@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Sequence
 
+from . import kernel
 from .errors import (
     BadInput,
     InternalInconsistency,
@@ -29,7 +30,7 @@ from .errors import (
     PatternMismatch,
     WrongResidue,
 )
-from .exact_eval import FactoredForm, eval_at_omega, factored_form, norm_sq_omega
+from .exact_eval import FactoredForm, factored_form
 from .group_algebra import GroupRingElement, direct_determinant
 from .primes import is_probable_prime
 from .quad_ring import (
@@ -267,12 +268,10 @@ def witness_odd_5mod8(n: int, p: int) -> WitnessCertificate:
     nfs, label = normalize_decomposition(fs)
     a4, b4 = build_low_degree_pair(nfs)
 
-    z = norm_sq_omega(eval_at_omega(a4 + (0, 0, 0, 0))) + norm_sq_omega(
-        eval_at_omega(b4 + (0, 0, 0, 0))
-    )
-    if (z.x, z.y) != (s.X, s.Y):
+    _, _, _, x, y = kernel.factored_terms(a4 + (0, 0, 0, 0), b4 + (0, 0, 0, 0))
+    if (x, y) != (s.X, s.Y):
         raise InternalInconsistency(
-            f"low-degree pair norms {z} != split solution {(s.X, s.Y)}"
+            f"low-degree pair norms {(x, y)} != split solution {(s.X, s.Y)}"
         )
     label_residue = 3 if label in (
         CaseLabel.CASE1_ONE_ODD_BETA,

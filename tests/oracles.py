@@ -2,8 +2,9 @@
 
 These deliberately avoid the library's algorithms: the determinant oracle
 uses rational Gaussian elimination instead of fraction-free elimination,
-prime splitting enumerates Y directly, and the Laurent helpers multiply
-polynomials term by term.
+prime splitting enumerates Y directly, the Laurent helpers multiply
+polynomials term by term, and the evaluations at i and w use Gaussian and
+Z[w] arithmetic instead of the kernel's closed forms.
 """
 
 from fractions import Fraction
@@ -77,3 +78,39 @@ def norm_at_omega_float(poly) -> float:
     w = cmath.exp(2j * cmath.pi / 8)
     val = sum(c * w**j for j, c in enumerate(poly))
     return abs(val) ** 2
+
+
+def eval_at_i(poly) -> tuple[int, int]:
+    """f(i) as a Gaussian integer (re, im), using i**2 = -1."""
+    re = im = 0
+    for j, c in enumerate(poly):
+        unit = (1, 0, -1, 0)[j % 4], (0, 1, 0, -1)[j % 4]
+        re += c * unit[0]
+        im += c * unit[1]
+    return re, im
+
+
+def eval_at_omega(poly) -> tuple[int, int, int, int]:
+    """f(w) in Z[w] = Z[x]/(x**4 + 1) as coordinates (c0, c1, c2, c3)."""
+    out = [0, 0, 0, 0]
+    for j, c in enumerate(poly):
+        out[j % 4] += c if j % 8 < 4 else -c
+    return tuple(out)
+
+
+def cyclotomic_mul(u, v) -> tuple[int, int, int, int]:
+    """Product in Z[w] of coordinate 4-tuples, folding by w**4 = -1."""
+    out = [0, 0, 0, 0]
+    for i in range(4):
+        for j in range(4):
+            k = i + j
+            if k < 4:
+                out[k] += u[i] * v[j]
+            else:
+                out[k - 4] -= u[i] * v[j]
+    return tuple(out)
+
+
+def cyclotomic_conj(u) -> tuple[int, int, int, int]:
+    """Complex conjugation w -> w**-1 = -w**3."""
+    return (u[0], -u[3], -u[2], -u[1])

@@ -15,12 +15,7 @@ from q16det.analysis import (
     run_parity_audits,
 )
 from q16det.errors import BudgetExceeded, MismatchFound, PreconditionUnreachable
-from q16det.exact_eval import (
-    QuadraticSqrt2,
-    eval_at_omega,
-    factored_form,
-    norm_sq_omega,
-)
+from q16det.exact_eval import QuadraticSqrt2, factored_form
 from q16det.group_algebra import GroupRingElement
 
 from oracles import chebyshev_expand, laurent_self_product
@@ -53,8 +48,8 @@ class TestChebyshev:
         for _ in range(300):
             poly = [rng.randint(-9, 9) for _ in range(8)]
             via_cheb = chebyshev_eval_omega(chebyshev_coeffs(poly))
-            via_norm = norm_sq_omega(eval_at_omega(poly))
-            assert via_cheb == via_norm
+            via_kernel = kernel.factored_terms(poly, (0,) * 8)[3:]
+            assert (via_cheb.x, via_cheb.y) == via_kernel
 
 
 class TestParityAudit:
@@ -148,6 +143,11 @@ class TestExhaustiveScan:
     def test_bad_worker_count_rejected(self, workers):
         with pytest.raises(ValueError):
             exhaustive_scan((0, 1), workers=workers)
+
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_bad_budget_rejected(self, budget):
+        with pytest.raises(ValueError):
+            exhaustive_scan((0,), budget=budget)
 
     def test_budget_exceeded(self):
         with pytest.raises(BudgetExceeded):

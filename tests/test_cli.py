@@ -85,6 +85,14 @@ class TestWitnessCommand:
         assert verify_document(CertificateDocument.from_json_dict(saved))
 
 
+    def test_bad_output_dir_exit_2(self, capsys, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        rc, _, err = run(capsys, "witness", "1", "--output-dir", str(blocker / "x"))
+        assert rc == EXIT_USAGE
+        assert err.count("\n") == 1 and "--output-dir" in err
+
+
 class TestVerifyCommand:
     def test_identity(self, capsys):
         rc, out, _ = run(capsys, "verify", "--coeffs", "1," + ",".join("0" * 15))
@@ -129,6 +137,20 @@ class TestScanCommand:
         )
         doc = json.loads((tmp_path / "scan_report.json").read_text())
         assert doc["total"] == 65536
+
+    def test_bad_output_dir_exit_2(self, capsys, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        rc, _, err = run(
+            capsys, "scan", "--support", "0", "--output-dir", str(blocker / "x")
+        )
+        assert rc == EXIT_USAGE
+        assert err.count("\n") == 1 and "--output-dir" in err
+
+    @pytest.mark.parametrize("limit", ["0", "-1"])
+    def test_bad_limit_exit_2(self, capsys, limit):
+        code, err = usage_error(capsys, "scan", "--support", "0,1", "--limit", limit)
+        assert code == EXIT_USAGE and "--limit" in err
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_bad_workers_exit_2(self, capsys, workers):

@@ -1,5 +1,6 @@
 import pytest
 
+from q16det import kernel
 from q16det.errors import (
     BadInput,
     NotMultiple,
@@ -7,7 +8,7 @@ from q16det.errors import (
     PatternMismatch,
     WrongResidue,
 )
-from q16det.exact_eval import QuadraticSqrt2, factored_form
+from q16det.exact_eval import factored_form
 from q16det.group_algebra import GroupRingElement, direct_determinant
 from q16det.quad_ring import CaseLabel, FourSquares, normalize_decomposition
 from q16det.witness import (
@@ -136,14 +137,10 @@ class TestLowDegreePair:
             build_low_degree_pair(FourSquares(((1, 0), (2, 0), (1, 0), (1, 0))))
 
     def test_norm_identity(self):
-        from q16det.exact_eval import eval_at_omega, norm_sq_omega
-
         fs = FourSquares(((1, 1), (1, 1), (1, 1), (3, 2)))
         a, b = build_low_degree_pair(fs)
-        z = norm_sq_omega(eval_at_omega(a + (0, 0, 0, 0))) + norm_sq_omega(
-            eval_at_omega(b + (0, 0, 0, 0))
-        )
-        assert z == QuadraticSqrt2(13, 9)
+        _, _, _, x, y = kernel.factored_terms(a + (0, 0, 0, 0), b + (0, 0, 0, 0))
+        assert (x, y) == (13, 9)
 
 
 class TestExtractUvks:
