@@ -10,11 +10,16 @@ All three entry points are exact over arbitrary-precision integers:
 * :func:`scan_range`  - enumeration of a contiguous index range of a
   coefficient-support scan, returning mergeable tallies.
 
-Direct scans (``scan_range(..., direct=True)``) check each element against
-:func:`circulant_det`, which eliminates the 8x8 circulant of
-q = f(x)*f(1/x) - x**4*g(x)*g(1/x) mod x**8 - 1 instead of the 16x16
-matrix; certificates and crosschecks keep the literal 16x16 via
-:func:`group_det`.  Both eliminations share :func:`_bareiss`.
+Every factored term is an f-only part plus a g-only part, so
+:func:`scan_range` calls :func:`factored_terms` once per half-vector of
+the range (a-rows ``factored_terms(h, 0)``, b-rows ``factored_terms(0, h)``)
+and sums two rows per element.  Direct scans (``scan_range(...,
+direct=True)``) check each element against :func:`circulant_det`, which
+eliminates the 8x8 circulant of q = f(x)*f(1/x) - x**4*g(x)*g(1/x) mod
+x**8 - 1 instead of the 16x16 matrix.  q splits the same way, so a direct
+scan eliminates once per pair of q-classes of the two halves.
+Certificates and crosschecks keep the literal 16x16 via :func:`group_det`.
+Both eliminations share :func:`_bareiss`.
 
 The compiled lane in ``q16det._kernel`` implements the same interface with
 128-bit arithmetic and falls back per call (returning None) when it cannot
@@ -23,7 +28,8 @@ guarantee exactness; this module never returns None.
 
 from __future__ import annotations
 
-from typing import Sequence
+from collections import Counter
+from typing import Iterator, Sequence
 
 from ._cayley import DET_INDEX
 
@@ -133,6 +139,60 @@ def factored_terms(a: Sequence[int], b: Sequence[int]) -> tuple[int, int, int, i
     return A, B, C, X, Y
 
 
+#: The zero half-vector: a half-table row is the factored terms of one half
+#: of an element with the other half zero.
+_ZERO_HALF = (0,) * 8
+
+
+def _halves(values: Sequence[int], first: int, count: int) -> Iterator[tuple[int, ...]]:
+    """Half-vectors number ``first``, ``first + 1``, ... (wrapping mod
+    base**8), ``count`` of them: digit k of a half index, least significant
+    first, picks coefficient k."""
+    base = len(values)
+    digits = []
+    for _ in range(8):
+        first, d = divmod(first, base)
+        digits.append(d)
+    h = [values[d] for d in digits]
+    top = base - 1
+    v0 = values[0]
+    for _ in range(count):
+        yield tuple(h)
+        # Odometer increment of the mixed-radix digit vector.
+        k = 0
+        while k < 8 and digits[k] == top:
+            digits[k] = 0
+            h[k] = v0
+            k += 1
+        if k < 8:
+            digits[k] += 1
+            h[k] = values[digits[k]]
+
+
+def _half_table(
+    values: Sequence[int], first: int, count: int, g_side: bool, direct: bool
+) -> tuple[list[tuple[int, int, int, int, int]], list[int], list[tuple[int, ...]]]:
+    """Rows of the half-vectors number ``first``, ... of one side: the
+    factored terms of (h, 0), or of (0, h) when ``g_side``.  When ``direct``,
+    also the class id of each row by its circulant_q vector, and one
+    representative half-vector per class."""
+    rows = []
+    classes: list[int] = []
+    reps: list[tuple[int, ...]] = []
+    ids: dict[tuple[int, ...], int] = {}
+    for h in _halves(values, first, count):
+        a, b = (_ZERO_HALF, h) if g_side else (h, _ZERO_HALF)
+        rows.append(factored_terms(a, b))
+        if direct:
+            key = tuple(circulant_q(a, b))
+            c = ids.get(key)
+            if c is None:
+                c = ids[key] = len(reps)
+                reps.append(h)
+            classes.append(c)
+    return rows, classes, reps
+
+
 def scan_range(
     values: Sequence[int],
     start: int,
@@ -155,16 +215,18 @@ def scan_range(
     * sample: distinct values with |value| <= sample_abs_limit
     * direct_mismatches: distinct values where :func:`circulant_det` and the
       factored product disagreed (only populated when ``direct`` is true)
-    """
-    base = len(values)
-    digits = [0] * 16
-    coeffs = [values[0]] * 16
-    idx = start
-    for k in range(16):
-        digits[k] = idx % base
-        coeffs[k] = values[digits[k]]
-        idx //= base
 
+    Element i is (a, b) with a = i mod base**8 and b = i // base**8, and
+    every term of :func:`factored_terms` is a sum of an f-only and a g-only
+    part: factored_terms(a, b) = factored_terms(a, 0) + factored_terms(0, b)
+    term by term.  So the scan builds one row per half-vector the range
+    touches (at most min(base**8, stop - start) a-rows, plus its b-rows) and
+    sums two rows per element.  Likewise circulant_q(a, b) =
+    circulant_q(a, 0) + circulant_q(0, b), and circulant_det depends on the
+    element only through circulant_q; a direct scan eliminates once per
+    pair of q-classes and compares every element with its pair's value.
+    """
+    half = len(values) ** 8
     n_zero = n_even = n_even_1024 = n_odd = 0
     odd_mod8 = {1: 0, 3: 0, 5: 0, 7: 0}
     even_violations: set[int] = set()
@@ -173,48 +235,65 @@ def scan_range(
     sample: set[int] = set()
     direct_mismatches: set[int] = set()
 
-    top = base - 1
-    v0 = values[0]
-    for _ in range(stop - start):
-        a = coeffs[:8]
-        b = coeffs[8:]
-        A, B, C, X, Y = factored_terms(a, b)
-        D = X * X - 2 * Y * Y
-        det = A * B * C * C * D * D
-        if direct:
-            if circulant_det(a, b) != det:
-                direct_mismatches.add(det)
+    if stop > start:
+        # A range shorter than a b-row touches stop - start consecutive
+        # a-halves from start's (wrapping into the next b-row), so its
+        # a-table starts there; a longer range gets the whole a-table.
+        a_first = start % half if stop - start < half else 0
+        a_rows, a_cls, a_rep = _half_table(
+            values, a_first, min(half, stop - start), False, direct
+        )
+        b_first = start // half
+        b_rows, b_cls, b_rep = _half_table(
+            values, b_first, (stop - 1) // half - b_first + 1, True, direct
+        )
+        # circulant_det of each (a_class, b_class) pair, on first use.
+        eliminated: dict[tuple[int, int], int] = {}
 
-        if det == 0:
-            n_zero += 1
-            n_even += 1
-            n_even_1024 += 1
-        elif det % 2 == 0:
-            n_even += 1
-            if det % 1024 == 0:
-                n_even_1024 += 1
-            else:
-                even_violations.add(det)
-        else:
-            n_odd += 1
-            r = det % 8
-            odd_mod8[r] += 1
-            if r == 3 or r == 7:
-                odd3_violations.add(det)
-            elif r == 5:
-                five_mod8.add(det)
-        if -sample_abs_limit <= det <= sample_abs_limit:
-            sample.add(det)
+        for j, (Ab, Bb, Cb, Xb, Yb) in enumerate(b_rows):
+            row_start = (b_first + j) * half
+            lo = max(start, row_start)
+            a_lo = (lo - a_first) % half
+            a_hi = a_lo + min(stop, row_start + half) - lo
+            dets = []
+            for Aa, Ba, Ca, Xa, Ya in a_rows[a_lo:a_hi]:
+                C = Ca + Cb
+                X = Xa + Xb
+                Y = Ya + Yb
+                D = X * X - 2 * Y * Y
+                dets.append((Aa + Ab) * (Ba + Bb) * C * C * D * D)
 
-        # Odometer increment of the mixed-radix digit vector.
-        k = 0
-        while k < 16 and digits[k] == top:
-            digits[k] = 0
-            coeffs[k] = v0
-            k += 1
-        if k < 16:
-            digits[k] += 1
-            coeffs[k] = values[digits[k]]
+            if direct:
+                cb = b_cls[j]
+                rep_b = b_rep[cb]
+                for det, ca in zip(dets, a_cls[a_lo:a_hi]):
+                    elim = eliminated.get((ca, cb))
+                    if elim is None:
+                        elim = eliminated[ca, cb] = circulant_det(a_rep[ca], rep_b)
+                    if elim != det:
+                        direct_mismatches.add(det)
+
+            for det, n in Counter(dets).items():
+                if det == 0:
+                    n_zero += n
+                    n_even += n
+                    n_even_1024 += n
+                elif det % 2 == 0:
+                    n_even += n
+                    if det % 1024 == 0:
+                        n_even_1024 += n
+                    else:
+                        even_violations.add(det)
+                else:
+                    n_odd += n
+                    r = det % 8
+                    odd_mod8[r] += n
+                    if r == 3 or r == 7:
+                        odd3_violations.add(det)
+                    elif r == 5:
+                        five_mod8.add(det)
+                if -sample_abs_limit <= det <= sample_abs_limit:
+                    sample.add(det)
 
     return {
         "count": stop - start,

@@ -251,9 +251,9 @@ class ScanReport:
         }
 
 
-def _scan_chunk(args: tuple) -> dict:
+def _scan_chunk(args: tuple) -> tuple[str, dict]:
     values, start, stop, direct, sample_abs_limit = args
-    return kernel.scan_range(values, start, stop, direct, sample_abs_limit)
+    return kernel.scan_range_with_lane(values, start, stop, direct, sample_abs_limit)
 
 
 def exhaustive_scan(
@@ -269,7 +269,8 @@ def exhaustive_scan(
     4, and every value 5 mod 8 accepted by the classifier.
 
     The index space is split into disjoint ranges merged commutatively, so
-    the report is bit-identical for any worker count.
+    the report is bit-identical for any worker count.  The report's lane is
+    "pure" when the pure lane served any range.
     """
     values = tuple(sorted(set(int(v) for v in support)))
     if not values:
@@ -285,9 +286,12 @@ def exhaustive_scan(
         )
     t0 = time.perf_counter()
 
-    # Chunk boundaries never affect the merged report (commutative merge);
-    # aim for a few tasks per worker, capped to keep per-task memory flat.
-    chunk = max(1, min(1 << 22, (total + 4 * workers - 1) // (4 * workers)))
+    # Chunk boundaries never affect the merged report (commutative merge).
+    # Each chunk builds its own half tables, so one worker takes the
+    # largest chunks; several aim for a few tasks each.  The cap keeps
+    # per-task memory flat.
+    tasks_wanted = 4 * workers if workers > 1 else 1
+    chunk = max(1, min(1 << 22, (total + tasks_wanted - 1) // tasks_wanted))
     bounds = list(range(0, total, chunk)) + [total]
     tasks = [
         (values, lo, hi, direct, sample_abs_limit)
@@ -310,7 +314,9 @@ def exhaustive_scan(
     five_mod8: set[int] = set()
     sample: set[int] = set()
     direct_mismatches: set[int] = set()
-    for part in parts:
+    served: set[str] = set()
+    for lane, part in parts:
+        served.add(lane)
         zero += part["zero"]
         even += part["even"]
         even1024 += part["even_mult_1024"]
@@ -338,7 +344,7 @@ def exhaustive_scan(
         support=values,
         total=total,
         workers=workers,
-        lane=kernel.ACTIVE_LANE,
+        lane="pure" if "pure" in served else served.pop(),
         direct=direct,
         zero=zero,
         even=even,

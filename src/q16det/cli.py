@@ -2,7 +2,9 @@
 
 Subcommands: classify, witness, verify, scan, crosscheck, audit.  Exit
 codes are stable: 0 success/achievable, 1 not achievable or a failed
-check, 2 usage error, 3 budget exceeded.
+check, 2 usage error, 3 budget exceeded.  A library error that escapes a
+command (a ``Q16DetError`` or ``RuntimeError``) prints one
+``q16det: <Type>: <message>`` line to stderr and exits 1.
 
 Machine output (--json) is one JSON object per line; all integers are
 serialized as decimal strings so consumers are safe from 64-bit overflow.
@@ -18,7 +20,7 @@ from pathlib import Path
 
 from . import __version__, analysis, kernel
 from .classifier import Classification, classify, classify_and_witness
-from .errors import BudgetExceeded, MismatchFound
+from .errors import BudgetExceeded, MismatchFound, Q16DetError
 from .exact_eval import determinant_from_factored, factored_form
 from .group_algebra import GroupRingElement, direct_determinant
 from .witness import WitnessCertificate
@@ -425,7 +427,11 @@ def main(argv: list[str] | None = None) -> int:
                 file=sys.stderr,
             )
             return EXIT_USAGE
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (Q16DetError, RuntimeError) as exc:
+        print(f"q16det: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_FAIL
 
 
 if __name__ == "__main__":

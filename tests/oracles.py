@@ -4,11 +4,16 @@ These deliberately avoid the library's algorithms: the determinant oracle
 uses rational Gaussian elimination instead of fraction-free elimination,
 prime splitting enumerates Y directly, the Laurent helpers multiply
 polynomials term by term, and the evaluations at i and w use Gaussian and
-Z[w] arithmetic instead of the kernel's closed forms.
+Z[w] arithmetic instead of the kernel's closed forms.  The scan reference
+walks the index range one element at a time, calling the pure lane's
+``factored_terms`` and ``circulant_det`` on each, where the library scan
+sums precomputed half-vector rows.
 """
 
 from fractions import Fraction
 from math import isqrt
+
+from q16det import _pykernel
 
 
 def fraction_det(matrix) -> int:
@@ -114,3 +119,81 @@ def cyclotomic_mul(u, v) -> tuple[int, int, int, int]:
 def cyclotomic_conj(u) -> tuple[int, int, int, int]:
     """Complex conjugation w -> w**-1 = -w**3."""
     return (u[0], -u[3], -u[2], -u[1])
+
+
+def scan_range_reference(values, start, stop, direct=False, sample_abs_limit=1 << 20) -> dict:
+    """The tallies of ``_pykernel.scan_range``, one element at a time: an
+    odometer over the mixed-radix digits of the index (least significant
+    digit = a0), ``factored_terms`` on every element and, when ``direct``,
+    ``circulant_det`` on every element."""
+    base = len(values)
+    digits = [0] * 16
+    coeffs = [values[0]] * 16
+    idx = start
+    for k in range(16):
+        digits[k] = idx % base
+        coeffs[k] = values[digits[k]]
+        idx //= base
+
+    n_zero = n_even = n_even_1024 = n_odd = 0
+    odd_mod8 = {1: 0, 3: 0, 5: 0, 7: 0}
+    even_violations = set()
+    odd3_violations = set()
+    five_mod8 = set()
+    sample = set()
+    direct_mismatches = set()
+
+    top = base - 1
+    v0 = values[0]
+    for _ in range(stop - start):
+        a = coeffs[:8]
+        b = coeffs[8:]
+        A, B, C, X, Y = _pykernel.factored_terms(a, b)
+        D = X * X - 2 * Y * Y
+        det = A * B * C * C * D * D
+        if direct and _pykernel.circulant_det(a, b) != det:
+            direct_mismatches.add(det)
+
+        if det == 0:
+            n_zero += 1
+            n_even += 1
+            n_even_1024 += 1
+        elif det % 2 == 0:
+            n_even += 1
+            if det % 1024 == 0:
+                n_even_1024 += 1
+            else:
+                even_violations.add(det)
+        else:
+            n_odd += 1
+            r = det % 8
+            odd_mod8[r] += 1
+            if r == 3 or r == 7:
+                odd3_violations.add(det)
+            elif r == 5:
+                five_mod8.add(det)
+        if -sample_abs_limit <= det <= sample_abs_limit:
+            sample.add(det)
+
+        k = 0
+        while k < 16 and digits[k] == top:
+            digits[k] = 0
+            coeffs[k] = v0
+            k += 1
+        if k < 16:
+            digits[k] += 1
+            coeffs[k] = values[digits[k]]
+
+    return {
+        "count": stop - start,
+        "zero": n_zero,
+        "even": n_even,
+        "even_mult_1024": n_even_1024,
+        "odd": n_odd,
+        "odd_mod8": odd_mod8,
+        "even_violations": even_violations,
+        "odd3_violations": odd3_violations,
+        "five_mod8": five_mod8,
+        "sample": sample,
+        "direct_mismatches": direct_mismatches,
+    }

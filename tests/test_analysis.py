@@ -1,5 +1,6 @@
 import random
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
@@ -125,6 +126,31 @@ class TestExhaustiveScan:
             d.pop("elapsed_s")
             d.pop("workers")
         assert d1 == d2
+
+    def test_lane_after_fallback(self, monkeypatch):
+        declining = SimpleNamespace(LANE="compiled", scan_range=lambda *args: None)
+        monkeypatch.setattr(kernel, "active", declining)
+        monkeypatch.setattr(kernel, "ACTIVE_LANE", "compiled")
+        rep = exhaustive_scan((0, 1))
+        assert rep.lane == "pure"
+        assert rep.ok and rep.zero == 30336
+
+    def test_lane_that_served(self, monkeypatch):
+        serving = SimpleNamespace(LANE="compiled", scan_range=kernel.pure.scan_range)
+        monkeypatch.setattr(kernel, "active", serving)
+        assert exhaustive_scan((0, 1)).lane == "compiled"
+
+    def test_lane_after_partial_fallback(self, monkeypatch):
+        # Declines every range but the first: the merged report is pure.
+        def partial(values, start, stop, direct, sample_abs_limit):
+            if start == 0:
+                return kernel.pure.scan_range(values, start, stop, direct, sample_abs_limit)
+            return None
+
+        monkeypatch.setattr(kernel, "active", SimpleNamespace(LANE="compiled", scan_range=partial))
+        monkeypatch.setattr(kernel, "ACTIVE_LANE", "compiled")
+        rep = exhaustive_scan((0, 1), workers=2)
+        assert rep.lane == "pure" and rep.zero == 30336
 
     def test_direct_mode_agrees(self):
         rep = exhaustive_scan((0, 1), direct=True)

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from q16det import _pykernel, analysis, kernel
+from q16det import _pykernel, analysis, cli, kernel
 from q16det.cli import (
     EXIT_BUDGET,
     EXIT_FAIL,
@@ -16,6 +16,7 @@ from q16det.cli import (
     main,
     verify_document,
 )
+from q16det.errors import InternalInconsistency
 from q16det.exact_eval import factored_form
 from q16det.witness import witness_odd_5mod8
 
@@ -231,3 +232,27 @@ def test_console_entry_point():
         text=True,
     )
     assert out.returncode == 0 and "q16det" in out.stdout
+
+
+class TestLibraryErrors:
+    def test_library_error_is_one_line_exit_1(self, capsys, monkeypatch):
+        def broken(n):
+            raise InternalInconsistency(f"injected failure for {n}")
+
+        monkeypatch.setattr(cli, "classify", broken)
+        rc, out, err = run(capsys, "classify", "245", "--json")
+        assert rc == EXIT_FAIL and out == ""
+        assert err == "q16det: InternalInconsistency: injected failure for 245\n"
+
+    def test_runtime_error_is_one_line_exit_1(self, capsys, monkeypatch):
+        def broken(n):
+            raise RuntimeError("Pollard rho failed")
+
+        monkeypatch.setattr(cli, "classify_and_witness", broken)
+        rc, _, err = run(capsys, "witness", "245")
+        assert rc == EXIT_FAIL
+        assert err == "q16det: RuntimeError: Pollard rho failed\n"
+
+    def test_budget_exceeded_keeps_exit_3(self, capsys):
+        rc, _, err = run(capsys, "scan", "--support", "0,1", "--limit", "10")
+        assert rc == EXIT_BUDGET and err.startswith("budget exceeded")

@@ -1,6 +1,7 @@
 """Agreement between the compiled and pure kernel lanes, the fallback
-path for inputs the compiled lane declines, and the 8x8 circulant
-determinant behind pure-lane direct scans."""
+path for inputs the compiled lane declines, the 8x8 circulant
+determinant behind pure-lane direct scans, and the half-table pure scan
+against the per-element reference."""
 
 import random
 
@@ -11,7 +12,7 @@ from q16det._cayley import DET_INDEX, INVERSE, MUL_TABLE, inv, mul
 from q16det._pykernel import circulant_det, circulant_q
 from q16det.group_algebra import GroupRingElement, determinant_matrix
 
-from oracles import fraction_det
+from oracles import fraction_det, scan_range_reference
 
 compiled_available = kernel.compiled is not None
 needs_compiled = pytest.mark.skipif(
@@ -152,3 +153,87 @@ class TestCirculantBridge:
             A, B, _, _, _ = kernel.pure.factored_terms(a, b)
             assert sum(q) == A
             assert sum(q[0::2]) - sum(q[1::2]) == B
+
+
+def _scan_windows():
+    """(support, start, stop) windows: the one-value space, runs of whole
+    b-rows, ranges crossing a b-row boundary, ranges ending at base**16,
+    one-element ranges, ranges longer than a b-row, and seeded random
+    ranges."""
+    rng = random.Random(2024)
+    supports = [(0, 1), (-2, 3), (-1, 10**6), (-1, 0, 1), (-10**6, -3, 0, 2, 10**6)]
+    windows = [((7,), 0, 1), ((-1, 0), 0, 2**12)]
+    for values in supports:
+        half = len(values) ** 8
+        end = len(values) ** 16
+        windows += [
+            (values, half - 150, half + 150),
+            (values, 3 * half - 7, 3 * half + 1),
+            (values, end - 300, end),
+            (values, end - 1, end),
+            (values, half, half + 1),
+        ]
+        lo = rng.randrange(end - 400)
+        windows.append((values, lo, lo + rng.randrange(1, 400)))
+        if len(values) == 2:  # longer than a b-row: the whole a-table
+            lo = rng.randrange(2**16 - 1000)
+            windows += [(values, 200, 900), (values, lo, lo + 1000)]
+    return windows
+
+
+class TestScanHalfTables:
+    @pytest.mark.parametrize("direct", [False, True])
+    @pytest.mark.parametrize("values,start,stop", _scan_windows())
+    def test_matches_reference(self, values, start, stop, direct):
+        got = kernel.pure.scan_range(values, start, stop, direct)
+        assert got == scan_range_reference(values, start, stop, direct)
+        assert got["count"] == stop - start
+        assert not got["direct_mismatches"]
+
+    def test_small_sample_limit(self):
+        values = (-1, 0, 1)
+        got = kernel.pure.scan_range(values, 5000, 8000, True, 100)
+        assert got == scan_range_reference(values, 5000, 8000, True, 100)
+
+    def test_empty_range(self):
+        got = kernel.pure.scan_range((0, 1), 300, 300, True)
+        assert got == scan_range_reference((0, 1), 300, 300, True)
+        assert got["count"] == 0 and not got["sample"]
+
+
+ZERO_HALF = (0,) * 8
+
+
+class TestHalfAdditivity:
+    @pytest.mark.parametrize("height", [1, 9, 10**6])
+    def test_factored_terms_split(self, height):
+        rng = random.Random(31 * height)
+        for _ in range(300):
+            a = [rng.randint(-height, height) for _ in range(8)]
+            b = [rng.randint(-height, height) for _ in range(8)]
+            for lane in kernel.lanes().values():
+                whole = lane.factored_terms(a, b)
+                fa = lane.factored_terms(a, ZERO_HALF)
+                gb = lane.factored_terms(ZERO_HALF, b)
+                assert whole == tuple(x + y for x, y in zip(fa, gb))
+
+    @pytest.mark.parametrize("height", [1, 9, 10**6])
+    def test_circulant_q_split(self, height):
+        rng = random.Random(37 * height)
+        for _ in range(300):
+            a = [rng.randint(-height, height) for _ in range(8)]
+            b = [rng.randint(-height, height) for _ in range(8)]
+            qa = circulant_q(a, ZERO_HALF)
+            qb = circulant_q(ZERO_HALF, b)
+            assert circulant_q(a, b) == [x + y for x, y in zip(qa, qb)]
+
+    def test_circulant_det_depends_only_on_q(self):
+        # Rotating or reversing a half keeps its autocorrelation, hence q.
+        rng = random.Random(41)
+        for _ in range(50):
+            a = [rng.randint(-9, 9) for _ in range(8)]
+            b = [rng.randint(-9, 9) for _ in range(8)]
+            a2 = (a[3:] + a[:3])[::-1]
+            b2 = b[5:] + b[:5]
+            assert circulant_q(a2, b2) == circulant_q(a, b)
+            assert circulant_det(a2, b2) == circulant_det(a, b)
