@@ -1,5 +1,4 @@
-"""Pure-Python kernels: the fallback lane used when the compiled extension
-is unavailable, and the reference its outputs are compared against.
+"""The kernels behind :mod:`q16det.kernel`.
 
 All three entry points are exact over arbitrary-precision integers:
 
@@ -20,10 +19,6 @@ x**8 - 1 instead of the 16x16 matrix.  q splits the same way, so a direct
 scan eliminates once per pair of q-classes of the two halves.
 Certificates and crosschecks keep the literal 16x16 via :func:`group_det`.
 Both eliminations share :func:`_bareiss`.
-
-The compiled lane in ``q16det._kernel`` implements the same interface with
-128-bit arithmetic and falls back per call (returning None) when it cannot
-guarantee exactness; this module never returns None.
 """
 
 from __future__ import annotations
@@ -32,8 +27,6 @@ from collections import Counter
 from typing import Iterator, Sequence
 
 from ._cayley import DET_INDEX
-
-LANE = "pure"
 
 
 def _bareiss(m: list[list[int]]) -> int:

@@ -251,9 +251,9 @@ class ScanReport:
         }
 
 
-def _scan_chunk(args: tuple) -> tuple[str, dict]:
+def _scan_chunk(args: tuple) -> dict:
     values, start, stop, direct, sample_abs_limit = args
-    return kernel.scan_range_with_lane(values, start, stop, direct, sample_abs_limit)
+    return kernel.scan_range(values, start, stop, direct, sample_abs_limit)
 
 
 def exhaustive_scan(
@@ -269,8 +269,7 @@ def exhaustive_scan(
     4, and every value 5 mod 8 accepted by the classifier.
 
     The index space is split into disjoint ranges merged commutatively, so
-    the report is bit-identical for any worker count.  The report's lane is
-    "pure" when the pure lane served any range.
+    the report is bit-identical for any worker count.
     """
     values = tuple(sorted(set(int(v) for v in support)))
     if not values:
@@ -314,9 +313,7 @@ def exhaustive_scan(
     five_mod8: set[int] = set()
     sample: set[int] = set()
     direct_mismatches: set[int] = set()
-    served: set[str] = set()
-    for lane, part in parts:
-        served.add(lane)
+    for part in parts:
         zero += part["zero"]
         even += part["even"]
         even1024 += part["even_mult_1024"]
@@ -344,7 +341,7 @@ def exhaustive_scan(
         support=values,
         total=total,
         workers=workers,
-        lane="pure" if "pure" in served else served.pop(),
+        lane=kernel.ACTIVE_LANE,
         direct=direct,
         zero=zero,
         even=even,

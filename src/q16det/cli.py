@@ -18,7 +18,7 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from . import __version__, analysis, kernel
+from . import __version__, analysis
 from .classifier import Classification, classify, classify_and_witness
 from .errors import BudgetExceeded, MismatchFound, Q16DetError
 from .exact_eval import determinant_from_factored, factored_form
@@ -390,8 +390,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--direct",
         action="store_true",
-        help="also check each factored value against an eliminated determinant "
-        "(the 8x8 circulant of q in the pure lane, 16x16 in the compiled lane); "
+        help="also check each factored value against an eliminated determinant: "
+        "the 8x8 circulant of q, equal to the 16x16 group determinant; "
         "certificates and crosscheck keep the literal 16x16",
     )
     p.add_argument("--json", action="store_true")

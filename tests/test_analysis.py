@@ -1,6 +1,5 @@
 import random
 from dataclasses import replace
-from types import SimpleNamespace
 
 import pytest
 
@@ -49,8 +48,8 @@ class TestChebyshev:
         for _ in range(300):
             poly = [rng.randint(-9, 9) for _ in range(8)]
             via_cheb = chebyshev_eval_omega(chebyshev_coeffs(poly))
-            via_kernel = kernel.factored_terms(poly, (0,) * 8)[3:]
-            assert (via_cheb.x, via_cheb.y) == via_kernel
+            via_terms = kernel.factored_terms(poly, (0,) * 8)[3:]
+            assert (via_cheb.x, via_cheb.y) == via_terms
 
 
 class TestParityAudit:
@@ -127,31 +126,6 @@ class TestExhaustiveScan:
             d.pop("workers")
         assert d1 == d2
 
-    def test_lane_after_fallback(self, monkeypatch):
-        declining = SimpleNamespace(LANE="compiled", scan_range=lambda *args: None)
-        monkeypatch.setattr(kernel, "active", declining)
-        monkeypatch.setattr(kernel, "ACTIVE_LANE", "compiled")
-        rep = exhaustive_scan((0, 1))
-        assert rep.lane == "pure"
-        assert rep.ok and rep.zero == 30336
-
-    def test_lane_that_served(self, monkeypatch):
-        serving = SimpleNamespace(LANE="compiled", scan_range=kernel.pure.scan_range)
-        monkeypatch.setattr(kernel, "active", serving)
-        assert exhaustive_scan((0, 1)).lane == "compiled"
-
-    def test_lane_after_partial_fallback(self, monkeypatch):
-        # Declines every range but the first: the merged report is pure.
-        def partial(values, start, stop, direct, sample_abs_limit):
-            if start == 0:
-                return kernel.pure.scan_range(values, start, stop, direct, sample_abs_limit)
-            return None
-
-        monkeypatch.setattr(kernel, "active", SimpleNamespace(LANE="compiled", scan_range=partial))
-        monkeypatch.setattr(kernel, "ACTIVE_LANE", "compiled")
-        rep = exhaustive_scan((0, 1), workers=2)
-        assert rep.lane == "pure" and rep.zero == 30336
-
     def test_direct_mode_agrees(self):
         rep = exhaustive_scan((0, 1), direct=True)
         assert rep.ok
@@ -159,7 +133,6 @@ class TestExhaustiveScan:
 
     def test_direct_mode_reports_disagreement(self, monkeypatch):
         real = _pykernel.circulant_det
-        monkeypatch.setattr(kernel, "active", kernel.pure)
         monkeypatch.setattr(_pykernel, "circulant_det", lambda a, b: real(a, b) + 1)
         rep = exhaustive_scan((1,), direct=True)
         assert rep.violations == [("0", "direct and factored determinants disagree")]

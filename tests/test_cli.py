@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from q16det import _pykernel, analysis, cli, kernel
+from q16det import _pykernel, analysis, cli
 from q16det.cli import (
     EXIT_BUDGET,
     EXIT_FAIL,
@@ -127,6 +127,7 @@ class TestScanCommand:
         assert rc == EXIT_OK
         assert doc["total"] == 65536 and doc["ok"] is True
         assert doc["violations"] == []
+        assert doc["lane"] == "pure"
 
     def test_budget_exit_3(self, capsys):
         rc, _, err = run(capsys, "scan", "--support", "0,1", "--limit", "100")
@@ -160,7 +161,6 @@ class TestScanCommand:
 
     def test_direct_disagreement_exit_1(self, capsys, monkeypatch):
         real = _pykernel.circulant_det
-        monkeypatch.setattr(kernel, "active", kernel.pure)
         monkeypatch.setattr(_pykernel, "circulant_det", lambda a, b: real(a, b) + 1)
         rc, out, _ = run(capsys, "scan", "--support", "1", "--direct", "--json")
         doc = json.loads(out)
@@ -178,6 +178,7 @@ class TestCrosscheckAndAudit:
         )
         doc = json.loads(out)
         assert rc == EXIT_OK and doc["mismatches"] == 0
+        assert doc["lane"] == "pure"
 
     def test_crosscheck_mismatch_report(self, capsys, monkeypatch):
         monkeypatch.setattr(
