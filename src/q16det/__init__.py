@@ -5,8 +5,8 @@ Public surface: the group ring and its exact determinant
 (:mod:`~q16det.exact_eval`), the Z[sqrt(2)] toolkit
 (:mod:`~q16det.quad_ring`), witness construction (:mod:`~q16det.witness`),
 the value-set classifier (:mod:`~q16det.classifier`), and scans/audits
-(:mod:`~q16det.analysis`).  The hot loops go through :mod:`q16det.kernel`,
-whose ``ACTIVE_LANE`` names the lane that scan and crosscheck reports carry.
+(:mod:`~q16det.analysis`).  The hot loops live in :mod:`q16det.kernel`:
+the literal 16x16 determinant, the factored terms and the support scans.
 """
 
 __version__ = "0.1.0"

@@ -9,11 +9,10 @@ determinant computation paths agree.
 
 from __future__ import annotations
 
+import os
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from multiprocessing import get_context
 from typing import Sequence
 
 from . import kernel
@@ -251,6 +250,14 @@ class ScanReport:
         }
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platform without sched_getaffinity
+        return os.cpu_count() or 1
+
+
 def _scan_chunk(args: tuple) -> dict:
     values, start, stop, direct, sample_abs_limit = args
     return kernel.scan_range(values, start, stop, direct, sample_abs_limit)
@@ -268,8 +275,10 @@ def exhaustive_scan(
     the residue laws: even determinants divisible by 2**10, odd ones 1 mod
     4, and every value 5 mod 8 accepted by the classifier.
 
-    The index space is split into disjoint ranges merged commutatively, so
-    the report is bit-identical for any worker count.
+    The index space is split into disjoint ranges of
+    :func:`q16det.kernel.scan_range` merged commutatively, so the report is
+    bit-identical for any worker count.  The report echoes ``workers``; the
+    process pool is capped at the CPUs this process may use.
     """
     values = tuple(sorted(set(int(v) for v in support)))
     if not values:
@@ -288,20 +297,26 @@ def exhaustive_scan(
     # Chunk boundaries never affect the merged report (commutative merge).
     # Each chunk builds its own half tables, so one worker takes the
     # largest chunks; several aim for a few tasks each.  The cap keeps
-    # per-task memory flat.
-    tasks_wanted = 4 * workers if workers > 1 else 1
+    # per-task memory flat.  A fork-context pool starts all of its
+    # processes at the first submit, so it never outnumbers the usable CPUs.
+    pool = min(workers, _usable_cpus())
+    tasks_wanted = 4 * pool if pool > 1 else 1
     chunk = max(1, min(1 << 22, (total + tasks_wanted - 1) // tasks_wanted))
     bounds = list(range(0, total, chunk)) + [total]
     tasks = [
         (values, lo, hi, direct, sample_abs_limit)
         for lo, hi in zip(bounds[:-1], bounds[1:])
     ]
-    if workers > 1 and len(tasks) > 1:
+    if pool > 1 and len(tasks) > 1:
+        # Imported here to keep the pool machinery out of the CLI's cold start.
+        from concurrent.futures import ProcessPoolExecutor
+        from multiprocessing import get_context
+
         try:
             ctx = get_context("fork")
         except ValueError:  # platform without fork
             ctx = get_context()
-        with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as ex:
+        with ProcessPoolExecutor(max_workers=pool, mp_context=ctx) as ex:
             parts = list(ex.map(_scan_chunk, tasks))
     else:
         parts = [_scan_chunk(t) for t in tasks]

@@ -380,7 +380,13 @@ def build_parser() -> argparse.ArgumentParser:
         default=[0, 1],
         metavar="v1,v2,...",
     )
-    p.add_argument("--workers", type=_int_at_least(1), default=1)
+    p.add_argument(
+        "--workers",
+        type=_int_at_least(1),
+        default=1,
+        help="worker processes, capped at the CPUs available; "
+        "the report is the same for any value",
+    )
     p.add_argument(
         "--limit",
         type=_int_at_least(1),

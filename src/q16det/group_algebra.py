@@ -3,7 +3,7 @@
 An element is stored as two blocks of eight integer coefficients: ``a`` for
 the powers X**0..X**7 and ``b`` for Y*X**0..Y*X**7.  The group determinant
 is det(M) for the 16x16 matrix M[g][h] = coefficient of g * h**-1, computed
-exactly by fraction-free elimination (see the kernel modules).
+exactly by fraction-free elimination (see :mod:`q16det.kernel`).
 """
 
 from __future__ import annotations
@@ -95,24 +95,3 @@ def swap_components(e: GroupRingElement) -> GroupRingElement:
     """Exchange the X-block and the Y-block (swap f and g)."""
     return GroupRingElement(e.b, e.a)
 
-
-def convolve(e1: GroupRingElement, e2: GroupRingElement) -> GroupRingElement:
-    """Group-ring product (convolution over the group).
-
-    Test oracle only: the determinant is multiplicative over this product,
-    which gives an independent consistency check.  Not part of the
-    certificate path.
-    """
-    c1 = e1.coeffs()
-    c2 = e2.coeffs()
-    out = [0] * 16
-    for h in range(16):
-        x = c1[h]
-        if x == 0:
-            continue
-        row = MUL_TABLE[h]
-        for k in range(16):
-            y = c2[k]
-            if y != 0:
-                out[row[k]] += x * y
-    return GroupRingElement.from_coeffs(out)

@@ -1,48 +1,201 @@
-"""The one import point of the hot loops.
+"""The hot loops, exact over arbitrary-precision integers.
 
-The 16x16 exact determinant, the factored-form terms and the support scans
-live in :mod:`q16det._pykernel`, exact over arbitrary-precision integers.
-Each function here is one call into it, looked up at call time, so a
-tracer or a test that patches the lane module sees every call.
+* :func:`group_det`   - 16x16 group determinant by fraction-free (Bareiss)
+  elimination of the literal ``DET_INDEX`` matrix, the definition that
+  certificates and crosschecks rely on,
+* :func:`factored_terms` - the tuple (A, B, C, X, Y) of the determinant
+  factorization, the only evaluation at 1, -1, i and w
+  (:func:`q16det.exact_eval.factored_form` and the witness and audit
+  checks read it here),
+* :func:`scan_range`  - enumeration of a contiguous index range of a
+  coefficient-support scan, returning mergeable tallies.
 
-:func:`factored_terms` is the only evaluation at 1, -1, i and w:
-:func:`q16det.exact_eval.factored_form` and the witness and audit checks
-read it here.  The scan computes it once per half-vector and sums an
-a-row and a b-row per element, since every term is an f-only part plus a
-g-only part.
+Every factored term is an f-only part plus a g-only part, so
+:func:`scan_range` calls :func:`factored_terms` once per half-vector of
+the range (a-rows ``factored_terms(h, 0)``, b-rows ``factored_terms(0, h)``)
+and sums two rows per element.  Direct scans (``scan_range(...,
+direct=True)``) check each element against :func:`circulant_det`, which
+eliminates the 8x8 circulant of q = f(x)*f(1/x) - x**4*g(x)*g(1/x) mod
+x**8 - 1 instead of the 16x16 matrix.  q splits the same way, so a direct
+scan eliminates once per pair of q-classes of the two halves.
+Both eliminations share :func:`_bareiss`.
 
-:func:`group_det` always eliminates the literal 16x16 matrix, the
-definition that certificates and crosschecks rely on.  Direct scans
-(``scan_range(..., direct=True)``) eliminate the equal 8x8 circulant of
-q = f(x)*f(1/x) - x**4*g(x)*g(1/x), once per pair of q-classes of the two
-halves, because q also splits into an f-part plus a g-part.
+Callers reach every entry point as ``kernel.<name>``, so a tracer or a
+test that patches this module sees every call.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+import sys
+from collections import Counter
+from typing import Iterator, Sequence
 
-from . import _pykernel
+from ._cayley import DET_INDEX
 
-pure = _pykernel
-
-#: Name of the lane that does the work, reported in scans and crosschecks.
+# The lane names perfbench reads; scan and crosscheck reports carry ACTIVE_LANE.
 ACTIVE_LANE: str = "pure"
 
 
 def lanes() -> dict[str, object]:
-    """Mapping of lane name -> kernel module."""
-    return {ACTIVE_LANE: pure}
+    """Mapping of lane name -> kernel module: this module, as ``"pure"``."""
+    return {ACTIVE_LANE: sys.modules[__name__]}
+
+
+def _bareiss(m: list[list[int]]) -> int:
+    """Exact determinant of a square integer matrix; destroys its argument.
+
+    Fraction-free elimination: every intermediate entry is (up to sign) a
+    minor of the original matrix, and each division is exact.  Zero pivots
+    are handled by row swaps; a column with no usable pivot means the
+    determinant is 0.
+    """
+    n = len(m)
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for r in range(k + 1, n):
+                if m[r][k] != 0:
+                    m[k], m[r] = m[r], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        pivot = m[k][k]
+        row_k = m[k]
+        for i in range(k + 1, n):
+            row_i = m[i]
+            lead = row_i[k]
+            if lead == 0:
+                for j in range(k + 1, n):
+                    row_i[j] = row_i[j] * pivot // prev
+            else:
+                for j in range(k + 1, n):
+                    row_i[j] = (row_i[j] * pivot - lead * row_k[j]) // prev
+                row_i[k] = 0
+        prev = pivot
+    return sign * m[n - 1][n - 1]
 
 
 def group_det(a: Sequence[int], b: Sequence[int]) -> int:
-    """Exact group determinant of the literal 16x16 matrix."""
-    return _pykernel.group_det(a, b)
+    """Group determinant det(c[g * h**-1]) of the element with X-block
+    coefficients ``a`` and Y-block coefficients ``b``."""
+    c = list(a) + list(b)
+    m = [[c[i] for i in row] for row in DET_INDEX]
+    return _bareiss(m)
+
+
+def circulant_q(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Coefficients q[0..7] of q = f(x)*f(1/x) - x**4*g(x)*g(1/x) mod x**8 - 1,
+    built from the integer autocorrelations of ``a`` and ``b``."""
+    q = [0] * 8
+    for i in range(8):
+        ai = a[i]
+        if ai:
+            for j in range(8):
+                q[(i - j) % 8] += ai * a[j]
+        bi = b[i]
+        if bi:
+            for j in range(8):
+                q[(i - j + 4) % 8] -= bi * b[j]
+    return q
+
+
+#: Layout of the 8x8 circulant of q: C[i][j] = q[(j - i) % 8].
+_CIRCULANT_INDEX = tuple(tuple((j - i) % 8 for j in range(8)) for i in range(8))
+
+
+def circulant_det(a: Sequence[int], b: Sequence[int]) -> int:
+    """Group determinant of the element, as the determinant of the 8x8
+    circulant of :func:`circulant_q`.
+
+    The 16x16 matrix is [[F, G1], [G2, F']] with 8x8 circulant blocks, which
+    commute, so its determinant is that of one 8x8 circulant (Silvester,
+    "Determinants of block matrices", 2000).  Exact, but not the literal
+    definition: certificates and crosschecks use :func:`group_det`.
+    """
+    q = circulant_q(a, b)
+    return _bareiss([[q[k] for k in row] for row in _CIRCULANT_INDEX])
 
 
 def factored_terms(a: Sequence[int], b: Sequence[int]) -> tuple[int, int, int, int, int]:
-    """(A, B, C, X, Y) of the determinant factorization."""
-    return _pykernel.factored_terms(a, b)
+    """(A, B, C, X, Y) of the factorization; D = X**2 - 2*Y**2 and the
+    determinant A*B*C**2*D**2 are left to the caller."""
+    a0, a1, a2, a3, a4, a5, a6, a7 = a
+    b0, b1, b2, b3, b4, b5, b6, b7 = b
+
+    f1 = a0 + a1 + a2 + a3 + a4 + a5 + a6 + a7
+    g1 = b0 + b1 + b2 + b3 + b4 + b5 + b6 + b7
+    fm1 = a0 - a1 + a2 - a3 + a4 - a5 + a6 - a7
+    gm1 = b0 - b1 + b2 - b3 + b4 - b5 + b6 - b7
+    A = f1 * f1 - g1 * g1
+    B = fm1 * fm1 - gm1 * gm1
+
+    fre = a0 - a2 + a4 - a6
+    fim = a1 - a3 + a5 - a7
+    gre = b0 - b2 + b4 - b6
+    gim = b1 - b3 + b5 - b7
+    C = fre * fre + fim * fim - gre * gre - gim * gim
+
+    u0, u1, u2, u3 = a0 - a4, a1 - a5, a2 - a6, a3 - a7
+    v0, v1, v2, v3 = b0 - b4, b1 - b5, b2 - b6, b3 - b7
+    X = u0 * u0 + u1 * u1 + u2 * u2 + u3 * u3 + v0 * v0 + v1 * v1 + v2 * v2 + v3 * v3
+    Y = u0 * u1 - u0 * u3 + u1 * u2 + u2 * u3 + v0 * v1 - v0 * v3 + v1 * v2 + v2 * v3
+    return A, B, C, X, Y
+
+
+#: The zero half-vector: a half-table row is the factored terms of one half
+#: of an element with the other half zero.
+_ZERO_HALF = (0,) * 8
+
+
+def _halves(values: Sequence[int], first: int, count: int) -> Iterator[tuple[int, ...]]:
+    """Half-vectors number ``first``, ``first + 1``, ... (wrapping mod
+    base**8), ``count`` of them: digit k of a half index, least significant
+    first, picks coefficient k."""
+    base = len(values)
+    digits = []
+    for _ in range(8):
+        first, d = divmod(first, base)
+        digits.append(d)
+    h = [values[d] for d in digits]
+    top = base - 1
+    v0 = values[0]
+    for _ in range(count):
+        yield tuple(h)
+        # Odometer increment of the mixed-radix digit vector.
+        k = 0
+        while k < 8 and digits[k] == top:
+            digits[k] = 0
+            h[k] = v0
+            k += 1
+        if k < 8:
+            digits[k] += 1
+            h[k] = values[digits[k]]
+
+
+def _half_table(
+    values: Sequence[int], first: int, count: int, g_side: bool, direct: bool
+) -> tuple[list[tuple[int, int, int, int, int]], list[int], list[tuple[int, ...]]]:
+    """Rows of the half-vectors number ``first``, ... of one side: the
+    factored terms of (h, 0), or of (0, h) when ``g_side``.  When ``direct``,
+    also the class id of each row by its circulant_q vector, and one
+    representative half-vector per class."""
+    rows = []
+    classes: list[int] = []
+    reps: list[tuple[int, ...]] = []
+    ids: dict[tuple[int, ...], int] = {}
+    for h in _halves(values, first, count):
+        a, b = (_ZERO_HALF, h) if g_side else (h, _ZERO_HALF)
+        rows.append(factored_terms(a, b))
+        if direct:
+            key = tuple(circulant_q(a, b))
+            c = ids.get(key)
+            if c is None:
+                c = ids[key] = len(reps)
+                reps.append(h)
+            classes.append(c)
+    return rows, classes, reps
 
 
 def scan_range(
@@ -52,5 +205,111 @@ def scan_range(
     direct: bool = False,
     sample_abs_limit: int = 1 << 20,
 ) -> dict:
-    """Mergeable tallies of a contiguous index range of values^16."""
-    return _pykernel.scan_range(values, start, stop, direct, sample_abs_limit)
+    """Scan elements number ``start`` (inclusive) to ``stop`` (exclusive) of
+    the coefficient space values^16.
+
+    Element number i has coefficient k equal to values[d_k] where d_k is the
+    k-th base-len(values) digit of i (least significant digit = a0, digits
+    8..15 = b0..b7).  Returns a dict of tallies and value sets that merges
+    commutatively across disjoint ranges:
+
+    * counters: count, zero, even, even_mult_1024, odd, odd_mod8 histogram
+    * even_violations: distinct even values not divisible by 2**10
+    * odd3_violations: distinct odd values congruent 3 mod 4
+    * five_mod8: all distinct values congruent 5 mod 8
+    * sample: distinct values with |value| <= sample_abs_limit
+    * direct_mismatches: distinct values where :func:`circulant_det` and the
+      factored product disagreed (only populated when ``direct`` is true)
+
+    Element i is (a, b) with a = i mod base**8 and b = i // base**8, and
+    every term of :func:`factored_terms` is a sum of an f-only and a g-only
+    part: factored_terms(a, b) = factored_terms(a, 0) + factored_terms(0, b)
+    term by term.  So the scan builds one row per half-vector the range
+    touches (at most min(base**8, stop - start) a-rows, plus its b-rows) and
+    sums two rows per element.  Likewise circulant_q(a, b) =
+    circulant_q(a, 0) + circulant_q(0, b), and circulant_det depends on the
+    element only through circulant_q; a direct scan eliminates once per
+    pair of q-classes and compares every element with its pair's value.
+    """
+    half = len(values) ** 8
+    n_zero = n_even = n_even_1024 = n_odd = 0
+    odd_mod8 = {1: 0, 3: 0, 5: 0, 7: 0}
+    even_violations: set[int] = set()
+    odd3_violations: set[int] = set()
+    five_mod8: set[int] = set()
+    sample: set[int] = set()
+    direct_mismatches: set[int] = set()
+
+    if stop > start:
+        # A range shorter than a b-row touches stop - start consecutive
+        # a-halves from start's (wrapping into the next b-row), so its
+        # a-table starts there; a longer range gets the whole a-table.
+        a_first = start % half if stop - start < half else 0
+        a_rows, a_cls, a_rep = _half_table(
+            values, a_first, min(half, stop - start), False, direct
+        )
+        b_first = start // half
+        b_rows, b_cls, b_rep = _half_table(
+            values, b_first, (stop - 1) // half - b_first + 1, True, direct
+        )
+        # circulant_det of each (a_class, b_class) pair, on first use.
+        eliminated: dict[tuple[int, int], int] = {}
+
+        for j, (Ab, Bb, Cb, Xb, Yb) in enumerate(b_rows):
+            row_start = (b_first + j) * half
+            lo = max(start, row_start)
+            a_lo = (lo - a_first) % half
+            a_hi = a_lo + min(stop, row_start + half) - lo
+            dets = []
+            for Aa, Ba, Ca, Xa, Ya in a_rows[a_lo:a_hi]:
+                C = Ca + Cb
+                X = Xa + Xb
+                Y = Ya + Yb
+                D = X * X - 2 * Y * Y
+                dets.append((Aa + Ab) * (Ba + Bb) * C * C * D * D)
+
+            if direct:
+                cb = b_cls[j]
+                rep_b = b_rep[cb]
+                for det, ca in zip(dets, a_cls[a_lo:a_hi]):
+                    elim = eliminated.get((ca, cb))
+                    if elim is None:
+                        elim = eliminated[ca, cb] = circulant_det(a_rep[ca], rep_b)
+                    if elim != det:
+                        direct_mismatches.add(det)
+
+            for det, n in Counter(dets).items():
+                if det == 0:
+                    n_zero += n
+                    n_even += n
+                    n_even_1024 += n
+                elif det % 2 == 0:
+                    n_even += n
+                    if det % 1024 == 0:
+                        n_even_1024 += n
+                    else:
+                        even_violations.add(det)
+                else:
+                    n_odd += n
+                    r = det % 8
+                    odd_mod8[r] += n
+                    if r == 3 or r == 7:
+                        odd3_violations.add(det)
+                    elif r == 5:
+                        five_mod8.add(det)
+                if -sample_abs_limit <= det <= sample_abs_limit:
+                    sample.add(det)
+
+    return {
+        "count": stop - start,
+        "zero": n_zero,
+        "even": n_even,
+        "even_mult_1024": n_even_1024,
+        "odd": n_odd,
+        "odd_mod8": odd_mod8,
+        "even_violations": even_violations,
+        "odd3_violations": odd3_violations,
+        "five_mod8": five_mod8,
+        "sample": sample,
+        "direct_mismatches": direct_mismatches,
+    }

@@ -5,15 +5,18 @@ uses rational Gaussian elimination instead of fraction-free elimination,
 prime splitting enumerates Y directly, the Laurent helpers multiply
 polynomials term by term, and the evaluations at i and w use Gaussian and
 Z[w] arithmetic instead of the kernel's closed forms.  The scan reference
-walks the index range one element at a time, calling the pure lane's
+walks the index range one element at a time, calling the kernel's
 ``factored_terms`` and ``circulant_det`` on each, where the library scan
-sums precomputed half-vector rows.
+sums precomputed half-vector rows.  The group-ring product ``convolve``
+feeds the multiplicativity check of the determinant.
 """
 
 from fractions import Fraction
 from math import isqrt
 
-from q16det import _pykernel
+from q16det import kernel
+from q16det._cayley import MUL_TABLE
+from q16det.group_algebra import GroupRingElement
 
 
 def fraction_det(matrix) -> int:
@@ -36,6 +39,24 @@ def fraction_det(matrix) -> int:
                 m[r] = [a - factor * b for a, b in zip(m[r], m[k])]
     assert det.denominator == 1
     return int(det)
+
+
+def convolve(e1: GroupRingElement, e2: GroupRingElement) -> GroupRingElement:
+    """Group-ring product (convolution over the group): the determinant is
+    multiplicative over it, which gives an independent consistency check."""
+    c1 = e1.coeffs()
+    c2 = e2.coeffs()
+    out = [0] * 16
+    for h in range(16):
+        x = c1[h]
+        if x == 0:
+            continue
+        row = MUL_TABLE[h]
+        for k in range(16):
+            y = c2[k]
+            if y != 0:
+                out[row[k]] += x * y
+    return GroupRingElement.from_coeffs(out)
 
 
 def brute_split(p: int) -> tuple[int, int]:
@@ -122,7 +143,7 @@ def cyclotomic_conj(u) -> tuple[int, int, int, int]:
 
 
 def scan_range_reference(values, start, stop, direct=False, sample_abs_limit=1 << 20) -> dict:
-    """The tallies of ``_pykernel.scan_range``, one element at a time: an
+    """The tallies of ``kernel.scan_range``, one element at a time: an
     odometer over the mixed-radix digits of the index (least significant
     digit = a0), ``factored_terms`` on every element and, when ``direct``,
     ``circulant_det`` on every element."""
@@ -148,10 +169,10 @@ def scan_range_reference(values, start, stop, direct=False, sample_abs_limit=1 <
     for _ in range(stop - start):
         a = coeffs[:8]
         b = coeffs[8:]
-        A, B, C, X, Y = _pykernel.factored_terms(a, b)
+        A, B, C, X, Y = kernel.factored_terms(a, b)
         D = X * X - 2 * Y * Y
         det = A * B * C * C * D * D
-        if direct and _pykernel.circulant_det(a, b) != det:
+        if direct and kernel.circulant_det(a, b) != det:
             direct_mismatches.add(det)
 
         if det == 0:

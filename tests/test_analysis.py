@@ -1,9 +1,11 @@
+import concurrent.futures
+import os
 import random
 from dataclasses import replace
 
 import pytest
 
-from q16det import _pykernel, analysis, kernel
+from q16det import analysis, kernel
 from q16det.analysis import (
     AuditReport,
     ChebyshevCoeffs,
@@ -126,14 +128,42 @@ class TestExhaustiveScan:
             d.pop("workers")
         assert d1 == d2
 
+    def test_pool_capped_at_usable_cpus(self, monkeypatch):
+        # An in-process stand-in: a real fork-context pool would start every
+        # requested process at once.
+        pools = []
+
+        class InProcessPool:
+            map = staticmethod(map)
+
+            def __init__(self, max_workers, mp_context=None):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        r1 = exhaustive_scan((0, 1), workers=1)
+        big = exhaustive_scan((0, 1), workers=10**6)
+        assert len(pools) <= 1 and all(n <= os.cpu_count() for n in pools)
+        d1, d2 = r1.to_dict(), big.to_dict()
+        assert d2["workers"] == 10**6
+        for d in (d1, d2):
+            d.pop("elapsed_s")
+            d.pop("workers")
+        assert d1 == d2
+
     def test_direct_mode_agrees(self):
         rep = exhaustive_scan((0, 1), direct=True)
         assert rep.ok
         assert rep.even == 32768 and rep.odd == 32768
 
     def test_direct_mode_reports_disagreement(self, monkeypatch):
-        real = _pykernel.circulant_det
-        monkeypatch.setattr(_pykernel, "circulant_det", lambda a, b: real(a, b) + 1)
+        real = kernel.circulant_det
+        monkeypatch.setattr(kernel, "circulant_det", lambda a, b: real(a, b) + 1)
         rep = exhaustive_scan((1,), direct=True)
         assert rep.violations == [("0", "direct and factored determinants disagree")]
         assert exhaustive_scan((1,)).ok  # the factored-only scan never calls it
@@ -169,7 +199,6 @@ class TestRandomCrosscheck:
         assert rep.count == 1
 
     def test_determinism_across_lanes(self):
-        # the RNG stream is lane-independent; both lanes must accept it
         rep = random_crosscheck(200, 9, seed=42)
         assert rep.count == 200
 

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from q16det import _pykernel, analysis, cli
+from q16det import analysis, cli, kernel
 from q16det.cli import (
     EXIT_BUDGET,
     EXIT_FAIL,
@@ -160,8 +160,8 @@ class TestScanCommand:
         assert code == EXIT_USAGE and "--workers" in err
 
     def test_direct_disagreement_exit_1(self, capsys, monkeypatch):
-        real = _pykernel.circulant_det
-        monkeypatch.setattr(_pykernel, "circulant_det", lambda a, b: real(a, b) + 1)
+        real = kernel.circulant_det
+        monkeypatch.setattr(kernel, "circulant_det", lambda a, b: real(a, b) + 1)
         rc, out, _ = run(capsys, "scan", "--support", "1", "--direct", "--json")
         doc = json.loads(out)
         assert rc == EXIT_FAIL and doc["ok"] is False
@@ -233,6 +233,16 @@ def test_console_entry_point():
         text=True,
     )
     assert out.returncode == 0 and "q16det" in out.stdout
+
+
+def test_cold_start_skips_process_pool():
+    probe = (
+        "import sys, q16det.cli; "
+        "print([m for m in ('multiprocessing', 'concurrent.futures.process') "
+        "if m in sys.modules])"
+    )
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert out.returncode == 0 and out.stdout.strip() == "[]"
 
 
 class TestLibraryErrors:

@@ -33,9 +33,9 @@ def elem(a, b):
     return GroupRingElement(tuple(a), tuple(b))
 
 
-def omega_xy(lane, poly):
+def omega_xy(poly):
     """(X, Y) of |f(w)|**2 from the kernel, with g = 0."""
-    return lane.factored_terms(tuple(poly), Z8)[3:]
+    return kernel.factored_terms(tuple(poly), Z8)[3:]
 
 
 class TestEvalPoints:
@@ -90,35 +90,32 @@ class TestQuadraticSqrt2:
 
 
 class TestNormSqOmega:
-    """|f(w)|**2 = X + Y*sqrt(2) from kernel.factored_terms on every lane,
-    and the Z[w] oracle it is checked against."""
+    """|f(w)|**2 = X + Y*sqrt(2) from kernel.factored_terms, and the Z[w]
+    oracle it is checked against."""
 
     def test_examples(self):
-        for lane in kernel.lanes().values():
-            assert omega_xy(lane, (0, 1, 1, 1, 0, 0, 0, 0)) == (3, 2)
-            assert omega_xy(lane, (1, 0, 0, 0, 0, 0, 0, 0)) == (1, 0)
-            assert omega_xy(lane, Z8) == (0, 0)
+        assert omega_xy((0, 1, 1, 1, 0, 0, 0, 0)) == (3, 2)
+        assert omega_xy((1, 0, 0, 0, 0, 0, 0, 0)) == (1, 0)
+        assert omega_xy(Z8) == (0, 0)
 
     def test_closed_form_against_float_evaluation(self):
-        for lane in kernel.lanes().values():
-            rng = random.Random(1)
-            for _ in range(200):
-                poly = [rng.randint(-9, 9) for _ in range(8)]
-                x, y = omega_xy(lane, poly)
-                approx = x + y * SQRT2
-                assert abs(approx - norm_at_omega_float(poly)) < 1e-6 * max(
-                    1.0, abs(approx)
-                )
+        rng = random.Random(1)
+        for _ in range(200):
+            poly = [rng.randint(-9, 9) for _ in range(8)]
+            x, y = omega_xy(poly)
+            approx = x + y * SQRT2
+            assert abs(approx - norm_at_omega_float(poly)) < 1e-6 * max(
+                1.0, abs(approx)
+            )
 
     def test_degree_three_two_square_formula(self):
         # (a0 + (a1-a3)/sqrt2)^2 + (a2 + (a1+a3)/sqrt2)^2, expanded exactly.
-        for lane in kernel.lanes().values():
-            rng = random.Random(2)
-            for _ in range(200):
-                a0, a1, a2, a3 = (rng.randint(-9, 9) for _ in range(4))
-                x, y = omega_xy(lane, (a0, a1, a2, a3, 0, 0, 0, 0))
-                assert x == a0 * a0 + a1 * a1 + a2 * a2 + a3 * a3
-                assert y == a0 * a1 - a0 * a3 + a1 * a2 + a2 * a3
+        rng = random.Random(2)
+        for _ in range(200):
+            a0, a1, a2, a3 = (rng.randint(-9, 9) for _ in range(4))
+            x, y = omega_xy((a0, a1, a2, a3, 0, 0, 0, 0))
+            assert x == a0 * a0 + a1 * a1 + a2 * a2 + a3 * a3
+            assert y == a0 * a1 - a0 * a3 + a1 * a2 + a2 * a3
 
     def test_product_with_conjugate_lies_in_real_subring(self):
         rng = random.Random(3)
@@ -181,32 +178,31 @@ class TestFactoredForm:
             assert ff.D >= 0
 
     def test_kernel_matches_cyclotomic_oracle(self):
-        # A, B, C, X, Y of every lane against plain sums, Gaussian and Z[w]
+        # A, B, C, X, Y of the kernel against plain sums, Gaussian and Z[w]
         # arithmetic, and floating evaluation at w.
         alt = [(-1) ** j for j in range(8)]
-        for lane in kernel.lanes().values():
-            for height in (1, 9, 10**6):
-                rng = random.Random(height)
-                for _ in range(200):
-                    a = tuple(rng.randint(-height, height) for _ in range(8))
-                    b = tuple(rng.randint(-height, height) for _ in range(8))
-                    A, B, C, X, Y = lane.factored_terms(a, b)
-                    assert A == sum(a) ** 2 - sum(b) ** 2
-                    fm1 = sum(s * c for s, c in zip(alt, a))
-                    gm1 = sum(s * c for s, c in zip(alt, b))
-                    assert B == fm1 * fm1 - gm1 * gm1
-                    (fr, fi), (gr, gi) = eval_at_i(a), eval_at_i(b)
-                    assert C == fr * fr + fi * fi - gr * gr - gi * gi
-                    xy = [0, 0]
-                    for poly in (a, b):
-                        u = eval_at_omega(poly)
-                        prod = cyclotomic_mul(u, cyclotomic_conj(u))
-                        assert prod[2] == 0 and prod[3] == -prod[1]
-                        xy[0] += prod[0]
-                        xy[1] += prod[1]
-                    assert (X, Y) == tuple(xy)
-                    approx = norm_at_omega_float(a) + norm_at_omega_float(b)
-                    assert abs(X + Y * SQRT2 - approx) < 1e-9 * max(1.0, approx)
+        for height in (1, 9, 10**6):
+            rng = random.Random(height)
+            for _ in range(200):
+                a = tuple(rng.randint(-height, height) for _ in range(8))
+                b = tuple(rng.randint(-height, height) for _ in range(8))
+                A, B, C, X, Y = kernel.factored_terms(a, b)
+                assert A == sum(a) ** 2 - sum(b) ** 2
+                fm1 = sum(s * c for s, c in zip(alt, a))
+                gm1 = sum(s * c for s, c in zip(alt, b))
+                assert B == fm1 * fm1 - gm1 * gm1
+                (fr, fi), (gr, gi) = eval_at_i(a), eval_at_i(b)
+                assert C == fr * fr + fi * fi - gr * gr - gi * gi
+                xy = [0, 0]
+                for poly in (a, b):
+                    u = eval_at_omega(poly)
+                    prod = cyclotomic_mul(u, cyclotomic_conj(u))
+                    assert prod[2] == 0 and prod[3] == -prod[1]
+                    xy[0] += prod[0]
+                    xy[1] += prod[1]
+                assert (X, Y) == tuple(xy)
+                approx = norm_at_omega_float(a) + norm_at_omega_float(b)
+                assert abs(X + Y * SQRT2 - approx) < 1e-9 * max(1.0, approx)
 
     def test_not_totally_nonneg_raises(self, monkeypatch):
         # The kernel never yields such a z; the guard is exercised by

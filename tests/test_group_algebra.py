@@ -7,14 +7,13 @@ from hypothesis import strategies as st
 from q16det.group_algebra import (
     GroupRingElement,
     build_cayley_table,
-    convolve,
     determinant_matrix,
     direct_determinant,
     substitute_neg_x,
     swap_components,
 )
 
-from oracles import fraction_det
+from oracles import convolve, fraction_det
 
 H = (1,) * 8
 
