@@ -19,7 +19,6 @@ from .exact_eval import (
 )
 from .group_algebra import (
     GroupRingElement,
-    build_cayley_table,
     direct_determinant,
     substitute_neg_x,
     swap_components,
@@ -51,7 +50,6 @@ __all__ = [
     "determinant_from_factored",
     "factored_form",
     "GroupRingElement",
-    "build_cayley_table",
     "direct_determinant",
     "substitute_neg_x",
     "swap_components",

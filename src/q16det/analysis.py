@@ -258,7 +258,7 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _scan_chunk(args: tuple) -> dict:
+def _scan_block(args: tuple) -> dict:
     values, start, stop, direct, sample_abs_limit = args
     return kernel.scan_range(values, start, stop, direct, sample_abs_limit)
 
@@ -275,10 +275,12 @@ def exhaustive_scan(
     the residue laws: even determinants divisible by 2**10, odd ones 1 mod
     4, and every value 5 mod 8 accepted by the classifier.
 
-    The index space is split into disjoint ranges of
-    :func:`q16det.kernel.scan_range` merged commutatively, so the report is
-    bit-identical for any worker count.  The report echoes ``workers``; the
-    process pool is capped at the CPUs this process may use.
+    One worker scans the whole index space in a single
+    :func:`q16det.kernel.scan_range` call; several split it into one block
+    of whole b-rows per pool process.  The tallies merge commutatively, so
+    the report is bit-identical for any worker count.  The report echoes
+    ``workers``; the process pool is capped at the CPUs this process may
+    use.
     """
     values = tuple(sorted(set(int(v) for v in support)))
     if not values:
@@ -294,18 +296,17 @@ def exhaustive_scan(
         )
     t0 = time.perf_counter()
 
-    # Chunk boundaries never affect the merged report (commutative merge).
-    # Each chunk builds its own half tables, so one worker takes the
-    # largest chunks; several aim for a few tasks each.  The cap keeps
-    # per-task memory flat.  A fork-context pool starts all of its
-    # processes at the first submit, so it never outnumbers the usable CPUs.
+    # Each pool process scans one contiguous block of whole b-rows, so it
+    # builds the a-table once and eliminates each q-class pair it meets
+    # once.  A fork-context pool starts all of its processes at the first
+    # submit, so it never outnumbers the usable CPUs.
     pool = min(workers, _usable_cpus())
-    tasks_wanted = 4 * pool if pool > 1 else 1
-    chunk = max(1, min(1 << 22, (total + tasks_wanted - 1) // tasks_wanted))
-    bounds = list(range(0, total, chunk)) + [total]
+    half = len(values) ** 8
+    bounds = [half * k // pool * half for k in range(pool + 1)]
     tasks = [
         (values, lo, hi, direct, sample_abs_limit)
-        for lo, hi in zip(bounds[:-1], bounds[1:])
+        for lo, hi in zip(bounds, bounds[1:])
+        if lo < hi
     ]
     if pool > 1 and len(tasks) > 1:
         # Imported here to keep the pool machinery out of the CLI's cold start.
@@ -317,9 +318,9 @@ def exhaustive_scan(
         except ValueError:  # platform without fork
             ctx = get_context()
         with ProcessPoolExecutor(max_workers=pool, mp_context=ctx) as ex:
-            parts = list(ex.map(_scan_chunk, tasks))
+            parts = list(ex.map(_scan_block, tasks))
     else:
-        parts = [_scan_chunk(t) for t in tasks]
+        parts = [_scan_block(t) for t in tasks]
 
     zero = even = even1024 = odd = 0
     odd_mod8 = {1: 0, 3: 0, 5: 0, 7: 0}

@@ -196,6 +196,16 @@ def _coeff_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
+def _support_list(text: str) -> list[int]:
+    """argparse type: one or more comma-separated decimal integers."""
+    try:
+        return [int(v, 10) for v in text.split(",")]
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers v1,v2,..., got {text!r}"
+        ) from exc
+
+
 def _cmd_classify(args) -> int:
     rc = EXIT_OK
     for n in args.n:
@@ -376,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scan", help="exhaustively scan a coefficient support")
     p.add_argument(
         "--support",
-        type=lambda s: [int(v, 10) for v in s.split(",")],
+        type=_support_list,
         default=[0, 1],
         metavar="v1,v2,...",
     )

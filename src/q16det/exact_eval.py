@@ -30,26 +30,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from .group_algebra import GroupRingElement
 
 
-def _sign_plus_sqrt2(x: int, y: int) -> int:
-    """Exact sign of the real number x + y*sqrt(2), as -1, 0 or 1.
-
-    Decided by integer case analysis only (compare x**2 with 2*y**2),
-    never by floating approximation.
-    """
-    if y == 0:
-        return 0 if x == 0 else (1 if x > 0 else -1)
-    if x == 0:
-        return 1 if y > 0 else -1
-    if x > 0 and y > 0:
-        return 1
-    if x < 0 and y < 0:
-        return -1
-    # Opposite signs: the larger square wins.
-    if x > 0:  # y < 0
-        return 1 if x * x > 2 * y * y else -1
-    return 1 if x * x < 2 * y * y else -1
-
-
 def totally_nonneg(x: int, y: int) -> bool:
     """x + y*sqrt(2) >= 0 under both real embeddings, exactly.
 
@@ -86,19 +66,12 @@ class QuadraticSqrt2:
         """Ring norm x**2 - 2*y**2 (can be negative)."""
         return self.x * self.x - 2 * self.y * self.y
 
-    def embedding_signs(self) -> tuple[int, int]:
-        """Signs of the two real embeddings (x + y*sqrt2, x - y*sqrt2)."""
-        return (
-            _sign_plus_sqrt2(self.x, self.y),
-            _sign_plus_sqrt2(self.x, -self.y),
-        )
-
     def is_totally_nonneg(self) -> bool:
         return totally_nonneg(self.x, self.y)
 
     def is_totally_positive(self) -> bool:
-        s1, s2 = self.embedding_signs()
-        return s1 > 0 and s2 > 0
+        """x + y*sqrt(2) > 0 under both real embeddings, exactly."""
+        return self.x > 0 and self.x * self.x > 2 * self.y * self.y
 
 
 @dataclass(frozen=True)

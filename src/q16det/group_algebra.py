@@ -12,24 +12,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from . import kernel
-from ._cayley import DET_INDEX, INVERSE, MUL_TABLE
-
-
-@dataclass(frozen=True)
-class CayleyTable:
-    """Multiplication table and inverse table of the group, by index."""
-
-    table: tuple[tuple[int, ...], ...]
-    inverse: tuple[int, ...]
-
-    def product(self, i: int, j: int) -> int:
-        return self.table[i][j]
-
-
-def build_cayley_table() -> CayleyTable:
-    """The Cayley table under the fixed index convention
-    0..7 = X**j, 8..15 = Y*X**(j-8)."""
-    return CayleyTable(table=MUL_TABLE, inverse=INVERSE)
 
 
 def _coeff_tuple(coeffs: Iterable[int], name: str) -> tuple[int, ...]:
@@ -70,12 +52,6 @@ class GroupRingElement:
 
     def is_zero(self) -> bool:
         return not any(self.a) and not any(self.b)
-
-
-def determinant_matrix(e: GroupRingElement) -> list[list[int]]:
-    """The 16x16 matrix M[g][h] = coefficient of g * h**-1 in e."""
-    c = e.coeffs()
-    return [[c[i] for i in row] for row in DET_INDEX]
 
 
 def direct_determinant(e: GroupRingElement) -> int:

@@ -12,13 +12,13 @@
 
 Every factored term is an f-only part plus a g-only part, so
 :func:`scan_range` calls :func:`factored_terms` once per half-vector of
-the range (a-rows ``factored_terms(h, 0)``, b-rows ``factored_terms(0, h)``)
-and sums two rows per element.  Direct scans (``scan_range(...,
-direct=True)``) check each element against :func:`circulant_det`, which
-eliminates the 8x8 circulant of q = f(x)*f(1/x) - x**4*g(x)*g(1/x) mod
-x**8 - 1 instead of the 16x16 matrix.  q splits the same way, so a direct
-scan eliminates once per pair of q-classes of the two halves.
-Both eliminations share :func:`_bareiss`.
+the range: a table of a-rows ``factored_terms(h, 0)``, and b-rows
+``factored_terms(0, h)`` streamed one at a time, each summed with a run of
+a-rows.  Direct scans (``scan_range(..., direct=True)``) check each
+element against :func:`circulant_det`, which eliminates the 8x8 circulant
+of q = f(x)*f(1/x) - x**4*g(x)*g(1/x) mod x**8 - 1 instead of the 16x16
+matrix.  q splits the same way, so a direct scan eliminates once per pair
+of q-classes of the two halves.  Both eliminations share :func:`_bareiss`.
 
 Callers reach every entry point as ``kernel.<name>``, so a tracer or a
 test that patches this module sees every call.
@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import sys
 from collections import Counter
+from itertools import chain, islice, product
 from typing import Iterator, Sequence
 
 from ._cayley import DET_INDEX
@@ -153,46 +154,26 @@ def _halves(values: Sequence[int], first: int, count: int) -> Iterator[tuple[int
     """Half-vectors number ``first``, ``first + 1``, ... (wrapping mod
     base**8), ``count`` of them: digit k of a half index, least significant
     first, picks coefficient k."""
-    base = len(values)
-    digits = []
-    for _ in range(8):
-        first, d = divmod(first, base)
-        digits.append(d)
-    h = [values[d] for d in digits]
-    top = base - 1
-    v0 = values[0]
-    for _ in range(count):
-        yield tuple(h)
-        # Odometer increment of the mixed-radix digit vector.
-        k = 0
-        while k < 8 and digits[k] == top:
-            digits[k] = 0
-            h[k] = v0
-            k += 1
-        if k < 8:
-            digits[k] += 1
-            h[k] = values[digits[k]]
+    # product varies its last position fastest; reversed, coefficient 0 does.
+    twice = chain(product(values, repeat=8), product(values, repeat=8))
+    return (h[::-1] for h in islice(twice, first, first + count))
 
 
 def _half_table(
-    values: Sequence[int], first: int, count: int, g_side: bool, direct: bool
+    values: Sequence[int], first: int, count: int, direct: bool
 ) -> tuple[list[tuple[int, int, int, int, int]], list[int], list[tuple[int, ...]]]:
-    """Rows of the half-vectors number ``first``, ... of one side: the
-    factored terms of (h, 0), or of (0, h) when ``g_side``.  When ``direct``,
-    also the class id of each row by its circulant_q vector, and one
-    representative half-vector per class."""
+    """a-rows of the half-vectors number ``first``, ...: the factored terms
+    of (h, 0).  When ``direct``, also the class id of each row by its
+    circulant_q vector, and one representative half-vector per class."""
     rows = []
     classes: list[int] = []
     reps: list[tuple[int, ...]] = []
     ids: dict[tuple[int, ...], int] = {}
     for h in _halves(values, first, count):
-        a, b = (_ZERO_HALF, h) if g_side else (h, _ZERO_HALF)
-        rows.append(factored_terms(a, b))
+        rows.append(factored_terms(h, _ZERO_HALF))
         if direct:
-            key = tuple(circulant_q(a, b))
-            c = ids.get(key)
-            if c is None:
-                c = ids[key] = len(reps)
+            c = ids.setdefault(tuple(circulant_q(h, _ZERO_HALF)), len(reps))
+            if c == len(reps):
                 reps.append(h)
             classes.append(c)
     return rows, classes, reps
@@ -224,12 +205,13 @@ def scan_range(
     Element i is (a, b) with a = i mod base**8 and b = i // base**8, and
     every term of :func:`factored_terms` is a sum of an f-only and a g-only
     part: factored_terms(a, b) = factored_terms(a, 0) + factored_terms(0, b)
-    term by term.  So the scan builds one row per half-vector the range
-    touches (at most min(base**8, stop - start) a-rows, plus its b-rows) and
-    sums two rows per element.  Likewise circulant_q(a, b) =
-    circulant_q(a, 0) + circulant_q(0, b), and circulant_det depends on the
-    element only through circulant_q; a direct scan eliminates once per
-    pair of q-classes and compares every element with its pair's value.
+    term by term.  So the scan tables the a-rows the range touches (at most
+    min(base**8, stop - start) of them), streams its b-rows, and sums two
+    rows per element.  Likewise circulant_q(a, b) = circulant_q(a, 0) +
+    circulant_q(0, b), and circulant_det depends on the element only
+    through circulant_q.  A direct scan gives each a-row and each b-row the
+    id of its q-class, eliminates once per pair of q-classes it meets, and
+    compares every element with its pair's value.
     """
     half = len(values) ** 8
     n_zero = n_even = n_even_1024 = n_odd = 0
@@ -246,17 +228,16 @@ def scan_range(
         # a-table starts there; a longer range gets the whole a-table.
         a_first = start % half if stop - start < half else 0
         a_rows, a_cls, a_rep = _half_table(
-            values, a_first, min(half, stop - start), False, direct
+            values, a_first, min(half, stop - start), direct
         )
         b_first = start // half
-        b_rows, b_cls, b_rep = _half_table(
-            values, b_first, (stop - 1) // half - b_first + 1, True, direct
-        )
+        b_ids: dict[tuple[int, ...], int] = {}
         # circulant_det of each (a_class, b_class) pair, on first use.
         eliminated: dict[tuple[int, int], int] = {}
 
-        for j, (Ab, Bb, Cb, Xb, Yb) in enumerate(b_rows):
-            row_start = (b_first + j) * half
+        b_halves = _halves(values, b_first, (stop - 1) // half - b_first + 1)
+        for row_start, h in zip(range(b_first * half, stop, half), b_halves):
+            Ab, Bb, Cb, Xb, Yb = factored_terms(_ZERO_HALF, h)
             lo = max(start, row_start)
             a_lo = (lo - a_first) % half
             a_hi = a_lo + min(stop, row_start + half) - lo
@@ -269,12 +250,12 @@ def scan_range(
                 dets.append((Aa + Ab) * (Ba + Bb) * C * C * D * D)
 
             if direct:
-                cb = b_cls[j]
-                rep_b = b_rep[cb]
+                cb = b_ids.setdefault(tuple(circulant_q(_ZERO_HALF, h)), len(b_ids))
                 for det, ca in zip(dets, a_cls[a_lo:a_hi]):
                     elim = eliminated.get((ca, cb))
                     if elim is None:
-                        elim = eliminated[ca, cb] = circulant_det(a_rep[ca], rep_b)
+                        # Any b-half of class cb gives the pair's value.
+                        elim = eliminated[ca, cb] = circulant_det(a_rep[ca], h)
                     if elim != det:
                         direct_mismatches.add(det)
 

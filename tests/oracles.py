@@ -4,18 +4,22 @@ These deliberately avoid the library's algorithms: the determinant oracle
 uses rational Gaussian elimination instead of fraction-free elimination,
 prime splitting enumerates Y directly, the Laurent helpers multiply
 polynomials term by term, and the evaluations at i and w use Gaussian and
-Z[w] arithmetic instead of the kernel's closed forms.  The scan reference
+Z[w] arithmetic instead of the kernel's closed forms, and the embedding
+signs of x + y*sqrt(2) come from a case analysis instead of the library's
+one-line predicates.  The scan reference
 walks the index range one element at a time, calling the kernel's
 ``factored_terms`` and ``circulant_det`` on each, where the library scan
 sums precomputed half-vector rows.  The group-ring product ``convolve``
-feeds the multiplicativity check of the determinant.
+feeds the multiplicativity check of the determinant, and
+``determinant_matrix`` lays out the literal 16x16 matrix for the
+Fraction oracle.
 """
 
 from fractions import Fraction
 from math import isqrt
 
 from q16det import kernel
-from q16det._cayley import MUL_TABLE
+from q16det._cayley import DET_INDEX, MUL_TABLE
 from q16det.group_algebra import GroupRingElement
 
 
@@ -41,6 +45,12 @@ def fraction_det(matrix) -> int:
     return int(det)
 
 
+def determinant_matrix(e: GroupRingElement) -> list[list[int]]:
+    """The 16x16 matrix M[g][h] = coefficient of g * h**-1 in e."""
+    c = e.coeffs()
+    return [[c[i] for i in row] for row in DET_INDEX]
+
+
 def convolve(e1: GroupRingElement, e2: GroupRingElement) -> GroupRingElement:
     """Group-ring product (convolution over the group): the determinant is
     multiplicative over it, which gives an independent consistency check."""
@@ -57,6 +67,23 @@ def convolve(e1: GroupRingElement, e2: GroupRingElement) -> GroupRingElement:
             if y != 0:
                 out[row[k]] += x * y
     return GroupRingElement.from_coeffs(out)
+
+
+def sign_plus_sqrt2(x: int, y: int) -> int:
+    """Exact sign of the real number x + y*sqrt(2), as -1, 0 or 1, by
+    integer case analysis (compare x**2 with 2*y**2)."""
+    if y == 0:
+        return 0 if x == 0 else (1 if x > 0 else -1)
+    if x == 0:
+        return 1 if y > 0 else -1
+    if x > 0 and y > 0:
+        return 1
+    if x < 0 and y < 0:
+        return -1
+    # Opposite signs: the larger square wins.
+    if x > 0:  # y < 0
+        return 1 if x * x > 2 * y * y else -1
+    return 1 if x * x < 2 * y * y else -1
 
 
 def brute_split(p: int) -> tuple[int, int]:

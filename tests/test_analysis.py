@@ -101,6 +101,29 @@ class TestParityAudit:
             run_parity_audits(-5, seed=1)
 
 
+@pytest.fixture
+def in_process_pool(monkeypatch):
+    """Replace ``ProcessPoolExecutor`` by a stand-in that maps in this
+    process (a real fork-context pool would start every requested process
+    at once); returns the ``max_workers`` of each pool made."""
+    sizes = []
+
+    class InProcessPool:
+        map = staticmethod(map)
+
+        def __init__(self, max_workers, mp_context=None):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    return sizes
+
+
 class TestExhaustiveScan:
     def test_binary_support_tallies(self):
         rep = exhaustive_scan((0, 1))
@@ -128,29 +151,38 @@ class TestExhaustiveScan:
             d.pop("workers")
         assert d1 == d2
 
-    def test_pool_capped_at_usable_cpus(self, monkeypatch):
-        # An in-process stand-in: a real fork-context pool would start every
-        # requested process at once.
-        pools = []
-
-        class InProcessPool:
-            map = staticmethod(map)
-
-            def __init__(self, max_workers, mp_context=None):
-                pools.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    def test_pool_capped_at_usable_cpus(self, in_process_pool):
+        pools = in_process_pool
         r1 = exhaustive_scan((0, 1), workers=1)
         big = exhaustive_scan((0, 1), workers=10**6)
         assert len(pools) <= 1 and all(n <= os.cpu_count() for n in pools)
         d1, d2 = r1.to_dict(), big.to_dict()
         assert d2["workers"] == 10**6
+        for d in (d1, d2):
+            d.pop("elapsed_s")
+            d.pop("workers")
+        assert d1 == d2
+
+    def test_direct_blocks_eliminate_once_per_class_pair(
+        self, monkeypatch, in_process_pool
+    ):
+        # Two workers scan one block of whole b-rows each, so each block
+        # eliminates at most the 29 x 29 = 841 q-class pairs of {0, 1}.
+        monkeypatch.setattr(analysis, "_usable_cpus", lambda: 2)
+        real = kernel.circulant_det
+        calls = []
+
+        def counted(a, b):
+            calls.append(1)
+            return real(a, b)
+
+        monkeypatch.setattr(kernel, "circulant_det", counted)
+        r2 = exhaustive_scan((0, 1), workers=2, direct=True)
+        assert in_process_pool == [2]
+        assert 841 <= len(calls) <= 2 * 841
+        r1 = exhaustive_scan((0, 1), workers=1, direct=True)
+        d1, d2 = r1.to_dict(), r2.to_dict()
+        assert d2["workers"] == 2 and d2["ok"]
         for d in (d1, d2):
             d.pop("elapsed_s")
             d.pop("workers")

@@ -159,6 +159,13 @@ class TestScanCommand:
         code, err = usage_error(capsys, "scan", "--support", "0,1", "--workers", workers)
         assert code == EXIT_USAGE and "--workers" in err
 
+    @pytest.mark.parametrize("support", ["", ",1", "0,,1", "a,b"])
+    def test_bad_support_exit_2(self, capsys, support):
+        code, err = usage_error(capsys, "scan", f"--support={support}")
+        assert code == EXIT_USAGE
+        assert f"--support: expected comma-separated integers v1,v2,..., got {support!r}" in err
+        assert "<lambda>" not in err
+
     def test_direct_disagreement_exit_1(self, capsys, monkeypatch):
         real = kernel.circulant_det
         monkeypatch.setattr(kernel, "circulant_det", lambda a, b: real(a, b) + 1)

@@ -22,6 +22,7 @@ from oracles import (
     eval_at_i,
     eval_at_omega,
     norm_at_omega_float,
+    sign_plus_sqrt2,
 )
 
 H = (1,) * 8
@@ -76,17 +77,16 @@ class TestQuadraticSqrt2:
         # boundary: 2*y^2 exactly equal x^2 is impossible for x, y != 0
         assert QuadraticSqrt2(2, 1).is_totally_positive()
 
-    def test_embedding_signs(self):
-        assert QuadraticSqrt2(1, -1).embedding_signs() == (-1, 1)
-        assert QuadraticSqrt2(0, 2).embedding_signs() == (1, -1)
-
     def test_totally_nonneg_matches_embedding_signs(self):
+        assert (sign_plus_sqrt2(1, -1), sign_plus_sqrt2(1, 1)) == (-1, 1)
+        assert (sign_plus_sqrt2(0, 2), sign_plus_sqrt2(0, -2)) == (1, -1)
         for x in range(-30, 31):
             for y in range(-25, 26):
                 z = QuadraticSqrt2(x, y)
-                s1, s2 = z.embedding_signs()
+                s1, s2 = sign_plus_sqrt2(x, y), sign_plus_sqrt2(x, -y)
                 assert totally_nonneg(x, y) == (s1 >= 0 and s2 >= 0)
                 assert z.is_totally_nonneg() == totally_nonneg(x, y)
+                assert z.is_totally_positive() == (s1 > 0 and s2 > 0)
 
 
 class TestNormSqOmega:

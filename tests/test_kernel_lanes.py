@@ -1,18 +1,20 @@
 """The kernel: the lane names and patch points perfbench relies on,
 exactness for large coefficients, the 8x8 circulant determinant behind
-direct scans, and the half-table scan against the per-element reference."""
+direct scans, the half-table scan against the per-element reference, and
+the q-classes a direct scan groups half-vectors by."""
 
 import random
+from itertools import product
 
 import pytest
 
 from q16det import kernel
 from q16det._cayley import DET_INDEX, INVERSE, MUL_TABLE, inv, mul
 from q16det.analysis import exhaustive_scan
-from q16det.group_algebra import GroupRingElement, determinant_matrix, direct_determinant
+from q16det.group_algebra import GroupRingElement, direct_determinant
 from q16det.kernel import circulant_det, circulant_q
 
-from oracles import fraction_det, scan_range_reference
+from oracles import determinant_matrix, fraction_det, scan_range_reference
 
 
 def test_cayley_tables_consistent():
@@ -179,3 +181,19 @@ class TestHalfAdditivity:
             b2 = b[5:] + b[:5]
             assert circulant_q(a2, b2) == circulant_q(a, b)
             assert circulant_det(a2, b2) == circulant_det(a, b)
+
+
+class TestClassPartition:
+    @pytest.mark.parametrize(
+        "values,classes", [((0, 1), 29), ((-1, 0, 1), 245), ((0, 2), 29), ((-2, 3), 29)]
+    )
+    def test_term_rows_and_q_classes_coincide(self, values, classes):
+        # q is palindromic, so it has 5 free coefficients, and (A, B, C, X, Y)
+        # is an invertible linear map of them: equal rows iff equal q parts.
+        for side in (lambda h: (h, ZERO_HALF), lambda h: (ZERO_HALF, h)):
+            pairs = {
+                (kernel.factored_terms(*side(h)), tuple(circulant_q(*side(h))))
+                for h in product(values, repeat=8)
+            }
+            assert len({row for row, _ in pairs}) == len(pairs) == classes
+            assert len({q for _, q in pairs}) == len(pairs)
