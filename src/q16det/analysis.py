@@ -12,6 +12,7 @@ from __future__ import annotations
 import os
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -259,8 +260,7 @@ def _usable_cpus() -> int:
 
 
 def _scan_block(args: tuple) -> dict:
-    values, start, stop, direct, sample_abs_limit = args
-    return kernel.scan_range(values, start, stop, direct, sample_abs_limit)
+    return kernel.scan_range(*args)
 
 
 def exhaustive_scan(
@@ -277,10 +277,14 @@ def exhaustive_scan(
 
     One worker scans the whole index space in a single
     :func:`q16det.kernel.scan_range` call; several split it into one block
-    of whole b-rows per pool process.  The tallies merge commutatively, so
-    the report is bit-identical for any worker count.  The report echoes
-    ``workers``; the process pool is capped at the CPUs this process may
-    use.
+    of whole b-rows per pool process.  The blocks' value histograms merge
+    commutatively, so the report is bit-identical for any worker count.
+    The report echoes ``workers``; the process pool is capped at the CPUs
+    this process may use.
+
+    This function owns the residue laws: it sorts each distinct value of
+    the merged histogram once into the report's tallies, sample and
+    violations, and calls the classifier only on values 5 mod 8.
     """
     values = tuple(sorted(set(int(v) for v in support)))
     if not values:
@@ -304,7 +308,7 @@ def exhaustive_scan(
     half = len(values) ** 8
     bounds = [half * k // pool * half for k in range(pool + 1)]
     tasks = [
-        (values, lo, hi, direct, sample_abs_limit)
+        (values, lo, hi, direct)
         for lo, hi in zip(bounds, bounds[1:])
         if lo < hi
     ]
@@ -322,36 +326,39 @@ def exhaustive_scan(
     else:
         parts = [_scan_block(t) for t in tasks]
 
-    zero = even = even1024 = odd = 0
-    odd_mod8 = {1: 0, 3: 0, 5: 0, 7: 0}
-    even_violations: set[int] = set()
-    odd3_violations: set[int] = set()
-    five_mod8: set[int] = set()
-    sample: set[int] = set()
+    hist: Counter[int] = Counter()
     direct_mismatches: set[int] = set()
     for part in parts:
-        zero += part["zero"]
-        even += part["even"]
-        even1024 += part["even_mult_1024"]
-        odd += part["odd"]
-        for r, cnt in part["odd_mod8"].items():
-            odd_mod8[r] += cnt
-        even_violations |= part["even_violations"]
-        odd3_violations |= part["odd3_violations"]
-        five_mod8 |= part["five_mod8"]
-        sample |= part["sample"]
+        hist.update(part["values"])
         direct_mismatches |= part["direct_mismatches"]
 
-    violations: list[tuple[str, str]] = []
-    for v in sorted(even_violations):
-        violations.append((str(v), "even value not divisible by 2**10"))
-    for v in sorted(odd3_violations):
-        violations.append((str(v), "odd value congruent 3 mod 4"))
-    for v in sorted(five_mod8):
-        if not classify(v).achievable:
-            violations.append((str(v), "value 5 mod 8 rejected by classifier"))
+    # One pass over the distinct values, in increasing order, applies the
+    # residue laws; each list of violations comes out sorted.
+    even = even1024 = five_mod8 = 0
+    odd_mod8 = {1: 0, 3: 0, 5: 0, 7: 0}
+    even_violations: list[tuple[str, str]] = []
+    odd3_violations: list[tuple[str, str]] = []
+    rejected: list[tuple[str, str]] = []
+    for v, n in sorted(hist.items()):
+        if v % 2 == 0:
+            even += n
+            if v % 1024 == 0:
+                even1024 += n
+            else:
+                even_violations.append((str(v), "even value not divisible by 2**10"))
+        else:
+            r = v % 8
+            odd_mod8[r] += n
+            if r == 3 or r == 7:
+                odd3_violations.append((str(v), "odd value congruent 3 mod 4"))
+            elif r == 5:
+                five_mod8 += 1
+                if not classify(v).achievable:
+                    rejected.append((str(v), "value 5 mod 8 rejected by classifier"))
+    violations = even_violations + odd3_violations + rejected
     for v in sorted(direct_mismatches):
         violations.append((str(v), "direct and factored determinants disagree"))
+    sample = [v for v in hist if -sample_abs_limit <= v <= sample_abs_limit]
 
     return ScanReport(
         support=values,
@@ -359,13 +366,13 @@ def exhaustive_scan(
         workers=workers,
         lane=kernel.ACTIVE_LANE,
         direct=direct,
-        zero=zero,
+        zero=hist[0],
         even=even,
         even_mult_1024=even1024,
-        odd=odd,
+        odd=sum(odd_mod8.values()),
         odd_mod8=odd_mod8,
         sample=sorted(sample, key=lambda v: (abs(v), v))[:sample_limit],
-        five_mod8_values=len(five_mod8),
+        five_mod8_values=five_mod8,
         violations=violations,
         elapsed_s=time.perf_counter() - t0,
     )

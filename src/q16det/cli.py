@@ -162,7 +162,11 @@ def _write_out(out_dir: str | None, name: str, doc: dict) -> None:
     if out_dir is None:
         return
     path = Path(out_dir) / name
-    path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    try:
+        path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    except OSError as exc:
+        print(f"q16det: cannot write {path}: {exc.strerror}", file=sys.stderr)
+        sys.exit(EXIT_USAGE)
 
 
 def _int_arg(text: str) -> int:

@@ -49,9 +49,6 @@ class QuadraticSqrt2:
     def __add__(self, other: "QuadraticSqrt2") -> "QuadraticSqrt2":
         return QuadraticSqrt2(self.x + other.x, self.y + other.y)
 
-    def __sub__(self, other: "QuadraticSqrt2") -> "QuadraticSqrt2":
-        return QuadraticSqrt2(self.x - other.x, self.y - other.y)
-
     def __mul__(self, other: "QuadraticSqrt2") -> "QuadraticSqrt2":
         return QuadraticSqrt2(
             self.x * other.x + 2 * self.y * other.y,

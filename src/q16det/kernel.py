@@ -8,7 +8,8 @@
   (:func:`q16det.exact_eval.factored_form` and the witness and audit
   checks read it here),
 * :func:`scan_range`  - enumeration of a contiguous index range of a
-  coefficient-support scan, returning mergeable tallies.
+  coefficient-support scan, returning a histogram of its determinant
+  values that merges across ranges.
 
 Every factored term is an f-only part plus a g-only part, so
 :func:`scan_range` calls :func:`factored_terms` once per half-vector of
@@ -179,28 +180,21 @@ def _half_table(
     return rows, classes, reps
 
 
-def scan_range(
-    values: Sequence[int],
-    start: int,
-    stop: int,
-    direct: bool = False,
-    sample_abs_limit: int = 1 << 20,
-) -> dict:
+def scan_range(values: Sequence[int], start: int, stop: int, direct: bool = False) -> dict:
     """Scan elements number ``start`` (inclusive) to ``stop`` (exclusive) of
     the coefficient space values^16.
 
     Element number i has coefficient k equal to values[d_k] where d_k is the
     k-th base-len(values) digit of i (least significant digit = a0, digits
-    8..15 = b0..b7).  Returns a dict of tallies and value sets that merges
-    commutatively across disjoint ranges:
+    8..15 = b0..b7).  Returns a dict that merges across disjoint ranges:
 
-    * counters: count, zero, even, even_mult_1024, odd, odd_mod8 histogram
-    * even_violations: distinct even values not divisible by 2**10
-    * odd3_violations: distinct odd values congruent 3 mod 4
-    * five_mod8: all distinct values congruent 5 mod 8
-    * sample: distinct values with |value| <= sample_abs_limit
+    * count: the number of elements scanned, ``stop - start``
+    * values: histogram of the range, a Counter determinant -> multiplicity
     * direct_mismatches: distinct values where :func:`circulant_det` and the
       factored product disagreed (only populated when ``direct`` is true)
+
+    The residue laws are not checked here:
+    :func:`q16det.analysis.exhaustive_scan` sorts the merged histogram.
 
     Element i is (a, b) with a = i mod base**8 and b = i // base**8, and
     every term of :func:`factored_terms` is a sum of an f-only and a g-only
@@ -214,12 +208,7 @@ def scan_range(
     compares every element with its pair's value.
     """
     half = len(values) ** 8
-    n_zero = n_even = n_even_1024 = n_odd = 0
-    odd_mod8 = {1: 0, 3: 0, 5: 0, 7: 0}
-    even_violations: set[int] = set()
-    odd3_violations: set[int] = set()
-    five_mod8: set[int] = set()
-    sample: set[int] = set()
+    hist: Counter[int] = Counter()
     direct_mismatches: set[int] = set()
 
     if stop > start:
@@ -259,38 +248,6 @@ def scan_range(
                     if elim != det:
                         direct_mismatches.add(det)
 
-            for det, n in Counter(dets).items():
-                if det == 0:
-                    n_zero += n
-                    n_even += n
-                    n_even_1024 += n
-                elif det % 2 == 0:
-                    n_even += n
-                    if det % 1024 == 0:
-                        n_even_1024 += n
-                    else:
-                        even_violations.add(det)
-                else:
-                    n_odd += n
-                    r = det % 8
-                    odd_mod8[r] += n
-                    if r == 3 or r == 7:
-                        odd3_violations.add(det)
-                    elif r == 5:
-                        five_mod8.add(det)
-                if -sample_abs_limit <= det <= sample_abs_limit:
-                    sample.add(det)
+            hist.update(dets)
 
-    return {
-        "count": stop - start,
-        "zero": n_zero,
-        "even": n_even,
-        "even_mult_1024": n_even_1024,
-        "odd": n_odd,
-        "odd_mod8": odd_mod8,
-        "even_violations": even_violations,
-        "odd3_violations": odd3_violations,
-        "five_mod8": five_mod8,
-        "sample": sample,
-        "direct_mismatches": direct_mismatches,
-    }
+    return {"count": stop - start, "values": hist, "direct_mismatches": direct_mismatches}

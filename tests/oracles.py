@@ -6,20 +6,23 @@ prime splitting enumerates Y directly, the Laurent helpers multiply
 polynomials term by term, and the evaluations at i and w use Gaussian and
 Z[w] arithmetic instead of the kernel's closed forms, and the embedding
 signs of x + y*sqrt(2) come from a case analysis instead of the library's
-one-line predicates.  The scan reference
-walks the index range one element at a time, calling the kernel's
-``factored_terms`` and ``circulant_det`` on each, where the library scan
-sums precomputed half-vector rows.  The group-ring product ``convolve``
-feeds the multiplicativity check of the determinant, and
-``determinant_matrix`` lays out the literal 16x16 matrix for the
-Fraction oracle.
+one-line predicates.  The scan references walk the index range one
+element at a time, calling the kernel's ``factored_terms`` and
+``circulant_det`` on each, where the library scan sums precomputed
+half-vector rows; the report reference sorts each element into the
+tallies as it is made, where the library sorts the distinct values of a
+merged histogram.  The group-ring product ``convolve`` feeds the
+multiplicativity check of the determinant, and ``determinant_matrix``
+lays out the literal 16x16 matrix for the Fraction oracle.
 """
 
+from collections import Counter
 from fractions import Fraction
 from math import isqrt
 
 from q16det import kernel
 from q16det._cayley import DET_INDEX, MUL_TABLE
+from q16det.classifier import classify
 from q16det.group_algebra import GroupRingElement
 
 
@@ -169,11 +172,11 @@ def cyclotomic_conj(u) -> tuple[int, int, int, int]:
     return (u[0], -u[3], -u[2], -u[1])
 
 
-def scan_range_reference(values, start, stop, direct=False, sample_abs_limit=1 << 20) -> dict:
-    """The tallies of ``kernel.scan_range``, one element at a time: an
-    odometer over the mixed-radix digits of the index (least significant
+def _reference_dets(values, start, stop, direct):
+    """(det, agrees) for elements ``start`` .. ``stop - 1``, one at a time:
+    an odometer over the mixed-radix digits of the index (least significant
     digit = a0), ``factored_terms`` on every element and, when ``direct``,
-    ``circulant_det`` on every element."""
+    ``circulant_det`` on every element (``agrees`` is True otherwise)."""
     base = len(values)
     digits = [0] * 16
     coeffs = [values[0]] * 16
@@ -183,14 +186,6 @@ def scan_range_reference(values, start, stop, direct=False, sample_abs_limit=1 <
         coeffs[k] = values[digits[k]]
         idx //= base
 
-    n_zero = n_even = n_even_1024 = n_odd = 0
-    odd_mod8 = {1: 0, 3: 0, 5: 0, 7: 0}
-    even_violations = set()
-    odd3_violations = set()
-    five_mod8 = set()
-    sample = set()
-    direct_mismatches = set()
-
     top = base - 1
     v0 = values[0]
     for _ in range(stop - start):
@@ -199,9 +194,48 @@ def scan_range_reference(values, start, stop, direct=False, sample_abs_limit=1 <
         A, B, C, X, Y = kernel.factored_terms(a, b)
         D = X * X - 2 * Y * Y
         det = A * B * C * C * D * D
-        if direct and kernel.circulant_det(a, b) != det:
-            direct_mismatches.add(det)
+        yield det, not direct or kernel.circulant_det(a, b) == det
 
+        k = 0
+        while k < 16 and digits[k] == top:
+            digits[k] = 0
+            coeffs[k] = v0
+            k += 1
+        if k < 16:
+            digits[k] += 1
+            coeffs[k] = values[digits[k]]
+
+
+def scan_range_reference(values, start, stop, direct=False) -> dict:
+    """``kernel.scan_range``'s count, value histogram and direct
+    mismatches, one element at a time."""
+    hist = Counter()
+    direct_mismatches = set()
+    for det, agrees in _reference_dets(values, start, stop, direct):
+        hist[det] += 1
+        if not agrees:
+            direct_mismatches.add(det)
+    return {"count": stop - start, "values": hist, "direct_mismatches": direct_mismatches}
+
+
+def scan_report_reference(values, direct=False, sample_abs_limit=1 << 20, sample_limit=64) -> dict:
+    """``exhaustive_scan(values, direct=direct, sample_abs_limit=...,
+    sample_limit=...).to_dict()`` without ``elapsed_s``, one element at a
+    time: each determinant is sorted into the tallies as it is made, and
+    the violation lists are sorted afterwards."""
+    values = tuple(sorted(set(values)))
+    total = len(values) ** 16
+    n_zero = n_even = n_even_1024 = n_odd = 0
+    odd_mod8 = {1: 0, 3: 0, 5: 0, 7: 0}
+    even_violations = set()
+    odd3_violations = set()
+    five_mod8 = set()
+    sample = set()
+    direct_mismatches = set()
+
+    for det, agrees in _reference_dets(values, 0, total, direct):
+        if not agrees:
+            direct_mismatches.add(det)
         if det == 0:
             n_zero += 1
             n_even += 1
@@ -223,25 +257,29 @@ def scan_range_reference(values, start, stop, direct=False, sample_abs_limit=1 <
         if -sample_abs_limit <= det <= sample_abs_limit:
             sample.add(det)
 
-        k = 0
-        while k < 16 and digits[k] == top:
-            digits[k] = 0
-            coeffs[k] = v0
-            k += 1
-        if k < 16:
-            digits[k] += 1
-            coeffs[k] = values[digits[k]]
-
+    violations = [(v, "even value not divisible by 2**10") for v in sorted(even_violations)]
+    violations += [(v, "odd value congruent 3 mod 4") for v in sorted(odd3_violations)]
+    violations += [
+        (v, "value 5 mod 8 rejected by classifier")
+        for v in sorted(five_mod8)
+        if not classify(v).achievable
+    ]
+    violations += [
+        (v, "direct and factored determinants disagree") for v in sorted(direct_mismatches)
+    ]
     return {
-        "count": stop - start,
+        "support": list(values),
+        "total": total,
+        "workers": 1,
+        "lane": "pure",
+        "direct": direct,
         "zero": n_zero,
         "even": n_even,
         "even_mult_1024": n_even_1024,
         "odd": n_odd,
-        "odd_mod8": odd_mod8,
-        "even_violations": even_violations,
-        "odd3_violations": odd3_violations,
-        "five_mod8": five_mod8,
-        "sample": sample,
-        "direct_mismatches": direct_mismatches,
+        "odd_mod8": {str(r): n for r, n in odd_mod8.items()},
+        "sample": [str(v) for v in sorted(sample, key=lambda v: (abs(v), v))[:sample_limit]],
+        "five_mod8_values": len(five_mod8),
+        "violations": [{"value": str(v), "reason": r} for v, r in violations],
+        "ok": not violations,
     }

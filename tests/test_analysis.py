@@ -20,7 +20,7 @@ from q16det.errors import BudgetExceeded, MismatchFound, PreconditionUnreachable
 from q16det.exact_eval import QuadraticSqrt2, factored_form
 from q16det.group_algebra import GroupRingElement
 
-from oracles import chebyshev_expand, laurent_self_product
+from oracles import chebyshev_expand, laurent_self_product, scan_report_reference
 
 
 class TestChebyshev:
@@ -187,6 +187,51 @@ class TestExhaustiveScan:
             d.pop("elapsed_s")
             d.pop("workers")
         assert d1 == d2
+
+    @pytest.mark.parametrize("direct", [False, True])
+    @pytest.mark.parametrize(
+        "support,sample_abs_limit,sample_limit",
+        [
+            ((0, 1), 1 << 20, 64),
+            ((0, 1), 100, 64),
+            ((0, 1), 1 << 62, 5),
+            ((0, 2), 1 << 20, 64),
+            ((-2, 3), 1 << 20, 64),
+            ((7,), 1 << 20, 64),
+        ],
+    )
+    def test_matches_report_reference(
+        self, monkeypatch, in_process_pool, support, sample_abs_limit, sample_limit, direct
+    ):
+        if direct:
+            # Stand-ins that break the laws, so that violations show up.
+            # The shifted A is still an f-only part plus a g-only part, and
+            # the circulant stand-in depends on the element only through q,
+            # as the half-table scan requires.
+            real_terms = kernel.factored_terms
+
+            def shifted_terms(a, b):
+                A, B, C, X, Y = real_terms(a, b)
+                return A + a[0] + b[0], B, C, X, Y
+
+            monkeypatch.setattr(kernel, "factored_terms", shifted_terms)
+            monkeypatch.setattr(kernel, "circulant_det", lambda a, b: kernel.circulant_q(a, b)[0])
+        want = scan_report_reference(support, direct, sample_abs_limit, sample_limit)
+        # (-2, 3) then meets all four kinds; (7,) has determinant 0 only.
+        assert want["ok"] == (not direct or support == (7,))
+        monkeypatch.setattr(analysis, "_usable_cpus", lambda: 2)
+        for workers in (1, 2):
+            got = exhaustive_scan(
+                support,
+                workers=workers,
+                direct=direct,
+                sample_abs_limit=sample_abs_limit,
+                sample_limit=sample_limit,
+            ).to_dict()
+            del got["elapsed_s"]
+            assert got.keys() == want.keys()
+            for key, value in want.items():
+                assert got[key] == (workers if key == "workers" else value), key
 
     def test_direct_mode_agrees(self):
         rep = exhaustive_scan((0, 1), direct=True)

@@ -93,6 +93,14 @@ class TestWitnessCommand:
         assert rc == EXIT_USAGE
         assert err.count("\n") == 1 and "--output-dir" in err
 
+    def test_unwritable_certificate_exit_2(self, capsys, tmp_path):
+        # A directory sits on the certificate's file name.
+        (tmp_path / "witness_245.json").mkdir()
+        code, err = usage_error(capsys, "witness", "245", "--output-dir", str(tmp_path))
+        assert code == EXIT_USAGE
+        assert err.count("\n") == 1
+        assert err.startswith(f"q16det: cannot write {tmp_path / 'witness_245.json'}: ")
+
 
 class TestVerifyCommand:
     def test_identity(self, capsys):
@@ -148,6 +156,14 @@ class TestScanCommand:
         )
         assert rc == EXIT_USAGE
         assert err.count("\n") == 1 and "--output-dir" in err
+
+    def test_unwritable_report_exit_2(self, capsys, tmp_path):
+        # A directory sits on the report's file name.
+        (tmp_path / "scan_report.json").mkdir()
+        code, err = usage_error(capsys, "scan", "--support", "0", "--output-dir", str(tmp_path))
+        assert code == EXIT_USAGE
+        assert err.count("\n") == 1
+        assert err.startswith(f"q16det: cannot write {tmp_path / 'scan_report.json'}: ")
 
     @pytest.mark.parametrize("limit", ["0", "-1"])
     def test_bad_limit_exit_2(self, capsys, limit):
