@@ -20,7 +20,7 @@ from pathlib import Path
 
 from . import __version__, analysis
 from .classifier import Classification, classify, classify_and_witness
-from .errors import BudgetExceeded, MismatchFound, Q16DetError
+from .errors import BadInput, BudgetExceeded, MismatchFound, Q16DetError
 from .exact_eval import determinant_from_factored, factored_form
 from .group_algebra import GroupRingElement, direct_determinant
 from .witness import WitnessCertificate
@@ -68,6 +68,8 @@ class CertificateDocument:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "CertificateDocument":
+        if not isinstance(doc["verified"], bool):
+            raise BadInput(f"'verified' must be a JSON boolean, got {doc['verified']!r}")
         return cls(
             n=int(doc["n"]),
             f=tuple(int(c) for c in doc["f"]),
@@ -79,7 +81,7 @@ class CertificateDocument:
             X=int(doc["X"]),
             Y=int(doc["Y"]),
             trace=doc.get("trace", {}),
-            verified=bool(doc["verified"]),
+            verified=doc["verified"],
             tool=doc.get("tool", ""),
         )
 

@@ -3,8 +3,8 @@
 Deterministic Miller-Rabin with the 12-base set that is exact below
 3.3 * 10**24; inputs above that bound fall back to the same bases plus extra
 fixed witnesses and are flagged as probabilistic.  Composites are split by
-trial division followed by Brent's variant of Pollard rho with a
-deterministic parameter sequence, so results are reproducible.
+trial division, an exact ``isqrt`` split of square cofactors (the p**2 of
+m*p**2), then Brent's Pollard rho with fixed parameters: results reproduce.
 """
 
 from __future__ import annotations
@@ -104,7 +104,8 @@ def _pollard_brent(n: int) -> int:
 
 
 def factor_map(n: int) -> dict[int, int]:
-    """Prime -> exponent map of |n| for n != 0 (empty for |n| = 1)."""
+    """Prime -> exponent map of |n| for n != 0 (empty for |n| = 1); a composite
+    cofactor r*r is split by isqrt, any other one by Pollard rho."""
     n = abs(n)
     if n == 0:
         raise ValueError("cannot factor 0")
@@ -123,7 +124,7 @@ def factor_map(n: int) -> dict[int, int]:
         if is_probable_prime(m):
             out[m] = out.get(m, 0) + 1
             continue
-        d = _pollard_brent(m)
+        d = r if (r := isqrt(m)) * r == m else _pollard_brent(m)
         stack.append(d)
         stack.append(m // d)
     return out

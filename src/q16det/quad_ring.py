@@ -2,8 +2,8 @@
 
 Covers what the witness pipeline needs: square roots of 2 modulo p, prime
 splitting X**2 - 2*Y**2 = p for p = 7 mod 8, unit adjustment by 3 + 2*sqrt(2)
-to steer X mod 4, and four-squares decompositions of 2*(X + Y*sqrt(2)).
-Everything is exact; total positivity is decided by integer case analysis.
+to steer X mod 4, and four squares summing to 2*(X + Y*sqrt(2)), found by a
+depth-first search that lists each level's squares lazily.  All is exact.
 """
 
 from __future__ import annotations
@@ -198,48 +198,47 @@ def unit_adjust(s: SplitSolution, target: int) -> SplitSolution:
     return SplitSolution(X=x, Y=y, p=s.p)
 
 
-def _square_candidates(target: QuadraticSqrt2) -> list[tuple[int, int]]:
-    """All canonical pairs (alpha, beta) whose square fits under the target
-    in both embeddings; ascending lexicographic (|alpha|, |beta|) order with
-    canonical sign alpha > 0, or alpha = 0 and beta >= 0."""
-    tx, ty = target.x, target.y
-    out: list[tuple[int, int]] = []
-    # (a + b*sqrt2)^2 + (a - b*sqrt2)^2 = 2a^2 + 4b^2 <= 2*tx.
-    for a in range(isqrt(tx) + 1 if tx >= 0 else 0):
-        rem = tx - a * a
-        bmax = isqrt(rem // 2) if rem >= 0 else -1
-        bmin = 0 if a == 0 else -bmax
-        for b in range(bmin, bmax + 1):
-            if totally_nonneg(tx - (a * a + 2 * b * b), ty - 2 * a * b):
-                out.append((a, b))
-    out.sort(key=lambda ab: (abs(ab[0]), abs(ab[1]), ab[1] < 0))
-    return out
+def _floor_div_sqrt2(s: int) -> int:
+    """floor(s / sqrt(2)), exactly."""
+    return isqrt(s * s // 2) if s >= 0 else -isqrt(s * s // 2) - 1
 
 
-def _dfs_four(target: QuadraticSqrt2, cands: list[tuple[int, int]]) -> list[tuple[int, int]] | None:
-    """First decomposition into exactly four candidate squares, searching
-    non-increasing candidate indices from the largest candidate down."""
-    if not cands:
-        return None
-    chosen: list[tuple[int, int]] = []
+def _squares_under(rx: int, ry: int, top: tuple[int, int] | None, odd: bool):
+    """Canonical pairs (alpha > 0, or alpha = 0 <= beta) whose squares fit under
+    the totally nonnegative rx + ry*sqrt(2), in descending (|alpha|, |beta|,
+    beta < 0) order from ``top`` (None: the largest) on; ``odd``: odd alphas."""
+    ta, tb = top or (rx + 1, 0)
+    # s1 > sqrt(rx + ry*sqrt2) and s2 > sqrt(rx - ry*sqrt2), within 2.
+    q = _floor_div_sqrt2(2 * ry)  # floor(ry * sqrt2)
+    s1, s2 = isqrt(rx + q + 1) + 1, isqrt(rx - q) + 1
+    hi_a = min(ta, isqrt(rx))
+    for a in range(hi_a - (odd and hi_a % 2 == 0), -1, -2 if odd else -1):
+        rem = rx - a * a
+        # The betas that fit, |a +- b*sqrt2| <= sqrt(rx +- ry*sqrt2), form an
+        # interval; s1 and s2 bound it from outside, the exact test trims it.
+        lo = -_floor_div_sqrt2(min(s1 + a, s2 - a)) if a else 0
+        hi = _floor_div_sqrt2(min(s1 - a, s2 + a))
+        while lo <= hi and not totally_nonneg(rem - 2 * lo * lo, ry - 2 * a * lo):
+            lo += 1
+        while hi >= lo and not totally_nonneg(rem - 2 * hi * hi, ry - 2 * a * hi):
+            hi -= 1
+        mtop = max(hi, -lo) if a != ta else min(max(hi, -lo), abs(tb))
+        for m in range(mtop, max(0, lo, -hi) - 1, -1):
+            if m and -m >= lo and not (a == ta and m == abs(tb) and tb >= 0):
+                yield a, -m
+            if m <= hi:
+                yield a, m
 
-    def rec(rx: int, ry: int, max_i: int, depth: int) -> bool:
-        if depth == 4:
-            return rx == 0 and ry == 0
-        for i in range(max_i, -1, -1):
-            a, b = cands[i]
-            nx = rx - (a * a + 2 * b * b)
-            ny = ry - 2 * a * b
-            if not totally_nonneg(nx, ny):
-                continue
-            chosen.append((a, b))
-            if rec(nx, ny, i, depth + 1):
-                return True
-            chosen.pop()
-        return False
 
-    if rec(target.x, target.y, len(cands) - 1, 0):
-        return list(chosen)
+def _dfs_four(rx: int, ry: int, odd: bool, top: tuple[int, int] | None = None, depth: int = 0):
+    """First decomposition of rx + ry*sqrt(2) into 4 - depth squares, each
+    drawn from _squares_under at or below the previous one; else None."""
+    if depth == 4:
+        return [] if rx == 0 and ry == 0 else None
+    for a, b in _squares_under(rx, ry, top, odd):
+        rest = _dfs_four(rx - (a * a + 2 * b * b), ry - 2 * a * b, odd, (a, b), depth + 1)
+        if rest is not None:
+            return [(a, b)] + rest
     return None
 
 
@@ -250,7 +249,9 @@ def four_squares(target: QuadraticSqrt2) -> FourSquares:
     Decompositions whose alphas are all odd are searched first: they exist
     in practice for the doubled split solutions this library consumes and
     they lead to the simpler parity layout downstream.  The search is a
-    deterministic depth-first scan, so certificates are reproducible.
+    deterministic depth-first scan, so certificates are reproducible.  Each
+    level lists lazily the pairs that fit its remainder, and so the target:
+    the first decomposition is that of a scan of the target's sorted list.
     """
     if target.y % 2 != 0:
         raise NoDecomposition(
@@ -258,11 +259,7 @@ def four_squares(target: QuadraticSqrt2) -> FourSquares:
         )
     if not target.is_totally_nonneg():
         raise NoDecomposition(f"{target} is not totally nonnegative")
-    cands = _square_candidates(target)
-    odd_cands = [ab for ab in cands if ab[0] % 2 == 1]
-    sol = _dfs_four(target, odd_cands)
-    if sol is None:
-        sol = _dfs_four(target, cands)
+    sol = _dfs_four(target.x, target.y, True) or _dfs_four(target.x, target.y, False)
     if sol is None:
         raise NoDecomposition(f"search exhausted for {target}")
     fs = FourSquares(tuple(sol))

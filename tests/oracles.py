@@ -13,7 +13,10 @@ half-vector rows; the report reference sorts each element into the
 tallies as it is made, where the library sorts the distinct values of a
 merged histogram.  The group-ring product ``convolve`` feeds the
 multiplicativity check of the determinant, and ``determinant_matrix``
-lays out the literal 16x16 matrix for the Fraction oracle.
+lays out the literal 16x16 matrix for the Fraction oracle.  The
+four-squares reference builds and sorts the whole candidate list of a
+target up front and searches it by index, where the library enumerates
+each level's candidates lazily.
 """
 
 from collections import Counter
@@ -23,6 +26,8 @@ from math import isqrt
 from q16det import kernel
 from q16det._cayley import DET_INDEX, MUL_TABLE
 from q16det.classifier import classify
+from q16det.errors import NoDecomposition
+from q16det.exact_eval import QuadraticSqrt2, totally_nonneg
 from q16det.group_algebra import GroupRingElement
 
 
@@ -283,3 +288,64 @@ def scan_report_reference(values, direct=False, sample_abs_limit=1 << 20, sample
         "violations": [{"value": str(v), "reason": r} for v, r in violations],
         "ok": not violations,
     }
+
+
+def _square_candidates(target: QuadraticSqrt2) -> list[tuple[int, int]]:
+    """All canonical pairs (alpha, beta) whose square fits under the target
+    in both embeddings; ascending lexicographic (|alpha|, |beta|) order with
+    canonical sign alpha > 0, or alpha = 0 and beta >= 0."""
+    tx, ty = target.x, target.y
+    out: list[tuple[int, int]] = []
+    # (a + b*sqrt2)^2 + (a - b*sqrt2)^2 = 2a^2 + 4b^2 <= 2*tx.
+    for a in range(isqrt(tx) + 1 if tx >= 0 else 0):
+        rem = tx - a * a
+        bmax = isqrt(rem // 2) if rem >= 0 else -1
+        bmin = 0 if a == 0 else -bmax
+        for b in range(bmin, bmax + 1):
+            if totally_nonneg(tx - (a * a + 2 * b * b), ty - 2 * a * b):
+                out.append((a, b))
+    out.sort(key=lambda ab: (abs(ab[0]), abs(ab[1]), ab[1] < 0))
+    return out
+
+
+def _dfs_four(target: QuadraticSqrt2, cands: list[tuple[int, int]]) -> list[tuple[int, int]] | None:
+    """First decomposition into exactly four candidate squares, searching
+    non-increasing candidate indices from the largest candidate down."""
+    if not cands:
+        return None
+    chosen: list[tuple[int, int]] = []
+
+    def rec(rx: int, ry: int, max_i: int, depth: int) -> bool:
+        if depth == 4:
+            return rx == 0 and ry == 0
+        for i in range(max_i, -1, -1):
+            a, b = cands[i]
+            nx = rx - (a * a + 2 * b * b)
+            ny = ry - 2 * a * b
+            if not totally_nonneg(nx, ny):
+                continue
+            chosen.append((a, b))
+            if rec(nx, ny, i, depth + 1):
+                return True
+            chosen.pop()
+        return False
+
+    if rec(target.x, target.y, len(cands) - 1, 0):
+        return list(chosen)
+    return None
+
+
+def four_squares_reference(target: QuadraticSqrt2) -> tuple[tuple[int, int], ...]:
+    """``quad_ring.four_squares(target).pairs`` from the eager search: the
+    sorted list of all the target's candidates, odd alphas first, then all
+    of them.  Raises NoDecomposition where the library does."""
+    if target.y % 2 != 0 or not target.is_totally_nonneg():
+        raise NoDecomposition(f"{target}: odd sqrt(2)-coefficient or not totally nonnegative")
+    cands = _square_candidates(target)
+    odd_cands = [ab for ab in cands if ab[0] % 2 == 1]
+    sol = _dfs_four(target, odd_cands)
+    if sol is None:
+        sol = _dfs_four(target, cands)
+    if sol is None:
+        raise NoDecomposition(f"search exhausted for {target}")
+    return tuple(sol)

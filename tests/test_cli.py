@@ -16,7 +16,7 @@ from q16det.cli import (
     main,
     verify_document,
 )
-from q16det.errors import InternalInconsistency
+from q16det.errors import BadInput, InternalInconsistency
 from q16det.exact_eval import factored_form
 from q16det.witness import witness_odd_5mod8
 
@@ -247,6 +247,15 @@ class TestCertificateDocuments:
         raw = doc.to_json_dict()
         raw["A"] = "999"
         assert not verify_document(CertificateDocument.from_json_dict(raw))
+
+    @pytest.mark.parametrize("flag", ["false", "true", 0, 1, None, []])
+    def test_verified_must_be_json_boolean(self, flag):
+        raw = certificate_document(witness_odd_5mod8(245, 7)).to_json_dict()
+        raw["verified"] = flag
+        with pytest.raises(BadInput, match="verified"):
+            CertificateDocument.from_json_dict(raw)
+        raw["verified"] = False
+        assert CertificateDocument.from_json_dict(raw).verified is False
 
 
 def test_console_entry_point():

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from q16det.errors import (
@@ -8,7 +10,7 @@ from q16det.errors import (
     NoValidArrangement,
 )
 from q16det.exact_eval import QuadraticSqrt2
-from q16det.primes import primes_below
+from q16det.primes import is_probable_prime, primes_below
 from q16det.quad_ring import (
     CaseLabel,
     FourSquares,
@@ -21,7 +23,7 @@ from q16det.quad_ring import (
     unit_adjust,
 )
 
-from oracles import brute_split
+from oracles import brute_split, four_squares_reference
 
 
 class TestSqrt2ModP:
@@ -140,6 +142,56 @@ class TestFourSquares:
     def test_pair_count_validated(self):
         with pytest.raises(ValueError):
             FourSquares(((1, 1), (1, 0)))
+
+    def test_matches_eager_reference(self):
+        """The lazy search finds the eager sorted-list search's decomposition,
+        or fails the same way: split targets of every p = 7 mod 8 below
+        2*10**4, seeded primes up to 10**8, and every small (x, y)."""
+        targets = [QuadraticSqrt2(x, y) for x in range(61) for y in range(-2 * x - 1, 2 * x + 2)]
+        targets += _split_targets([p for p in primes_below(20_000) if p % 8 == 7])
+        targets += _split_targets(_seeded_primes_7mod8(9, 15, 10**5, 10**8))
+        _assert_matches_reference(targets)
+
+    @pytest.mark.extended
+    def test_matches_eager_reference_to_1e9(self):
+        _assert_matches_reference(_split_targets(_seeded_primes_7mod8(10, 30, 10**5, 10**9)))
+
+
+def _seeded_primes_7mod8(seed, count, lo, hi):
+    """``count`` primes = 7 mod 8, each the first one above a log-uniform
+    draw from [lo, hi)."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        p = int(lo * (hi / lo) ** rng.random())
+        p += (7 - p) % 8
+        while not is_probable_prime(p):
+            p += 8
+        out.append(p)
+    return out
+
+
+def _split_targets(primes):
+    """2*(X + Y*sqrt(2)) for both unit adjustments of each prime's split."""
+    out = []
+    for p in primes:
+        for residue in (1, 3):
+            s = unit_adjust(split_prime(p), residue)
+            out.append(QuadraticSqrt2(2 * s.X, 2 * s.Y))
+    return out
+
+
+def _assert_matches_reference(targets):
+    """four_squares and four_squares_reference return the same pairs, or
+    both raise NoDecomposition, on every target."""
+    for target in targets:
+        try:
+            want = four_squares_reference(target)
+        except NoDecomposition:
+            with pytest.raises(NoDecomposition):
+                four_squares(target)
+        else:
+            assert four_squares(target).pairs == want, target
 
 
 class TestNormalizeDecomposition:
