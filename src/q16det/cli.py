@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -68,22 +69,39 @@ class CertificateDocument:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "CertificateDocument":
+        """Load a document as :meth:`to_json_dict` writes it: integers as
+        decimal strings, ``f`` and ``g`` as lists of 8 of them, ``trace``
+        an object and ``verified`` a boolean.  Anything else raises
+        :class:`BadInput` rather than being coerced."""
         if not isinstance(doc["verified"], bool):
             raise BadInput(f"'verified' must be a JSON boolean, got {doc['verified']!r}")
+        trace = doc.get("trace", {})
+        if not isinstance(trace, dict):
+            raise BadInput(f"'trace' must be a JSON object, got {trace!r}")
+        for key in ("f", "g"):
+            if not (isinstance(doc[key], list) and len(doc[key]) == 8):
+                raise BadInput(f"{key!r} must be a list of 8 decimal strings, got {doc[key]!r}")
         return cls(
-            n=int(doc["n"]),
-            f=tuple(int(c) for c in doc["f"]),
-            g=tuple(int(c) for c in doc["g"]),
-            A=int(doc["A"]),
-            B=int(doc["B"]),
-            C=int(doc["C"]),
-            D=int(doc["D"]),
-            X=int(doc["X"]),
-            Y=int(doc["Y"]),
-            trace=doc.get("trace", {}),
+            n=_decimal("n", doc["n"]),
+            f=tuple(_decimal("f", c) for c in doc["f"]),
+            g=tuple(_decimal("g", c) for c in doc["g"]),
+            A=_decimal("A", doc["A"]),
+            B=_decimal("B", doc["B"]),
+            C=_decimal("C", doc["C"]),
+            D=_decimal("D", doc["D"]),
+            X=_decimal("X", doc["X"]),
+            Y=_decimal("Y", doc["Y"]),
+            trace=trace,
             verified=doc["verified"],
             tool=doc.get("tool", ""),
         )
+
+
+def _decimal(key: str, value) -> int:
+    """The integer a document field spells as a decimal string."""
+    if not (isinstance(value, str) and re.fullmatch(r"-?[0-9]+", value)):
+        raise BadInput(f"{key!r} must be a decimal string, got {value!r}")
+    return int(value)
 
 
 def _jsonable(obj):
@@ -413,8 +431,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--direct",
         action="store_true",
         help="also check each factored value against an eliminated determinant: "
-        "the 8x8 circulant of q, equal to the 16x16 group determinant; "
-        "certificates and crosscheck keep the literal 16x16",
+        "the 8x8 circulant of q as its 5x5 and 3x3 reflection blocks, equal to "
+        "the 16x16 group determinant; certificates and crosscheck keep the "
+        "literal 16x16",
     )
     p.add_argument("--json", action="store_true")
     p.add_argument("--output-dir", default=None, help="also write scan_report.json here")

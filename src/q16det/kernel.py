@@ -16,10 +16,14 @@ Every factored term is an f-only part plus a g-only part, so
 the range: a table of a-rows ``factored_terms(h, 0)``, and b-rows
 ``factored_terms(0, h)`` streamed one at a time, each summed with a run of
 a-rows.  Direct scans (``scan_range(..., direct=True)``) check each
-element against :func:`circulant_det`, which eliminates the 8x8 circulant
-of q = f(x)*f(1/x) - x**4*g(x)*g(1/x) mod x**8 - 1 instead of the 16x16
-matrix.  q splits the same way, so a direct scan eliminates once per pair
-of q-classes of the two halves.  Both eliminations share :func:`_bareiss`.
+element against :func:`circulant_det`: the determinant of the 8x8
+circulant of q = f(x)*f(1/x) - x**4*g(x)*g(1/x) mod x**8 - 1, which
+equals the 16x16 one.  q is palindromic, so the circulant splits by the
+reflection j -> -j into a 5x5 and a 3x3 block, and circulant_det
+eliminates those two: exact, but not the literal definition.  q splits
+into an f-part plus a g-part too, so a direct scan eliminates once per
+pair of q-classes of the two halves and checks a b-row with one list
+comparison.  Every elimination goes through :func:`_bareiss`.
 
 Callers reach every entry point as ``kernel.<name>``, so a tracer or a
 test that patches this module sees every call.
@@ -87,37 +91,54 @@ def group_det(a: Sequence[int], b: Sequence[int]) -> int:
     return _bareiss(m)
 
 
+def _autocorrelation(h: Sequence[int]) -> tuple[int, int, int, int, int]:
+    """r[0..4] of the cyclic autocorrelation r[k] = sum_i h[i]*h[(i + k) % 8];
+    r[8 - k] = r[k] gives the rest."""
+    h0, h1, h2, h3, h4, h5, h6, h7 = h
+    return (
+        h0 * h0 + h1 * h1 + h2 * h2 + h3 * h3 + h4 * h4 + h5 * h5 + h6 * h6 + h7 * h7,
+        h0 * h1 + h1 * h2 + h2 * h3 + h3 * h4 + h4 * h5 + h5 * h6 + h6 * h7 + h7 * h0,
+        h0 * h2 + h1 * h3 + h2 * h4 + h3 * h5 + h4 * h6 + h5 * h7 + h6 * h0 + h7 * h1,
+        h0 * h3 + h1 * h4 + h2 * h5 + h3 * h6 + h4 * h7 + h5 * h0 + h6 * h1 + h7 * h2,
+        2 * (h0 * h4 + h1 * h5 + h2 * h6 + h3 * h7),
+    )
+
+
 def circulant_q(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """Coefficients q[0..7] of q = f(x)*f(1/x) - x**4*g(x)*g(1/x) mod x**8 - 1,
-    built from the integer autocorrelations of ``a`` and ``b``."""
-    q = [0] * 8
-    for i in range(8):
-        ai = a[i]
-        if ai:
-            for j in range(8):
-                q[(i - j) % 8] += ai * a[j]
-        bi = b[i]
-        if bi:
-            for j in range(8):
-                q[(i - j + 4) % 8] -= bi * b[j]
-    return q
-
-
-#: Layout of the 8x8 circulant of q: C[i][j] = q[(j - i) % 8].
-_CIRCULANT_INDEX = tuple(tuple((j - i) % 8 for j in range(8)) for i in range(8))
+    """Coefficients q[0..7] of q = f(x)*f(1/x) - x**4*g(x)*g(1/x) mod x**8 - 1:
+    q[k] = r_a[k] - r_b[k + 4] from the cyclic autocorrelations of ``a``
+    and ``b``.  q is palindromic, q[k] = q[8 - k]."""
+    ra0, ra1, ra2, ra3, ra4 = _autocorrelation(a)
+    rb0, rb1, rb2, rb3, rb4 = _autocorrelation(b)
+    q1, q2, q3 = ra1 - rb3, ra2 - rb2, ra3 - rb1
+    return [ra0 - rb4, q1, q2, q3, ra4 - rb0, q3, q2, q1]
 
 
 def circulant_det(a: Sequence[int], b: Sequence[int]) -> int:
-    """Group determinant of the element, as the determinant of the 8x8
-    circulant of :func:`circulant_q`.
+    """Group determinant of the element, from the 8x8 circulant of
+    :func:`circulant_q` split into a 5x5 and a 3x3 block.
 
     The 16x16 matrix is [[F, G1], [G2, F']] with 8x8 circulant blocks, which
-    commute, so its determinant is that of one 8x8 circulant (Silvester,
-    "Determinants of block matrices", 2000).  Exact, but not the literal
+    commute, so its determinant is that of the 8x8 circulant C[i][j] =
+    q[(j - i) % 8] (Silvester, "Determinants of block matrices", 2000).  q
+    is palindromic, so C commutes with the reflection e_j -> e_-j and keeps
+    the symmetric sublattice (basis e0, e1+e7, e2+e6, e3+e5, e4) and the
+    antisymmetric one (basis e1-e7, e2-e6, e3-e5); det C is the product of
+    the determinants of C on the two.  Exact, but not the literal
     definition: certificates and crosschecks use :func:`group_det`.
     """
-    q = circulant_q(a, b)
-    return _bareiss([[q[k] for k in row] for row in _CIRCULANT_INDEX])
+    q0, q1, q2, q3, q4 = circulant_q(a, b)[:5]
+    s13 = q1 + q3
+    symmetric = [
+        [q0, 2 * q1, 2 * q2, 2 * q3, q4],
+        [q1, q0 + q2, s13, q2 + q4, q3],
+        [q2, s13, q0 + q4, s13, q2],
+        [q3, q2 + q4, s13, q0 + q2, q1],
+        [q4, 2 * q3, 2 * q2, 2 * q1, q0],
+    ]
+    d02, d13, d24 = q0 - q2, q1 - q3, q2 - q4
+    antisymmetric = [[d02, d13, d24], [d13, q0 - q4, d13], [d24, d13, d02]]
+    return _bareiss(symmetric) * _bareiss(antisymmetric)
 
 
 def factored_terms(a: Sequence[int], b: Sequence[int]) -> tuple[int, int, int, int, int]:
@@ -203,9 +224,10 @@ def scan_range(values: Sequence[int], start: int, stop: int, direct: bool = Fals
     min(base**8, stop - start) of them), streams its b-rows, and sums two
     rows per element.  Likewise circulant_q(a, b) = circulant_q(a, 0) +
     circulant_q(0, b), and circulant_det depends on the element only
-    through circulant_q.  A direct scan gives each a-row and each b-row the
-    id of its q-class, eliminates once per pair of q-classes it meets, and
-    compares every element with its pair's value.
+    through circulant_q.  A direct scan gives each a-row the id of its
+    q-class; for each b-row q-class it meets, it eliminates once per a-class
+    of the table, and it compares each b-row with the list of its pairs'
+    values in one comparison, walking the row only when they differ.
     """
     half = len(values) ** 8
     hist: Counter[int] = Counter()
@@ -220,9 +242,8 @@ def scan_range(values: Sequence[int], start: int, stop: int, direct: bool = Fals
             values, a_first, min(half, stop - start), direct
         )
         b_first = start // half
-        b_ids: dict[tuple[int, ...], int] = {}
-        # circulant_det of each (a_class, b_class) pair, on first use.
-        eliminated: dict[tuple[int, int], int] = {}
+        # Per b-row q-part met: circulant_det of each a-class paired with it.
+        pair_dets: dict[tuple[int, ...], list[int]] = {}
 
         b_halves = _halves(values, b_first, (stop - 1) // half - b_first + 1)
         for row_start, h in zip(range(b_first * half, stop, half), b_halves):
@@ -239,14 +260,14 @@ def scan_range(values: Sequence[int], start: int, stop: int, direct: bool = Fals
                 dets.append((Aa + Ab) * (Ba + Bb) * C * C * D * D)
 
             if direct:
-                cb = b_ids.setdefault(tuple(circulant_q(_ZERO_HALF, h)), len(b_ids))
-                for det, ca in zip(dets, a_cls[a_lo:a_hi]):
-                    elim = eliminated.get((ca, cb))
-                    if elim is None:
-                        # Any b-half of class cb gives the pair's value.
-                        elim = eliminated[ca, cb] = circulant_det(a_rep[ca], h)
-                    if elim != det:
-                        direct_mismatches.add(det)
+                qb = tuple(circulant_q(_ZERO_HALF, h))
+                by_a = pair_dets.get(qb)
+                if by_a is None:
+                    # Any b-half of this q-class gives the pairs' values.
+                    by_a = pair_dets[qb] = [circulant_det(rep, h) for rep in a_rep]
+                want = list(map(by_a.__getitem__, a_cls[a_lo:a_hi]))
+                if dets != want:
+                    direct_mismatches.update(d for d, w in zip(dets, want) if d != w)
 
             hist.update(dets)
 

@@ -14,9 +14,11 @@ tallies as it is made, where the library sorts the distinct values of a
 merged histogram.  The group-ring product ``convolve`` feeds the
 multiplicativity check of the determinant, and ``determinant_matrix``
 lays out the literal 16x16 matrix for the Fraction oracle.  The
-four-squares reference builds and sorts the whole candidate list of a
-target up front and searches it by index, where the library enumerates
-each level's candidates lazily.
+circulant reference eliminates the whole 8x8 circulant of q, where the
+library eliminates its two reflection blocks.  The four-squares
+reference builds and sorts the whole candidate list of a target up front
+and searches it by index, where the library enumerates each level's
+candidates lazily.
 """
 
 from collections import Counter
@@ -175,6 +177,23 @@ def cyclotomic_mul(u, v) -> tuple[int, int, int, int]:
 def cyclotomic_conj(u) -> tuple[int, int, int, int]:
     """Complex conjugation w -> w**-1 = -w**3."""
     return (u[0], -u[3], -u[2], -u[1])
+
+
+#: Layout of the 8x8 circulant of q: C[i][j] = q[(j - i) % 8].
+_CIRCULANT_INDEX = tuple(tuple((j - i) % 8 for j in range(8)) for i in range(8))
+
+
+def circulant_det_reference(a, b) -> int:
+    """Determinant of the whole 8x8 circulant of q = f(x)*f(1/x) -
+    x**4*g(x)*g(1/x) mod x**8 - 1, with q summed pair by pair, where the
+    library builds q from five autocorrelation sums and eliminates its
+    5x5 and 3x3 reflection blocks."""
+    q = [0] * 8
+    for i in range(8):
+        for j in range(8):
+            q[(i - j) % 8] += a[i] * a[j]
+            q[(i - j + 4) % 8] -= b[i] * b[j]
+    return kernel._bareiss([[q[k] for k in row] for row in _CIRCULANT_INDEX])
 
 
 def _reference_dets(values, start, stop, direct):

@@ -1,6 +1,7 @@
 import concurrent.futures
 import os
 import random
+import time
 from dataclasses import replace
 
 import pytest
@@ -166,8 +167,9 @@ class TestExhaustiveScan:
     def test_direct_blocks_eliminate_once_per_class_pair(
         self, monkeypatch, in_process_pool
     ):
-        # Two workers scan one block of whole b-rows each, so each block
-        # eliminates at most the 29 x 29 = 841 q-class pairs of {0, 1}.
+        # One worker eliminates each of the 29 x 29 = 841 q-class pairs of
+        # {0, 1} once.  Two workers scan one block of whole b-rows each, so
+        # each block eliminates at most the 841.
         monkeypatch.setattr(analysis, "_usable_cpus", lambda: 2)
         real = kernel.circulant_det
         calls = []
@@ -180,7 +182,9 @@ class TestExhaustiveScan:
         r2 = exhaustive_scan((0, 1), workers=2, direct=True)
         assert in_process_pool == [2]
         assert 841 <= len(calls) <= 2 * 841
+        calls.clear()
         r1 = exhaustive_scan((0, 1), workers=1, direct=True)
+        assert len(calls) == 841
         d1, d2 = r1.to_dict(), r2.to_dict()
         assert d2["workers"] == 2 and d2["ok"]
         for d in (d1, d2):
@@ -232,6 +236,41 @@ class TestExhaustiveScan:
             assert got.keys() == want.keys()
             for key, value in want.items():
                 assert got[key] == (workers if key == "workers" else value), key
+
+    def test_direct_flags_one_wrong_class_pair(self, monkeypatch, in_process_pool):
+        # A stand-in wrong for one (a-class, b-class) pair alone: only that
+        # pair's value is flagged.  The pair's a-class is not that of the
+        # zero a-half, which begins every b-row.
+        real = kernel.circulant_det
+        zero = (0,) * 8
+        qa = kernel.circulant_q((1, 1, 0, 1, 0, 0, 0, 0), zero)
+        qb = kernel.circulant_q(zero, (1, 0, 1, 0, 0, 0, 0, 0))
+
+        def one_pair_wrong(a, b):
+            wrong = kernel.circulant_q(a, zero) == qa and kernel.circulant_q(zero, b) == qb
+            return real(a, b) + wrong
+
+        monkeypatch.setattr(kernel, "circulant_det", one_pair_wrong)
+        want = scan_report_reference((0, 1), direct=True)
+        disagree = "direct and factored determinants disagree"
+        assert [v["reason"] for v in want["violations"]] == [disagree]
+        monkeypatch.setattr(analysis, "_usable_cpus", lambda: 2)
+        for workers in (1, 2):
+            got = exhaustive_scan((0, 1), workers=workers, direct=True).to_dict()
+            del got["elapsed_s"]
+            assert got == dict(want, workers=workers)
+
+    @pytest.mark.extended
+    def test_ternary_direct_scan_matches_plain(self):
+        t0 = time.perf_counter()
+        direct = exhaustive_scan((-1, 0, 1), workers=2, direct=True).to_dict()
+        elapsed = time.perf_counter() - t0
+        plain = exhaustive_scan((-1, 0, 1), workers=2).to_dict()
+        assert direct["ok"] and direct["direct"] and not plain["direct"]
+        for d in (direct, plain):
+            del d["elapsed_s"], d["direct"]
+        assert direct == plain
+        print(f"\nternary direct scan, 2 workers: {elapsed:.1f} s")
 
     def test_direct_mode_agrees(self):
         rep = exhaustive_scan((0, 1), direct=True)

@@ -257,6 +257,28 @@ class TestCertificateDocuments:
         raw["verified"] = False
         assert CertificateDocument.from_json_dict(raw).verified is False
 
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("n", 245.9),
+            ("n", 245),
+            ("n", "12a"),
+            ("n", True),
+            ("n", " 245"),
+            ("f", [0.4, 1.9, 1, 1, 0, 0, 0, 0]),
+            ("f", "01110000"),
+            ("g", ["0"] * 7),
+            ("g", ["0"] * 7 + [True]),
+            ("D", "12a"),
+            ("trace", "junk"),
+        ],
+    )
+    def test_fields_must_be_written_form(self, key, value):
+        raw = certificate_document(witness_odd_5mod8(245, 7)).to_json_dict()
+        raw[key] = value
+        with pytest.raises(BadInput, match=f"'{key}' must be"):
+            CertificateDocument.from_json_dict(raw)
+
 
 def test_console_entry_point():
     out = subprocess.run(

@@ -1,5 +1,5 @@
 """The kernel: the lane names and patch points perfbench relies on,
-exactness for large coefficients, the 8x8 circulant determinant behind
+exactness for large coefficients, the circulant determinant behind
 direct scans, the half-table scan against the per-element reference, and
 the q-classes a direct scan groups half-vectors by."""
 
@@ -14,7 +14,12 @@ from q16det.analysis import exhaustive_scan
 from q16det.group_algebra import GroupRingElement, direct_determinant
 from q16det.kernel import circulant_det, circulant_q
 
-from oracles import determinant_matrix, fraction_det, scan_range_reference
+from oracles import (
+    circulant_det_reference,
+    determinant_matrix,
+    fraction_det,
+    scan_range_reference,
+)
 
 
 def test_cayley_tables_consistent():
@@ -88,6 +93,36 @@ class TestCirculantBridge:
             dets.append(det)
         # about 46% of these elements are singular
         assert 100 < dets.count(0) < 400
+
+    @pytest.mark.parametrize("height", [1, 9, 10**6, 10**30])
+    def test_blocks_match_8x8_reference(self, height):
+        rng = random.Random(43 + height)
+        for _ in range(300):
+            a = [rng.randint(-height, height) for _ in range(8)]
+            b = [rng.randint(-height, height) for _ in range(8)]
+            assert circulant_det(a, b) == circulant_det_reference(a, b)
+
+    @pytest.mark.parametrize("values", [(0, 1), (-2, 3)])
+    def test_blocks_match_8x8_reference_on_every_class_pair(self, values):
+        # An a-half's q-part is its autocorrelation r[k], a b-half's is
+        # -r[k + 4]: both sides have the same classes.
+        reps = {tuple(circulant_q(h, ZERO_HALF)): h for h in product(values, repeat=8)}
+        assert len(reps) == 29
+        for a in reps.values():
+            for b in reps.values():
+                assert circulant_det(a, b) == circulant_det_reference(a, b)
+
+    @pytest.mark.parametrize("values", [(-1, 0, 1), (-2, -1, 0, 1, 2)])
+    def test_blocks_match_8x8_reference_on_sampled_pairs(self, values):
+        rng = random.Random(len(values))
+        singular = 0
+        for _ in range(2000):
+            a = [rng.choice(values) for _ in range(8)]
+            b = [rng.choice(values) for _ in range(8)]
+            det = circulant_det(a, b)
+            assert det == circulant_det_reference(a, b)
+            singular += det == 0
+        assert 100 < singular < 1900
 
     def test_q_at_plus_and_minus_one(self):
         rng = random.Random(5)
