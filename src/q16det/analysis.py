@@ -7,14 +7,11 @@ that every value produced is accepted by the classifier and that the two
 determinant computation paths agree.
 """
 
-from __future__ import annotations
-
 import os
 import random
 import time
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import kernel
 from .classifier import classify
@@ -40,8 +37,7 @@ from .group_algebra import (
 DEFAULT_SCAN_BUDGET = 1 << 28
 
 
-@dataclass(frozen=True)
-class ChebyshevCoeffs:
+class ChebyshevCoeffs(NamedTuple):
     """Coefficients c with f(x)*f(1/x) = sum_j c[j] * (x + 1/x)**j."""
 
     c: tuple[int, ...]
@@ -83,8 +79,7 @@ def chebyshev_eval_omega(cc: ChebyshevCoeffs) -> QuadraticSqrt2:
     )
 
 
-@dataclass(frozen=True)
-class ParityAuditRecord:
+class ParityAuditRecord(NamedTuple):
     element: GroupRingElement
     swapped: bool
     negated: bool
@@ -151,15 +146,14 @@ def parity_audit(e: GroupRingElement) -> ParityAuditRecord:
     )
 
 
-@dataclass
-class AuditReport:
+class AuditReport(NamedTuple):
     count: int
     seed: int
     height: int
-    audited: int = 0
-    skipped: int = 0
-    failures: list[str] = field(default_factory=list)
-    elapsed_s: float = 0.0
+    audited: int
+    skipped: int
+    failures: list[str]
+    elapsed_s: float
 
     @property
     def ok(self) -> bool:
@@ -190,28 +184,33 @@ def run_parity_audits(count: int, seed: int, height: int = 9) -> AuditReport:
     if height < 1:
         raise ValueError(f"height must be >= 1, got {height}")
     rng = random.Random(seed)
-    report = AuditReport(count=count, seed=seed, height=height)
+    audited = skipped = 0
+    failures: list[str] = []
     t0 = time.perf_counter()
-    while report.audited < count:
+    while audited < count:
         e = GroupRingElement.from_coeffs(
             [rng.randint(-height, height) for _ in range(16)]
         )
         try:
             parity_audit(e)
         except PreconditionUnreachable:
-            report.skipped += 1
+            skipped += 1
             continue
         except InternalInconsistency as exc:
-            report.failures.append(str(exc))
-            report.audited += 1
-            continue
-        report.audited += 1
-    report.elapsed_s = time.perf_counter() - t0
-    return report
+            failures.append(str(exc))
+        audited += 1
+    return AuditReport(
+        count=count,
+        seed=seed,
+        height=height,
+        audited=audited,
+        skipped=skipped,
+        failures=failures,
+        elapsed_s=time.perf_counter() - t0,
+    )
 
 
-@dataclass
-class ScanReport:
+class ScanReport(NamedTuple):
     support: tuple[int, ...]
     total: int
     workers: int
@@ -378,8 +377,7 @@ def exhaustive_scan(
     )
 
 
-@dataclass
-class CrosscheckReport:
+class CrosscheckReport(NamedTuple):
     count: int
     height: int
     seed: int

@@ -9,11 +9,8 @@ integer parameter, and every Achievable answer is backed by a verified
 certificate.
 """
 
-from __future__ import annotations
-
 import enum
-from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 from . import primes
 from .witness import (
@@ -30,18 +27,15 @@ class Reason(enum.Enum):
     FIVE_MOD_8_NO_ADMISSIBLE_PRIME_SQUARE = "FiveMod8NoAdmissiblePrimeSquare"
 
 
-@dataclass(frozen=True)
-class EvenFamily:
+class EvenFamily(NamedTuple):
     t: int  # n = 1024 * t
 
 
-@dataclass(frozen=True)
-class Odd1Mod8:
+class Odd1Mod8(NamedTuple):
     pass
 
 
-@dataclass(frozen=True)
-class Odd5Mod8:
+class Odd5Mod8(NamedTuple):
     p: int
     m: int  # n = m * p**2
 
@@ -49,8 +43,7 @@ class Odd5Mod8:
 Recipe = Union[EvenFamily, Odd1Mod8, Odd5Mod8]
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     n: int
     recipe: Recipe | None
     reason: Reason | None
@@ -60,8 +53,7 @@ class Classification:
         return self.recipe is not None
 
 
-@dataclass(frozen=True)
-class FactorizationResult:
+class FactorizationResult(NamedTuple):
     """Signed prime factorization of n; ``certain`` is False when primality
     of some factor relied on probabilistic Miller-Rabin rounds."""
 

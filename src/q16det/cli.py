@@ -10,14 +10,12 @@ Machine output (--json) is one JSON object per line; all integers are
 serialized as decimal strings so consumers are safe from 64-bit overflow.
 """
 
-from __future__ import annotations
-
 import argparse
 import json
 import re
 import sys
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from . import __version__, analysis
 from .classifier import Classification, classify, classify_and_witness
@@ -31,9 +29,10 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
+_REQUIRED_FIELDS = ("n", "f", "g", "A", "B", "C", "D", "X", "Y", "verified")
 
-@dataclass(frozen=True)
-class CertificateDocument:
+
+class CertificateDocument(NamedTuple):
     """Flat serialized form of a witness certificate; re-verification needs
     nothing beyond this document."""
 
@@ -72,7 +71,13 @@ class CertificateDocument:
         """Load a document as :meth:`to_json_dict` writes it: integers as
         decimal strings, ``f`` and ``g`` as lists of 8 of them, ``trace``
         an object and ``verified`` a boolean.  Anything else raises
-        :class:`BadInput` rather than being coerced."""
+        :class:`BadInput` rather than being coerced, and so does a document
+        that is not an object or lacks a required field."""
+        if not isinstance(doc, dict):
+            raise BadInput(f"a certificate must be a JSON object, got {doc!r}")
+        missing = [key for key in _REQUIRED_FIELDS if key not in doc]
+        if missing:
+            raise BadInput(f"certificate lacks required field(s) {', '.join(missing)}")
         if not isinstance(doc["verified"], bool):
             raise BadInput(f"'verified' must be a JSON boolean, got {doc['verified']!r}")
         trace = doc.get("trace", {})
@@ -254,8 +259,7 @@ def _classification_dict(c: Classification) -> dict:
 
 
 def _recipe_args(c: Classification) -> str:
-    r = c.recipe
-    fields = vars(r)
+    fields = c.recipe._asdict()
     if not fields:
         return ""
     return "(" + ", ".join(f"{k}={v}" for k, v in fields.items()) + ")"

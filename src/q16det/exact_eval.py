@@ -18,10 +18,7 @@ X**2 - 2*Y**2.  The integers (A, B, C, X, Y) come from
 point is used anywhere.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import kernel
 from .errors import InternalInconsistency
@@ -39,8 +36,7 @@ def totally_nonneg(x: int, y: int) -> bool:
     return x >= 0 and x * x >= 2 * y * y
 
 
-@dataclass(frozen=True)
-class QuadraticSqrt2:
+class QuadraticSqrt2(NamedTuple):
     """An element x + y*sqrt(2) of the real quadratic ring Z[sqrt(2)]."""
 
     x: int
@@ -71,8 +67,7 @@ class QuadraticSqrt2:
         return self.x > 0 and self.x * self.x > 2 * self.y * self.y
 
 
-@dataclass(frozen=True)
-class FactoredForm:
+class FactoredForm(NamedTuple):
     """The exact integers A, B, C, D of the determinant factorization,
     together with the Z[sqrt(2)] element z = X + Y*sqrt(2) whose ring norm
     is D."""

@@ -6,10 +6,7 @@ is det(M) for the 16x16 matrix M[g][h] = coefficient of g * h**-1, computed
 exactly by fraction-free elimination (see :mod:`q16det.kernel`).
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from . import kernel
 
@@ -21,16 +18,18 @@ def _coeff_tuple(coeffs: Iterable[int], name: str) -> tuple[int, ...]:
     return t
 
 
-@dataclass(frozen=True)
-class GroupRingElement:
-    """sum(a[j] * X**j) + sum(b[j] * Y*X**j) with integer coefficients."""
-
+class _Blocks(NamedTuple):
     a: tuple[int, ...]
     b: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "a", _coeff_tuple(self.a, "a"))
-        object.__setattr__(self, "b", _coeff_tuple(self.b, "b"))
+
+class GroupRingElement(_Blocks):
+    """sum(a[j] * X**j) + sum(b[j] * Y*X**j) with integer coefficients."""
+
+    __slots__ = ()
+
+    def __new__(cls, a: Iterable[int], b: Iterable[int]) -> "GroupRingElement":
+        return super().__new__(cls, _coeff_tuple(a, "a"), _coeff_tuple(b, "b"))
 
     @classmethod
     def from_coeffs(cls, coeffs: Sequence[int]) -> "GroupRingElement":

@@ -3,14 +3,13 @@
 Covers what the witness pipeline needs: square roots of 2 modulo p, prime
 splitting X**2 - 2*Y**2 = p for p = 7 mod 8, unit adjustment by 3 + 2*sqrt(2)
 to steer X mod 4, and four squares summing to 2*(X + Y*sqrt(2)), found by a
-depth-first search that lists each level's squares lazily.  All is exact.
+depth-first search that lists each level's squares lazily and takes the last
+square as the remainder's exact square root.  All is exact.
 """
 
-from __future__ import annotations
-
 import enum
-from dataclasses import dataclass
 from math import isqrt
+from typing import NamedTuple
 
 from .errors import (
     InternalInconsistency,
@@ -24,40 +23,46 @@ from .exact_eval import QuadraticSqrt2, totally_nonneg
 from .primes import is_probable_prime
 
 
-@dataclass(frozen=True)
-class SplitSolution:
-    """A totally positive solution of X**2 - 2*Y**2 = p with X, Y odd."""
-
+class _Split(NamedTuple):
     X: int
     Y: int
     p: int
 
-    def __post_init__(self) -> None:
-        if self.X * self.X - 2 * self.Y * self.Y != self.p:
-            raise InternalInconsistency(
-                f"({self.X}, {self.Y}) does not solve X^2-2Y^2={self.p}"
-            )
-        if self.X <= 0 or self.Y <= 0:
-            raise InternalInconsistency(f"({self.X}, {self.Y}) not positive")
-        if self.X % 2 == 0 or self.Y % 2 == 0:
-            raise InternalInconsistency(f"({self.X}, {self.Y}) not both odd")
-        if not self.element().is_totally_positive():
-            raise InternalInconsistency(f"({self.X}, {self.Y}) not totally positive")
+
+class SplitSolution(_Split):
+    """A totally positive solution of X**2 - 2*Y**2 = p with X, Y odd."""
+
+    __slots__ = ()
+
+    def __new__(cls, X: int, Y: int, p: int) -> "SplitSolution":
+        if X * X - 2 * Y * Y != p:
+            raise InternalInconsistency(f"({X}, {Y}) does not solve X^2-2Y^2={p}")
+        if X <= 0 or Y <= 0:
+            raise InternalInconsistency(f"({X}, {Y}) not positive")
+        if X % 2 == 0 or Y % 2 == 0:
+            raise InternalInconsistency(f"({X}, {Y}) not both odd")
+        if not QuadraticSqrt2(X, Y).is_totally_positive():
+            raise InternalInconsistency(f"({X}, {Y}) not totally positive")
+        return super().__new__(cls, X, Y, p)
 
     def element(self) -> QuadraticSqrt2:
         return QuadraticSqrt2(self.X, self.Y)
 
 
-@dataclass(frozen=True)
-class FourSquares:
+class _Pairs(NamedTuple):
+    pairs: tuple[tuple[int, int], ...]
+
+
+class FourSquares(_Pairs):
     """Four pairs (alpha_j, beta_j) with
     sum_j (alpha_j + beta_j*sqrt(2))**2 equal to a target in Z[sqrt(2)]."""
 
-    pairs: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if len(self.pairs) != 4:
+    def __new__(cls, pairs: tuple[tuple[int, int], ...]) -> "FourSquares":
+        if len(pairs) != 4:
             raise ValueError("exactly four pairs required")
+        return super().__new__(cls, pairs)
 
     def total(self) -> QuadraticSqrt2:
         """sum of the four squares: (sum a^2 + 2 sum b^2) + 2(sum a*b)*sqrt2."""
@@ -211,7 +216,9 @@ def _squares_under(rx: int, ry: int, top: tuple[int, int] | None, odd: bool):
     # s1 > sqrt(rx + ry*sqrt2) and s2 > sqrt(rx - ry*sqrt2), within 2.
     q = _floor_div_sqrt2(2 * ry)  # floor(ry * sqrt2)
     s1, s2 = isqrt(rx + q + 1) + 1, isqrt(rx - q) + 1
-    hi_a = min(ta, isqrt(rx))
+    # 2a = (a + b*sqrt2) + (a - b*sqrt2) <= sqrt(u1) + sqrt(u2), with u1, u2
+    # the embeddings of the remainder: 2a**2 <= rx + sqrt(rx**2 - 2ry**2).
+    hi_a = min(ta, isqrt((rx + isqrt(rx * rx - 2 * ry * ry)) // 2))
     for a in range(hi_a - (odd and hi_a % 2 == 0), -1, -2 if odd else -1):
         rem = rx - a * a
         # The betas that fit, |a +- b*sqrt2| <= sqrt(rx +- ry*sqrt2), form an
@@ -230,11 +237,36 @@ def _squares_under(rx: int, ry: int, top: tuple[int, int] | None, odd: bool):
                 yield a, m
 
 
+def _square_root(rx: int, ry: int) -> tuple[int, int] | None:
+    """The canonical pair (a > 0, or a = 0 <= b) with (a + b*sqrt2)**2 =
+    rx + ry*sqrt2 for a totally nonnegative rx + ry*sqrt2; else None.
+
+    Its norm is (a**2 - 2*b**2)**2, so a**2 is (rx + d)/2 or (rx - d)/2 with
+    d the norm's square root."""
+    n = rx * rx - 2 * ry * ry
+    d = isqrt(n)
+    if d * d != n:
+        return None
+    for a2 in ((rx + d) // 2, (rx - d) // 2):
+        a = isqrt(a2)
+        b = ry // (2 * a) if a else isqrt(rx // 2)
+        if a * a + 2 * b * b == rx and 2 * a * b == ry:
+            return a, b
+    return None
+
+
 def _dfs_four(rx: int, ry: int, odd: bool, top: tuple[int, int] | None = None, depth: int = 0):
     """First decomposition of rx + ry*sqrt(2) into 4 - depth squares, each
-    drawn from _squares_under at or below the previous one; else None."""
-    if depth == 4:
-        return [] if rx == 0 and ry == 0 else None
+    drawn from _squares_under at or below the previous one; else None.
+
+    The last square must equal the remainder, and at most one canonical pair
+    squares to it, so the last level is the remainder's exact square root.
+    That root never lies above the previous square: the search reaches the
+    sorted order of the same four squares first, and would have returned it.
+    """
+    if depth == 3:
+        root = _square_root(rx, ry)
+        return None if root is None or (odd and root[0] % 2 == 0) else [root]
     for a, b in _squares_under(rx, ry, top, odd):
         rest = _dfs_four(rx - (a * a + 2 * b * b), ry - 2 * a * b, odd, (a, b), depth + 1)
         if rest is not None:

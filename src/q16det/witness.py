@@ -16,10 +16,7 @@ Every certificate is verified by recomputing the full 16x16 determinant;
 an unverified certificate is never returned.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import kernel
 from .errors import (
@@ -51,8 +48,7 @@ def poly_h() -> tuple[int, ...]:
     return (1,) * 8
 
 
-@dataclass(frozen=True)
-class WitnessPolynomials:
+class WitnessPolynomials(NamedTuple):
     """Low-degree data (u, v, k, s) with f = u + 2k, g = v + 2s, plus the
     shift parameter m applied by :func:`apply_shift`."""
 
@@ -63,8 +59,7 @@ class WitnessPolynomials:
     m: int
 
 
-@dataclass(frozen=True)
-class WitnessCertificate:
+class WitnessCertificate(NamedTuple):
     n: int
     element: GroupRingElement
     factored: FactoredForm
@@ -280,7 +275,7 @@ def witness_odd_5mod8(n: int, p: int) -> WitnessCertificate:
     if label_residue != x_target:
         raise InternalInconsistency(f"case {label} inconsistent with X={s.X} mod 4")
 
-    wp = replace(extract_uvks(a4, b4), m=shift)
+    wp = extract_uvks(a4, b4)._replace(m=shift)
     e = apply_shift(wp)
     trace = {
         "family": "odd_5mod8_pipeline",

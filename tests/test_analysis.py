@@ -2,7 +2,6 @@ import concurrent.futures
 import os
 import random
 import time
-from dataclasses import replace
 
 import pytest
 
@@ -324,7 +323,7 @@ class TestRandomCrosscheck:
 
     def test_mismatch_raises(self, monkeypatch):
         monkeypatch.setattr(
-            analysis, "factored_form", lambda e: replace(factored_form(e), A=0)
+            analysis, "factored_form", lambda e: factored_form(e)._replace(A=0)
         )
         with pytest.raises(MismatchFound) as exc:
             random_crosscheck(20, 9, seed=42)

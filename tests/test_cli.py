@@ -1,7 +1,7 @@
 import json
 import subprocess
 import sys
-from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -55,6 +55,16 @@ class TestClassifyCommand:
     def test_negative_argument(self, capsys):
         rc, out, _ = run(capsys, "classify", "-7")
         assert rc == EXIT_OK and "achievable" in out
+
+    def test_recipe_strings(self, capsys):
+        rc, out, _ = run(capsys, "classify", "0", "17", "245", "512", "--json")
+        assert rc == EXIT_FAIL
+        assert out.splitlines() == [
+            '{"n":"0","achievable":true,"recipe":"EvenFamily(t=0)"}',
+            '{"n":"17","achievable":true,"recipe":"Odd1Mod8"}',
+            '{"n":"245","achievable":true,"recipe":"Odd5Mod8(p=7, m=5)"}',
+            '{"n":"512","achievable":false,"reason":"EvenNotMultipleOf1024"}',
+        ]
 
 
 class TestWitnessCommand:
@@ -205,7 +215,7 @@ class TestCrosscheckAndAudit:
 
     def test_crosscheck_mismatch_report(self, capsys, monkeypatch):
         monkeypatch.setattr(
-            analysis, "factored_form", lambda e: replace(factored_form(e), A=0)
+            analysis, "factored_form", lambda e: factored_form(e)._replace(A=0)
         )
         rc, out, _ = run(capsys, "crosscheck", "--count", "20", "--json")
         doc = json.loads(out)
@@ -279,6 +289,24 @@ class TestCertificateDocuments:
         with pytest.raises(BadInput, match=f"'{key}' must be"):
             CertificateDocument.from_json_dict(raw)
 
+    @pytest.mark.parametrize("doc", [[1], "x", 3, None])
+    def test_document_must_be_an_object(self, doc):
+        with pytest.raises(BadInput, match="JSON object"):
+            CertificateDocument.from_json_dict(doc)
+
+    @pytest.mark.parametrize("key", ["n", "f", "g", "A", "B", "C", "D", "X", "Y", "verified"])
+    def test_required_field_missing(self, key):
+        raw = certificate_document(witness_odd_5mod8(245, 7)).to_json_dict()
+        del raw[key]
+        with pytest.raises(BadInput, match=f"lacks required field\\(s\\) {key}$"):
+            CertificateDocument.from_json_dict(raw)
+
+    @pytest.mark.parametrize("key", ["trace", "tool", "format"])
+    def test_optional_field_missing(self, key):
+        raw = certificate_document(witness_odd_5mod8(245, 7)).to_json_dict()
+        del raw[key]
+        assert verify_document(CertificateDocument.from_json_dict(raw))
+
 
 def test_console_entry_point():
     out = subprocess.run(
@@ -297,6 +325,20 @@ def test_cold_start_skips_process_pool():
     )
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert out.returncode == 0 and out.stdout.strip() == "[]"
+
+
+def test_cold_start_skips_dataclasses():
+    """The records are NamedTuples, so importing the CLI loads neither
+    dataclasses nor the source-inspection modules it pulls in.  ``-S``
+    keeps site hooks from loading them first."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    probe = (
+        f"import sys; sys.path.insert(0, {src!r}); import q16det.cli; "
+        "print([m for m in ('dataclasses', 'inspect', 'ast', 'dis', 'tokenize') "
+        "if m in sys.modules])"
+    )
+    out = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True)
+    assert out.returncode == 0 and out.stdout.strip() == "[]", out.stderr
 
 
 class TestLibraryErrors:

@@ -15,6 +15,7 @@ from q16det.quad_ring import (
     CaseLabel,
     FourSquares,
     SplitSolution,
+    _square_root,
     cohn_four_squares,
     four_squares,
     normalize_decomposition,
@@ -151,6 +152,34 @@ class TestFourSquares:
         targets += _split_targets([p for p in primes_below(20_000) if p % 8 == 7])
         targets += _split_targets(_seeded_primes_7mod8(9, 15, 10**5, 10**8))
         _assert_matches_reference(targets)
+
+    @pytest.mark.parametrize(
+        "p,residue,pairs",
+        [
+            (1479100472057451249791, 1, ((439501, 241085), (867, 284), (37, -19), (7, -5))),
+            (1479100472057451249791, 3, ((280603, 30171), (781, -52), (31, 36), (1, -34))),
+            (1160000000000000000159, 1, ((377527, 192886), (837, 233), (23, -7), (3, 51))),
+            (1160000000000000000159, 3, ((261123, 5829), (515, 96), (41, 0), (11, -28))),
+        ],
+    )
+    def test_large_split_targets(self, p, residue, pairs):
+        """p ~ 1e21 targets keep the decomposition that a walk over the
+        whole last level and every alpha below isqrt(rx) found."""
+        assert cohn_four_squares(unit_adjust(split_prime(p), residue)).pairs == pairs
+
+    def test_square_root(self):
+        """The last level's exact square root: the canonical root of every
+        square, and None on every other small totally nonnegative element."""
+        squares = set()
+        for a in range(15):
+            for b in range(0 if a == 0 else -10, 10):
+                z = QuadraticSqrt2(a, b) * QuadraticSqrt2(a, b)
+                squares.add((z.x, z.y))
+                assert _square_root(z.x, z.y) == (a, b)
+        for x in range(200):
+            for y in range(-x, x + 1):
+                if x * x >= 2 * y * y and (x, y) not in squares:
+                    assert _square_root(x, y) is None, (x, y)
 
     @pytest.mark.extended
     def test_matches_eager_reference_to_1e9(self):
