@@ -279,7 +279,9 @@ def exhaustive_scan(
     of whole b-rows per pool process.  The blocks' value histograms merge
     commutatively, so the report is bit-identical for any worker count.
     The report echoes ``workers``; the process pool is capped at the CPUs
-    this process may use.
+    this process may use.  A ``direct`` scan also calls
+    :func:`q16det.kernel.direct_mismatches` once, in this process, whatever
+    the worker count.
 
     This function owns the residue laws: it sorts each distinct value of
     the merged histogram once into the report's tallies, sample and
@@ -300,17 +302,12 @@ def exhaustive_scan(
     t0 = time.perf_counter()
 
     # Each pool process scans one contiguous block of whole b-rows, so it
-    # builds the a-table once and eliminates each q-class pair it meets
-    # once.  A fork-context pool starts all of its processes at the first
-    # submit, so it never outnumbers the usable CPUs.
+    # builds the a-table once.  A fork-context pool starts all of its
+    # processes at the first submit, so it never outnumbers the usable CPUs.
     pool = min(workers, _usable_cpus())
     half = len(values) ** 8
     bounds = [half * k // pool * half for k in range(pool + 1)]
-    tasks = [
-        (values, lo, hi, direct)
-        for lo, hi in zip(bounds, bounds[1:])
-        if lo < hi
-    ]
+    tasks = [(values, lo, hi) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
     if pool > 1 and len(tasks) > 1:
         # Imported here to keep the pool machinery out of the CLI's cold start.
         from concurrent.futures import ProcessPoolExecutor
@@ -326,10 +323,8 @@ def exhaustive_scan(
         parts = [_scan_block(t) for t in tasks]
 
     hist: Counter[int] = Counter()
-    direct_mismatches: set[int] = set()
     for part in parts:
         hist.update(part["values"])
-        direct_mismatches |= part["direct_mismatches"]
 
     # One pass over the distinct values, in increasing order, applies the
     # residue laws; each list of violations comes out sorted.
@@ -355,7 +350,7 @@ def exhaustive_scan(
                 if not classify(v).achievable:
                     rejected.append((str(v), "value 5 mod 8 rejected by classifier"))
     violations = even_violations + odd3_violations + rejected
-    for v in sorted(direct_mismatches):
+    for v in sorted(kernel.direct_mismatches(values) if direct else ()):
         violations.append((str(v), "direct and factored determinants disagree"))
     sample = [v for v in hist if -sample_abs_limit <= v <= sample_abs_limit]
 

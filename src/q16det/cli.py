@@ -4,7 +4,8 @@ Subcommands: classify, witness, verify, scan, crosscheck, audit.  Exit
 codes are stable: 0 success/achievable, 1 not achievable or a failed
 check, 2 usage error, 3 budget exceeded.  A library error that escapes a
 command (a ``Q16DetError`` or ``RuntimeError``) prints one
-``q16det: <Type>: <message>`` line to stderr and exits 1.
+``q16det: <Type>: <message>`` line to stderr and exits 1.  Output cut
+short by a closed pipe exits 1 with nothing on stderr.
 
 Machine output (--json) is one JSON object per line; all integers are
 serialized as decimal strings so consumers are safe from 64-bit overflow.
@@ -12,9 +13,9 @@ serialized as decimal strings so consumers are safe from 64-bit overflow.
 
 import argparse
 import json
+import os
 import re
 import sys
-from pathlib import Path
 from typing import NamedTuple
 
 from . import __version__, analysis
@@ -186,9 +187,10 @@ def _emit(doc: dict, as_json: bool, human_lines: list[str]) -> None:
 def _write_out(out_dir: str | None, name: str, doc: dict) -> None:
     if out_dir is None:
         return
-    path = Path(out_dir) / name
+    path = os.path.join(out_dir, name)
     try:
-        path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+        with open(path, "w", encoding="utf-8") as out:
+            out.write(json.dumps(doc, indent=2) + "\n")
     except OSError as exc:
         print(f"q16det: cannot write {path}: {exc.strerror}", file=sys.stderr)
         sys.exit(EXIT_USAGE)
@@ -465,7 +467,7 @@ def main(argv: list[str] | None = None) -> int:
     out_dir = getattr(args, "output_dir", None)
     if out_dir is not None:
         try:
-            Path(out_dir).mkdir(parents=True, exist_ok=True)
+            os.makedirs(out_dir, exist_ok=True)
         except OSError as exc:
             print(
                 f"q16det: cannot use --output-dir {out_dir}: {exc.strerror}",
@@ -473,7 +475,14 @@ def main(argv: list[str] | None = None) -> int:
             )
             return EXIT_USAGE
     try:
-        return args.func(args)
+        rc = args.func(args)
+        sys.stdout.flush()
+        return rc
+    except BrokenPipeError:
+        # The reader closed stdout (say, ``| head -1``).  Point fd 1 at
+        # devnull so that the flush at interpreter exit cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_FAIL
     except (Q16DetError, RuntimeError) as exc:
         print(f"q16det: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_FAIL

@@ -9,21 +9,22 @@
   checks read it here),
 * :func:`scan_range`  - enumeration of a contiguous index range of a
   coefficient-support scan, returning a histogram of its determinant
-  values that merges across ranges.
+  values that merges across ranges,
+* :func:`direct_mismatches` - the check behind direct scans: the factored
+  values of a whole scan that :func:`circulant_det` contradicts.
 
 Every factored term is an f-only part plus a g-only part, so
 :func:`scan_range` calls :func:`factored_terms` once per half-vector of
 the range: a table of a-rows ``factored_terms(h, 0)``, and b-rows
 ``factored_terms(0, h)`` streamed one at a time, each summed with a run of
-a-rows.  Direct scans (``scan_range(..., direct=True)``) check each
-element against :func:`circulant_det`: the determinant of the 8x8
-circulant of q = f(x)*f(1/x) - x**4*g(x)*g(1/x) mod x**8 - 1, which
-equals the 16x16 one.  q is palindromic, so the circulant splits by the
-reflection j -> -j into a 5x5 and a 3x3 block, and circulant_det
-eliminates those two: exact, but not the literal definition.  q splits
-into an f-part plus a g-part too, so a direct scan eliminates once per
-pair of q-classes of the two halves and checks a b-row with one list
-comparison.  Every elimination goes through :func:`_bareiss`.
+a-rows.  :func:`circulant_det` is the determinant of the 8x8 circulant of
+q = f(x)*f(1/x) - x**4*g(x)*g(1/x) mod x**8 - 1, which equals the 16x16
+one.  q is palindromic, so the circulant splits by the reflection
+j -> -j into a 5x5 and a 3x3 block, and circulant_det eliminates those
+two: exact, but not the literal definition.  q splits into an f-part plus
+a g-part too, so :func:`direct_mismatches` eliminates once per pair of
+half-classes, never per element.  Every elimination goes through
+:func:`_bareiss`.
 
 Callers reach every entry point as ``kernel.<name>``, so a tracer or a
 test that patches this module sees every call.
@@ -181,27 +182,7 @@ def _halves(values: Sequence[int], first: int, count: int) -> Iterator[tuple[int
     return (h[::-1] for h in islice(twice, first, first + count))
 
 
-def _half_table(
-    values: Sequence[int], first: int, count: int, direct: bool
-) -> tuple[list[tuple[int, int, int, int, int]], list[int], list[tuple[int, ...]]]:
-    """a-rows of the half-vectors number ``first``, ...: the factored terms
-    of (h, 0).  When ``direct``, also the class id of each row by its
-    circulant_q vector, and one representative half-vector per class."""
-    rows = []
-    classes: list[int] = []
-    reps: list[tuple[int, ...]] = []
-    ids: dict[tuple[int, ...], int] = {}
-    for h in _halves(values, first, count):
-        rows.append(factored_terms(h, _ZERO_HALF))
-        if direct:
-            c = ids.setdefault(tuple(circulant_q(h, _ZERO_HALF)), len(reps))
-            if c == len(reps):
-                reps.append(h)
-            classes.append(c)
-    return rows, classes, reps
-
-
-def scan_range(values: Sequence[int], start: int, stop: int, direct: bool = False) -> dict:
+def scan_range(values: Sequence[int], start: int, stop: int) -> dict:
     """Scan elements number ``start`` (inclusive) to ``stop`` (exclusive) of
     the coefficient space values^16.
 
@@ -211,8 +192,6 @@ def scan_range(values: Sequence[int], start: int, stop: int, direct: bool = Fals
 
     * count: the number of elements scanned, ``stop - start``
     * values: histogram of the range, a Counter determinant -> multiplicity
-    * direct_mismatches: distinct values where :func:`circulant_det` and the
-      factored product disagreed (only populated when ``direct`` is true)
 
     The residue laws are not checked here:
     :func:`q16det.analysis.exhaustive_scan` sorts the merged histogram.
@@ -222,28 +201,21 @@ def scan_range(values: Sequence[int], start: int, stop: int, direct: bool = Fals
     part: factored_terms(a, b) = factored_terms(a, 0) + factored_terms(0, b)
     term by term.  So the scan tables the a-rows the range touches (at most
     min(base**8, stop - start) of them), streams its b-rows, and sums two
-    rows per element.  Likewise circulant_q(a, b) = circulant_q(a, 0) +
-    circulant_q(0, b), and circulant_det depends on the element only
-    through circulant_q.  A direct scan gives each a-row the id of its
-    q-class; for each b-row q-class it meets, it eliminates once per a-class
-    of the table, and it compares each b-row with the list of its pairs'
-    values in one comparison, walking the row only when they differ.
+    rows per element.
     """
     half = len(values) ** 8
     hist: Counter[int] = Counter()
-    direct_mismatches: set[int] = set()
 
     if stop > start:
         # A range shorter than a b-row touches stop - start consecutive
         # a-halves from start's (wrapping into the next b-row), so its
         # a-table starts there; a longer range gets the whole a-table.
         a_first = start % half if stop - start < half else 0
-        a_rows, a_cls, a_rep = _half_table(
-            values, a_first, min(half, stop - start), direct
-        )
+        a_rows = [
+            factored_terms(h, _ZERO_HALF)
+            for h in _halves(values, a_first, min(half, stop - start))
+        ]
         b_first = start // half
-        # Per b-row q-part met: circulant_det of each a-class paired with it.
-        pair_dets: dict[tuple[int, ...], list[int]] = {}
 
         b_halves = _halves(values, b_first, (stop - 1) // half - b_first + 1)
         for row_start, h in zip(range(b_first * half, stop, half), b_halves):
@@ -258,17 +230,38 @@ def scan_range(values: Sequence[int], start: int, stop: int, direct: bool = Fals
                 Y = Ya + Yb
                 D = X * X - 2 * Y * Y
                 dets.append((Aa + Ab) * (Ba + Bb) * C * C * D * D)
-
-            if direct:
-                qb = tuple(circulant_q(_ZERO_HALF, h))
-                by_a = pair_dets.get(qb)
-                if by_a is None:
-                    # Any b-half of this q-class gives the pairs' values.
-                    by_a = pair_dets[qb] = [circulant_det(rep, h) for rep in a_rep]
-                want = list(map(by_a.__getitem__, a_cls[a_lo:a_hi]))
-                if dets != want:
-                    direct_mismatches.update(d for d, w in zip(dets, want) if d != w)
-
             hist.update(dets)
 
-    return {"count": stop - start, "values": hist, "direct_mismatches": direct_mismatches}
+    return {"count": stop - start, "values": hist}
+
+
+def direct_mismatches(values: Sequence[int]) -> set[int]:
+    """Factored values of the scan of values^16 that :func:`circulant_det`
+    contradicts.
+
+    An element's factored value depends only on its a-row and b-row (see
+    :func:`scan_range`), and its circulant_det only on the q-parts of its
+    halves: circulant_q(a, b) = circulant_q(a, 0) + circulant_q(0, b), and
+    a half's autocorrelation fixes its q-part.  So each side's half-vectors
+    fall into half-classes, one per distinct (row, autocorrelation), and one
+    comparison per pair of classes, on a representative of each, decides
+    every element of the pair.
+    """
+    a_classes: dict[tuple, tuple[int, ...]] = {}
+    b_classes: dict[tuple, tuple[int, ...]] = {}
+    for h in product(values, repeat=8):
+        q = _autocorrelation(h)
+        a_classes.setdefault((factored_terms(h, _ZERO_HALF), q), h)
+        b_classes.setdefault((factored_terms(_ZERO_HALF, h), q), h)
+
+    mismatches: set[int] = set()
+    for ((Aa, Ba, Ca, Xa, Ya), _), ha in a_classes.items():
+        for ((Ab, Bb, Cb, Xb, Yb), _), hb in b_classes.items():
+            C = Ca + Cb
+            X = Xa + Xb
+            Y = Ya + Yb
+            D = X * X - 2 * Y * Y
+            det = (Aa + Ab) * (Ba + Bb) * C * C * D * D
+            if circulant_det(ha, hb) != det:
+                mismatches.add(det)
+    return mismatches

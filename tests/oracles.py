@@ -9,7 +9,8 @@ signs of x + y*sqrt(2) come from a case analysis instead of the library's
 one-line predicates.  The scan references walk the index range one
 element at a time, calling the kernel's ``factored_terms`` and
 ``circulant_det`` on each, where the library scan sums precomputed
-half-vector rows; the report reference sorts each element into the
+half-vector rows and the library's direct check compares once per pair
+of half-classes; the report reference sorts each element into the
 tallies as it is made, where the library sorts the distinct values of a
 merged histogram.  The group-ring product ``convolve`` feeds the
 multiplicativity check of the determinant, and ``determinant_matrix``
@@ -230,16 +231,17 @@ def _reference_dets(values, start, stop, direct):
             coeffs[k] = values[digits[k]]
 
 
-def scan_range_reference(values, start, stop, direct=False) -> dict:
-    """``kernel.scan_range``'s count, value histogram and direct
-    mismatches, one element at a time."""
-    hist = Counter()
-    direct_mismatches = set()
-    for det, agrees in _reference_dets(values, start, stop, direct):
-        hist[det] += 1
-        if not agrees:
-            direct_mismatches.add(det)
-    return {"count": stop - start, "values": hist, "direct_mismatches": direct_mismatches}
+def scan_range_reference(values, start, stop) -> dict:
+    """``kernel.scan_range``'s count and value histogram, one element at a
+    time."""
+    hist = Counter(det for det, _ in _reference_dets(values, start, stop, False))
+    return {"count": stop - start, "values": hist}
+
+
+def direct_agrees_reference(values, start, stop) -> bool:
+    """Whether ``circulant_det`` equals the factored value on each element
+    ``start`` .. ``stop - 1``, checked one element at a time."""
+    return all(agrees for _, agrees in _reference_dets(values, start, stop, True))
 
 
 def scan_report_reference(values, direct=False, sample_abs_limit=1 << 20, sample_limit=64) -> dict:

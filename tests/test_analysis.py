@@ -166,9 +166,9 @@ class TestExhaustiveScan:
     def test_direct_blocks_eliminate_once_per_class_pair(
         self, monkeypatch, in_process_pool
     ):
-        # One worker eliminates each of the 29 x 29 = 841 q-class pairs of
-        # {0, 1} once.  Two workers scan one block of whole b-rows each, so
-        # each block eliminates at most the 841.
+        # The direct check eliminates each of the 29 x 29 = 841 pairs of
+        # half-classes of {0, 1} once, in the calling process, whatever
+        # the worker count.
         monkeypatch.setattr(analysis, "_usable_cpus", lambda: 2)
         real = kernel.circulant_det
         calls = []
@@ -180,7 +180,7 @@ class TestExhaustiveScan:
         monkeypatch.setattr(kernel, "circulant_det", counted)
         r2 = exhaustive_scan((0, 1), workers=2, direct=True)
         assert in_process_pool == [2]
-        assert 841 <= len(calls) <= 2 * 841
+        assert len(calls) == 841
         calls.clear()
         r1 = exhaustive_scan((0, 1), workers=1, direct=True)
         assert len(calls) == 841
@@ -253,6 +253,21 @@ class TestExhaustiveScan:
         want = scan_report_reference((0, 1), direct=True)
         disagree = "direct and factored determinants disagree"
         assert [v["reason"] for v in want["violations"]] == [disagree]
+        monkeypatch.setattr(analysis, "_usable_cpus", lambda: 2)
+        for workers in (1, 2):
+            got = exhaustive_scan((0, 1), workers=workers, direct=True).to_dict()
+            del got["elapsed_s"]
+            assert got == dict(want, workers=workers)
+
+    def test_direct_rows_coarser_than_q_parts(self, monkeypatch, in_process_pool):
+        # A constant row (zero, the only constant that is an f-only part
+        # plus a g-only part) makes every factored value 0, while
+        # circulant_det still tells the q-parts apart: half-classes keyed
+        # by the row alone would compare one pair and miss the disagreement.
+        monkeypatch.setattr(kernel, "factored_terms", lambda a, b: (0, 0, 0, 0, 0))
+        want = scan_report_reference((0, 1), direct=True)
+        disagree = "direct and factored determinants disagree"
+        assert want["violations"] == [{"value": "0", "reason": disagree}]
         monkeypatch.setattr(analysis, "_usable_cpus", lambda: 2)
         for workers in (1, 2):
             got = exhaustive_scan((0, 1), workers=workers, direct=True).to_dict()

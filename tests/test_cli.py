@@ -329,16 +329,32 @@ def test_cold_start_skips_process_pool():
 
 def test_cold_start_skips_dataclasses():
     """The records are NamedTuples, so importing the CLI loads neither
-    dataclasses nor the source-inspection modules it pulls in.  ``-S``
-    keeps site hooks from loading them first."""
+    dataclasses nor the source-inspection modules it pulls in, and
+    ``--output-dir`` needs no pathlib.  ``-S`` keeps site hooks from
+    loading them first."""
     src = str(Path(cli.__file__).resolve().parents[1])
     probe = (
         f"import sys; sys.path.insert(0, {src!r}); import q16det.cli; "
-        "print([m for m in ('dataclasses', 'inspect', 'ast', 'dis', 'tokenize') "
+        "print([m for m in ('dataclasses', 'inspect', 'ast', 'dis', 'tokenize', 'pathlib') "
         "if m in sys.modules])"
     )
     out = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True)
     assert out.returncode == 0 and out.stdout.strip() == "[]", out.stderr
+
+
+def test_closed_pipe_exits_1_without_traceback():
+    # The output outruns the pipe buffer, so a write meets the closed pipe.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "q16det.cli", "classify", *map(str, range(1, 40000, 4))],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait() == EXIT_FAIL
+    assert first == b"1: achievable (Odd1Mod8)\n"
+    assert err == b""
 
 
 class TestLibraryErrors:
