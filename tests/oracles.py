@@ -15,8 +15,9 @@ tallies as it is made, where the library sorts the distinct values of a
 merged histogram.  The group-ring product ``convolve`` feeds the
 multiplicativity check of the determinant, and ``determinant_matrix``
 lays out the literal 16x16 matrix for the Fraction oracle.  The
-circulant reference eliminates the whole 8x8 circulant of q, where the
-library eliminates its two reflection blocks.  The four-squares
+circulant reference eliminates the whole 8x8 circulant of q with its own
+one-step fraction-free loop, ``bareiss_reference``, where the library
+eliminates its two reflection blocks two columns per pass.  The four-squares
 reference builds and sorts the whole candidate list of a target up front
 and searches it by index, where the library enumerates each level's
 candidates lazily.
@@ -194,7 +195,33 @@ def circulant_det_reference(a, b) -> int:
         for j in range(8):
             q[(i - j) % 8] += a[i] * a[j]
             q[(i - j + 4) % 8] -= b[i] * b[j]
-    return kernel._bareiss([[q[k] for k in row] for row in _CIRCULANT_INDEX])
+    return bareiss_reference([[q[k] for k in row] for row in _CIRCULANT_INDEX])
+
+
+def bareiss_reference(m) -> int:
+    """Exact determinant by one-step fraction-free elimination, one column
+    per pass with the previous pivot as divisor; destroys its argument."""
+    n = len(m)
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for r in range(k + 1, n):
+                if m[r][k] != 0:
+                    m[k], m[r] = m[r], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        pivot = m[k][k]
+        row_k = m[k]
+        for i in range(k + 1, n):
+            row_i = m[i]
+            lead = row_i[k]
+            for j in range(k + 1, n):
+                row_i[j] = (row_i[j] * pivot - lead * row_k[j]) // prev
+        prev = pivot
+    return sign * m[n - 1][n - 1]
 
 
 def _reference_dets(values, start, stop, direct):

@@ -1,5 +1,6 @@
 """The kernel: the lane names and patch points perfbench relies on,
-exactness for large coefficients, the circulant determinant behind
+exactness for large coefficients, the elimination against the Fraction
+oracle on every branch it takes, the circulant determinant behind
 direct scans, the half-table scan against the per-element reference, and
 the q-classes a direct scan groups half-vectors by."""
 
@@ -15,6 +16,7 @@ from q16det.group_algebra import GroupRingElement, direct_determinant
 from q16det.kernel import circulant_det, circulant_q
 
 from oracles import (
+    bareiss_reference,
     circulant_det_reference,
     determinant_matrix,
     direct_agrees_reference,
@@ -67,6 +69,61 @@ def test_large_coefficients_exact():
         assert A * B * C * C * (X * X - 2 * Y * Y) ** 2 == det
         dets.append(det)
     assert all(dets[1:])
+
+
+def _random_matrix(rng, rows, cols, height=9):
+    return [[rng.randint(-height, height) for _ in range(cols)] for _ in range(rows)]
+
+
+def _bareiss_cases(n):
+    """Seeded n x n matrices by the branch of ``kernel._bareiss`` they
+    take; the names in _SINGULAR_CASES have determinant 0."""
+    rng = random.Random(1000 + n)
+    cases = {
+        "dense": _random_matrix(rng, n, n),  # odd n: the last pass is one row
+        "huge": _random_matrix(rng, n, n, 10**40),
+    }
+    low = rng.randrange(n)
+    left, right = _random_matrix(rng, n, low), _random_matrix(rng, low, n)
+    cases["low rank"] = [
+        [sum(row[t] * right[t][j] for t in range(low)) for j in range(n)] for row in left
+    ]
+    if n >= 2:
+        m = _random_matrix(rng, n, n)
+        m[0][0], m[0][1], m[1][0] = 0, rng.choice((-5, 3)), rng.choice((-2, 7))
+        cases["zero pivot, nonsingular 2x2 block"] = m
+        m = _random_matrix(rng, n, n)
+        m[0][0] = m[0][1] = 0
+        cases["every 2x2 block singular"] = m  # the one-step pass
+        m = _random_matrix(rng, n, n)
+        column = rng.randrange(n)
+        for row in m:
+            row[column] = 0
+        cases["zero column"] = m
+    if n >= 3:
+        m = _random_matrix(rng, n, n)
+        m[0][0] = rng.choice((-4, 6))
+        m[1][0], m[1][1] = 2 * m[0][0], 2 * m[0][1]
+        cases["row swap"] = m
+        m = _random_matrix(rng, n, n)
+        m[-1] = [x + y for x, y in zip(m[0], m[1])]
+        cases["dependent row"] = m
+    return cases
+
+
+_SINGULAR_CASES = ("low rank", "dependent row", "zero column")
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_bareiss_matches_fraction_det(n):
+    for name, m in _bareiss_cases(n).items():
+        want = fraction_det(m)
+        assert kernel._bareiss([row[:] for row in m]) == want, name
+        assert bareiss_reference([row[:] for row in m]) == want, name
+        if name in _SINGULAR_CASES:
+            assert want == 0, name
+        elif n >= 3:
+            assert want != 0, name
 
 
 class TestCirculantBridge:
