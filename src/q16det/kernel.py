@@ -29,9 +29,9 @@ half-classes, never per element.  Every elimination goes through
 elimination", Math. Comp. 22, 1968): each pass clears two columns with
 the determinant d2 of a 2x2 pivot block and divides every updated entry
 by the square of the previous pass's pivot, exactly by Sylvester's
-identity, and a one-step pass on one column runs only when no row makes
-d2 nonzero.  That is 560 entry updates on the 16x16 where one column per
-pass takes 1,240.
+identity.  When no row makes d2 nonzero the determinant is 0, unless the
+pivot row is zero in both columns and a later row takes its place.  That
+is 560 entry updates on the 16x16 where one column per pass takes 1,240.
 
 Callers reach every entry point as ``kernel.<name>``, so a tracer or a
 test that patches this module sees every call.
@@ -67,9 +67,12 @@ def _bareiss(m: list[list[int]]) -> int:
     two 2x2 cofactors, then prev becomes d2 // prev.  Every entry is then
     (up to sign) a minor of the original matrix, so each division is
     exact.  When d2 is 0 the first later row that makes it nonzero is
-    swapped into row k + 1; when no row does, one one-step pass eliminates
-    column k alone, and a column with no nonzero entry means the
-    determinant is 0.
+    swapped into row k + 1.  When no row does, columns k and k + 1 of the
+    remaining block are dependent and the determinant is 0, unless row k
+    is zero in both: then a later row nonzero in column k is swapped into
+    row k and the pass starts again, and with no such row the determinant
+    is 0.  For odd n the last pass leaves the determinant in the bottom
+    right entry.
     """
     n = len(m)
     sign = 1
@@ -84,21 +87,17 @@ def _bareiss(m: list[list[int]]) -> int:
             r += 1
             d2 = p * m[r][k + 1] - q * m[r][k]
         if d2 == 0:
-            # No row makes d2 nonzero: one one-step pass on column k.
-            if p == 0:
-                r = next((i for i in range(k + 1, n) if m[i][k]), 0)
-                if not r:
-                    return 0
-                row_k = m[r]
-                m[k], m[r] = row_k, m[k]
-                p = row_k[k]
-                sign = -sign
-            for row_i in m[k + 1 :]:
-                aik = row_i[k]
-                for j in range(k + 1, n):
-                    row_i[j] = (p * row_i[j] - aik * row_k[j]) // prev
-            prev = p
-            k += 1
+            # p*a_r(k+1) == q*a_rk for every row r >= k: with p != 0 columns
+            # k and k + 1 are dependent; with p == 0 either column k is zero
+            # from row k down or q == 0 too, and a row nonzero in column k
+            # becomes row k.
+            if p:
+                return 0
+            r = next((i for i in range(k + 1, n) if m[i][k]), 0)
+            if not r:
+                return 0
+            m[k], m[r] = m[r], m[k]
+            sign = -sign
             continue
         row_l = m[r]
         if r > k + 1:

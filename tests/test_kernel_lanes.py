@@ -80,7 +80,8 @@ def _bareiss_cases(n):
     take; the names in _SINGULAR_CASES have determinant 0."""
     rng = random.Random(1000 + n)
     cases = {
-        "dense": _random_matrix(rng, n, n),  # odd n: the last pass is one row
+        # odd n: the determinant is read from m[n-1][n-1] after the last pass
+        "dense": _random_matrix(rng, n, n),
         "huge": _random_matrix(rng, n, n, 10**40),
     }
     low = rng.randrange(n)
@@ -94,7 +95,12 @@ def _bareiss_cases(n):
         cases["zero pivot, nonsingular 2x2 block"] = m
         m = _random_matrix(rng, n, n)
         m[0][0] = m[0][1] = 0
-        cases["every 2x2 block singular"] = m  # the one-step pass
+        cases["row 0 zero in columns 0 and 1"] = m
+        m = _random_matrix(rng, n, n)
+        m[0][0] = rng.choice((-3, 5))
+        for row in m:
+            row[1] = -2 * row[0]
+        cases["proportional columns 0 and 1"] = m
         m = _random_matrix(rng, n, n)
         column = rng.randrange(n)
         for row in m:
@@ -111,7 +117,12 @@ def _bareiss_cases(n):
     return cases
 
 
-_SINGULAR_CASES = ("low rank", "dependent row", "zero column")
+_SINGULAR_CASES = (
+    "low rank",
+    "dependent row",
+    "zero column",
+    "proportional columns 0 and 1",
+)
 
 
 @pytest.mark.parametrize("n", range(1, 17))
