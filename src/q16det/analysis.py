@@ -37,15 +37,9 @@ from .group_algebra import (
 DEFAULT_SCAN_BUDGET = 1 << 28
 
 
-class ChebyshevCoeffs(NamedTuple):
-    """Coefficients c with f(x)*f(1/x) = sum_j c[j] * (x + 1/x)**j."""
-
-    c: tuple[int, ...]
-
-
-def chebyshev_coeffs(poly: Sequence[int]) -> ChebyshevCoeffs:
-    """Rewrite the palindromic Laurent product f(x)*f(1/x) in the basis
-    (x + 1/x)**j.
+def chebyshev_coeffs(poly: Sequence[int]) -> tuple[int, ...]:
+    """Coefficients c with f(x)*f(1/x) = sum_j c[j] * (x + 1/x)**j: the
+    palindromic Laurent product rewritten in the basis (x + 1/x)**j.
 
     The product is sum_j e[j]*(x**j + x**-j) + e[0] with e[j] the
     autocorrelation of the coefficients; x**j + x**-j is expanded via the
@@ -65,14 +59,13 @@ def chebyshev_coeffs(poly: Sequence[int]) -> ChebyshevCoeffs:
         for i, coeff in enumerate(p_prev):
             p_next[i] -= coeff
         p_prev, p_cur = p_cur, p_next
-    return ChebyshevCoeffs(c=tuple(c))
+    return tuple(c)
 
 
-def chebyshev_eval_omega(cc: ChebyshevCoeffs) -> QuadraticSqrt2:
+def chebyshev_eval_omega(c: Sequence[int]) -> QuadraticSqrt2:
     """Value at the 8th root of unity, where x + 1/x = sqrt(2):
     sum c[j] * sqrt(2)**j = (c0 + 2c2 + 4c4 + 8c6) + sqrt(2)(c1 + 2c3 + 4c5 + 8c7).
     """
-    c = cc.c
     return QuadraticSqrt2(
         c[0] + 2 * c[2] + 4 * c[4] + 8 * c[6],
         c[1] + 2 * c[3] + 4 * c[5] + 8 * c[7],
@@ -117,10 +110,10 @@ def parity_audit(e: GroupRingElement) -> ParityAuditRecord:
     residue preconditions (exactly the non-5-mod-8 determinants).
     """
     norm, swapped, negated = _normalize_for_audit(e)
-    cc = chebyshev_coeffs(norm.a)
-    dd = chebyshev_coeffs(norm.b)
-    zf = chebyshev_eval_omega(cc)
-    zg = chebyshev_eval_omega(dd)
+    c = chebyshev_coeffs(norm.a)
+    d = chebyshev_coeffs(norm.b)
+    zf = chebyshev_eval_omega(c)
+    zg = chebyshev_eval_omega(d)
     z = zf + zg
     # Two-path agreement with the evaluation kernel.
     _, _, _, x, y = kernel.factored_terms(norm.a, norm.b)
@@ -128,10 +121,10 @@ def parity_audit(e: GroupRingElement) -> ParityAuditRecord:
         raise InternalInconsistency(f"Chebyshev path {z} != kernel path {(x, y)}")
     D = z.norm()
     checks = {
-        "c0 odd": cc.c[0] % 2 == 1,
-        "c1 even": cc.c[1] % 2 == 0,
-        "d0 even": dd.c[0] % 2 == 0,
-        "d1 odd": dd.c[1] % 2 == 1,
+        "c0 odd": c[0] % 2 == 1,
+        "c1 even": c[1] % 2 == 0,
+        "d0 even": d[0] % 2 == 0,
+        "d1 odd": d[1] % 2 == 1,
         "X odd": z.x % 2 == 1,
         "Y odd": z.y % 2 == 1,
         "D > 0": D > 0,
@@ -142,7 +135,7 @@ def parity_audit(e: GroupRingElement) -> ParityAuditRecord:
         raise InternalInconsistency(f"parity audit failed {failed} on {norm}")
     return ParityAuditRecord(
         element=norm, swapped=swapped, negated=negated,
-        c=cc.c, d=dd.c, X=z.x, Y=z.y, D=D,
+        c=c, d=d, X=z.x, Y=z.y, D=D,
     )
 
 

@@ -62,23 +62,16 @@ class FactorizationResult(NamedTuple):
 
     certain: bool
 
-    def value(self) -> int:
-        out = self.sign
-        for p, e in self.factors:
-            out *= p**e
-        return out
-
 
 def factorize(n: int) -> FactorizationResult:
     """Deterministic factorization of n != 0 (desk scale)."""
     if n == 0:
         raise ValueError("cannot factor 0")
     fm = primes.factor_map(n)
-    certain = all(primes.primality_is_certain(p) for p in fm)
     return FactorizationResult(
         sign=-1 if n < 0 else 1,
         factors=tuple(sorted(fm.items())),
-        certain=certain,
+        certain=all(p < primes.MR_DETERMINISTIC_BOUND for p in fm),
     )
 
 

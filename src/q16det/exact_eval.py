@@ -45,16 +45,6 @@ class QuadraticSqrt2(NamedTuple):
     def __add__(self, other: "QuadraticSqrt2") -> "QuadraticSqrt2":
         return QuadraticSqrt2(self.x + other.x, self.y + other.y)
 
-    def __mul__(self, other: "QuadraticSqrt2") -> "QuadraticSqrt2":
-        return QuadraticSqrt2(
-            self.x * other.x + 2 * self.y * other.y,
-            self.x * other.y + self.y * other.x,
-        )
-
-    def conjugate(self) -> "QuadraticSqrt2":
-        """Image under sqrt(2) -> -sqrt(2)."""
-        return QuadraticSqrt2(self.x, -self.y)
-
     def norm(self) -> int:
         """Ring norm x**2 - 2*y**2 (can be negative)."""
         return self.x * self.x - 2 * self.y * self.y

@@ -38,20 +38,6 @@ class GroupRingElement(_Blocks):
             raise ValueError(f"expected 16 coefficients, got {len(coeffs)}")
         return cls(tuple(coeffs[:8]), tuple(coeffs[8:]))
 
-    @classmethod
-    def zero(cls) -> "GroupRingElement":
-        return cls((0,) * 8, (0,) * 8)
-
-    @classmethod
-    def identity(cls) -> "GroupRingElement":
-        return cls((1,) + (0,) * 7, (0,) * 8)
-
-    def coeffs(self) -> tuple[int, ...]:
-        return self.a + self.b
-
-    def is_zero(self) -> bool:
-        return not any(self.a) and not any(self.b)
-
 
 def direct_determinant(e: GroupRingElement) -> int:
     """Exact group determinant straight from the 16x16 matrix definition."""

@@ -8,16 +8,17 @@
   (:func:`q16det.exact_eval.factored_form` and the witness and audit
   checks read it here),
 * :func:`scan_range`  - enumeration of a contiguous index range of a
-  coefficient-support scan, returning a histogram of its determinant
-  values that merges across ranges,
+  coefficient-support scan that starts on a b-row, returning a histogram
+  of its determinant values that merges across ranges,
 * :func:`direct_mismatches` - the check behind direct scans: the factored
   values of a whole scan that :func:`circulant_det` contradicts.
 
 Every factored term is an f-only part plus a g-only part, so
 :func:`scan_range` calls :func:`factored_terms` once per half-vector of
-the range: a table of a-rows ``factored_terms(h, 0)``, and b-rows
-``factored_terms(0, h)`` streamed one at a time, each summed with a run of
-a-rows.  :func:`circulant_det` is the determinant of the 8x8 circulant of
+the range: a table of a-rows ``factored_terms(h, 0)``, built in blocks of
+at most ``_A_BLOCK`` rows, and b-rows ``factored_terms(0, h)`` streamed
+past each block, each summed with a prefix of it.  :func:`circulant_det`
+is the determinant of the 8x8 circulant of
 q = f(x)*f(1/x) - x**4*g(x)*g(1/x) mod x**8 - 1, which equals the 16x16
 one.  q is palindromic, so the circulant splits by the reflection
 j -> -j into a 5x5 and a 3x3 block, and circulant_det eliminates those
@@ -41,7 +42,7 @@ from __future__ import annotations
 
 import sys
 from collections import Counter
-from itertools import chain, islice, product
+from itertools import islice, product
 from operator import itemgetter
 from typing import Iterator, Sequence
 
@@ -209,14 +210,16 @@ def factored_terms(a: Sequence[int], b: Sequence[int]) -> tuple[int, int, int, i
 #: of an element with the other half zero.
 _ZERO_HALF = (0,) * 8
 
+#: The most a-rows :func:`scan_range` holds at once.
+_A_BLOCK = 1 << 14
+
 
 def _halves(values: Sequence[int], first: int, count: int) -> Iterator[tuple[int, ...]]:
-    """Half-vectors number ``first``, ``first + 1``, ... (wrapping mod
-    base**8), ``count`` of them: digit k of a half index, least significant
-    first, picks coefficient k."""
+    """Half-vectors number ``first`` to ``first + count - 1`` of values^8:
+    digit k of a half index, least significant first, picks coefficient k.
+    ``first + count`` is at most base**8."""
     # product varies its last position fastest; reversed, coefficient 0 does.
-    twice = chain(product(values, repeat=8), product(values, repeat=8))
-    return (h[::-1] for h in islice(twice, first, first + count))
+    return (h[::-1] for h in islice(product(values, repeat=8), first, first + count))
 
 
 def scan_range(values: Sequence[int], start: int, stop: int) -> dict:
@@ -225,7 +228,9 @@ def scan_range(values: Sequence[int], start: int, stop: int) -> dict:
 
     Element number i has coefficient k equal to values[d_k] where d_k is the
     k-th base-len(values) digit of i (least significant digit = a0, digits
-    8..15 = b0..b7).  Returns a dict that merges across disjoint ranges:
+    8..15 = b0..b7).  ``start`` must begin a b-row, a multiple of base**8,
+    or ValueError is raised; ``stop`` may end anywhere.  Returns a dict that
+    merges across disjoint ranges:
 
     * count: the number of elements scanned, ``stop - start``
     * values: histogram of the range, a Counter determinant -> multiplicity
@@ -236,32 +241,30 @@ def scan_range(values: Sequence[int], start: int, stop: int) -> dict:
     Element i is (a, b) with a = i mod base**8 and b = i // base**8, and
     every term of :func:`factored_terms` is a sum of an f-only and a g-only
     part: factored_terms(a, b) = factored_terms(a, 0) + factored_terms(0, b)
-    term by term.  So the scan tables the a-rows the range touches (at most
-    min(base**8, stop - start) of them), streams its b-rows, and sums two
-    rows per element.
+    term by term.  Each b-row of the range takes a prefix of the a-halves
+    0, 1, ..., so the scan tables them in blocks of at most ``_A_BLOCK``
+    a-rows, streams the b-rows past each block, and sums two rows per
+    element.
     """
     half = len(values) ** 8
+    if start % half:
+        raise ValueError(f"start {start} does not begin a b-row of {half} elements")
     hist: Counter[int] = Counter()
-
-    if stop > start:
-        # A range shorter than a b-row touches stop - start consecutive
-        # a-halves from start's (wrapping into the next b-row), so its
-        # a-table starts there; a longer range gets the whole a-table.
-        a_first = start % half if stop - start < half else 0
+    a_count = min(half, stop - start)
+    b_first = start // half
+    b_count = (stop - 1) // half - b_first + 1
+    for a_lo in range(0, a_count, _A_BLOCK):
         a_rows = [
             factored_terms(h, _ZERO_HALF)
-            for h in _halves(values, a_first, min(half, stop - start))
+            for h in _halves(values, a_lo, min(_A_BLOCK, a_count - a_lo))
         ]
-        b_first = start // half
-
-        b_halves = _halves(values, b_first, (stop - 1) // half - b_first + 1)
-        for row_start, h in zip(range(b_first * half, stop, half), b_halves):
+        for row_start, h in zip(range(start, stop, half), _halves(values, b_first, b_count)):
+            # The last b-row may end before this block starts: a negative
+            # slice bound would take rows from the end of the block.
+            n = max(0, stop - row_start - a_lo)
             Ab, Bb, Cb, Xb, Yb = factored_terms(_ZERO_HALF, h)
-            lo = max(start, row_start)
-            a_lo = (lo - a_first) % half
-            a_hi = a_lo + min(stop, row_start + half) - lo
             dets = []
-            for Aa, Ba, Ca, Xa, Ya in a_rows[a_lo:a_hi]:
+            for Aa, Ba, Ca, Xa, Ya in a_rows[:n]:
                 C = Ca + Cb
                 X = Xa + Xb
                 Y = Ya + Yb

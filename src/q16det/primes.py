@@ -65,10 +65,6 @@ def is_probable_prime(n: int) -> bool:
     return True
 
 
-def primality_is_certain(n: int) -> bool:
-    return n < MR_DETERMINISTIC_BOUND
-
-
 def _pollard_brent(n: int) -> int:
     """A nontrivial factor of odd composite n (deterministic parameters)."""
     if n % 2 == 0:

@@ -59,15 +59,15 @@ def fraction_det(matrix) -> int:
 
 def determinant_matrix(e: GroupRingElement) -> list[list[int]]:
     """The 16x16 matrix M[g][h] = coefficient of g * h**-1 in e."""
-    c = e.coeffs()
+    c = e.a + e.b
     return [[c[i] for i in row] for row in DET_INDEX]
 
 
 def convolve(e1: GroupRingElement, e2: GroupRingElement) -> GroupRingElement:
     """Group-ring product (convolution over the group): the determinant is
     multiplicative over it, which gives an independent consistency check."""
-    c1 = e1.coeffs()
-    c2 = e2.coeffs()
+    c1 = e1.a + e1.b
+    c2 = e2.a + e2.b
     out = [0] * 16
     for h in range(16):
         x = c1[h]

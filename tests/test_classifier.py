@@ -1,4 +1,5 @@
 import random
+from math import prod
 
 import pytest
 
@@ -21,7 +22,7 @@ class TestFactorize:
         assert factorize(245).factors == ((5, 1), (7, 2))
         f = factorize(-147)
         assert f.sign == -1 and f.factors == ((3, 1), (7, 2))
-        assert f.value() == -147
+        assert f.sign * prod(p**e for p, e in f.factors) == -147
         assert factorize(1024).factors == ((2, 10),)
 
     def test_units(self):
@@ -42,7 +43,8 @@ class TestFactorize:
         rng = random.Random(8)
         for _ in range(50):
             n = rng.randint(2, 10**9) * rng.choice((1, -1))
-            assert factorize(n).value() == n
+            f = factorize(n)
+            assert f.sign * prod(p**e for p, e in f.factors) == n
 
 
 class TestClassify:

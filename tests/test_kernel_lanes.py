@@ -5,7 +5,11 @@ direct scans, the half-table scan against the per-element reference, and
 the q-classes a direct scan groups half-vectors by."""
 
 import random
+import subprocess
+import sys
+from collections import Counter
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -46,7 +50,7 @@ def test_active_lane_reported(monkeypatch):
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(kernel, name, traced)
-    assert direct_determinant(GroupRingElement.identity()) == 1
+    assert direct_determinant(GroupRingElement((1,) + (0,) * 7, (0,) * 8)) == 1
     assert exhaustive_scan((1,)).total == 1
     assert calls == ["group_det", "scan_range"]
 
@@ -230,22 +234,86 @@ def _scan_windows():
     return windows
 
 
+def _scan_from_row_starts(values, start, stop):
+    """``kernel.scan_range``'s result on any window, from calls that each
+    start on a b-row: the window's part in one b-row is the difference of
+    two prefixes of that row.  A part nearer the row's end is taken from
+    the reversed support, whose element number i is element
+    base**16 - 1 - i of ``values``, so that both prefixes stay short."""
+    half = len(values) ** 8
+    end = half * half
+    count = 0
+    hist = Counter()
+    for row in range(start - start % half, stop, half):
+        vals, lo, hi = values, max(start, row), min(stop, row + half)
+        if lo - row > row + half - hi:
+            vals, row, lo, hi = values[::-1], end - half - row, end - hi, end - lo
+        whole, head = kernel.scan_range(vals, row, hi), kernel.scan_range(vals, row, lo)
+        count += whole["count"] - head["count"]
+        hist += whole["values"] - head["values"]
+    return {"count": count, "values": hist}
+
+
 class TestScanHalfTables:
     @pytest.mark.parametrize("direct", [False, True])
     @pytest.mark.parametrize("values,start,stop", _scan_windows())
     def test_matches_reference(self, values, start, stop, direct):
-        got = kernel.scan_range(values, start, stop)
-        assert got == scan_range_reference(values, start, stop)
+        want = scan_range_reference(values, start, stop)
+        got = _scan_from_row_starts(values, start, stop)
+        assert got == want
         assert got["count"] == stop - start
+        if start % len(values) ** 8 == 0:
+            assert kernel.scan_range(values, start, stop) == want
         if direct:
             # The check a direct scan makes once per class pair holds on
             # each element of the window, large coefficients included.
             assert direct_agrees_reference(values, start, stop)
 
     def test_empty_range(self):
-        got = kernel.scan_range((0, 1), 300, 300)
-        assert got == scan_range_reference((0, 1), 300, 300)
+        got = kernel.scan_range((0, 1), 256, 256)
+        assert got == scan_range_reference((0, 1), 256, 256)
         assert got["count"] == 0 and not got["values"]
+
+    @pytest.mark.parametrize("values,start", [((0, 1), 1), ((0, 1), 300), ((-1, 0, 1), 6560)])
+    def test_misaligned_start_rejected(self, values, start):
+        with pytest.raises(ValueError, match="b-row"):
+            kernel.scan_range(values, start, start + 10)
+
+    @pytest.mark.parametrize("values", [(0, 1), (-1, 10**6), (-1, 0, 1)])
+    def test_a_blocks_match_reference(self, monkeypatch, values):
+        # With blocks of 5 a-rows every window spans several blocks; the
+        # last b-row of (2h, 3h + 3) ends before the second block starts.
+        monkeypatch.setattr(kernel, "_A_BLOCK", 5)
+        half = len(values) ** 8
+        end = half * half
+        for start, stop in [
+            (0, 7),
+            (half, 3 * half),
+            (2 * half, 3 * half + 3),
+            (end - 2 * half, end - half + 12),
+            (end - half, end),
+        ]:
+            got = kernel.scan_range(values, start, stop)
+            assert got == scan_range_reference(values, start, stop), (start, stop)
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+    def test_wide_b_row_memory_bounded(self):
+        # One b-row of a five-value support is 390,625 elements; holding
+        # its whole a-table and row of determinants peaked at 140 MB.  The
+        # child's VmHWM is its own peak RSS: its ru_maxrss would include
+        # this process's, which it keeps across exec.
+        src = str(Path(kernel.__file__).parents[1])
+        script = (
+            f"import sys; sys.path.insert(0, {src!r})\n"
+            "from q16det import kernel\n"
+            "got = kernel.scan_range((-10**6, -3, 0, 2, 10**6), 0, 5**8)\n"
+            "assert got['count'] == sum(got['values'].values()) == 5**8\n"
+            "print(open('/proc/self/status').read().split('VmHWM:')[1].split()[0])\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, check=True
+        )
+        assert int(out.stdout) <= 40 * 1024, out.stdout
 
 
 ZERO_HALF = (0,) * 8

@@ -173,7 +173,7 @@ class TestFourSquares:
         squares = set()
         for a in range(15):
             for b in range(0 if a == 0 else -10, 10):
-                z = QuadraticSqrt2(a, b) * QuadraticSqrt2(a, b)
+                z = QuadraticSqrt2(a * a + 2 * b * b, 2 * a * b)
                 squares.add((z.x, z.y))
                 assert _square_root(z.x, z.y) == (a, b)
         for x in range(200):

@@ -67,7 +67,7 @@ class TestWitnessEven:
     def test_zero(self):
         cert = witness_even(0)
         assert cert.n == 0 and cert.verified
-        assert not cert.element.is_zero()
+        assert any(cert.element.a + cert.element.b)
         assert cert.trace["family"] == "even_4096_m" and cert.trace["m"] == 0
 
     def test_2048_uses_third_family(self):
@@ -97,7 +97,7 @@ class TestWitnessOdd1Mod8:
 
     def test_1_is_trivial_element(self):
         cert = witness_odd_1mod8(1)
-        assert cert.element == GroupRingElement.identity()
+        assert cert.element == GroupRingElement((1,) + (0,) * 7, (0,) * 8)
 
     def test_minus_7(self):
         cert = witness_odd_1mod8(-7)
