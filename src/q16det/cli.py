@@ -463,6 +463,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):
+        # Parse and print integers of any length: the interpreter's default
+        # refuses decimal strings over 4,300 digits.  Every input comes from
+        # the command line, which the OS bounds.
+        sys.set_int_max_str_digits(0)
     args = build_parser().parse_args(argv)
     out_dir = getattr(args, "output_dir", None)
     if out_dir is not None:

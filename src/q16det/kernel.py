@@ -4,20 +4,20 @@
   (Bareiss) elimination of the literal ``DET_INDEX`` matrix, the
   definition that certificates and crosschecks rely on,
 * :func:`factored_terms` - the tuple (A, B, C, X, Y) of the determinant
-  factorization, the only evaluation at 1, -1, i and w
-  (:func:`q16det.exact_eval.factored_form` and the witness and audit
-  checks read it here),
+  factorization, built from two calls of :func:`_half_terms`, the only
+  evaluation at 1, -1, i and w (:func:`q16det.exact_eval.factored_form`
+  and the witness and audit checks read it here),
 * :func:`scan_range`  - enumeration of a contiguous index range of a
   coefficient-support scan that starts on a b-row, returning a histogram
   of its determinant values that merges across ranges,
 * :func:`direct_mismatches` - the check behind direct scans: the factored
   values of a whole scan that :func:`circulant_det` contradicts.
 
-Every factored term is an f-only part plus a g-only part, so
-:func:`scan_range` calls :func:`factored_terms` once per half-vector of
-the range: a table of a-rows ``factored_terms(h, 0)``, built in blocks of
-at most ``_A_BLOCK`` rows, and b-rows ``factored_terms(0, h)`` streamed
-past each block, each summed with a prefix of it.  :func:`circulant_det`
+Every factored term is an f-only part plus a g-only part, and a g-side
+half enters A, B and C with the opposite sign, so :func:`scan_range` calls
+:func:`_half_terms` once per half-vector of the range: a table of a-rows,
+built in blocks of at most ``_A_BLOCK`` rows, and b-rows streamed past
+each block, each combined with a prefix of it.  :func:`circulant_det`
 is the determinant of the 8x8 circulant of
 q = f(x)*f(1/x) - x**4*g(x)*g(1/x) mod x**8 - 1, which equals the 16x16
 one.  q is palindromic, so the circulant splits by the reflection
@@ -180,35 +180,32 @@ def circulant_det(a: Sequence[int], b: Sequence[int]) -> int:
     return _bareiss(symmetric) * _bareiss(antisymmetric)
 
 
+def _half_terms(h: Sequence[int]) -> tuple[int, int, int, int, int]:
+    """(f(1)**2, f(-1)**2, |f(i)|**2, X, Y) for f with coefficients ``h``,
+    where X + Y*sqrt(2) = |f(w)|**2 and w = exp(2*pi*i/8): the only
+    evaluation at 1, -1, i and w."""
+    h0, h1, h2, h3, h4, h5, h6, h7 = h
+    s1 = h0 + h1 + h2 + h3 + h4 + h5 + h6 + h7
+    sm1 = h0 - h1 + h2 - h3 + h4 - h5 + h6 - h7
+    re, im = h0 - h2 + h4 - h6, h1 - h3 + h5 - h7
+    u0, u1, u2, u3 = h0 - h4, h1 - h5, h2 - h6, h3 - h7
+    return (
+        s1 * s1,
+        sm1 * sm1,
+        re * re + im * im,
+        u0 * u0 + u1 * u1 + u2 * u2 + u3 * u3,
+        u0 * u1 - u0 * u3 + u1 * u2 + u2 * u3,
+    )
+
+
 def factored_terms(a: Sequence[int], b: Sequence[int]) -> tuple[int, int, int, int, int]:
     """(A, B, C, X, Y) of the factorization; D = X**2 - 2*Y**2 and the
-    determinant A*B*C**2*D**2 are left to the caller."""
-    a0, a1, a2, a3, a4, a5, a6, a7 = a
-    b0, b1, b2, b3, b4, b5, b6, b7 = b
+    determinant A*B*C**2*D**2 are left to the caller.  A, B and C are the
+    f-side :func:`_half_terms` minus the g-side ones, X and Y their sums."""
+    Pa, Qa, Ra, Xa, Ya = _half_terms(a)
+    Pb, Qb, Rb, Xb, Yb = _half_terms(b)
+    return Pa - Pb, Qa - Qb, Ra - Rb, Xa + Xb, Ya + Yb
 
-    f1 = a0 + a1 + a2 + a3 + a4 + a5 + a6 + a7
-    g1 = b0 + b1 + b2 + b3 + b4 + b5 + b6 + b7
-    fm1 = a0 - a1 + a2 - a3 + a4 - a5 + a6 - a7
-    gm1 = b0 - b1 + b2 - b3 + b4 - b5 + b6 - b7
-    A = f1 * f1 - g1 * g1
-    B = fm1 * fm1 - gm1 * gm1
-
-    fre = a0 - a2 + a4 - a6
-    fim = a1 - a3 + a5 - a7
-    gre = b0 - b2 + b4 - b6
-    gim = b1 - b3 + b5 - b7
-    C = fre * fre + fim * fim - gre * gre - gim * gim
-
-    u0, u1, u2, u3 = a0 - a4, a1 - a5, a2 - a6, a3 - a7
-    v0, v1, v2, v3 = b0 - b4, b1 - b5, b2 - b6, b3 - b7
-    X = u0 * u0 + u1 * u1 + u2 * u2 + u3 * u3 + v0 * v0 + v1 * v1 + v2 * v2 + v3 * v3
-    Y = u0 * u1 - u0 * u3 + u1 * u2 + u2 * u3 + v0 * v1 - v0 * v3 + v1 * v2 + v2 * v3
-    return A, B, C, X, Y
-
-
-#: The zero half-vector: a half-table row is the factored terms of one half
-#: of an element with the other half zero.
-_ZERO_HALF = (0,) * 8
 
 #: The most a-rows :func:`scan_range` holds at once.
 _A_BLOCK = 1 << 14
@@ -239,11 +236,10 @@ def scan_range(values: Sequence[int], start: int, stop: int) -> dict:
     :func:`q16det.analysis.exhaustive_scan` sorts the merged histogram.
 
     Element i is (a, b) with a = i mod base**8 and b = i // base**8, and
-    every term of :func:`factored_terms` is a sum of an f-only and a g-only
-    part: factored_terms(a, b) = factored_terms(a, 0) + factored_terms(0, b)
+    :func:`factored_terms` combines ``_half_terms(a)`` and ``_half_terms(b)``
     term by term.  Each b-row of the range takes a prefix of the a-halves
     0, 1, ..., so the scan tables them in blocks of at most ``_A_BLOCK``
-    a-rows, streams the b-rows past each block, and sums two rows per
+    a-rows, streams the b-rows past each block, and combines two rows per
     element.
     """
     half = len(values) ** 8
@@ -254,22 +250,19 @@ def scan_range(values: Sequence[int], start: int, stop: int) -> dict:
     b_first = start // half
     b_count = (stop - 1) // half - b_first + 1
     for a_lo in range(0, a_count, _A_BLOCK):
-        a_rows = [
-            factored_terms(h, _ZERO_HALF)
-            for h in _halves(values, a_lo, min(_A_BLOCK, a_count - a_lo))
-        ]
+        a_rows = [_half_terms(h) for h in _halves(values, a_lo, min(_A_BLOCK, a_count - a_lo))]
         for row_start, h in zip(range(start, stop, half), _halves(values, b_first, b_count)):
             # The last b-row may end before this block starts: a negative
             # slice bound would take rows from the end of the block.
             n = max(0, stop - row_start - a_lo)
-            Ab, Bb, Cb, Xb, Yb = factored_terms(_ZERO_HALF, h)
+            Pb, Qb, Rb, Xb, Yb = _half_terms(h)
             dets = []
-            for Aa, Ba, Ca, Xa, Ya in a_rows[:n]:
-                C = Ca + Cb
+            for Pa, Qa, Ra, Xa, Ya in a_rows[:n]:
+                C = Ra - Rb
                 X = Xa + Xb
                 Y = Ya + Yb
                 D = X * X - 2 * Y * Y
-                dets.append((Aa + Ab) * (Ba + Bb) * C * C * D * D)
+                dets.append((Pa - Pb) * (Qa - Qb) * C * C * D * D)
             hist.update(dets)
 
     return {"count": stop - start, "values": hist}
@@ -279,29 +272,27 @@ def direct_mismatches(values: Sequence[int]) -> set[int]:
     """Factored values of the scan of values^16 that :func:`circulant_det`
     contradicts.
 
-    An element's factored value depends only on its a-row and b-row (see
-    :func:`scan_range`), and its circulant_det only on the q-parts of its
-    halves: circulant_q(a, b) = circulant_q(a, 0) + circulant_q(0, b), and
-    a half's autocorrelation fixes its q-part.  So each side's half-vectors
-    fall into half-classes, one per distinct (row, autocorrelation), and one
-    comparison per pair of classes, on a representative of each, decides
-    every element of the pair.
+    An element's factored value depends only on the :func:`_half_terms` of
+    its two halves (see :func:`scan_range`), and its circulant_det only on
+    the q-parts of its halves: circulant_q(a, b) = circulant_q(a, 0) +
+    circulant_q(0, b), and a half's autocorrelation fixes its q-part.  So
+    the half-vectors fall into half-classes, one per distinct (half terms,
+    autocorrelation), the same on either side, and one comparison per pair
+    of classes, on a representative of each, decides every element of the
+    pair.
     """
-    a_classes: dict[tuple, tuple[int, ...]] = {}
-    b_classes: dict[tuple, tuple[int, ...]] = {}
+    classes: dict[tuple, tuple[int, ...]] = {}
     for h in product(values, repeat=8):
-        q = _autocorrelation(h)
-        a_classes.setdefault((factored_terms(h, _ZERO_HALF), q), h)
-        b_classes.setdefault((factored_terms(_ZERO_HALF, h), q), h)
+        classes.setdefault((_half_terms(h), _autocorrelation(h)), h)
 
     mismatches: set[int] = set()
-    for ((Aa, Ba, Ca, Xa, Ya), _), ha in a_classes.items():
-        for ((Ab, Bb, Cb, Xb, Yb), _), hb in b_classes.items():
-            C = Ca + Cb
+    for ((Pa, Qa, Ra, Xa, Ya), _), ha in classes.items():
+        for ((Pb, Qb, Rb, Xb, Yb), _), hb in classes.items():
+            C = Ra - Rb
             X = Xa + Xb
             Y = Ya + Yb
             D = X * X - 2 * Y * Y
-            det = (Aa + Ab) * (Ba + Bb) * C * C * D * D
+            det = (Pa - Pb) * (Qa - Qb) * C * C * D * D
             if circulant_det(ha, hb) != det:
                 mismatches.add(det)
     return mismatches

@@ -188,6 +188,20 @@ class TestExhaustiveScan:
             d.pop("workers")
         assert d1 == d2
 
+    def test_direct_check_builds_one_class_table(self, monkeypatch):
+        # One pass over the 2**8 halves of {0, 1} builds the table that
+        # both sides of each class pair read: one half-terms call per half.
+        real = kernel._half_terms
+        calls = []
+
+        def counted(h):
+            calls.append(1)
+            return real(h)
+
+        monkeypatch.setattr(kernel, "_half_terms", counted)
+        assert kernel.direct_mismatches((0, 1)) == set()
+        assert len(calls) == 256
+
     @pytest.mark.parametrize("direct", [False, True])
     @pytest.mark.parametrize(
         "support,sample_abs_limit,sample_limit",
@@ -205,16 +219,18 @@ class TestExhaustiveScan:
     ):
         if direct:
             # Stand-ins that break the laws, so that violations show up.
-            # The shifted A is still an f-only part plus a g-only part, and
-            # the circulant stand-in depends on the element only through q,
-            # as the half-table scan requires.
-            real_terms = kernel.factored_terms
+            # The shifted f(1)**2 makes A = f(1)**2 - g(1)**2 + a0 - b0,
+            # still an f-only part plus a g-only part (the reference sees
+            # it through factored_terms), and the circulant stand-in
+            # depends on the element only through q, as the half-table
+            # scan requires.
+            real_terms = kernel._half_terms
 
-            def shifted_terms(a, b):
-                A, B, C, X, Y = real_terms(a, b)
-                return A + a[0] + b[0], B, C, X, Y
+            def shifted_terms(h):
+                P, Q, R, X, Y = real_terms(h)
+                return P + h[0], Q, R, X, Y
 
-            monkeypatch.setattr(kernel, "factored_terms", shifted_terms)
+            monkeypatch.setattr(kernel, "_half_terms", shifted_terms)
             monkeypatch.setattr(kernel, "circulant_det", lambda a, b: kernel.circulant_q(a, b)[0])
         want = scan_report_reference(support, direct, sample_abs_limit, sample_limit)
         # (-2, 3) then meets all four kinds; (7,) has determinant 0 only.
@@ -257,11 +273,10 @@ class TestExhaustiveScan:
             assert got == dict(want, workers=workers)
 
     def test_direct_rows_coarser_than_q_parts(self, monkeypatch, in_process_pool):
-        # A constant row (zero, the only constant that is an f-only part
-        # plus a g-only part) makes every factored value 0, while
+        # A zero row of half terms makes every factored value 0, while
         # circulant_det still tells the q-parts apart: half-classes keyed
         # by the row alone would compare one pair and miss the disagreement.
-        monkeypatch.setattr(kernel, "factored_terms", lambda a, b: (0, 0, 0, 0, 0))
+        monkeypatch.setattr(kernel, "_half_terms", lambda h: (0, 0, 0, 0, 0))
         want = scan_report_reference((0, 1), direct=True)
         disagree = "direct and factored determinants disagree"
         assert want["violations"] == [{"value": "0", "reason": disagree}]

@@ -1,6 +1,9 @@
 import json
+import os
+import random
 import subprocess
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -18,6 +21,7 @@ from q16det.cli import (
 )
 from q16det.errors import BadInput, InternalInconsistency
 from q16det.exact_eval import factored_form
+from q16det.group_algebra import GroupRingElement, direct_determinant
 from q16det.witness import witness_odd_5mod8
 
 
@@ -315,6 +319,32 @@ def test_console_entry_point():
         text=True,
     )
     assert out.returncode == 0 and "q16det" in out.stdout
+
+
+def test_integers_past_the_str_digit_limit():
+    """Decimal strings over the interpreter's default 4,300-digit limit
+    parse and print.  A child process starts with that default, whatever
+    the in-process ``main`` calls here have set."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    rng = random.Random(17)
+    coeffs = [rng.randrange(-(10**300), 10**300) for _ in range(16)]
+
+    def child(*argv):
+        out = subprocess.run(
+            [sys.executable, "-m", "q16det.cli", *argv], capture_output=True, text=True, env=env
+        )
+        assert out.returncode == EXIT_OK and "Traceback" not in out.stderr, out.stderr
+        return json.loads(out.stdout)
+
+    doc = child("verify", "--json", "--coeffs", ",".join(map(str, coeffs)))
+    got = doc["direct_determinant"]
+    assert doc["agree"] and len(got.lstrip("-")) > 4300
+    # Decimal parses the string whatever this process's limit is.
+    assert Decimal(got) == direct_determinant(GroupRingElement.from_coeffs(coeffs))
+
+    n = "1024" + "0" * 4400
+    doc = child("classify", "--json", n)
+    assert doc["n"] == n and doc["achievable"]
 
 
 def test_cold_start_skips_process_pool():

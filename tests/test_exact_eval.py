@@ -35,8 +35,8 @@ def elem(a, b):
 
 
 def omega_xy(poly):
-    """(X, Y) of |f(w)|**2 from the kernel, with g = 0."""
-    return kernel.factored_terms(tuple(poly), Z8)[3:]
+    """(X, Y) of |f(w)|**2 from the kernel's half terms of f."""
+    return kernel._half_terms(tuple(poly))[3:]
 
 
 class TestEvalPoints:
@@ -92,7 +92,7 @@ class TestQuadraticSqrt2:
 
 
 class TestNormSqOmega:
-    """|f(w)|**2 = X + Y*sqrt(2) from kernel.factored_terms, and the Z[w]
+    """|f(w)|**2 = X + Y*sqrt(2) from kernel._half_terms, and the Z[w]
     oracle it is checked against."""
 
     def test_examples(self):
@@ -118,6 +118,22 @@ class TestNormSqOmega:
             x, y = omega_xy((a0, a1, a2, a3, 0, 0, 0, 0))
             assert x == a0 * a0 + a1 * a1 + a2 * a2 + a3 * a3
             assert y == a0 * a1 - a0 * a3 + a1 * a2 + a2 * a3
+
+    @pytest.mark.parametrize("height", [1, 9, 10**6])
+    def test_half_terms_match_oracles(self, height):
+        # Exact, at every height: f(1)**2, f(-1)**2 and |f(i)|**2 by direct
+        # sums, and f(w) * conj(f(w)) = X + Y*sqrt(2) in Z[w], where
+        # sqrt(2) = w - w**3 has coordinates (0, 1, 0, -1).
+        rng = random.Random(5 * height)
+        for _ in range(300):
+            h = tuple(rng.randint(-height, height) for _ in range(8))
+            p, q, r, x, y = kernel._half_terms(h)
+            assert p == sum(h) ** 2
+            assert q == sum(c if j % 2 == 0 else -c for j, c in enumerate(h)) ** 2
+            re, im = eval_at_i(h)
+            assert r == re * re + im * im
+            w = eval_at_omega(h)
+            assert cyclotomic_mul(w, cyclotomic_conj(w)) == (x, y, 0, -y)
 
     def test_product_with_conjugate_lies_in_real_subring(self):
         rng = random.Random(3)

@@ -330,6 +330,9 @@ class TestHalfAdditivity:
             fa = kernel.factored_terms(a, ZERO_HALF)
             gb = kernel.factored_terms(ZERO_HALF, b)
             assert whole == tuple(x + y for x, y in zip(fa, gb))
+            # The half terms of a g-side half enter A, B and C negated.
+            P, Q, R, X, Y = kernel._half_terms(b)
+            assert fa == kernel._half_terms(a) and gb == (-P, -Q, -R, X, Y)
 
     @pytest.mark.parametrize("height", [1, 9, 10**6])
     def test_circulant_q_split(self, height):
