@@ -35,6 +35,10 @@ from .group_algebra import (
 )
 
 DEFAULT_SCAN_BUDGET = 1 << 28
+# Scans of fewer elements run in this process at any worker count: a
+# two-value support (2**16 elements) takes tens of milliseconds, about what
+# starting a pool costs, and every larger support has at least 3**16.
+_POOL_MIN_ELEMS = 1 << 20
 
 
 def chebyshev_coeffs(poly: Sequence[int]) -> tuple[int, ...]:
@@ -272,7 +276,8 @@ def exhaustive_scan(
     of whole b-rows per pool process.  The blocks' value histograms merge
     commutatively, so the report is bit-identical for any worker count.
     The report echoes ``workers``; the process pool is capped at the CPUs
-    this process may use.  A ``direct`` scan also calls
+    this process may use, and a scan of fewer than ``_POOL_MIN_ELEMS``
+    elements runs in this process as one block.  A ``direct`` scan also calls
     :func:`q16det.kernel.direct_mismatches` once, in this process, whatever
     the worker count.
 
@@ -297,7 +302,7 @@ def exhaustive_scan(
     # Each pool process scans one contiguous block of whole b-rows, so it
     # builds the a-table once.  A fork-context pool starts all of its
     # processes at the first submit, so it never outnumbers the usable CPUs.
-    pool = min(workers, _usable_cpus())
+    pool = min(workers, _usable_cpus()) if total >= _POOL_MIN_ELEMS else 1
     half = len(values) ** 8
     bounds = [half * k // pool * half for k in range(pool + 1)]
     tasks = [(values, lo, hi) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]

@@ -312,18 +312,16 @@ def _canonical_pair(pair: tuple[int, int]) -> tuple[int, int]:
     return (-a, -b)
 
 
-def _layout_ok(pairs: list[tuple[int, int]], label: CaseLabel) -> bool:
-    (a1, b1), (a2, b2), (a3, b3), (a4, b4) = pairs
-    if a1 % 2 == 0 or a2 % 2 == 0 or (a3 - a4) % 2 != 0 or b1 % 2 == 0:
-        return False
-    betas = (b1 % 2, b2 % 2, b3 % 2, b4 % 2)
-    if label is CaseLabel.CASE1_ONE_ODD_BETA:
-        return a3 % 2 == 1 and betas == (1, 0, 0, 0)
-    if label is CaseLabel.CASE1_THREE_ODD_BETA:
-        return a3 % 2 == 1 and betas == (1, 1, 1, 0)
-    if label is CaseLabel.CASE2_CONGRUENT_MOD4:
-        return a3 % 2 == 0 and betas == (1, 0, 1, 0) and (a3 - a4) % 4 == 0
-    return a3 % 2 == 0 and betas == (1, 0, 1, 0) and (a3 - a4) % 4 != 0
+# The parity layouts (alpha_j mod 2, beta_j mod 2) the coefficient assignment
+# accepts, each with its labels for a3 - a4 = 0 and = 2 (mod 4).
+_LAYOUTS = {
+    ((1, 1), (1, 0), (1, 0), (1, 0)): (CaseLabel.CASE1_ONE_ODD_BETA,) * 2,
+    ((1, 1), (1, 1), (1, 1), (1, 0)): (CaseLabel.CASE1_THREE_ODD_BETA,) * 2,
+    ((1, 1), (1, 0), (0, 1), (0, 0)): (
+        CaseLabel.CASE2_CONGRUENT_MOD4,
+        CaseLabel.CASE2_INCONGRUENT_MOD4,
+    ),
+}
 
 
 def normalize_decomposition(fs: FourSquares) -> tuple[FourSquares, CaseLabel]:
@@ -331,40 +329,16 @@ def normalize_decomposition(fs: FourSquares) -> tuple[FourSquares, CaseLabel]:
     layout the coefficient assignment expects, and label it.
 
     Only square-preserving moves are used: permutations of the four pairs
-    and joint negations (a, b) -> (-a, -b).  For a target 2*(X + Y*sqrt(2))
-    with X, Y odd a valid arrangement always exists: Y odd forces a pair
-    with both entries odd, and 2X even forces two or four odd alphas.
+    and joint negations (a, b) -> (-a, -b).  The canonical pairs are sorted
+    stably, odd alphas first and odd betas first within each, and the
+    sorted layout must be one of ``_LAYOUTS``; else NoValidArrangement.  In
+    every layout a3 and a4 have the same parity, so a3 - a4 is 0 or 2 mod 4.
+    For a target 2*(X + Y*sqrt(2)) with X, Y odd a valid arrangement always
+    exists: Y odd forces a pair with both entries odd, and 2X even forces
+    two or four odd alphas.
     """
-    pairs = [_canonical_pair(p) for p in fs.pairs]
-    odd_a = [p for p in pairs if p[0] % 2 == 1]
-    even_a = [p for p in pairs if p[0] % 2 == 0]
-
-    if len(odd_a) == 4:
-        odd_b = [p for p in pairs if p[1] % 2 == 1]
-        even_b = [p for p in pairs if p[1] % 2 == 0]
-        if len(odd_b) == 1:
-            ordered, label = odd_b + even_b, CaseLabel.CASE1_ONE_ODD_BETA
-        elif len(odd_b) == 3:
-            ordered, label = odd_b + even_b, CaseLabel.CASE1_THREE_ODD_BETA
-        else:
-            raise NoValidArrangement(f"{fs.pairs}: {len(odd_b)} odd betas with 4 odd alphas")
-    elif len(odd_a) == 2:
-        oa_ob = [p for p in odd_a if p[1] % 2 == 1]
-        oa_eb = [p for p in odd_a if p[1] % 2 == 0]
-        ea_ob = [p for p in even_a if p[1] % 2 == 1]
-        ea_eb = [p for p in even_a if p[1] % 2 == 0]
-        if len(oa_ob) != 1 or len(ea_ob) != 1:
-            raise NoValidArrangement(f"{fs.pairs}: odd-beta counts {len(oa_ob)}/{len(ea_ob)}")
-        ordered = oa_ob + oa_eb + ea_ob + ea_eb
-        a3, a4 = ordered[2][0], ordered[3][0]
-        label = (
-            CaseLabel.CASE2_CONGRUENT_MOD4
-            if (a3 - a4) % 4 == 0
-            else CaseLabel.CASE2_INCONGRUENT_MOD4
-        )
-    else:
-        raise NoValidArrangement(f"{fs.pairs}: {len(odd_a)} odd alphas")
-
-    if not _layout_ok(ordered, label):
-        raise NoValidArrangement(f"{fs.pairs}: layout check failed for {label}")
-    return FourSquares(tuple(ordered)), label
+    pairs = sorted(map(_canonical_pair, fs.pairs), key=lambda p: (p[0] % 2 == 0, p[1] % 2 == 0))
+    labels = _LAYOUTS.get(tuple((a % 2, b % 2) for a, b in pairs))
+    if labels is None:
+        raise NoValidArrangement(f"{fs.pairs}: no accepted parity layout")
+    return FourSquares(tuple(pairs)), labels[(pairs[2][0] - pairs[3][0]) % 4 // 2]

@@ -7,16 +7,19 @@ unity, so adding a multiple of h only moves the evaluation at 1.
 
 Values m*p^2 with m = 5 mod 8 and p = 7 mod 8 prime go through the
 quadratic-ring pipeline: split p as X**2 - 2*Y**2, steer X mod 4 with the
-unit 3 + 2*sqrt(2), write 2*(X + Y*sqrt(2)) as four squares, read off a
+unit 3 + 2*sqrt(2), write 2*(X + Y*sqrt(2)) as four squares, sort them
+into one of the parity layouts of ``quad_ring._LAYOUTS``, read off a
 degree-3 coefficient pair whose norms at the 8th root of unity sum to
-X + Y*sqrt(2), and shift by (1 - x^4)*k(x) - m'*h(x), which preserves that
-sum while moving the evaluations at 1.
+X + Y*sqrt(2), and lift each vector c = u + 2k of the pair to
+u + (1 - x^4)*k(x) - m'*h(x), which preserves that sum while moving the
+evaluations at 1; the parities u must match ``_U_PATTERNS`` and
+``_V_PATTERNS``.
 
 Every certificate is verified by recomputing the full 16x16 determinant;
 an unverified certificate is never returned.
 """
 
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from . import kernel
 from .errors import (
@@ -46,17 +49,6 @@ def poly_h() -> tuple[int, ...]:
     h(1) = 8 and h vanishes at -1, i and the primitive 8th roots of unity.
     """
     return (1,) * 8
-
-
-class WitnessPolynomials(NamedTuple):
-    """Low-degree data (u, v, k, s) with f = u + 2k, g = v + 2s, plus the
-    shift parameter m applied by :func:`apply_shift`."""
-
-    u: tuple[int, int, int, int]
-    v: tuple[int, int, int, int]
-    k: tuple[int, int, int, int]
-    s: tuple[int, int, int, int]
-    m: int
 
 
 class WitnessCertificate(NamedTuple):
@@ -205,38 +197,23 @@ _V_PATTERNS = {
 }
 
 
-def extract_uvks(
-    a: Sequence[int], b: Sequence[int]
-) -> WitnessPolynomials:
-    """Split f = u + 2k, g = v + 2s by coefficient parity, checking the
-    parity patterns the normalized cases can produce."""
-    u = tuple(c % 2 for c in a)
-    v = tuple(c % 2 for c in b)
-    if u not in _U_PATTERNS:
-        raise PatternMismatch(f"f-parities {u} match no expected u pattern")
-    if v not in _V_PATTERNS:
-        raise PatternMismatch(f"g-parities {v} match no expected v pattern")
-    k = tuple((c - p) // 2 for c, p in zip(a, u))
-    s = tuple((c - p) // 2 for c, p in zip(b, v))
-    return WitnessPolynomials(u=u, v=v, k=k, s=s, m=0)
+def _lift(
+    c: tuple[int, int, int, int], m: int, patterns: dict
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The parity pattern u = c mod 2 of a degree-3 vector c and the degree-7
+    coefficients of u + (1 - x^4)*k - m*h with k = c // 2, which is
+    (c - k - m) + (-k - m)*x^4 since c = u + 2k.
 
-
-def apply_shift(wp: WitnessPolynomials) -> GroupRingElement:
-    """f = u + (1 - x^4)*k - m*h and g = v + (1 - x^4)*s - m*h as degree-7
-    coefficient vectors.
-
-    At 1 and -1 the (1 - x^4) term vanishes; at i and the 8th roots of
-    unity h vanishes and (1 - x^4) doubles, so f = u + 2k there, keeping
-    the quadratic-ring data of the low-degree pair.
+    At 1, -1 and i the (1 - x^4) term vanishes; at the primitive 8th roots
+    of unity h vanishes and (1 - x^4) doubles, so the lift equals c there,
+    keeping the quadratic-ring data of the low-degree pair.  Raises
+    PatternMismatch unless u is one of ``patterns``.
     """
-    m = wp.m
-    f = tuple(wp.u[j] + wp.k[j] - m for j in range(4)) + tuple(
-        -wp.k[j] - m for j in range(4)
-    )
-    g = tuple(wp.v[j] + wp.s[j] - m for j in range(4)) + tuple(
-        -wp.s[j] - m for j in range(4)
-    )
-    return GroupRingElement(f, g)
+    u = tuple(x % 2 for x in c)
+    if u not in patterns:
+        raise PatternMismatch(f"parities {u} of {c} match no expected pattern")
+    k = tuple(x // 2 for x in c)
+    return u, tuple(x - y - m for x, y in zip(c, k)) + tuple(-y - m for y in k)
 
 
 def witness_odd_5mod8(n: int, p: int) -> WitnessCertificate:
@@ -275,8 +252,8 @@ def witness_odd_5mod8(n: int, p: int) -> WitnessCertificate:
     if label_residue != x_target:
         raise InternalInconsistency(f"case {label} inconsistent with X={s.X} mod 4")
 
-    wp = extract_uvks(a4, b4)._replace(m=shift)
-    e = apply_shift(wp)
+    u, f = _lift(a4, shift, _U_PATTERNS)
+    v, g = _lift(b4, shift, _V_PATTERNS)
     trace = {
         "family": "odd_5mod8_pipeline",
         "p": p,
@@ -287,10 +264,10 @@ def witness_odd_5mod8(n: int, p: int) -> WitnessCertificate:
         "adjusted": (s.X, s.Y),
         "four_squares": nfs.pairs,
         "case": label.value,
-        "u": wp.u,
-        "v": wp.v,
+        "u": u,
+        "v": v,
     }
-    cert = _certify(n, e, trace)
+    cert = _certify(n, GroupRingElement(f, g), trace)
     if cert.factored.D != p or (cert.factored.z.x, cert.factored.z.y) != (s.X, s.Y):
         raise InternalInconsistency(
             f"factored data {cert.factored} does not show D={p}, z={(s.X, s.Y)}"

@@ -20,7 +20,9 @@ one-step fraction-free loop, ``bareiss_reference``, where the library
 eliminates its two reflection blocks two columns per pass.  The four-squares
 reference builds and sorts the whole candidate list of a target up front
 and searches it by index, where the library enumerates each level's
-candidates lazily.
+candidates lazily.  The normalization reference branches on the counts of
+odd alphas and odd betas and then checks the layout it built, where the
+library sorts the pairs by parity and looks the layout up in one table.
 """
 
 from collections import Counter
@@ -30,9 +32,10 @@ from math import isqrt
 from q16det import kernel
 from q16det._cayley import DET_INDEX, MUL_TABLE
 from q16det.classifier import classify
-from q16det.errors import NoDecomposition
+from q16det.errors import NoDecomposition, NoValidArrangement
 from q16det.exact_eval import QuadraticSqrt2, totally_nonneg
 from q16det.group_algebra import GroupRingElement
+from q16det.quad_ring import CaseLabel, FourSquares
 
 
 def fraction_det(matrix) -> int:
@@ -397,3 +400,57 @@ def four_squares_reference(target: QuadraticSqrt2) -> tuple[tuple[int, int], ...
     if sol is None:
         raise NoDecomposition(f"search exhausted for {target}")
     return tuple(sol)
+
+
+def _layout_ok(pairs: list[tuple[int, int]], label: CaseLabel) -> bool:
+    (a1, b1), (a2, b2), (a3, b3), (a4, b4) = pairs
+    if a1 % 2 == 0 or a2 % 2 == 0 or (a3 - a4) % 2 != 0 or b1 % 2 == 0:
+        return False
+    betas = (b1 % 2, b2 % 2, b3 % 2, b4 % 2)
+    if label is CaseLabel.CASE1_ONE_ODD_BETA:
+        return a3 % 2 == 1 and betas == (1, 0, 0, 0)
+    if label is CaseLabel.CASE1_THREE_ODD_BETA:
+        return a3 % 2 == 1 and betas == (1, 1, 1, 0)
+    if label is CaseLabel.CASE2_CONGRUENT_MOD4:
+        return a3 % 2 == 0 and betas == (1, 0, 1, 0) and (a3 - a4) % 4 == 0
+    return a3 % 2 == 0 and betas == (1, 0, 1, 0) and (a3 - a4) % 4 != 0
+
+
+def normalize_reference(fs: FourSquares) -> tuple[FourSquares, CaseLabel]:
+    """``quad_ring.normalize_decomposition(fs)`` from branches on the counts
+    of odd alphas and odd betas, each building its order by hand, and a
+    separate check of the layout built.  Raises NoValidArrangement where
+    the library does."""
+    pairs = [p if p[0] > 0 or (p[0] == 0 and p[1] >= 0) else (-p[0], -p[1]) for p in fs.pairs]
+    odd_a = [p for p in pairs if p[0] % 2 == 1]
+    even_a = [p for p in pairs if p[0] % 2 == 0]
+
+    if len(odd_a) == 4:
+        odd_b = [p for p in pairs if p[1] % 2 == 1]
+        even_b = [p for p in pairs if p[1] % 2 == 0]
+        if len(odd_b) == 1:
+            ordered, label = odd_b + even_b, CaseLabel.CASE1_ONE_ODD_BETA
+        elif len(odd_b) == 3:
+            ordered, label = odd_b + even_b, CaseLabel.CASE1_THREE_ODD_BETA
+        else:
+            raise NoValidArrangement(f"{fs.pairs}: {len(odd_b)} odd betas with 4 odd alphas")
+    elif len(odd_a) == 2:
+        oa_ob = [p for p in odd_a if p[1] % 2 == 1]
+        oa_eb = [p for p in odd_a if p[1] % 2 == 0]
+        ea_ob = [p for p in even_a if p[1] % 2 == 1]
+        ea_eb = [p for p in even_a if p[1] % 2 == 0]
+        if len(oa_ob) != 1 or len(ea_ob) != 1:
+            raise NoValidArrangement(f"{fs.pairs}: odd-beta counts {len(oa_ob)}/{len(ea_ob)}")
+        ordered = oa_ob + oa_eb + ea_ob + ea_eb
+        a3, a4 = ordered[2][0], ordered[3][0]
+        label = (
+            CaseLabel.CASE2_CONGRUENT_MOD4
+            if (a3 - a4) % 4 == 0
+            else CaseLabel.CASE2_INCONGRUENT_MOD4
+        )
+    else:
+        raise NoValidArrangement(f"{fs.pairs}: {len(odd_a)} odd alphas")
+
+    if not _layout_ok(ordered, label):
+        raise NoValidArrangement(f"{fs.pairs}: layout check failed for {label}")
+    return FourSquares(tuple(ordered)), label

@@ -139,7 +139,9 @@ class TestExhaustiveScan:
             assert achieved in sample
         assert 17 not in sample  # 17 needs a coefficient outside {0, 1}
 
-    def test_workers_bit_identical(self):
+    def test_workers_bit_identical(self, monkeypatch):
+        # A real process pool, though {0, 1} is below the in-process size.
+        monkeypatch.setattr(analysis, "_POOL_MIN_ELEMS", 1)
         r1 = exhaustive_scan((0, 1), workers=1)
         r2 = exhaustive_scan((0, 1), workers=3)
         d1, d2 = r1.to_dict(), r2.to_dict()
@@ -148,8 +150,9 @@ class TestExhaustiveScan:
             d.pop("workers")
         assert d1 == d2
 
-    def test_pool_capped_at_usable_cpus(self, in_process_pool):
+    def test_pool_capped_at_usable_cpus(self, monkeypatch, in_process_pool):
         pools = in_process_pool
+        monkeypatch.setattr(analysis, "_POOL_MIN_ELEMS", 1)
         r1 = exhaustive_scan((0, 1), workers=1)
         big = exhaustive_scan((0, 1), workers=10**6)
         assert len(pools) <= 1 and all(n <= os.cpu_count() for n in pools)
@@ -167,6 +170,7 @@ class TestExhaustiveScan:
         # half-classes of {0, 1} once, in the calling process, whatever
         # the worker count.
         monkeypatch.setattr(analysis, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(analysis, "_POOL_MIN_ELEMS", 1)
         real = kernel.circulant_det
         calls = []
 
@@ -187,6 +191,22 @@ class TestExhaustiveScan:
             d.pop("elapsed_s")
             d.pop("workers")
         assert d1 == d2
+
+    def test_small_scan_skips_pool(self, monkeypatch, in_process_pool):
+        # {0, 1} has 2**16 elements, below _POOL_MIN_ELEMS: two workers scan
+        # it in this process as one block, and the report still echoes 2.
+        monkeypatch.setattr(analysis, "_usable_cpus", lambda: 2)
+        real = analysis._scan_block
+        blocks = []
+
+        def recorded(task):
+            blocks.append(task)
+            return real(task)
+
+        monkeypatch.setattr(analysis, "_scan_block", recorded)
+        rep = exhaustive_scan((0, 1), workers=2, direct=True)
+        assert in_process_pool == [] and blocks == [((0, 1), 0, 1 << 16)]
+        assert rep.workers == 2 and rep.ok
 
     def test_direct_check_builds_one_class_table(self, monkeypatch):
         # One pass over the 2**8 halves of {0, 1} builds the table that

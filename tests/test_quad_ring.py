@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -24,7 +25,7 @@ from q16det.quad_ring import (
     unit_adjust,
 )
 
-from oracles import brute_split, four_squares_reference
+from oracles import brute_split, four_squares_reference, normalize_reference
 
 
 class TestSqrt2ModP:
@@ -274,6 +275,36 @@ class TestNormalizeDecomposition:
                 elif label is CaseLabel.CASE1_THREE_ODD_BETA:
                     assert s.X % 4 == 1
                     assert (b2 % 2, b3 % 2, b4 % 2) == (1, 1, 0)
+
+    @staticmethod
+    def _reference_label(fs):
+        """The label both give, or None where both raise NoValidArrangement."""
+        try:
+            want = normalize_reference(fs)
+        except NoValidArrangement:
+            with pytest.raises(NoValidArrangement):
+                normalize_decomposition(fs)
+            return None
+        assert normalize_decomposition(fs) == want, fs.pairs
+        return want[1]
+
+    def test_matches_reference_small_entries(self):
+        # Every decomposition with entries in [-1, 1]: the layout table gives
+        # the reference's order and label, or raises where it raises.  The
+        # only even alpha is 0, so a3 - a4 = 0 and case 2 is congruent.
+        labels = {
+            self._reference_label(FourSquares(tuple(zip(e[::2], e[1::2]))))
+            for e in itertools.product((-1, 0, 1), repeat=8)
+        }
+        assert labels == set(CaseLabel) - {CaseLabel.CASE2_INCONGRUENT_MOD4} | {None}
+
+    def test_matches_reference_random(self):
+        rng = random.Random(16)
+        labels = set()
+        for _ in range(50_000):
+            e = [rng.randint(-4, 4) for _ in range(8)]
+            labels.add(self._reference_label(FourSquares(tuple(zip(e[::2], e[1::2])))))
+        assert labels == set(CaseLabel) | {None}
 
     def test_no_arrangement_for_bad_parity_census(self):
         # all alphas even: cannot happen for odd Y, must be rejected

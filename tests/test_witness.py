@@ -1,6 +1,10 @@
+import hashlib
+import json
+
 import pytest
 
 from q16det import kernel
+from q16det.cli import certificate_document
 from q16det.errors import (
     BadInput,
     NotMultiple,
@@ -10,12 +14,13 @@ from q16det.errors import (
 )
 from q16det.exact_eval import factored_form
 from q16det.group_algebra import GroupRingElement, direct_determinant
+from q16det.primes import primes_below
 from q16det.quad_ring import CaseLabel, FourSquares, normalize_decomposition
 from q16det.witness import (
-    WitnessPolynomials,
-    apply_shift,
+    _U_PATTERNS,
+    _V_PATTERNS,
+    _lift,
     build_low_degree_pair,
-    extract_uvks,
     family_element,
     family_value,
     poly_h,
@@ -144,46 +149,49 @@ class TestLowDegreePair:
 
 
 class TestExtractUvks:
+    """``_lift``'s parity split c = u + 2k, and its pattern check."""
+
     def test_examples(self):
-        wp = extract_uvks((0, 1, 1, 1), (-1, 1, 2, 2))
-        assert wp.u == (0, 1, 1, 1)  # x(1+x+x^2)
-        assert wp.k == (0, 0, 0, 0)
-        assert wp.v == (1, 1, 0, 0)  # 1+x
-        assert wp.s == (-1, 0, 1, 1)
+        u, f = _lift((0, 1, 1, 1), 0, _U_PATTERNS)
+        assert u == (0, 1, 1, 1)  # x(1+x+x^2), k = 0
+        assert f == (0, 1, 1, 1, 0, 0, 0, 0)
+        v, g = _lift((-1, 1, 2, 2), 0, _V_PATTERNS)
+        assert v == (1, 1, 0, 0)  # 1+x, k = (-1, 0, 1, 1)
+        assert g == (0, 1, 1, 1, 1, 0, -1, -1)
 
     def test_v_x_squared(self):
-        wp = extract_uvks((0, 1, 1, 0), (0, 0, 1, 0))
-        assert wp.v == (0, 0, 1, 0)
-        assert wp.s == (0, 0, 0, 0)
+        v, g = _lift((0, 0, 1, 0), 0, _V_PATTERNS)
+        assert v == (0, 0, 1, 0)
+        assert g == (0, 0, 1, 0, 0, 0, 0, 0)  # k = 0
 
     def test_pattern_mismatch(self):
         with pytest.raises(PatternMismatch):
-            extract_uvks((0, 0, 0, 0), (1, 0, 0, 0))
+            _lift((0, 0, 0, 0), 0, _U_PATTERNS)
         with pytest.raises(PatternMismatch):
-            extract_uvks((1, 1, 0, 0), (1, 0, 1, 0))  # 1 + x^2 not a v pattern
+            _lift((1, 0, 1, 0), 0, _V_PATTERNS)  # 1 + x^2 not a v pattern
 
 
 class TestApplyShift:
+    """``_lift``'s u + (1 - x^4)*k - m*h as degree-7 coefficients."""
+
     def test_trivial(self):
-        wp = WitnessPolynomials(
-            u=(1, 1, 0, 0), v=(1, 0, 0, 0), k=(0,) * 4, s=(0,) * 4, m=0
+        e = GroupRingElement(
+            _lift((1, 1, 0, 0), 0, _U_PATTERNS)[1], _lift((1, 0, 0, 0), 0, _V_PATTERNS)[1]
         )
-        e = apply_shift(wp)
         assert e.a == (1, 1, 0, 0, 0, 0, 0, 0)
         assert e.b == (1, 0, 0, 0, 0, 0, 0, 0)
 
     def test_637_example(self):
-        wp = WitnessPolynomials(
-            u=(0, 1, 1, 0), v=(0, 0, 1, 0), k=(0,) * 4, s=(0,) * 4, m=1
+        e = GroupRingElement(
+            _lift((0, 1, 1, 0), 1, _U_PATTERNS)[1], _lift((0, 0, 1, 0), 1, _V_PATTERNS)[1]
         )
-        e = apply_shift(wp)
+        assert e.a == (-1, 0, 0, -1, -1, -1, -1, -1)
         assert direct_determinant(e) == 637
 
     def test_245_example(self):
-        wp = WitnessPolynomials(
-            u=(0, 1, 1, 1), v=(1, 1, 0, 0), k=(0,) * 4, s=(-1, 0, 1, 1), m=0
+        e = GroupRingElement(
+            _lift((0, 1, 1, 1), 0, _U_PATTERNS)[1], _lift((-1, 1, 2, 2), 0, _V_PATTERNS)[1]
         )
-        e = apply_shift(wp)
         assert e.a == (0, 1, 1, 1, 0, 0, 0, 0)
         assert e.b == (0, 1, 1, 1, 1, 0, -1, -1)
         assert direct_determinant(e) == 245
@@ -224,6 +232,28 @@ class TestWitnessOdd5Mod8:
                     assert (ff.z.x, ff.z.y) == cert.trace["adjusted"]
                     assert ff.z.x % 4 == cert.trace["x_target"]
 
+    def test_mp2_certificates_pinned(self):
+        # Every m*p**2 with p = 7 mod 8 below 2000 and m in {5, -3, 13, -11}:
+        # the certificate documents hash to the digest they had before the
+        # parity layouts became one table and the lift one step.
+        digest = hashlib.sha256()
+        cases = set()
+        count = 0
+        for p in primes_below(2000):
+            if p % 8 != 7:
+                continue
+            for m in (5, -3, 13, -11):
+                cert = witness_odd_5mod8(m * p * p, p)
+                cases.add(cert.trace["case"])
+                doc = certificate_document(cert).to_json_dict()
+                digest.update(json.dumps(doc, sort_keys=True).encode())
+                count += 1
+        assert count == 312
+        assert cases == {"case1_one_odd_beta", "case1_three_odd_beta"}
+        assert digest.hexdigest() == (
+            "ab27d7da1fb81217df32273723ea2f8a6e7204e0e71bc246e349eb6ec18ce64b"
+        )
+
     def test_bad_inputs(self):
         with pytest.raises(BadInput):
             witness_odd_5mod8(245, 23)  # 23^2 does not divide 245
@@ -243,9 +273,10 @@ class TestCase2Algebra:
         ordered, label = normalize_decomposition(fs)
         assert label is CaseLabel.CASE2_INCONGRUENT_MOD4
         a, b = build_low_degree_pair(ordered)
-        wp = extract_uvks(a, b)
-        assert wp.u == (1, 1, 0, 0) and wp.v == (1, 1, 1, 0)
-        e = apply_shift(wp)
+        u, f = _lift(a, 0, _U_PATTERNS)
+        v, g = _lift(b, 0, _V_PATTERNS)
+        assert u == (1, 1, 0, 0) and v == (1, 1, 1, 0)
+        e = GroupRingElement(f, g)
         ff = factored_form(e)
         assert (ff.A, ff.B, ff.C, ff.D) == (-5, -1, 1, 7)
         assert direct_determinant(e) == 245
@@ -255,9 +286,10 @@ class TestCase2Algebra:
         ordered, label = normalize_decomposition(fs)
         assert label is CaseLabel.CASE2_CONGRUENT_MOD4
         a, b = build_low_degree_pair(ordered)
-        wp = extract_uvks(a, b)
-        assert wp.v == (0, 1, 0, 0)  # v = x arises here
-        e = apply_shift(wp)
+        _, f = _lift(a, 0, _U_PATTERNS)
+        v, g = _lift(b, 0, _V_PATTERNS)
+        assert v == (0, 1, 0, 0)  # v = x arises here
+        e = GroupRingElement(f, g)
         ff = factored_form(e)
         assert (ff.A, ff.B, ff.C, ff.D) == (3, -1, 1, 7)
         assert direct_determinant(e) == -147
