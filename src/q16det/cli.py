@@ -30,6 +30,7 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
+_FORMAT = "q16det-certificate"
 _REQUIRED_FIELDS = ("n", "f", "g", "A", "B", "C", "D", "X", "Y", "verified")
 
 
@@ -52,7 +53,7 @@ class CertificateDocument(NamedTuple):
 
     def to_json_dict(self) -> dict:
         return {
-            "format": "q16det-certificate",
+            "format": _FORMAT,
             "tool": self.tool,
             "n": str(self.n),
             "f": [str(c) for c in self.f],
@@ -71,9 +72,11 @@ class CertificateDocument(NamedTuple):
     def from_json_dict(cls, doc: dict) -> "CertificateDocument":
         """Load a document as :meth:`to_json_dict` writes it: integers as
         decimal strings, ``f`` and ``g`` as lists of 8 of them, ``trace``
-        an object and ``verified`` a boolean.  Anything else raises
-        :class:`BadInput` rather than being coerced, and so does a document
-        that is not an object or lacks a required field."""
+        an object, ``verified`` a boolean, ``tool`` a string and ``format``
+        ``"q16det-certificate"``.  Anything else raises :class:`BadInput`
+        rather than being coerced, and so does a document that is not an
+        object or lacks a required field; ``trace``, ``tool`` and ``format``
+        may be absent."""
         if not isinstance(doc, dict):
             raise BadInput(f"a certificate must be a JSON object, got {doc!r}")
         missing = [key for key in _REQUIRED_FIELDS if key not in doc]
@@ -81,6 +84,11 @@ class CertificateDocument(NamedTuple):
             raise BadInput(f"certificate lacks required field(s) {', '.join(missing)}")
         if not isinstance(doc["verified"], bool):
             raise BadInput(f"'verified' must be a JSON boolean, got {doc['verified']!r}")
+        if doc.get("format", _FORMAT) != _FORMAT:
+            raise BadInput(f"'format' must be {_FORMAT!r}, got {doc['format']!r}")
+        tool = doc.get("tool", "")
+        if not isinstance(tool, str):
+            raise BadInput(f"'tool' must be a JSON string, got {tool!r}")
         trace = doc.get("trace", {})
         if not isinstance(trace, dict):
             raise BadInput(f"'trace' must be a JSON object, got {trace!r}")
@@ -99,7 +107,7 @@ class CertificateDocument(NamedTuple):
             Y=_decimal("Y", doc["Y"]),
             trace=trace,
             verified=doc["verified"],
-            tool=doc.get("tool", ""),
+            tool=tool,
         )
 
 

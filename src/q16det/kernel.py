@@ -9,7 +9,8 @@
   and the witness and audit checks read it here),
 * :func:`scan_range`  - enumeration of a contiguous index range of a
   coefficient-support scan that starts on a b-row, returning a histogram
-  of its determinant values that merges across ranges,
+  of its determinant values that merges across ranges; it evaluates each
+  unordered pair of halves once where the range holds both orders,
 * :func:`direct_mismatches` - the check behind direct scans: the factored
   values of a whole scan that :func:`circulant_det` contradicts.
 
@@ -17,8 +18,10 @@ Every factored term is an f-only part plus a g-only part, and a g-side
 half enters A, B and C with the opposite sign, so :func:`scan_range` calls
 :func:`_half_terms` once per half-vector of the range: a table of a-rows,
 built in blocks of at most ``_A_BLOCK`` rows, and b-rows streamed past
-each block, each combined with a prefix of it.  :func:`circulant_det`
-is the determinant of the 8x8 circulant of
+each block, each combined with a prefix of it.  The same sign rule makes
+det(a, b) = det(b, a) and det(a, a) = 0, so a whole-space scan evaluates
+each unordered pair of distinct halves once and counts its value twice.
+:func:`circulant_det` is the determinant of the 8x8 circulant of
 q = f(x)*f(1/x) - x**4*g(x)*g(1/x) mod x**8 - 1, which equals the 16x16
 one.  q is palindromic, so the circulant splits by the reflection
 j -> -j into a 5x5 and a 3x3 block, and circulant_det eliminates those
@@ -219,6 +222,20 @@ def _halves(values: Sequence[int], first: int, count: int) -> Iterator[tuple[int
     return (h[::-1] for h in islice(product(values, repeat=8), first, first + count))
 
 
+def _dets(a_rows: Sequence[tuple[int, ...]], b_terms: tuple[int, ...]) -> list[int]:
+    """Factored determinants of the elements (a, b) whose a-halves have the
+    :func:`_half_terms` ``a_rows`` and whose b-half has ``b_terms``."""
+    Pb, Qb, Rb, Xb, Yb = b_terms
+    dets = []
+    for Pa, Qa, Ra, Xa, Ya in a_rows:
+        C = Ra - Rb
+        X = Xa + Xb
+        Y = Ya + Yb
+        D = X * X - 2 * Y * Y
+        dets.append((Pa - Pb) * (Qa - Qb) * C * C * D * D)
+    return dets
+
+
 def scan_range(values: Sequence[int], start: int, stop: int) -> dict:
     """Scan elements number ``start`` (inclusive) to ``stop`` (exclusive) of
     the coefficient space values^16.
@@ -226,8 +243,8 @@ def scan_range(values: Sequence[int], start: int, stop: int) -> dict:
     Element number i has coefficient k equal to values[d_k] where d_k is the
     k-th base-len(values) digit of i (least significant digit = a0, digits
     8..15 = b0..b7).  ``start`` must begin a b-row, a multiple of base**8,
-    or ValueError is raised; ``stop`` may end anywhere.  Returns a dict that
-    merges across disjoint ranges:
+    and ``start <= stop <= base**16``, or ValueError is raised; ``stop``
+    may end anywhere.  Returns a dict that merges across disjoint ranges:
 
     * count: the number of elements scanned, ``stop - start``
     * values: histogram of the range, a Counter determinant -> multiplicity
@@ -237,33 +254,45 @@ def scan_range(values: Sequence[int], start: int, stop: int) -> dict:
 
     Element i is (a, b) with a = i mod base**8 and b = i // base**8, and
     :func:`factored_terms` combines ``_half_terms(a)`` and ``_half_terms(b)``
-    term by term.  Each b-row of the range takes a prefix of the a-halves
-    0, 1, ..., so the scan tables them in blocks of at most ``_A_BLOCK``
-    a-rows, streams the b-rows past each block, and combines two rows per
-    element.
+    term by term.  Swapping the halves negates A, B and C and keeps X and
+    Y, so det(a, b) = det(b, a), and det(a, a) = 0 since A = 0.  The
+    complete b-rows b_lo <= b < b_full of the range hold both orders of
+    every pair of their own indices, so in row b the a-halves b_lo <= a < b
+    are evaluated once and counted twice, a = b counts as a zero, and
+    b < a < b_full are skipped: row a counts them.  Every other a-half,
+    and every element of a partial last row, is evaluated once.  A
+    whole-space scan thus evaluates each unordered pair of halves once.
+    Each b-row takes a prefix of the a-halves 0, 1, ..., so the scan
+    tables them in blocks of at most ``_A_BLOCK`` a-rows and streams the
+    b-rows past each block.
     """
     half = len(values) ** 8
     if start % half:
         raise ValueError(f"start {start} does not begin a b-row of {half} elements")
+    if not start <= stop <= half * half:
+        raise ValueError(f"range [{start}, {stop}) is not within [0, {half * half}]")
+    b_lo, b_full = start // half, stop // half
+    tail = stop - b_full * half  # a-halves in the partial last row, if any
+    a_count = half if b_full > b_lo else tail
+    b_stop = b_full + (tail > 0)
     hist: Counter[int] = Counter()
-    a_count = min(half, stop - start)
-    b_first = start // half
-    b_count = (stop - 1) // half - b_first + 1
+    twice: Counter[int] = Counter()
     for a_lo in range(0, a_count, _A_BLOCK):
         a_rows = [_half_terms(h) for h in _halves(values, a_lo, min(_A_BLOCK, a_count - a_lo))]
-        for row_start, h in zip(range(start, stop, half), _halves(values, b_first, b_count)):
-            # The last b-row may end before this block starts: a negative
-            # slice bound would take rows from the end of the block.
-            n = max(0, stop - row_start - a_lo)
-            Pb, Qb, Rb, Xb, Yb = _half_terms(h)
-            dets = []
-            for Pa, Qa, Ra, Xa, Ya in a_rows[:n]:
-                C = Ra - Rb
-                X = Xa + Xb
-                Y = Ya + Yb
-                D = X * X - 2 * Y * Y
-                dets.append((Pa - Pb) * (Qa - Qb) * C * C * D * D)
-            hist.update(dets)
+        for b, h in zip(range(b_lo, b_stop), _halves(values, b_lo, b_stop - b_lo)):
+            if b < b_full:
+                spans = ((0, b_lo, hist), (b_lo, b, twice), (b_full, half, hist))
+            else:
+                spans = ((0, tail, hist),)
+            b_terms = _half_terms(h)
+            for lo, hi, tally in spans:
+                # A span ending before this block starts has hi - a_lo < 0,
+                # which as a slice bound would take rows from the block's end.
+                tally.update(_dets(a_rows[max(0, lo - a_lo) : max(0, hi - a_lo)], b_terms))
+    for v, c in twice.items():
+        hist[v] += 2 * c
+    if b_full > b_lo:
+        hist[0] += b_full - b_lo
 
     return {"count": stop - start, "values": hist}
 

@@ -285,6 +285,12 @@ class TestCertificateDocuments:
             ("g", ["0"] * 7 + [True]),
             ("D", "12a"),
             ("trace", "junk"),
+            ("tool", 5),
+            ("tool", None),
+            ("tool", ["q16det"]),
+            ("format", "other"),
+            ("format", None),
+            ("format", 1),
         ],
     )
     def test_fields_must_be_written_form(self, key, value):

@@ -270,14 +270,43 @@ class TestScanHalfTables:
             assert direct_agrees_reference(values, start, stop)
 
     def test_empty_range(self):
-        got = kernel.scan_range((0, 1), 256, 256)
-        assert got == scan_range_reference((0, 1), 256, 256)
-        assert got["count"] == 0 and not got["values"]
+        for start in (256, 2**16):  # the end of the space is a b-row too
+            got = kernel.scan_range((0, 1), start, start)
+            assert got == scan_range_reference((0, 1), start, start)
+            assert got["count"] == 0 and not got["values"]
 
     @pytest.mark.parametrize("values,start", [((0, 1), 1), ((0, 1), 300), ((-1, 0, 1), 6560)])
     def test_misaligned_start_rejected(self, values, start):
         with pytest.raises(ValueError, match="b-row"):
             kernel.scan_range(values, start, start + 10)
+
+    @pytest.mark.parametrize(
+        "values,start,stop",
+        [((0, 1), 0, 2**16 + 5), ((0, 1), 256, 100), ((0, 1), 2**16, 2**16 + 1), ((-1, 0, 1), 0, -1)],
+    )
+    def test_range_outside_space_rejected(self, values, start, stop):
+        # Such ranges once reported a count of stop - start that the
+        # histogram did not hold: 65,541 for 65,536 elements, or -156.
+        with pytest.raises(ValueError, match="not within"):
+            kernel.scan_range(values, start, stop)
+
+    @pytest.mark.parametrize("values", [(0, 1), (-1, 10**6)])
+    def test_unordered_pairs_match_reference(self, monkeypatch, values):
+        # The complete b-rows of each range hold both orders of their
+        # pairs of halves, which scan_range evaluates once and counts
+        # twice; blocks of 5 a-rows split those pairs across blocks.
+        half = len(values) ** 8
+        ranges = [
+            (0, half * half),
+            (0, half * half // 2),
+            (half * half // 2, half * half),
+            (3 * half, 40 * half + 77),
+        ]
+        wants = [scan_range_reference(values, start, stop) for start, stop in ranges]
+        for block in (kernel._A_BLOCK, 5):
+            monkeypatch.setattr(kernel, "_A_BLOCK", block)
+            for (start, stop), want in zip(ranges, wants):
+                assert kernel.scan_range(values, start, stop) == want, (block, start, stop)
 
     @pytest.mark.parametrize("values", [(0, 1), (-1, 10**6), (-1, 0, 1)])
     def test_a_blocks_match_reference(self, monkeypatch, values):
@@ -333,6 +362,19 @@ class TestHalfAdditivity:
             # The half terms of a g-side half enter A, B and C negated.
             P, Q, R, X, Y = kernel._half_terms(b)
             assert fa == kernel._half_terms(a) and gb == (-P, -Q, -R, X, Y)
+
+    @pytest.mark.parametrize("height", [1, 9, 10**6])
+    def test_swapping_halves(self, height):
+        # The identity scan_range's unordered-pair count rests on:
+        # det(a, b) = det(b, a), by A*B*C**2*D**2 and by the 16x16.
+        rng = random.Random(43 * height)
+        for k in range(200):
+            a = [rng.randint(-height, height) for _ in range(8)]
+            b = [rng.randint(-height, height) for _ in range(8)]
+            A, B, C, X, Y = kernel.factored_terms(a, b)
+            assert kernel.factored_terms(b, a) == (-A, -B, -C, X, Y)
+            if k < 20:
+                assert kernel.group_det(a, b) == kernel.group_det(b, a)
 
     @pytest.mark.parametrize("height", [1, 9, 10**6])
     def test_circulant_q_split(self, height):
