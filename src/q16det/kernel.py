@@ -12,7 +12,9 @@
   of its determinant values that merges across ranges; it evaluates each
   unordered pair of halves once where the range holds both orders,
 * :func:`direct_mismatches` - the check behind direct scans: the factored
-  values of a whole scan that :func:`circulant_det` contradicts.
+  values of a whole scan that the circulant determinant contradicts, read
+  from each pair of half-classes' autocorrelations by
+  :func:`_reflection_det`.
 
 Every factored term is an f-only part plus a g-only part, and a g-side
 half enters A, B and C with the opposite sign, so :func:`scan_range` calls
@@ -24,18 +26,22 @@ each unordered pair of distinct halves once and counts its value twice.
 :func:`circulant_det` is the determinant of the 8x8 circulant of
 q = f(x)*f(1/x) - x**4*g(x)*g(1/x) mod x**8 - 1, which equals the 16x16
 one.  q is palindromic, so the circulant splits by the reflection
-j -> -j into a 5x5 and a 3x3 block, and circulant_det eliminates those
-two: exact, but not the literal definition.  q splits into an f-part plus
-a g-part too, so :func:`direct_mismatches` eliminates once per pair of
-half-classes, never per element.  Every elimination goes through
-:func:`_bareiss`, Bareiss's two-step integer-preserving elimination
-("Sylvester's identity and multistep integer-preserving Gaussian
-elimination", Math. Comp. 22, 1968): each pass clears two columns with
-the determinant d2 of a 2x2 pivot block and divides every updated entry
-by the square of the previous pass's pivot, exactly by Sylvester's
-identity.  When no row makes d2 nonzero the determinant is 0, unless the
-pivot row is zero in both columns and a later row takes its place.  That
-is 560 entry updates on the 16x16 where one column per pass takes 1,240.
+j -> -j into a 5x5 and a 3x3 block, and :func:`_reflection_det`, the one
+place that eliminates them, takes q from the two halves' autocorrelations
+and eliminates the 3x3 first: when it is singular the determinant is 0,
+and only otherwise is the 5x5 eliminated and multiplied in.  Exact, but
+not the literal definition.  q splits into an f-part plus a g-part too,
+so :func:`direct_mismatches` keeps each half-class's autocorrelation and
+eliminates once per pair of half-classes, never per element.  Every
+elimination goes through :func:`_bareiss`, Bareiss's two-step
+integer-preserving elimination ("Sylvester's identity and multistep
+integer-preserving Gaussian elimination", Math. Comp. 22, 1968): each
+pass clears two columns with the determinant d2 of a 2x2 pivot block
+and divides every updated entry by the square of the previous pass's
+pivot, exactly by Sylvester's identity.  When no row makes d2 nonzero
+the determinant is 0, unless the pivot row is zero in both columns and a
+later row takes its place.  That is 560 entry updates on the 16x16 where
+one column per pass takes 1,240.
 
 Callers reach every entry point as ``kernel.<name>``, so a tracer or a
 test that patches this module sees every call.
@@ -146,19 +152,45 @@ def _autocorrelation(h: Sequence[int]) -> tuple[int, int, int, int, int]:
     )
 
 
+def _q_parts(ra: Sequence[int], rb: Sequence[int]) -> tuple[int, int, int, int, int]:
+    """q[0..4] = r_a[k] - r_b[4 - k] from the autocorrelations r[0..4] of
+    an a-half and a b-half; q[8 - k] = q[k] gives the rest."""
+    return ra[0] - rb[4], ra[1] - rb[3], ra[2] - rb[2], ra[3] - rb[1], ra[4] - rb[0]
+
+
 def circulant_q(a: Sequence[int], b: Sequence[int]) -> list[int]:
     """Coefficients q[0..7] of q = f(x)*f(1/x) - x**4*g(x)*g(1/x) mod x**8 - 1:
     q[k] = r_a[k] - r_b[k + 4] from the cyclic autocorrelations of ``a``
     and ``b``.  q is palindromic, q[k] = q[8 - k]."""
-    ra0, ra1, ra2, ra3, ra4 = _autocorrelation(a)
-    rb0, rb1, rb2, rb3, rb4 = _autocorrelation(b)
-    q1, q2, q3 = ra1 - rb3, ra2 - rb2, ra3 - rb1
-    return [ra0 - rb4, q1, q2, q3, ra4 - rb0, q3, q2, q1]
+    q0, q1, q2, q3, q4 = _q_parts(_autocorrelation(a), _autocorrelation(b))
+    return [q0, q1, q2, q3, q4, q3, q2, q1]
+
+
+def _reflection_det(ra: Sequence[int], rb: Sequence[int]) -> int:
+    """Determinant of the 8x8 circulant of q = :func:`_q_parts` ``(ra, rb)``,
+    ``ra`` and ``rb`` the autocorrelations of an a-half and a b-half: the
+    3x3 antisymmetric block first, and the 5x5 symmetric one only when
+    that is nonzero, since det = sym * anti (see :func:`circulant_det`)."""
+    q0, q1, q2, q3, q4 = _q_parts(ra, rb)
+    d02, d13, d24 = q0 - q2, q1 - q3, q2 - q4
+    anti = _bareiss([[d02, d13, d24], [d13, q0 - q4, d13], [d24, d13, d02]])
+    if not anti:
+        return 0
+    s13 = q1 + q3
+    symmetric = [
+        [q0, 2 * q1, 2 * q2, 2 * q3, q4],
+        [q1, q0 + q2, s13, q2 + q4, q3],
+        [q2, s13, q0 + q4, s13, q2],
+        [q3, q2 + q4, s13, q0 + q2, q1],
+        [q4, 2 * q3, 2 * q2, 2 * q1, q0],
+    ]
+    return _bareiss(symmetric) * anti
 
 
 def circulant_det(a: Sequence[int], b: Sequence[int]) -> int:
     """Group determinant of the element, from the 8x8 circulant of
-    :func:`circulant_q` split into a 5x5 and a 3x3 block.
+    :func:`circulant_q` split into a 5x5 and a 3x3 block: the
+    :func:`_reflection_det` of the two halves' autocorrelations.
 
     The 16x16 matrix is [[F, G1], [G2, F']] with 8x8 circulant blocks, which
     commute, so its determinant is that of the 8x8 circulant C[i][j] =
@@ -169,18 +201,7 @@ def circulant_det(a: Sequence[int], b: Sequence[int]) -> int:
     the determinants of C on the two.  Exact, but not the literal
     definition: certificates and crosschecks use :func:`group_det`.
     """
-    q0, q1, q2, q3, q4 = circulant_q(a, b)[:5]
-    s13 = q1 + q3
-    symmetric = [
-        [q0, 2 * q1, 2 * q2, 2 * q3, q4],
-        [q1, q0 + q2, s13, q2 + q4, q3],
-        [q2, s13, q0 + q4, s13, q2],
-        [q3, q2 + q4, s13, q0 + q2, q1],
-        [q4, 2 * q3, 2 * q2, 2 * q1, q0],
-    ]
-    d02, d13, d24 = q0 - q2, q1 - q3, q2 - q4
-    antisymmetric = [[d02, d13, d24], [d13, q0 - q4, d13], [d24, d13, d02]]
-    return _bareiss(symmetric) * _bareiss(antisymmetric)
+    return _reflection_det(_autocorrelation(a), _autocorrelation(b))
 
 
 def _half_terms(h: Sequence[int]) -> tuple[int, int, int, int, int]:
@@ -303,25 +324,23 @@ def direct_mismatches(values: Sequence[int]) -> set[int]:
 
     An element's factored value depends only on the :func:`_half_terms` of
     its two halves (see :func:`scan_range`), and its circulant_det only on
-    the q-parts of its halves: circulant_q(a, b) = circulant_q(a, 0) +
-    circulant_q(0, b), and a half's autocorrelation fixes its q-part.  So
+    the autocorrelations of its halves (see :func:`_reflection_det`).  So
     the half-vectors fall into half-classes, one per distinct (half terms,
-    autocorrelation), the same on either side, and one comparison per pair
-    of classes, on a representative of each, decides every element of the
-    pair.
+    autocorrelation), the same on either side, and one comparison per
+    ordered pair of classes decides every element of the pair: the
+    factored value from the two rows of half terms against the
+    :func:`_reflection_det` of the two stored autocorrelations.
     """
-    classes: dict[tuple, tuple[int, ...]] = {}
-    for h in product(values, repeat=8):
-        classes.setdefault((_half_terms(h), _autocorrelation(h)), h)
+    classes = {(_half_terms(h), _autocorrelation(h)) for h in product(values, repeat=8)}
 
     mismatches: set[int] = set()
-    for ((Pa, Qa, Ra, Xa, Ya), _), ha in classes.items():
-        for ((Pb, Qb, Rb, Xb, Yb), _), hb in classes.items():
+    for (Pa, Qa, Ra, Xa, Ya), ra in classes:
+        for (Pb, Qb, Rb, Xb, Yb), rb in classes:
             C = Ra - Rb
             X = Xa + Xb
             Y = Ya + Yb
             D = X * X - 2 * Y * Y
             det = (Pa - Pb) * (Qa - Qb) * C * C * D * D
-            if circulant_det(ha, hb) != det:
+            if _reflection_det(ra, rb) != det:
                 mismatches.add(det)
     return mismatches

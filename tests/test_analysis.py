@@ -171,14 +171,14 @@ class TestExhaustiveScan:
         # the worker count.
         monkeypatch.setattr(analysis, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(analysis, "_POOL_MIN_ELEMS", 1)
-        real = kernel.circulant_det
+        real = kernel._reflection_det
         calls = []
 
-        def counted(a, b):
+        def counted(ra, rb):
             calls.append(1)
-            return real(a, b)
+            return real(ra, rb)
 
-        monkeypatch.setattr(kernel, "circulant_det", counted)
+        monkeypatch.setattr(kernel, "_reflection_det", counted)
         r2 = exhaustive_scan((0, 1), workers=2, direct=True)
         assert in_process_pool == [2]
         assert len(calls) == 841
@@ -241,9 +241,9 @@ class TestExhaustiveScan:
             # Stand-ins that break the laws, so that violations show up.
             # The shifted f(1)**2 makes A = f(1)**2 - g(1)**2 + a0 - b0,
             # still an f-only part plus a g-only part (the reference sees
-            # it through factored_terms), and the circulant stand-in
-            # depends on the element only through q, as the half-table
-            # scan requires.
+            # it through factored_terms), and the circulant stand-in q[0]
+            # depends on the element only through its halves'
+            # autocorrelations, as the class-pair check requires.
             real_terms = kernel._half_terms
 
             def shifted_terms(h):
@@ -251,7 +251,7 @@ class TestExhaustiveScan:
                 return P + h[0], Q, R, X, Y
 
             monkeypatch.setattr(kernel, "_half_terms", shifted_terms)
-            monkeypatch.setattr(kernel, "circulant_det", lambda a, b: kernel.circulant_q(a, b)[0])
+            monkeypatch.setattr(kernel, "_reflection_det", lambda ra, rb: kernel._q_parts(ra, rb)[0])
         want = scan_report_reference(support, direct, sample_abs_limit, sample_limit)
         # (-2, 3) then meets all four kinds; (7,) has determinant 0 only.
         assert want["ok"] == (not direct or support == (7,))
@@ -272,17 +272,16 @@ class TestExhaustiveScan:
     def test_direct_flags_one_wrong_class_pair(self, monkeypatch, in_process_pool):
         # A stand-in wrong for one (a-class, b-class) pair alone: only that
         # pair's value is flagged.  The pair's a-class is not that of the
-        # zero a-half, which begins every b-row.
-        real = kernel.circulant_det
-        zero = (0,) * 8
-        qa = kernel.circulant_q((1, 1, 0, 1, 0, 0, 0, 0), zero)
-        qb = kernel.circulant_q(zero, (1, 0, 1, 0, 0, 0, 0, 0))
+        # zero a-half, which begins every b-row.  The stand-in names the
+        # pair by its a-half's and b-half's autocorrelations.
+        real = kernel._reflection_det
+        ra_wrong = kernel._autocorrelation((1, 1, 0, 1, 0, 0, 0, 0))
+        rb_wrong = kernel._autocorrelation((1, 0, 1, 0, 0, 0, 0, 0))
 
-        def one_pair_wrong(a, b):
-            wrong = kernel.circulant_q(a, zero) == qa and kernel.circulant_q(zero, b) == qb
-            return real(a, b) + wrong
+        def one_pair_wrong(ra, rb):
+            return real(ra, rb) + (ra == ra_wrong and rb == rb_wrong)
 
-        monkeypatch.setattr(kernel, "circulant_det", one_pair_wrong)
+        monkeypatch.setattr(kernel, "_reflection_det", one_pair_wrong)
         want = scan_report_reference((0, 1), direct=True)
         disagree = "direct and factored determinants disagree"
         assert [v["reason"] for v in want["violations"]] == [disagree]
@@ -294,8 +293,9 @@ class TestExhaustiveScan:
 
     def test_direct_rows_coarser_than_q_parts(self, monkeypatch, in_process_pool):
         # A zero row of half terms makes every factored value 0, while
-        # circulant_det still tells the q-parts apart: half-classes keyed
-        # by the row alone would compare one pair and miss the disagreement.
+        # the circulant determinant still tells the autocorrelations apart:
+        # half-classes keyed by the row alone would compare one pair and
+        # miss the disagreement.
         monkeypatch.setattr(kernel, "_half_terms", lambda h: (0, 0, 0, 0, 0))
         want = scan_report_reference((0, 1), direct=True)
         disagree = "direct and factored determinants disagree"
@@ -324,8 +324,8 @@ class TestExhaustiveScan:
         assert rep.even == 32768 and rep.odd == 32768
 
     def test_direct_mode_reports_disagreement(self, monkeypatch):
-        real = kernel.circulant_det
-        monkeypatch.setattr(kernel, "circulant_det", lambda a, b: real(a, b) + 1)
+        real = kernel._reflection_det
+        monkeypatch.setattr(kernel, "_reflection_det", lambda ra, rb: real(ra, rb) + 1)
         rep = exhaustive_scan((1,), direct=True)
         assert rep.violations == [("0", "direct and factored determinants disagree")]
         assert exhaustive_scan((1,)).ok  # the factored-only scan never calls it

@@ -176,14 +176,32 @@ class TestCirculantBridge:
             assert circulant_det(a, b) == circulant_det_reference(a, b)
 
     @pytest.mark.parametrize("values", [(0, 1), (-2, 3)])
-    def test_blocks_match_8x8_reference_on_every_class_pair(self, values):
+    def test_blocks_match_8x8_reference_on_every_class_pair(self, monkeypatch, values):
         # An a-half's q-part is its autocorrelation r[k], a b-half's is
-        # -r[k + 4]: both sides have the same classes.
+        # -r[k + 4]: both sides have the same classes.  The direct check
+        # feeds _reflection_det the classes' autocorrelations; 221 of the
+        # 841 pairs end at a singular 3x3 block, the rest eliminate the
+        # 5x5 as well.
         reps = {tuple(circulant_q(h, ZERO_HALF)): h for h in product(values, repeat=8)}
         assert len(reps) == 29
+        real = kernel._bareiss
+        sizes = []
+
+        def recorded(m):
+            sizes.append(len(m))
+            return real(m)
+
+        monkeypatch.setattr(kernel, "_bareiss", recorded)
+        branches = Counter()
         for a in reps.values():
             for b in reps.values():
-                assert circulant_det(a, b) == circulant_det_reference(a, b)
+                want = circulant_det_reference(a, b)
+                assert circulant_det(a, b) == want
+                sizes.clear()
+                det = kernel._reflection_det(kernel._autocorrelation(a), kernel._autocorrelation(b))
+                assert det == want
+                branches[tuple(sizes)] += 1
+        assert branches == {(3,): 221, (3, 5): 620}
 
     @pytest.mark.parametrize("values", [(-1, 0, 1), (-2, -1, 0, 1, 2)])
     def test_blocks_match_8x8_reference_on_sampled_pairs(self, values):
