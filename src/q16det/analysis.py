@@ -405,6 +405,8 @@ def random_crosscheck(count: int, height: int, seed: int) -> CrosscheckReport:
     counts the elements checked up to and including that one."""
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
+    if height < 0:
+        raise ValueError(f"height must be >= 0, got {height}")
     rng = random.Random(seed)
     t0 = time.perf_counter()
 

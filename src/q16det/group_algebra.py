@@ -3,7 +3,9 @@
 An element is stored as two blocks of eight integer coefficients: ``a`` for
 the powers X**0..X**7 and ``b`` for Y*X**0..Y*X**7.  The group determinant
 is det(M) for the 16x16 matrix M[g][h] = coefficient of g * h**-1, computed
-exactly by fraction-free elimination (see :mod:`q16det.kernel`).
+exactly on that literal matrix by :func:`q16det.kernel.group_det`: one
+block step at the central element X**4, unimodular and division-free,
+splits M into two 8x8 blocks, each eliminated fraction-free.
 """
 
 from typing import Iterable, NamedTuple, Sequence

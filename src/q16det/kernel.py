@@ -1,8 +1,9 @@
 """The hot loops, exact over arbitrary-precision integers.
 
-* :func:`group_det`   - 16x16 group determinant by two-step fraction-free
-  (Bareiss) elimination of the literal ``DET_INDEX`` matrix, the
-  definition that certificates and crosschecks rely on,
+* :func:`group_det`   - determinant of the literal 16x16 ``DET_INDEX``
+  matrix, the definition that certificates and crosschecks rely on: one
+  exact block step at the central element X**4 splits it into two 8x8
+  blocks, each eliminated by two-step fraction-free (Bareiss) elimination,
 * :func:`factored_terms` - the tuple (A, B, C, X, Y) of the determinant
   factorization, built from two calls of :func:`_half_terms`, the only
   evaluation at 1, -1, i and w (:func:`q16det.exact_eval.factored_form`
@@ -40,8 +41,9 @@ pass clears two columns with the determinant d2 of a 2x2 pivot block
 and divides every updated entry by the square of the previous pass's
 pivot, exactly by Sylvester's identity.  When no row makes d2 nonzero
 the determinant is 0, unless the pivot row is zero in both columns and a
-later row takes its place.  That is 560 entry updates on the 16x16 where
-one column per pass takes 1,240.
+later row takes its place.  That is 112 entry updates on the two 8x8
+blocks of :func:`group_det`, where the whole 16x16 takes 560 and one
+column per pass 1,240.
 
 Callers reach every entry point as ``kernel.<name>``, so a tracer or a
 test that patches this module sees every call.
@@ -52,10 +54,10 @@ from __future__ import annotations
 import sys
 from collections import Counter
 from itertools import islice, product
-from operator import itemgetter
 from typing import Iterator, Sequence
 
 from ._cayley import DET_INDEX
+from .errors import InternalInconsistency
 
 # The lane names perfbench reads; scan and crosscheck reports carry ACTIVE_LANE.
 ACTIVE_LANE: str = "pure"
@@ -127,16 +129,56 @@ def _bareiss(m: list[list[int]]) -> int:
     return sign * (m[k][k] if k < n else prev)
 
 
-#: One itemgetter per row of DET_INDEX: row g of the 16x16 matrix is
-#: _DET_ROWS[g](c), c the 16 coefficients.
-_DET_ROWS = tuple(itemgetter(*row) for row in DET_INDEX)
+#: Indices of 1, X, X**2, X**3, Y, Y*X, Y*X**2, Y*X**3: with z = X**4, the
+#: group is these eight elements followed by z times them, index + 4.
+_COSET_REPS = (0, 1, 2, 3, 8, 9, 10, 11)
+
+
+def _central_pairs(index: Sequence[Sequence[int]]) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The 8x8 table of index pairs (index[g][h], index[g][h + 4]) over g, h
+    in ``_COSET_REPS``, after checking that the 16x16 table ``index`` has
+    the block form [[A, B], [B, A]] in that order: index[g + 4][h + 4] ==
+    index[g][h] and index[g + 4][h] == index[g][h + 4].  Raises
+    InternalInconsistency otherwise."""
+    pairs = []
+    for g in _COSET_REPS:
+        row = []
+        for h in _COSET_REPS:
+            i0, i1 = index[g][h], index[g][h + 4]
+            if index[g + 4][h + 4] != i0 or index[g + 4][h] != i1:
+                raise InternalInconsistency(
+                    f"index table is not [[A, B], [B, A]] at rows {g}, {g + 4} "
+                    f"and columns {h}, {h + 4}"
+                )
+            row.append((i0, i1))
+        pairs.append(tuple(row))
+    return tuple(pairs)
+
+
+#: (A + B)[i][j] = c[i0] + c[i1] and (A - B)[i][j] = c[i0] - c[i1] for
+#: (i0, i1) = _CENTRAL_PAIRS[i][j], c the 16 coefficients.
+_CENTRAL_PAIRS = _central_pairs(DET_INDEX)
 
 
 def group_det(a: Sequence[int], b: Sequence[int]) -> int:
     """Group determinant det(c[g * h**-1]) of the element with X-block
-    coefficients ``a`` and Y-block coefficients ``b``."""
+    coefficients ``a`` and Y-block coefficients ``b``: the determinant of
+    the literal ``DET_INDEX`` matrix M, from two 8x8 eliminations.
+
+    Order rows and columns alike as ``_COSET_REPS`` followed by z times
+    them, z = X**4; a simultaneous permutation keeps the determinant.  z is
+    central and z**2 = 1, so M[zg][zh] = M[g][h] and M[g][zh] = M[zg][h]:
+    M = [[A, B], [B, A]] (checked on ``DET_INDEX`` at import).  Adding
+    block row 2 to block row 1 and then subtracting block column 1 from
+    block column 2 gives [[A + B, 0], [B, A - B]], so det M =
+    det(A + B) * det(A - B): unimodular integer steps, no division.  A + B
+    is eliminated first, and when it is singular the determinant is 0.
+    """
     c = (*a, *b)
-    return _bareiss([list(row(c)) for row in _DET_ROWS])
+    plus = _bareiss([[c[i] + c[j] for i, j in row] for row in _CENTRAL_PAIRS])
+    if not plus:
+        return 0
+    return plus * _bareiss([[c[i] - c[j] for i, j in row] for row in _CENTRAL_PAIRS])
 
 
 def _autocorrelation(h: Sequence[int]) -> tuple[int, int, int, int, int]:

@@ -368,6 +368,13 @@ class TestRandomCrosscheck:
         with pytest.raises(ValueError):
             random_crosscheck(-5, 9, seed=1)
 
+    @pytest.mark.parametrize("count", [0, 3])
+    def test_negative_height_rejected(self, count):
+        # Without the check, count 0 returned a report with height -1 and a
+        # positive count failed inside randint with an empty range.
+        with pytest.raises(ValueError, match="height must be >= 0, got -1"):
+            random_crosscheck(count, -1, seed=1)
+
     def test_mismatch_raises(self, monkeypatch):
         monkeypatch.setattr(
             analysis, "factored_form", lambda e: factored_form(e)._replace(A=0)

@@ -232,6 +232,10 @@ class TestCrosscheckAndAudit:
         code, err = usage_error(capsys, "crosscheck", "--count", "-5")
         assert code == EXIT_USAGE and "--count" in err
 
+    def test_crosscheck_negative_height_exit_2(self, capsys):
+        code, err = usage_error(capsys, "crosscheck", "--height", "-1")
+        assert code == EXIT_USAGE and "--height" in err
+
     def test_audit_zero_height_exit_2(self, capsys):
         code, err = usage_error(capsys, "audit", "--height", "0")
         assert code == EXIT_USAGE and "--height" in err

@@ -1,6 +1,7 @@
 """The kernel: the lane names and patch points perfbench relies on,
 exactness for large coefficients, the elimination against the Fraction
-oracle on every branch it takes, the circulant determinant behind
+oracle on every branch it takes, group_det's split at the central element
+X**4 against the whole literal 16x16, the circulant determinant behind
 direct scans, the half-table scan against the per-element reference, and
 the q-classes a direct scan groups half-vectors by."""
 
@@ -16,6 +17,7 @@ import pytest
 from q16det import kernel
 from q16det._cayley import DET_INDEX, INVERSE, MUL_TABLE, inv, mul
 from q16det.analysis import exhaustive_scan
+from q16det.errors import InternalInconsistency
 from q16det.group_algebra import GroupRingElement, direct_determinant
 from q16det.kernel import circulant_det, circulant_q
 
@@ -57,6 +59,56 @@ def test_active_lane_reported(monkeypatch):
 
 def _oracle_det(a, b):
     return fraction_det(determinant_matrix(GroupRingElement.from_coeffs(list(a) + list(b))))
+
+
+@pytest.fixture
+def bareiss_sizes(monkeypatch):
+    """The sizes of the matrices ``kernel._bareiss`` is called on, in order."""
+    real = kernel._bareiss
+    sizes = []
+
+    def recorded(m):
+        sizes.append(len(m))
+        return real(m)
+
+    monkeypatch.setattr(kernel, "_bareiss", recorded)
+    return sizes
+
+
+#: The central element z = X**4 and one element of each coset {g, z*g}.
+Z = 4
+COSET_REPS = [g for g in range(16) if g < MUL_TABLE[Z][g]]
+
+
+def _checked_group_det(a, b, sizes):
+    """kernel.group_det(a, b), checked against one elimination of the whole
+    literal 16x16; ``sizes``, the bareiss_sizes fixture, must show a single
+    8x8 when the block A + B of the z-split is singular and two otherwise."""
+    m = determinant_matrix(GroupRingElement(a, b))
+    plus = [[m[g][h] + m[g][MUL_TABLE[Z][h]] for h in COSET_REPS] for g in COSET_REPS]
+    whole = kernel._bareiss(m)
+    sizes.clear()
+    det = kernel.group_det(a, b)
+    assert det == whole
+    assert sizes == ([8] if bareiss_reference(plus) == 0 else [8, 8])
+    return det
+
+
+def test_central_pairs_reject_swapped_entries():
+    # Each entry's twin under (g, h) -> (zg, zh) holds the same index, so
+    # swapping any two entries with different indices breaks the block form.
+    rng = random.Random(16)
+    cells = list(product(range(16), repeat=2))
+    tried = 0
+    while tried < 40:
+        (g1, h1), (g2, h2) = rng.sample(cells, 2)
+        if DET_INDEX[g1][h1] == DET_INDEX[g2][h2]:
+            continue
+        index = [list(row) for row in DET_INDEX]
+        index[g1][h1], index[g2][h2] = index[g2][h2], index[g1][h1]
+        with pytest.raises(InternalInconsistency, match=r"not \[\[A, B\], \[B, A\]\]"):
+            kernel._central_pairs(index)
+        tried += 1
 
 
 def test_large_coefficients_exact():
@@ -142,30 +194,34 @@ def test_bareiss_matches_fraction_det(n):
 
 
 class TestCirculantBridge:
-    @pytest.mark.parametrize("height", [1, 9, 10**6])
-    def test_matches_group_det_and_oracle(self, height):
+    @pytest.mark.parametrize("height", [1, 9, 10**6, 10**30])
+    def test_matches_group_det_and_oracle(self, height, bareiss_sizes):
         rng = random.Random(height)
         for k in range(300):
             a = [rng.randint(-height, height) for _ in range(8)]
             b = [rng.randint(-height, height) for _ in range(8)]
             det = circulant_det(a, b)
-            assert det == kernel.group_det(a, b)
+            assert det == _checked_group_det(a, b, bareiss_sizes)
             if k < 30:
                 assert det == _oracle_det(a, b)
 
     @pytest.mark.parametrize("support", [(0, 1), (-1, 0)])
-    def test_sparse_singular_heavy_elements(self, support):
+    def test_sparse_singular_heavy_elements(self, support, bareiss_sizes):
         rng = random.Random(sum(support))
         dets = []
+        group_det_branches = Counter()
         for k in range(500):
             c = [rng.choice(support) for _ in range(16)]
             det = circulant_det(c[:8], c[8:])
-            assert det == kernel.group_det(c[:8], c[8:])
+            assert det == _checked_group_det(c[:8], c[8:], bareiss_sizes)
+            group_det_branches[len(bareiss_sizes)] += 1
             if k < 50:
                 assert det == _oracle_det(c[:8], c[8:])
             dets.append(det)
-        # about 46% of these elements are singular
+        # about 46% of these elements are singular; group_det stops after
+        # the A + B block on all of them but one, which needs both blocks
         assert 100 < dets.count(0) < 400
+        assert group_det_branches == {1: dets.count(0) - 1, 2: 501 - dets.count(0)}
 
     @pytest.mark.parametrize("height", [1, 9, 10**6, 10**30])
     def test_blocks_match_8x8_reference(self, height):
@@ -176,7 +232,7 @@ class TestCirculantBridge:
             assert circulant_det(a, b) == circulant_det_reference(a, b)
 
     @pytest.mark.parametrize("values", [(0, 1), (-2, 3)])
-    def test_blocks_match_8x8_reference_on_every_class_pair(self, monkeypatch, values):
+    def test_blocks_match_8x8_reference_on_every_class_pair(self, bareiss_sizes, values):
         # An a-half's q-part is its autocorrelation r[k], a b-half's is
         # -r[k + 4]: both sides have the same classes.  The direct check
         # feeds _reflection_det the classes' autocorrelations; 221 of the
@@ -184,23 +240,15 @@ class TestCirculantBridge:
         # 5x5 as well.
         reps = {tuple(circulant_q(h, ZERO_HALF)): h for h in product(values, repeat=8)}
         assert len(reps) == 29
-        real = kernel._bareiss
-        sizes = []
-
-        def recorded(m):
-            sizes.append(len(m))
-            return real(m)
-
-        monkeypatch.setattr(kernel, "_bareiss", recorded)
         branches = Counter()
         for a in reps.values():
             for b in reps.values():
                 want = circulant_det_reference(a, b)
                 assert circulant_det(a, b) == want
-                sizes.clear()
+                bareiss_sizes.clear()
                 det = kernel._reflection_det(kernel._autocorrelation(a), kernel._autocorrelation(b))
                 assert det == want
-                branches[tuple(sizes)] += 1
+                branches[tuple(bareiss_sizes)] += 1
         assert branches == {(3,): 221, (3, 5): 620}
 
     @pytest.mark.parametrize("values", [(-1, 0, 1), (-2, -1, 0, 1, 2)])
