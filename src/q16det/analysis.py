@@ -7,6 +7,7 @@ that every value produced is accepted by the classifier and that the two
 determinant computation paths agree.
 """
 
+import operator
 import os
 import random
 import time
@@ -24,7 +25,6 @@ from .errors import (
 from .exact_eval import (
     QuadraticSqrt2,
     determinant_from_factored,
-    eval_at_pm1,
     factored_form,
 )
 from .group_algebra import (
@@ -89,17 +89,22 @@ class ParityAuditRecord(NamedTuple):
 
 def _normalize_for_audit(e: GroupRingElement) -> tuple[GroupRingElement, bool, bool]:
     """Reach f(1), f(-1) odd, g(1) = 2 mod 4, g(-1) = 0 mod 4 by swapping
-    f with g and/or substituting x -> -x."""
+    f with g and/or substituting x -> -x.
+
+    The residues are read from the squares P = h(1)**2 and Q = h(-1)**2 of
+    each half's :func:`q16det.kernel._half_terms`: h(1) is odd iff P is,
+    h(1) = 2 mod 4 iff P = 4 mod 16, 4 | h(-1) iff Q = 0 mod 16, and
+    x -> -x swaps P and Q."""
+    halves = (kernel._half_terms(e.a), kernel._half_terms(e.b))
     for swapped in (False, True):
-        cand = swap_components(e) if swapped else e
-        f1, g1, fm1, _ = eval_at_pm1(cand)
-        if f1 % 2 == 0 or fm1 % 2 == 0:
+        (Pf, Qf, *_), (Pg, Qg, *_) = halves[::-1] if swapped else halves
+        if Pf % 2 == 0 or Qf % 2 == 0:
             continue
         for negated in (False, True):
-            cand2 = substitute_neg_x(cand) if negated else cand
-            _, g1, _, gm1 = eval_at_pm1(cand2)
-            if g1 % 4 == 2 and gm1 % 4 == 0:
-                return cand2, swapped, negated
+            g1, gm1 = (Qg, Pg) if negated else (Pg, Qg)
+            if g1 % 16 == 4 and gm1 % 16 == 0:
+                cand = swap_components(e) if swapped else e
+                return (substitute_neg_x(cand) if negated else cand), swapped, negated
     raise PreconditionUnreachable(
         f"no swap/negate normalization of {e} meets the residue preconditions"
     )
@@ -284,8 +289,13 @@ def exhaustive_scan(
     This function owns the residue laws: it sorts each distinct value of
     the merged histogram once into the report's tallies, sample and
     violations, and calls the classifier only on values 5 mod 8.
+
+    The support values, ``workers`` and ``budget`` must be integers: any
+    other type raises TypeError.
     """
-    values = tuple(sorted(set(int(v) for v in support)))
+    values = tuple(sorted(set(map(operator.index, support))))
+    workers = operator.index(workers)
+    budget = operator.index(budget)
     if not values:
         raise ValueError("support must be non-empty")
     if workers < 1:

@@ -10,6 +10,7 @@ certificate.
 """
 
 import enum
+import operator
 from typing import NamedTuple, Union
 
 from . import primes
@@ -76,7 +77,9 @@ def factorize(n: int) -> FactorizationResult:
 
 
 def classify(n: int) -> Classification:
-    """Decide achievability of n; residues are mathematical (in 0..7)."""
+    """Decide achievability of n; residues are mathematical (in 0..7).
+    n must be an integer: any other type raises TypeError."""
+    n = operator.index(n)
     if n % 2 == 0:
         if n % 1024 == 0:
             return Classification(n, EvenFamily(t=n // 1024), None)
@@ -95,7 +98,9 @@ def classify(n: int) -> Classification:
 
 def classify_and_witness(n: int) -> WitnessCertificate | Classification:
     """A verified certificate when n is achievable, otherwise the
-    NotAchievable classification."""
+    NotAchievable classification.  n must be an integer: any other type
+    raises TypeError."""
+    n = operator.index(n)
     c = classify(n)
     if c.recipe is None:
         return c

@@ -14,8 +14,9 @@ with w a primitive 8th root of unity.  |f(w)|**2 + |g(w)|**2 is an element
 z = X + Y*sqrt(2) of the real quadratic ring Z[sqrt(2)], and the conjugation
 sqrt(2) -> -sqrt(2) realizes the evaluation at w**3, so D is the ring norm
 X**2 - 2*Y**2.  The integers (A, B, C, X, Y) come from
-:func:`q16det.kernel.factored_terms`; this module wraps them.  No floating
-point is used anywhere.
+:func:`q16det.kernel.factored_terms`, and every evaluation at 1, -1, i and
+w from the kernel's per-half ``_half_terms``; this module wraps them and
+evaluates nothing itself.  No floating point is used anywhere.
 """
 
 from typing import TYPE_CHECKING, NamedTuple
@@ -67,16 +68,6 @@ class FactoredForm(NamedTuple):
     C: int
     D: int
     z: QuadraticSqrt2
-
-
-def eval_at_pm1(e: "GroupRingElement") -> tuple[int, int, int, int]:
-    """(f(1), g(1), f(-1), g(-1)) as plain signed coefficient sums."""
-    a, b = e.a, e.b
-    f1 = sum(a)
-    g1 = sum(b)
-    fm1 = a[0] - a[1] + a[2] - a[3] + a[4] - a[5] + a[6] - a[7]
-    gm1 = b[0] - b[1] + b[2] - b[3] + b[4] - b[5] + b[6] - b[7]
-    return f1, g1, fm1, gm1
 
 
 def factored_form(e: "GroupRingElement") -> FactoredForm:

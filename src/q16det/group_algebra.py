@@ -8,13 +8,16 @@ block step at the central element X**4, unimodular and division-free,
 splits M into two 8x8 blocks, each eliminated fraction-free.
 """
 
+import operator
 from typing import Iterable, NamedTuple, Sequence
 
 from . import kernel
 
 
 def _coeff_tuple(coeffs: Iterable[int], name: str) -> tuple[int, ...]:
-    t = tuple(int(c) for c in coeffs)
+    """The coefficients as a tuple of ints; a float, a string or None raises
+    TypeError rather than being truncated or parsed."""
+    t = tuple(map(operator.index, coeffs))
     if len(t) != 8:
         raise ValueError(f"{name} must have exactly 8 coefficients, got {len(t)}")
     return t

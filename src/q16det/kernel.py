@@ -13,9 +13,9 @@
   of its determinant values that merges across ranges; it evaluates each
   unordered pair of halves once where the range holds both orders,
 * :func:`direct_mismatches` - the check behind direct scans: the factored
-  values of a whole scan that the circulant determinant contradicts, read
-  from each pair of half-classes' autocorrelations by
-  :func:`_reflection_det`.
+  values, from the :func:`_dets` that builds :func:`scan_range`'s
+  histogram, that the circulant determinant :func:`_reflection_det`
+  contradicts, one comparison per pair of half-classes.
 
 Every factored term is an f-only part plus a g-only part, and a g-side
 half enters A, B and C with the opposite sign, so :func:`scan_range` calls
@@ -24,15 +24,15 @@ built in blocks of at most ``_A_BLOCK`` rows, and b-rows streamed past
 each block, each combined with a prefix of it.  The same sign rule makes
 det(a, b) = det(b, a) and det(a, a) = 0, so a whole-space scan evaluates
 each unordered pair of distinct halves once and counts its value twice.
-:func:`circulant_det` is the determinant of the 8x8 circulant of
-q = f(x)*f(1/x) - x**4*g(x)*g(1/x) mod x**8 - 1, which equals the 16x16
-one.  q is palindromic, so the circulant splits by the reflection
-j -> -j into a 5x5 and a 3x3 block, and :func:`_reflection_det`, the one
-place that eliminates them, takes q from the two halves' autocorrelations
-and eliminates the 3x3 first: when it is singular the determinant is 0,
-and only otherwise is the 5x5 eliminated and multiplied in.  Exact, but
-not the literal definition.  q splits into an f-part plus a g-part too,
-so :func:`direct_mismatches` keeps each half-class's autocorrelation and
+The group determinant also equals that of the 8x8 circulant of
+q = f(x)*f(1/x) - x**4*g(x)*g(1/x) mod x**8 - 1.  q is palindromic, so
+the circulant splits by the reflection j -> -j into a 5x5 and a 3x3
+block, and :func:`_reflection_det`, the one place that eliminates them,
+takes q from the two halves' autocorrelations and eliminates the 3x3
+first: when it is singular the determinant is 0, and only otherwise is
+the 5x5 eliminated and multiplied in.  Exact, but not the literal
+definition.  q splits into an f-part plus a g-part too, so
+:func:`direct_mismatches` keeps each half-class's autocorrelation and
 eliminates once per pair of half-classes, never per element.  Every
 elimination goes through :func:`_bareiss`, Bareiss's two-step
 integer-preserving elimination ("Sylvester's identity and multistep
@@ -200,19 +200,22 @@ def _q_parts(ra: Sequence[int], rb: Sequence[int]) -> tuple[int, int, int, int, 
     return ra[0] - rb[4], ra[1] - rb[3], ra[2] - rb[2], ra[3] - rb[1], ra[4] - rb[0]
 
 
-def circulant_q(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """Coefficients q[0..7] of q = f(x)*f(1/x) - x**4*g(x)*g(1/x) mod x**8 - 1:
-    q[k] = r_a[k] - r_b[k + 4] from the cyclic autocorrelations of ``a``
-    and ``b``.  q is palindromic, q[k] = q[8 - k]."""
-    q0, q1, q2, q3, q4 = _q_parts(_autocorrelation(a), _autocorrelation(b))
-    return [q0, q1, q2, q3, q4, q3, q2, q1]
-
-
 def _reflection_det(ra: Sequence[int], rb: Sequence[int]) -> int:
-    """Determinant of the 8x8 circulant of q = :func:`_q_parts` ``(ra, rb)``,
-    ``ra`` and ``rb`` the autocorrelations of an a-half and a b-half: the
-    3x3 antisymmetric block first, and the 5x5 symmetric one only when
-    that is nonzero, since det = sym * anti (see :func:`circulant_det`)."""
+    """Group determinant of every element whose a-half has the
+    :func:`_autocorrelation` ``ra`` and whose b-half has ``rb``: the
+    determinant of the 8x8 circulant C[i][j] = q[(j - i) % 8] of
+    q = :func:`_q_parts` ``(ra, rb)``, from a 3x3 and a 5x5 block.
+
+    The 16x16 matrix is [[F, G1], [G2, F']] with 8x8 circulant blocks, which
+    commute, so its determinant is that of C (Silvester, "Determinants of
+    block matrices", 2000).  q is palindromic, so C commutes with the
+    reflection e_j -> e_-j and keeps the symmetric sublattice (basis e0,
+    e1+e7, e2+e6, e3+e5, e4) and the antisymmetric one (basis e1-e7,
+    e2-e6, e3-e5); det C is the product sym * anti of the determinants of
+    C on the two.  The 3x3 antisymmetric block is eliminated first, and
+    the 5x5 symmetric one only when that is nonzero.  Exact, but not the
+    literal definition: certificates and crosschecks use :func:`group_det`.
+    """
     q0, q1, q2, q3, q4 = _q_parts(ra, rb)
     d02, d13, d24 = q0 - q2, q1 - q3, q2 - q4
     anti = _bareiss([[d02, d13, d24], [d13, q0 - q4, d13], [d24, d13, d02]])
@@ -227,23 +230,6 @@ def _reflection_det(ra: Sequence[int], rb: Sequence[int]) -> int:
         [q4, 2 * q3, 2 * q2, 2 * q1, q0],
     ]
     return _bareiss(symmetric) * anti
-
-
-def circulant_det(a: Sequence[int], b: Sequence[int]) -> int:
-    """Group determinant of the element, from the 8x8 circulant of
-    :func:`circulant_q` split into a 5x5 and a 3x3 block: the
-    :func:`_reflection_det` of the two halves' autocorrelations.
-
-    The 16x16 matrix is [[F, G1], [G2, F']] with 8x8 circulant blocks, which
-    commute, so its determinant is that of the 8x8 circulant C[i][j] =
-    q[(j - i) % 8] (Silvester, "Determinants of block matrices", 2000).  q
-    is palindromic, so C commutes with the reflection e_j -> e_-j and keeps
-    the symmetric sublattice (basis e0, e1+e7, e2+e6, e3+e5, e4) and the
-    antisymmetric one (basis e1-e7, e2-e6, e3-e5); det C is the product of
-    the determinants of C on the two.  Exact, but not the literal
-    definition: certificates and crosschecks use :func:`group_det`.
-    """
-    return _reflection_det(_autocorrelation(a), _autocorrelation(b))
 
 
 def _half_terms(h: Sequence[int]) -> tuple[int, int, int, int, int]:
@@ -287,7 +273,9 @@ def _halves(values: Sequence[int], first: int, count: int) -> Iterator[tuple[int
 
 def _dets(a_rows: Sequence[tuple[int, ...]], b_terms: tuple[int, ...]) -> list[int]:
     """Factored determinants of the elements (a, b) whose a-halves have the
-    :func:`_half_terms` ``a_rows`` and whose b-half has ``b_terms``."""
+    :func:`_half_terms` ``a_rows`` and whose b-half has ``b_terms``: the
+    one product A*B*C**2*D**2 of two half-term rows, read by both
+    :func:`scan_range` and :func:`direct_mismatches`."""
     Pb, Qb, Rb, Xb, Yb = b_terms
     dets = []
     for Pa, Qa, Ra, Xa, Ya in a_rows:
@@ -361,28 +349,26 @@ def scan_range(values: Sequence[int], start: int, stop: int) -> dict:
 
 
 def direct_mismatches(values: Sequence[int]) -> set[int]:
-    """Factored values of the scan of values^16 that :func:`circulant_det`
-    contradicts.
+    """Factored values of the scan of values^16 that the circulant
+    determinant contradicts.
 
     An element's factored value depends only on the :func:`_half_terms` of
-    its two halves (see :func:`scan_range`), and its circulant_det only on
-    the autocorrelations of its halves (see :func:`_reflection_det`).  So
-    the half-vectors fall into half-classes, one per distinct (half terms,
-    autocorrelation), the same on either side, and one comparison per
-    ordered pair of classes decides every element of the pair: the
-    factored value from the two rows of half terms against the
+    its two halves (see :func:`scan_range`), and its circulant determinant
+    only on the autocorrelations of its halves (see :func:`_reflection_det`).
+    So the half-vectors fall into half-classes, one per distinct (half
+    terms, autocorrelation), the same on either side, and one comparison
+    per ordered pair of classes decides every element of the pair.  Each
+    b-class takes one :func:`_dets` call over the rows of half terms of
+    all the a-classes, the call that builds :func:`scan_range`'s
+    histogram, and compares each of its values with the
     :func:`_reflection_det` of the two stored autocorrelations.
     """
-    classes = {(_half_terms(h), _autocorrelation(h)) for h in product(values, repeat=8)}
+    classes = list({(_half_terms(h), _autocorrelation(h)) for h in product(values, repeat=8)})
+    a_rows = [terms for terms, _ in classes]
 
     mismatches: set[int] = set()
-    for (Pa, Qa, Ra, Xa, Ya), ra in classes:
-        for (Pb, Qb, Rb, Xb, Yb), rb in classes:
-            C = Ra - Rb
-            X = Xa + Xb
-            Y = Ya + Yb
-            D = X * X - 2 * Y * Y
-            det = (Pa - Pb) * (Qa - Qb) * C * C * D * D
+    for b_terms, rb in classes:
+        for (_, ra), det in zip(classes, _dets(a_rows, b_terms)):
             if _reflection_det(ra, rb) != det:
                 mismatches.add(det)
     return mismatches

@@ -16,9 +16,11 @@ evaluations at 1; the parities u must match ``_U_PATTERNS`` and
 ``_V_PATTERNS``.
 
 Every certificate is verified by recomputing the full 16x16 determinant;
-an unverified certificate is never returned.
+an unverified certificate is never returned.  Targets and primes must be
+integers: a float, a string or None raises TypeError.
 """
 
+import operator
 from typing import NamedTuple
 
 from . import kernel
@@ -134,6 +136,7 @@ def _certify(n: int, e: GroupRingElement, trace: dict) -> WitnessCertificate:
 
 def witness_even(n: int) -> WitnessCertificate:
     """A verified witness for any multiple of 2**10 (including 0)."""
+    n = operator.index(n)
     if n % 1024 != 0:
         raise NotMultiple(f"{n} is not a multiple of 2**10")
     t = n // 1024
@@ -152,6 +155,7 @@ def witness_even(n: int) -> WitnessCertificate:
 
 def witness_odd_1mod8(n: int) -> WitnessCertificate:
     """A verified witness for any n = 1 mod 8."""
+    n = operator.index(n)
     if n % 8 != 1:
         raise WrongResidue(f"{n} is not 1 mod 8")
     if n % 16 == 1:
@@ -219,6 +223,7 @@ def _lift(
 def witness_odd_5mod8(n: int, p: int) -> WitnessCertificate:
     """A verified witness for n = m*p**2 with m = 5 mod 8, via the
     quadratic-ring pipeline for the prime p = 7 mod 8."""
+    n, p = operator.index(n), operator.index(p)
     if n % 8 != 5:
         raise BadInput(f"{n} is not 5 mod 8")
     if p % 8 != 7 or not is_probable_prime(p):

@@ -10,9 +10,11 @@ one-line predicates.  The scan references walk the index range one
 element at a time, calling the kernel's ``factored_terms`` and
 ``circulant_det`` on each, where the library scan sums precomputed
 half-vector rows and the library's direct check compares once per pair
-of half-classes; the report reference sorts each element into the
-tallies as it is made, where the library sorts the distinct values of a
-merged histogram.  The group-ring product ``convolve`` feeds the
+of half-classes.  ``circulant_det`` and ``circulant_q`` are the
+per-element forms of the kernel's circulant seam, which the library
+itself only calls per pair of half-classes.  The report reference sorts
+each element into the tallies as it is made, where the library sorts
+the distinct values of a merged histogram.  The group-ring product ``convolve`` feeds the
 multiplicativity check of the determinant, and ``determinant_matrix``
 lays out the literal 16x16 matrix for the Fraction oracle.  The
 circulant reference eliminates the whole 8x8 circulant of q with its own
@@ -23,6 +25,9 @@ and searches it by index, where the library enumerates each level's
 candidates lazily.  The normalization reference branches on the counts of
 odd alphas and odd betas and then checks the layout it built, where the
 library sorts the pairs by parity and looks the layout up in one table.
+The audit normalization reference evaluates each candidate element at 1
+and -1 from its coefficient sums, where the library reads the residues
+once from the squares in the kernel's half terms.
 """
 
 from collections import Counter
@@ -32,9 +37,9 @@ from math import isqrt
 from q16det import kernel
 from q16det._cayley import DET_INDEX, MUL_TABLE
 from q16det.classifier import classify
-from q16det.errors import NoDecomposition, NoValidArrangement
+from q16det.errors import NoDecomposition, NoValidArrangement, PreconditionUnreachable
 from q16det.exact_eval import QuadraticSqrt2, totally_nonneg
-from q16det.group_algebra import GroupRingElement
+from q16det.group_algebra import GroupRingElement, substitute_neg_x, swap_components
 from q16det.quad_ring import CaseLabel, FourSquares
 
 
@@ -184,6 +189,21 @@ def cyclotomic_conj(u) -> tuple[int, int, int, int]:
     return (u[0], -u[3], -u[2], -u[1])
 
 
+def circulant_q(a, b) -> list[int]:
+    """Coefficients q[0..7] of q = f(x)*f(1/x) - x**4*g(x)*g(1/x) mod x**8 - 1:
+    q[k] = r_a[k] - r_b[k + 4] from the cyclic autocorrelations of ``a``
+    and ``b``.  q is palindromic, q[k] = q[8 - k]."""
+    q0, q1, q2, q3, q4 = kernel._q_parts(kernel._autocorrelation(a), kernel._autocorrelation(b))
+    return [q0, q1, q2, q3, q4, q3, q2, q1]
+
+
+def circulant_det(a, b) -> int:
+    """Group determinant of the element (a, b) from the kernel's circulant
+    seam, ``kernel._reflection_det`` of the two halves' autocorrelations,
+    looked up on each call so that a patched seam reaches it too."""
+    return kernel._reflection_det(kernel._autocorrelation(a), kernel._autocorrelation(b))
+
+
 #: Layout of the 8x8 circulant of q: C[i][j] = q[(j - i) % 8].
 _CIRCULANT_INDEX = tuple(tuple((j - i) % 8 for j in range(8)) for i in range(8))
 
@@ -249,7 +269,7 @@ def _reference_dets(values, start, stop, direct):
         A, B, C, X, Y = kernel.factored_terms(a, b)
         D = X * X - 2 * Y * Y
         det = A * B * C * C * D * D
-        yield det, not direct or kernel.circulant_det(a, b) == det
+        yield det, not direct or circulant_det(a, b) == det
 
         k = 0
         while k < 16 and digits[k] == top:
@@ -454,3 +474,33 @@ def normalize_reference(fs: FourSquares) -> tuple[FourSquares, CaseLabel]:
     if not _layout_ok(ordered, label):
         raise NoValidArrangement(f"{fs.pairs}: layout check failed for {label}")
     return FourSquares(tuple(ordered)), label
+
+
+def _eval_at_pm1(e: GroupRingElement) -> tuple[int, int, int, int]:
+    """(f(1), g(1), f(-1), g(-1)) as plain signed coefficient sums."""
+    a, b = e.a, e.b
+    f1 = sum(a)
+    g1 = sum(b)
+    fm1 = a[0] - a[1] + a[2] - a[3] + a[4] - a[5] + a[6] - a[7]
+    gm1 = b[0] - b[1] + b[2] - b[3] + b[4] - b[5] + b[6] - b[7]
+    return f1, g1, fm1, gm1
+
+
+def normalize_for_audit_reference(e: GroupRingElement) -> tuple[GroupRingElement, bool, bool]:
+    """``analysis._normalize_for_audit(e)`` from the coefficient sums of each
+    candidate element: reach f(1), f(-1) odd, g(1) = 2 mod 4, g(-1) = 0
+    mod 4 by swapping f with g and/or substituting x -> -x.  Raises
+    PreconditionUnreachable where the library does."""
+    for swapped in (False, True):
+        cand = swap_components(e) if swapped else e
+        f1, g1, fm1, _ = _eval_at_pm1(cand)
+        if f1 % 2 == 0 or fm1 % 2 == 0:
+            continue
+        for negated in (False, True):
+            cand2 = substitute_neg_x(cand) if negated else cand
+            _, g1, _, gm1 = _eval_at_pm1(cand2)
+            if g1 % 4 == 2 and gm1 % 4 == 0:
+                return cand2, swapped, negated
+    raise PreconditionUnreachable(
+        f"no swap/negate normalization of {e} meets the residue preconditions"
+    )

@@ -2,6 +2,7 @@ import concurrent.futures
 import os
 import random
 import time
+from collections import Counter
 
 import pytest
 
@@ -19,7 +20,12 @@ from q16det.errors import BudgetExceeded, MismatchFound, PreconditionUnreachable
 from q16det.exact_eval import QuadraticSqrt2, factored_form
 from q16det.group_algebra import GroupRingElement
 
-from oracles import chebyshev_expand, laurent_self_product, scan_report_reference
+from oracles import (
+    chebyshev_expand,
+    laurent_self_product,
+    normalize_for_audit_reference,
+    scan_report_reference,
+)
 
 
 class TestChebyshev:
@@ -78,6 +84,55 @@ class TestParityAudit:
         )
         assert rec.swapped
         assert (rec.X, rec.Y, rec.D) == (3, 1, 7)
+
+    @pytest.mark.parametrize(
+        "a,b,swapped,negated",
+        [
+            ((1, 0, 0, 0, 0, 0, 0, 0), (1, 1, 0, 0, 0, 0, 0, 0), False, False),
+            ((1, 0, 0, 0, 0, 0, 0, 0), (1, -1, 0, 0, 0, 0, 0, 0), False, True),
+            ((1, 1, 0, 0, 0, 0, 0, 0), (1, 0, 0, 0, 0, 0, 0, 0), True, False),
+            ((1, -1, 0, 0, 0, 0, 0, 0), (1, 0, 0, 0, 0, 0, 0, 0), True, True),
+            ((3, 0, 0, 0, 0, 0, 0, 0), (5, 1, 0, 0, 0, 0, 0, 0), False, False),
+        ],
+    )
+    def test_normalization_branches_match_reference(self, a, b, swapped, negated):
+        e = GroupRingElement(a, b)
+        got = analysis._normalize_for_audit(e)
+        assert got == normalize_for_audit_reference(e)
+        assert got[1:] == (swapped, negated)
+
+    @pytest.mark.parametrize(
+        "a,b",
+        [
+            ((0,) * 8, (0,) * 8),
+            ((1, 0, 0, 0, 0, 0, 0, 0), (2, 0, 0, 0, 0, 0, 0, 0)),
+            ((1, 0, 0, 0, 0, 0, 0, 0), (2, 2, 0, 0, 0, 0, 0, 0)),
+            ((1, 1, 1, 0, 0, 0, 0, 0), (1, 1, 1, 0, 0, 0, 0, 0)),
+        ],
+    )
+    def test_normalization_unreachable_matches_reference(self, a, b):
+        e = GroupRingElement(a, b)
+        with pytest.raises(PreconditionUnreachable):
+            normalize_for_audit_reference(e)
+        with pytest.raises(PreconditionUnreachable):
+            analysis._normalize_for_audit(e)
+
+    @pytest.mark.parametrize("height", [1, 2, 3, 9, 10**6])
+    def test_normalization_matches_reference_on_random_elements(self, height):
+        rng = random.Random(17 * height)
+        branches = Counter()
+        for _ in range(3000):
+            e = GroupRingElement.from_coeffs([rng.randint(-height, height) for _ in range(16)])
+            try:
+                want = normalize_for_audit_reference(e)
+            except PreconditionUnreachable:
+                with pytest.raises(PreconditionUnreachable):
+                    analysis._normalize_for_audit(e)
+                branches["unreachable"] += 1
+                continue
+            assert analysis._normalize_for_audit(e) == want
+            branches[want[1:]] += 1
+        assert len(branches) == 5
 
     def test_random_audits_all_pass(self):
         report = run_parity_audits(1000, seed=1)
@@ -329,6 +384,44 @@ class TestExhaustiveScan:
         rep = exhaustive_scan((1,), direct=True)
         assert rep.violations == [("0", "direct and factored determinants disagree")]
         assert exhaustive_scan((1,)).ok  # the factored-only scan never calls it
+
+    def test_direct_checks_the_histogram_product(self, monkeypatch, in_process_pool):
+        # The direct check reads the factored values from the same _dets
+        # that tallies the histogram: a _dets wrong for one pair of half-term
+        # rows is caught there.
+        real = kernel._dets
+        ra_wrong = kernel._half_terms((1, 1, 0, 1, 0, 0, 0, 0))
+        rb_wrong = kernel._half_terms((1, 0, 1, 0, 0, 0, 0, 0))
+        A, B, C, X, Y = kernel.factored_terms((1, 1, 0, 1, 0, 0, 0, 0), (1, 0, 1, 0, 0, 0, 0, 0))
+        wrong = A * B * C * C * (X * X - 2 * Y * Y) ** 2 + 1
+
+        def one_pair_wrong(a_rows, b_terms):
+            dets = real(a_rows, b_terms)
+            if b_terms != rb_wrong:
+                return dets
+            return [d + (row == ra_wrong) for row, d in zip(a_rows, dets)]
+
+        monkeypatch.setattr(kernel, "_dets", one_pair_wrong)
+        disagree = "direct and factored determinants disagree"
+        for workers in (1, 2):
+            rep = exhaustive_scan((0, 1), workers=workers, direct=True)
+            assert [v for v, r in rep.violations if r == disagree] == [str(wrong)]
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"support": (0.5, 1)},
+            {"support": (0, 1.0)},
+            {"support": ("0", "1")},
+            {"support": (0, None)},
+            {"support": (0, 1), "workers": 1.0},
+            {"support": (0, 1), "workers": "2"},
+            {"support": (0, 1), "budget": 1e9},
+        ],
+    )
+    def test_non_integer_arguments_rejected(self, kwargs):
+        with pytest.raises(TypeError):
+            exhaustive_scan(**kwargs)
 
     @pytest.mark.parametrize("workers", [0, -3])
     def test_bad_worker_count_rejected(self, workers):

@@ -108,6 +108,14 @@ class TestClassify:
         assert not classify(-512).achievable
 
 
+@pytest.mark.parametrize("bad", [245.0, 17.0, 2.5, "245", None])
+@pytest.mark.parametrize("entry", [classify, classify_and_witness])
+def test_non_integer_target_rejected(entry, bad):
+    # classify(245.0) used to answer Odd5Mod8(p=7, m=5.0).
+    with pytest.raises(TypeError):
+        entry(bad)
+
+
 class TestClassifyAndWitness:
     def test_achievable_produces_verified_certificate(self):
         for n in (17, 245, 0, -3072, -147, 1, 637):

@@ -10,7 +10,6 @@ from q16det.exact_eval import (
     FactoredForm,
     QuadraticSqrt2,
     determinant_from_factored,
-    eval_at_pm1,
     factored_form,
     totally_nonneg,
 )
@@ -40,13 +39,6 @@ def omega_xy(poly):
 
 
 class TestEvalPoints:
-    def test_eval_at_pm1(self):
-        f1, g1, fm1, gm1 = eval_at_pm1(elem(H, (0,) * 8))
-        assert (f1, fm1) == (8, 0)
-        assert eval_at_pm1(elem((1, 0, 0, 0, 0, 0, 0, 0), (0,) * 8))[0::2] == (1, 1)
-        f1, _, fm1, _ = eval_at_pm1(elem((1, 1, 0, 0, 0, 0, 0, 0), (0,) * 8))
-        assert (f1, fm1) == (2, 0)
-
     def test_eval_at_i(self):
         poly = (1, -1, 1, 1, 0, 0, 0, 1)
         assert eval_at_i(poly) == (0, -3)

@@ -193,6 +193,16 @@ class TestValidation:
         with pytest.raises(ValueError):
             GroupRingElement.from_coeffs([0] * 15)
 
+    @pytest.mark.parametrize("bad", [2.7, 2.0, "3", None])
+    def test_non_integer_coefficient_rejected(self, bad):
+        # 2.7 would truncate to 2 and "3" would parse as 3.
+        with pytest.raises(TypeError):
+            GroupRingElement((bad,) + (0,) * 7, (0,) * 8)
+        with pytest.raises(TypeError):
+            GroupRingElement((0,) * 8, (0,) * 7 + (bad,))
+        with pytest.raises(TypeError):
+            GroupRingElement.from_coeffs([bad] + [0] * 15)
+
     def test_zero_and_identity(self):
         zero = GroupRingElement((0,) * 8, (0,) * 8)
         identity = GroupRingElement((1,) + (0,) * 7, (0,) * 8)

@@ -19,11 +19,12 @@ from q16det._cayley import DET_INDEX, INVERSE, MUL_TABLE, inv, mul
 from q16det.analysis import exhaustive_scan
 from q16det.errors import InternalInconsistency
 from q16det.group_algebra import GroupRingElement, direct_determinant
-from q16det.kernel import circulant_det, circulant_q
 
 from oracles import (
     bareiss_reference,
+    circulant_det,
     circulant_det_reference,
+    circulant_q,
     determinant_matrix,
     direct_agrees_reference,
     fraction_det,

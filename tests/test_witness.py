@@ -197,6 +197,24 @@ class TestApplyShift:
         assert direct_determinant(e) == 245
 
 
+@pytest.mark.parametrize(
+    "entry,args",
+    [
+        (witness_even, (1024.0,)),
+        (witness_even, ("1024",)),
+        (witness_odd_1mod8, (17.0,)),
+        (witness_odd_1mod8, (None,)),
+        (witness_odd_5mod8, (245.0, 7)),
+        (witness_odd_5mod8, (245, 7.0)),
+        (witness_odd_5mod8, ("245", 7)),
+    ],
+)
+def test_non_integer_arguments_rejected(entry, args):
+    # witness_odd_5mod8(245.0, 7) used to certify n=245.0 with float m and shift.
+    with pytest.raises(TypeError):
+        entry(*args)
+
+
 class TestWitnessOdd5Mod8:
     def test_245(self):
         cert = witness_odd_5mod8(245, 7)
