@@ -7,6 +7,12 @@ command (a ``Q16DetError`` or ``RuntimeError``) prints one
 ``q16det: <Type>: <message>`` line to stderr and exits 1.  Output cut
 short by a closed pipe exits 1 with nothing on stderr.
 
+Every integer, on the command line and in a certificate document, is read
+by one grammar, ``-?[0-9]+``: ASCII digits after an optional minus, leading
+zeros allowed.  Any other spelling on the command line (``+9``, ``1_001``,
+non-ASCII digits, a space, or an empty item in a comma list) is a usage
+error: one ``q16det <command>: error: ...`` line on stderr, exit 2.
+
 Machine output (--json) is one JSON object per line; all integers are
 serialized as decimal strings so consumers are safe from 64-bit overflow.
 """
@@ -95,27 +101,27 @@ class CertificateDocument(NamedTuple):
         for key in ("f", "g"):
             if not (isinstance(doc[key], list) and len(doc[key]) == 8):
                 raise BadInput(f"{key!r} must be a list of 8 decimal strings, got {doc[key]!r}")
-        return cls(
-            n=_decimal("n", doc["n"]),
-            f=tuple(_decimal("f", c) for c in doc["f"]),
-            g=tuple(_decimal("g", c) for c in doc["g"]),
-            A=_decimal("A", doc["A"]),
-            B=_decimal("B", doc["B"]),
-            C=_decimal("C", doc["C"]),
-            D=_decimal("D", doc["D"]),
-            X=_decimal("X", doc["X"]),
-            Y=_decimal("Y", doc["Y"]),
-            trace=trace,
-            verified=doc["verified"],
-            tool=tool,
-        )
+        ints = {key: _decimal(doc[key], BadInput, f"{key!r} ") for key in "nABCDXY"}
+        f, g = (tuple(_decimal(c, BadInput, f"{key!r} ") for c in doc[key]) for key in "fg")
+        return cls(**ints, f=f, g=g, trace=trace, verified=doc["verified"], tool=tool)
 
 
-def _decimal(key: str, value) -> int:
-    """The integer a document field spells as a decimal string."""
-    if not (isinstance(value, str) and re.fullmatch(r"-?[0-9]+", value)):
-        raise BadInput(f"{key!r} must be a decimal string, got {value!r}")
-    return int(value)
+_DECIMAL = re.compile(r"-?[0-9]+")
+
+
+def _decimal(text, error=argparse.ArgumentTypeError, name: str = "") -> int:
+    """The integer ``text`` spells in the one grammar of the command line
+    and the certificate loader, ``-?[0-9]+``.  Anything else, a non-string,
+    or more digits than the interpreter converts, raises ``error`` with a
+    message that starts with ``name``: the argparse type error by default,
+    so that this is an argparse ``type``."""
+    if not (isinstance(text, str) and _DECIMAL.fullmatch(text)):
+        raise error(f"{name}must be a decimal integer {_DECIMAL.pattern}, got {text!r}")
+    try:
+        return int(text)
+    except ValueError as exc:  # over sys.get_int_max_str_digits()
+        limit, digits = sys.get_int_max_str_digits(), len(text.lstrip("-"))
+        raise error(f"{name}must have at most {limit} digits, got {digits}") from exc
 
 
 def _jsonable(obj):
@@ -204,18 +210,11 @@ def _write_out(out_dir: str | None, name: str, doc: dict) -> None:
         sys.exit(EXIT_USAGE)
 
 
-def _int_arg(text: str) -> int:
-    try:
-        return int(text, 10)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
-
-
 def _int_at_least(low: int):
     """argparse type: a decimal integer no smaller than ``low``."""
 
     def parse(text: str) -> int:
-        n = _int_arg(text)
+        n = _decimal(text)
         if n < low:
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {n}")
         return n
@@ -223,26 +222,20 @@ def _int_at_least(low: int):
     return parse
 
 
-def _coeff_list(text: str) -> list[int]:
-    parts = [p for p in text.replace(",", " ").split() if p]
-    if len(parts) != 16:
-        raise argparse.ArgumentTypeError(
-            f"expected 16 comma-separated integers a0..a7,b0..b7, got {len(parts)}"
-        )
-    try:
-        return [int(p, 10) for p in parts]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
+def _int_list(expected: str, count: int | None = None):
+    """argparse type: decimal integers joined by single commas, with no
+    spaces and no empty items; exactly ``count`` of them if it is given."""
 
+    def parse(text: str) -> list[int]:
+        try:
+            values = [_decimal(item) for item in text.split(",")]
+        except argparse.ArgumentTypeError:
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}") from None
+        if count is not None and len(values) != count:
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {len(values)}")
+        return values
 
-def _support_list(text: str) -> list[int]:
-    """argparse type: one or more comma-separated decimal integers."""
-    try:
-        return [int(v, 10) for v in text.split(",")]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(
-            f"expected comma-separated integers v1,v2,..., got {text!r}"
-        ) from exc
+    return parse
 
 
 def _cmd_classify(args) -> int:
@@ -385,8 +378,15 @@ def _cmd_audit(args) -> int:
     return EXIT_OK if report.ok else EXIT_FAIL
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are one stderr line, exit 2."""
+
+    def error(self, message):
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="q16det",
         description=(
             "Exact integer group determinants of the order-16 dicyclic group: "
@@ -400,12 +400,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("classify", help="decide whether n is an achievable value")
-    p.add_argument("n", type=_int_arg, nargs="+")
+    p.add_argument("n", type=_decimal, nargs="+")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("witness", help="build a verified witness certificate for n")
-    p.add_argument("n", type=_int_arg, nargs="+")
+    p.add_argument("n", type=_decimal, nargs="+")
     p.add_argument("--json", action="store_true")
     p.add_argument("--output-dir", default=None, help="also write witness_<n>.json here")
     p.set_defaults(func=_cmd_witness)
@@ -413,10 +413,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="verify both determinant paths on 16 coefficients")
     p.add_argument(
         "--coeffs",
-        type=_coeff_list,
+        type=_int_list("16 comma-separated integers a0..a7,b0..b7", 16),
         required=True,
         metavar="a0,..,a7,b0,..,b7",
-        help="16 comma-separated integers",
+        help=f"16 integers, each {_DECIMAL.pattern}, "
+        "joined by single commas without spaces",
     )
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_verify)
@@ -424,9 +425,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scan", help="exhaustively scan a coefficient support")
     p.add_argument(
         "--support",
-        type=_support_list,
+        type=_int_list("comma-separated integers v1,v2,..."),
         default=[0, 1],
         metavar="v1,v2,...",
+        help=f"coefficient values, each {_DECIMAL.pattern}, "
+        "joined by single commas without spaces",
     )
     p.add_argument(
         "--workers",
@@ -456,13 +459,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("crosscheck", help="random direct-vs-factored agreement check")
     p.add_argument("--count", type=_int_at_least(0), default=100_000)
     p.add_argument("--height", type=_int_at_least(0), default=9)
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--seed", type=_decimal, default=42)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_crosscheck)
 
     p = sub.add_parser("audit", help="residue/parity audit of random normalized pairs")
     p.add_argument("--count", type=_int_at_least(0), default=10_000)
-    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--seed", type=_decimal, default=1)
     p.add_argument("--height", type=_int_at_least(1), default=9)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_audit)
@@ -471,12 +474,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    if hasattr(sys, "set_int_max_str_digits"):
-        # Parse and print integers of any length: the interpreter's default
-        # refuses decimal strings over 4,300 digits.  Every input comes from
-        # the command line, which the OS bounds.
+    # Parse and print integers of any length: the interpreter's default
+    # refuses decimal strings over 4,300 digits.  Every input comes from
+    # the command line, which the OS bounds.  The caller's limit comes
+    # back on the way out, usage errors included.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
         sys.set_int_max_str_digits(0)
-    args = build_parser().parse_args(argv)
+    try:
+        return _run(build_parser().parse_args(argv))
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
+def _run(args) -> int:
     out_dir = getattr(args, "output_dir", None)
     if out_dir is not None:
         try:

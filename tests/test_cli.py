@@ -37,6 +37,20 @@ def usage_error(capsys, *argv):
     return exc.value.code, capsys.readouterr().err
 
 
+needs_digit_limit = pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no integer string limit"
+)
+
+
+@pytest.fixture
+def default_digit_limit():
+    """The interpreter's default limit of 4,300 digits, restored afterwards."""
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(before)
+
+
 class TestClassifyCommand:
     def test_achievable(self, capsys):
         rc, out, _ = run(capsys, "classify", "245")
@@ -303,6 +317,18 @@ class TestCertificateDocuments:
         with pytest.raises(BadInput, match=f"'{key}' must be"):
             CertificateDocument.from_json_dict(raw)
 
+    @needs_digit_limit
+    @pytest.mark.parametrize("key", ["n", "X", "f"])
+    def test_field_past_the_digit_limit(self, key, default_digit_limit):
+        raw = certificate_document(witness_odd_5mod8(245, 7)).to_json_dict()
+        long = "1" + "0" * 4999
+        if key == "f":
+            raw["f"][3] = long
+        else:
+            raw[key] = long
+        with pytest.raises(BadInput, match=f"^'{key}' must have at most 4300 digits, got 5000$"):
+            CertificateDocument.from_json_dict(raw)
+
     @pytest.mark.parametrize("doc", [[1], "x", 3, None])
     def test_document_must_be_an_object(self, doc):
         with pytest.raises(BadInput, match="JSON object"):
@@ -322,6 +348,90 @@ class TestCertificateDocuments:
         assert verify_document(CertificateDocument.from_json_dict(raw))
 
 
+# Every integer argument, with the argv that puts a spelling into it and the
+# name argparse gives it in the error line.
+_SCALAR_ARGS = [
+    (["classify"], "n"),
+    (["witness"], "n"),
+    *((["crosscheck"], flag) for flag in ("--count", "--height", "--seed")),
+    *((["audit"], flag) for flag in ("--count", "--height", "--seed")),
+    (["scan", "--support=0"], "--workers"),
+    (["scan", "--support=0"], "--limit"),
+]
+_REJECTED = ["\u0661\u0662\u0663", "1_001", " 9", "9 ", "+9", "", "-"]
+_REJECTED_IN_LISTS = _REJECTED + ["1, 0", "1,,0"]
+
+
+def _argv(prefix, name, text):
+    return [*prefix, text] if name == "n" else [*prefix, f"{name}={text}"]
+
+
+def _list_argv(name, item):
+    """A list whose other items are valid: 16 in all for ``--coeffs``."""
+    if name == "--coeffs":
+        return ["verify", f"--coeffs={','.join([item] + ['0'] * (16 - len(item.split(','))))}"]
+    return ["scan", f"--support=0,{item}"]
+
+
+@pytest.mark.parametrize(
+    "argv,name",
+    [
+        pytest.param(_argv(prefix, name, text), name, id=f"{prefix[0]} {name} {text!r}")
+        for prefix, name in _SCALAR_ARGS
+        for text in _REJECTED
+    ]
+    + [
+        pytest.param(_list_argv(name, text), name, id=f"{name} {text!r}")
+        for name in ("--coeffs", "--support")
+        for text in _REJECTED_IN_LISTS
+    ],
+)
+def test_integer_grammar_rejects(capsys, argv, name):
+    """Outside ``-?[0-9]+`` every integer argument is a usage error: exit 2
+    and one stderr line that names the argument."""
+    code, err = usage_error(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert err.count("\n") == 1 and f"error: argument {name}: " in err, err
+    assert "Traceback" not in err
+
+
+def test_integer_grammar_accepts_leading_zeros_and_minus(capsys):
+    rc, out, _ = run(capsys, "classify", "00017", "-0007", "-0", "--json")
+    assert rc == EXIT_OK
+    assert [json.loads(line)["n"] for line in out.splitlines()] == ["17", "-7", "0"]
+    coeffs = ["-01", "002"] + ["0"] * 14
+    rc, out, _ = run(capsys, "verify", "--json", f"--coeffs={','.join(coeffs)}")
+    assert rc == EXIT_OK and json.loads(out)["f"][:2] == ["-1", "2"]
+
+
+@needs_digit_limit
+def test_main_restores_the_digit_limit(capsys, default_digit_limit):
+    run(capsys, "classify", "9")
+    assert sys.get_int_max_str_digits() == default_digit_limit
+    usage_error(capsys, "classify", "+9")
+    assert sys.get_int_max_str_digits() == default_digit_limit
+
+
+@needs_digit_limit
+def test_long_argument_under_the_default_limit(capsys, default_digit_limit):
+    n = "1" + "0" * 4998 + "1"  # 5,000 digits, 1 mod 8
+    rc, out, _ = run(capsys, "classify", "--json", n)
+    assert rc == EXIT_OK and json.loads(out)["n"] == n
+    rc, out, _ = run(capsys, "classify", n)
+    assert rc == EXIT_OK and out == f"{n}: achievable (Odd1Mod8)\n"
+
+
+@needs_digit_limit
+def test_parser_rejects_long_argument_outside_main(capsys, default_digit_limit):
+    """Only ``main`` lifts the limit; a bare parser turns the interpreter's
+    refusal into a usage error."""
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args(["classify", "9" * 5000])
+    err = capsys.readouterr().err
+    assert exc.value.code == EXIT_USAGE
+    assert err == "q16det classify: error: argument n: must have at most 4300 digits, got 5000\n"
+
+
 def test_console_entry_point():
     out = subprocess.run(
         [sys.executable, "-m", "q16det.cli", "--version"],
@@ -333,8 +443,7 @@ def test_console_entry_point():
 
 def test_integers_past_the_str_digit_limit():
     """Decimal strings over the interpreter's default 4,300-digit limit
-    parse and print.  A child process starts with that default, whatever
-    the in-process ``main`` calls here have set."""
+    parse and print in a child process, which starts with that default."""
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
     rng = random.Random(17)
     coeffs = [rng.randrange(-(10**300), 10**300) for _ in range(16)]
