@@ -180,7 +180,10 @@ def run_parity_audits(count: int, seed: int, height: int = 9) -> AuditReport:
 
     ``height`` must be at least 1: the only element of height 0 is zero,
     which never meets the preconditions, so the draws would never end.
+    ``count``, ``seed`` and ``height`` must be integers: any other type
+    raises TypeError.
     """
+    count, seed, height = map(operator.index, (count, seed, height))
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
     if height < 1:
@@ -412,7 +415,10 @@ def random_crosscheck(count: int, height: int, seed: int) -> CrosscheckReport:
     """Assert direct = factored determinant on ``count`` seeded random
     elements with coefficients in [-height, height].  Raises MismatchFound
     on the first disagreement (an implementation bug signal); its ``report``
-    counts the elements checked up to and including that one."""
+    counts the elements checked up to and including that one.  ``count``,
+    ``height`` and ``seed`` must be integers: any other type raises
+    TypeError."""
+    count, height, seed = map(operator.index, (count, height, seed))
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
     if height < 0:

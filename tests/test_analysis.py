@@ -152,6 +152,21 @@ class TestParityAudit:
         with pytest.raises(ValueError):
             run_parity_audits(-5, seed=1)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"count": 5.0, "seed": 1},
+            {"count": 5, "seed": 1.5},
+            {"count": 5, "seed": "x"},
+            {"count": 5, "seed": 1, "height": 9.0},
+        ],
+    )
+    def test_non_integer_arguments_rejected(self, kwargs):
+        # A float height ran with a DeprecationWarning from randint, and a
+        # float or string seed was echoed into the report.
+        with pytest.raises(TypeError):
+            run_parity_audits(**kwargs)
+
 
 @pytest.fixture
 def in_process_pool(monkeypatch):
@@ -467,6 +482,15 @@ class TestRandomCrosscheck:
         # positive count failed inside randint with an empty range.
         with pytest.raises(ValueError, match="height must be >= 0, got -1"):
             random_crosscheck(count, -1, seed=1)
+
+    @pytest.mark.parametrize(
+        "args", [(3.0, 9, 1), (3, 9.0, 1), (3, 9, 1.5), (3, 9, "x"), (0, 9, 1.5)]
+    )
+    def test_non_integer_arguments_rejected(self, args):
+        # height 9.0 ran with a DeprecationWarning from randint and echoed
+        # 9.0; a seed of 1.5 or "x" was accepted and echoed.
+        with pytest.raises(TypeError):
+            random_crosscheck(*args)
 
     def test_mismatch_raises(self, monkeypatch):
         monkeypatch.setattr(

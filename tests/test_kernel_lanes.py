@@ -1,9 +1,11 @@
 """The kernel: the lane names and patch points perfbench relies on,
 exactness for large coefficients, the elimination against the Fraction
-oracle on every branch it takes, group_det's split at the central element
-X**4 against the whole literal 16x16, the circulant determinant behind
-direct scans, the half-table scan against the per-element reference, and
-the q-classes a direct scan groups half-vectors by."""
+oracle on every branch it takes, the fixed-width 8x8 elimination against
+it and on pivot branches forced at each pass, group_det's split at the
+central element X**4 against the whole literal 16x16, the circulant
+determinant behind direct scans, the half-table scan against the
+per-element reference, and the q-classes a direct scan groups half-vectors
+by."""
 
 import random
 import subprocess
@@ -62,18 +64,29 @@ def _oracle_det(a, b):
     return fraction_det(determinant_matrix(GroupRingElement.from_coeffs(list(a) + list(b))))
 
 
+def _recorded_sizes(monkeypatch, name):
+    """The sizes of the matrices ``kernel.<name>`` is called on, in order."""
+    real = getattr(kernel, name)
+    sizes = []
+
+    def recorded(m, *args):
+        sizes.append(len(m))
+        return real(m, *args)
+
+    monkeypatch.setattr(kernel, name, recorded)
+    return sizes
+
+
 @pytest.fixture
 def bareiss_sizes(monkeypatch):
     """The sizes of the matrices ``kernel._bareiss`` is called on, in order."""
-    real = kernel._bareiss
-    sizes = []
+    return _recorded_sizes(monkeypatch, "_bareiss")
 
-    def recorded(m):
-        sizes.append(len(m))
-        return real(m)
 
-    monkeypatch.setattr(kernel, "_bareiss", recorded)
-    return sizes
+@pytest.fixture
+def bareiss8_sizes(monkeypatch):
+    """The sizes of the matrices ``kernel._bareiss8`` is called on, in order."""
+    return _recorded_sizes(monkeypatch, "_bareiss8")
 
 
 #: The central element z = X**4 and one element of each coset {g, z*g}.
@@ -83,7 +96,7 @@ COSET_REPS = [g for g in range(16) if g < MUL_TABLE[Z][g]]
 
 def _checked_group_det(a, b, sizes):
     """kernel.group_det(a, b), checked against one elimination of the whole
-    literal 16x16; ``sizes``, the bareiss_sizes fixture, must show a single
+    literal 16x16; ``sizes``, the bareiss8_sizes fixture, must show a single
     8x8 when the block A + B of the z-split is singular and two otherwise."""
     m = determinant_matrix(GroupRingElement(a, b))
     plus = [[m[g][h] + m[g][MUL_TABLE[Z][h]] for h in COSET_REPS] for g in COSET_REPS]
@@ -110,6 +123,20 @@ def test_central_pairs_reject_swapped_entries():
         with pytest.raises(InternalInconsistency, match=r"not \[\[A, B\], \[B, A\]\]"):
             kernel._central_pairs(index)
         tried += 1
+
+
+@pytest.mark.parametrize("cell", [(0, 0), (2, 9), (9, 3), (11, 11)])
+def test_central_rows_reject_pairs_outside_a_coset(cell):
+    # Both cells of the twin pair get the same wrong index, so the block
+    # form holds and _central_pairs passes, but the pair is no longer
+    # {g, g + 4} and no central sum builds the entry.
+    g, h = cell
+    index = [list(row) for row in DET_INDEX]
+    wrong = (index[g][h] + 1) % 16
+    index[g][h] = index[g + 4][h + 4] = wrong
+    pairs = kernel._central_pairs(index)
+    with pytest.raises(InternalInconsistency, match=r"is not \{g, g \+ 4\} for a coset"):
+        kernel._central_rows(pairs)
 
 
 def test_large_coefficients_exact():
@@ -194,28 +221,85 @@ def test_bareiss_matches_fraction_det(n):
             assert want != 0, name
 
 
+def _forced_pivot_cases(height):
+    """Seeded 8x8 matrices whose elimination takes a pivot branch at a
+    chosen pass, keyed by (branch, k) for the pass on columns k and k + 1;
+    every entry has at most ``height`` times a small factor.
+
+    * ("d2 = 0", k): row k + 1 is row k plus row 0 on the first k + 2
+      columns, so the leading (k + 2)-minor, and with it the pivot block's
+      d2, is 0; a later row must be swapped in.
+    * ("row k zero", k): row k is a combination of the rows above it on
+      the first k + 2 columns, so after the earlier passes it is zero in
+      both pivot columns and a later row must take its place.
+    * ("columns dependent", k): column k + 1 is column k plus column 0, so
+      no row helps and the determinant is 0.
+
+    At k = 6, the last pass, every branch means a determinant of 0.
+    """
+    rng = random.Random(808 + height)
+    cases = {}
+    for k in (0, 2, 4):
+        m = _random_matrix(rng, 8, 8, height)
+        m[k + 1][: k + 2] = [x + y for x, y in zip(m[k][: k + 2], m[0][: k + 2])]
+        cases["d2 = 0", k] = m
+    for k in (0, 2, 4, 6):
+        m = _random_matrix(rng, 8, 8, height)
+        if k:
+            m[k][: k + 2] = [x - 2 * y for x, y in zip(m[0][: k + 2], m[k - 1][: k + 2])]
+        else:
+            m[0][:2] = [0, 0]
+        cases["row k zero", k] = m
+        m = _random_matrix(rng, 8, 8, height)
+        for row in m:
+            row[k + 1] = row[k] + row[0]
+        cases["columns dependent", k] = m
+    return cases
+
+
+class TestBareiss8:
+    def test_matches_bareiss_on_every_branch(self):
+        for name, m in _bareiss_cases(8).items():
+            want = fraction_det(m)
+            assert kernel._bareiss([row[:] for row in m]) == want, name
+            assert kernel._bareiss8([tuple(row) for row in m]) == want, name
+
+    @pytest.mark.parametrize("height", [9, 10**40])
+    def test_forced_pivot_branches(self, monkeypatch, height):
+        # _pivot sees the rows left at the pass it is called for, 8 - k,
+        # and a singular pivot block ends the elimination there.
+        pivots = _recorded_sizes(monkeypatch, "_pivot")
+        for (branch, k), m in _forced_pivot_cases(height).items():
+            want = fraction_det(m)
+            assert kernel._bareiss([row[:] for row in m]) == want, (branch, k)
+            pivots.clear()
+            assert kernel._bareiss8([tuple(row) for row in m]) == want, (branch, k)
+            assert pivots == ([] if k == 6 else [8 - k]), (branch, k)
+            assert (want == 0) == (k == 6 or branch == "columns dependent"), (branch, k)
+
+
 class TestCirculantBridge:
     @pytest.mark.parametrize("height", [1, 9, 10**6, 10**30])
-    def test_matches_group_det_and_oracle(self, height, bareiss_sizes):
+    def test_matches_group_det_and_oracle(self, height, bareiss8_sizes):
         rng = random.Random(height)
         for k in range(300):
             a = [rng.randint(-height, height) for _ in range(8)]
             b = [rng.randint(-height, height) for _ in range(8)]
             det = circulant_det(a, b)
-            assert det == _checked_group_det(a, b, bareiss_sizes)
+            assert det == _checked_group_det(a, b, bareiss8_sizes)
             if k < 30:
                 assert det == _oracle_det(a, b)
 
     @pytest.mark.parametrize("support", [(0, 1), (-1, 0)])
-    def test_sparse_singular_heavy_elements(self, support, bareiss_sizes):
+    def test_sparse_singular_heavy_elements(self, support, bareiss8_sizes):
         rng = random.Random(sum(support))
         dets = []
         group_det_branches = Counter()
         for k in range(500):
             c = [rng.choice(support) for _ in range(16)]
             det = circulant_det(c[:8], c[8:])
-            assert det == _checked_group_det(c[:8], c[8:], bareiss_sizes)
-            group_det_branches[len(bareiss_sizes)] += 1
+            assert det == _checked_group_det(c[:8], c[8:], bareiss8_sizes)
+            group_det_branches[len(bareiss8_sizes)] += 1
             if k < 50:
                 assert det == _oracle_det(c[:8], c[8:])
             dets.append(det)
