@@ -39,6 +39,10 @@ DEFAULT_SCAN_BUDGET = 1 << 28
 # two-value support (2**16 elements) takes tens of milliseconds, about what
 # starting a pool costs, and every larger support has at least 3**16.
 _POOL_MIN_ELEMS = 1 << 20
+# A scan report's sample: the _SAMPLE_LIMIT values of least magnitude among
+# those within _SAMPLE_ABS_LIMIT of 0.
+_SAMPLE_ABS_LIMIT = 1 << 20
+_SAMPLE_LIMIT = 64
 
 
 def chebyshev_coeffs(poly: Sequence[int]) -> tuple[int, ...]:
@@ -272,8 +276,6 @@ def exhaustive_scan(
     workers: int = 1,
     budget: int = DEFAULT_SCAN_BUDGET,
     direct: bool = False,
-    sample_abs_limit: int = 1 << 20,
-    sample_limit: int = 64,
 ) -> ScanReport:
     """Enumerate every element with coefficients in ``support`` and check
     the residue laws: even determinants divisible by 2**10, odd ones 1 mod
@@ -363,7 +365,7 @@ def exhaustive_scan(
     violations = even_violations + odd3_violations + rejected
     for v in sorted(kernel.direct_mismatches(values) if direct else ()):
         violations.append((str(v), "direct and factored determinants disagree"))
-    sample = [v for v in hist if -sample_abs_limit <= v <= sample_abs_limit]
+    sample = [v for v in hist if -_SAMPLE_ABS_LIMIT <= v <= _SAMPLE_ABS_LIMIT]
 
     return ScanReport(
         support=values,
@@ -376,7 +378,7 @@ def exhaustive_scan(
         even_mult_1024=even1024,
         odd=sum(odd_mod8.values()),
         odd_mod8=odd_mod8,
-        sample=sorted(sample, key=lambda v: (abs(v), v))[:sample_limit],
+        sample=sorted(sample, key=lambda v: (abs(v), v))[:_SAMPLE_LIMIT],
         five_mod8_values=five_mod8,
         violations=violations,
         elapsed_s=time.perf_counter() - t0,

@@ -1,11 +1,9 @@
 """The hot loops, exact over arbitrary-precision integers.
 
 * :func:`group_det`   - determinant of the literal 16x16 ``DET_INDEX``
-  matrix, the definition that certificates and crosschecks rely on: one
-  exact block step at the central element X**4 splits it into two 8x8
-  blocks, whose rows are read from the eight central sums c[g] + c[g + 4]
-  and differences, each eliminated by two-step fraction-free (Bareiss)
-  elimination,
+  matrix, the definition that certificates and crosschecks rely on,
+  defined in :mod:`q16det.core` and reached by every caller as
+  ``kernel.group_det``,
 * :func:`factored_terms` - the tuple (A, B, C, X, Y) of the determinant
   factorization, built from two calls of :func:`_half_terms`, the only
   evaluation at 1, -1, i and w (:func:`q16det.exact_eval.factored_form`
@@ -31,28 +29,19 @@ q = f(x)*f(1/x) - x**4*g(x)*g(1/x) mod x**8 - 1.  q is palindromic, so
 the circulant splits by the reflection j -> -j into a 5x5 and a 3x3
 block, and :func:`_reflection_det`, the one place that eliminates them,
 takes q from the two halves' autocorrelations and eliminates the 3x3
-first: when it is singular the determinant is 0, and only otherwise is
-the 5x5 eliminated and multiplied in.  Exact, but not the literal
-definition.  q splits into an f-part plus a g-part too, so
-:func:`direct_mismatches` keeps each half-class's autocorrelation and
-eliminates once per pair of half-classes, never per element.  Every
-elimination is Bareiss's two-step integer-preserving elimination
-("Sylvester's identity and multistep integer-preserving Gaussian
-elimination", Math. Comp. 22, 1968): each pass clears two columns with
-the determinant d2 of a 2x2 pivot block and divides every updated entry
-by the square of the previous pass's pivot, exactly by Sylvester's
-identity.  :func:`_bareiss` runs it for any n, on the 3x3 and 5x5 blocks
-of :func:`_reflection_det`; :func:`_bareiss8` runs it on the two 8x8
-blocks of :func:`group_det` with n fixed at 8 and each pass written out
-on tuple rows.  Both hand a singular pivot block to :func:`_pivot`, the
-one pivot policy: when no row makes d2 nonzero the determinant is 0,
-unless the pivot row is zero in both columns and a later row takes its
-place.  That is 112 entry updates on the two 8x8 blocks of
-:func:`group_det`, where the whole 16x16 takes 560 and one column per
-pass 1,240.
+first with :func:`q16det.core._bareiss`: when it is singular the
+determinant is 0, and only otherwise is the 5x5 eliminated and
+multiplied in.  Exact, but not the literal definition.  q splits into an
+f-part plus a g-part too, so :func:`direct_mismatches` keeps each
+half-class's autocorrelation and eliminates once per pair of
+half-classes, never per element.  That the circulant's determinant is
+A*B*C**2*D**2 is proved by finite exact checks in
+``tests/test_factorization_identity.py``.
 
-Callers reach every entry point as ``kernel.<name>``, so a tracer or a
-test that patches this module sees every call.
+Callers reach :func:`group_det`, :func:`factored_terms` and
+:func:`scan_range` as ``kernel.<name>``, so a tracer that patches this
+module sees every call of them; the eliminations inside
+:func:`group_det` are looked up on :mod:`q16det.core`.
 """
 
 from __future__ import annotations
@@ -60,11 +49,10 @@ from __future__ import annotations
 import sys
 from collections import Counter
 from itertools import islice, product
-from operator import itemgetter, neg
 from typing import Iterator, Sequence
 
-from ._cayley import DET_INDEX
-from .errors import InternalInconsistency
+# group_det is defined in core; callers, and the tracer that patches it, use kernel.group_det.
+from .core import _bareiss, group_det
 
 # The lane names perfbench reads; scan and crosscheck reports carry ACTIVE_LANE.
 ACTIVE_LANE: str = "pure"
@@ -73,259 +61,6 @@ ACTIVE_LANE: str = "pure"
 def lanes() -> dict[str, object]:
     """Mapping of lane name -> kernel module: this module, as ``"pure"``."""
     return {ACTIVE_LANE: sys.modules[__name__]}
-
-
-def _pivot(m: list, k: int) -> tuple[int, int]:
-    """The pivot policy of :func:`_bareiss` and :func:`_bareiss8`, for a pass
-    whose rows k and k + 1 make the 2x2 block of columns k and k + 1 of the
-    rows ``m`` singular: returns (d2, sign) after swapping rows of ``m`` in
-    place, d2 the new block's determinant and sign -1 after an odd number
-    of swaps.  d2 = 0 means the determinant of the matrix is 0.
-
-    The first later row that makes d2 nonzero is swapped into row k + 1.
-    When no row does, columns k and k + 1 of the remaining block are
-    dependent and the determinant is 0, unless row k is zero in both: then
-    a later row nonzero in column k is swapped into row k and the search
-    starts again, and with no such row the determinant is 0.
-    """
-    n = len(m)
-    sign = 1
-    while True:
-        p, q = m[k][k], m[k][k + 1]
-        for r in range(k + 1, n):
-            d2 = p * m[r][k + 1] - q * m[r][k]
-            if d2:
-                if r > k + 1:
-                    m[k + 1], m[r] = m[r], m[k + 1]
-                    sign = -sign
-                return d2, sign
-        # p*a_r(k+1) == q*a_rk for every row r > k: with p != 0 columns k
-        # and k + 1 are dependent; with p == 0 either column k is zero from
-        # row k down or q == 0 too, and a row nonzero in column k becomes
-        # row k.
-        if p:
-            return 0, sign
-        r = next((i for i in range(k + 1, n) if m[i][k]), 0)
-        if not r:
-            return 0, sign
-        m[k], m[r] = m[r], m[k]
-        sign = -sign
-
-
-def _bareiss(m: list[list[int]]) -> int:
-    """Exact determinant of a square integer matrix; destroys its argument.
-
-    Two-step fraction-free elimination (Bareiss, "Sylvester's identity and
-    multistep integer-preserving Gaussian elimination", Math. Comp. 22,
-    1968).  Each pass eliminates columns k and k + 1 at once with the 2x2
-    pivot block's determinant d2: every later entry becomes
-    (d2*a_ij + u_i*a_kj + v_i*a_(k+1)j) // prev**2, u_i and v_i the row's
-    two 2x2 cofactors, then prev becomes d2 // prev.  Every entry is then
-    (up to sign) a minor of the original matrix, so each division is
-    exact.  When d2 is 0, :func:`_pivot` swaps rows or finds the
-    determinant 0.  For odd n the last pass leaves the determinant in the
-    bottom right entry.
-    """
-    n = len(m)
-    sign = 1
-    prev = 1
-    k = 0
-    while k < n - 1:
-        row_k, row_l = m[k], m[k + 1]
-        d2 = row_k[k] * row_l[k + 1] - row_k[k + 1] * row_l[k]
-        if not d2:
-            d2, flip = _pivot(m, k)
-            if not d2:
-                return 0
-            sign *= flip
-            row_k, row_l = m[k], m[k + 1]
-        p, q, s, t = row_k[k], row_k[k + 1], row_l[k], row_l[k + 1]
-        square = prev * prev
-        columns = range(k + 2, n)
-        for row_i in m[k + 2 :]:
-            aik, ail = row_i[k], row_i[k + 1]
-            u = ail * s - aik * t
-            v = aik * q - ail * p
-            for j in columns:
-                row_i[j] = (d2 * row_i[j] + u * row_k[j] + v * row_l[j]) // square
-        prev = d2 // prev
-        k += 2
-    return sign * (m[k][k] if k < n else prev)
-
-
-def _bareiss8(m: list[tuple[int, ...]]) -> int:
-    """Exact determinant of the 8x8 integer matrix with row tuples ``m``:
-    :func:`_bareiss` with n fixed at 8, each pass written out.
-
-    Pass 1 leaves six rows of six entries, pass 2 four of four and pass 3
-    two of two, and the last 2x2 block's d2 // prev is the determinant.
-    Each row is unpacked into locals and its entries written as one
-    tuple, so no entry is subscripted or stored on its own.  prev is 1 in
-    pass 1, which therefore divides by nothing.  A singular pivot block
-    goes through :func:`_pivot` (``m`` is then permuted in place), except
-    in the last pass, whose d2 is prev times the determinant, so 0 means
-    the determinant is 0.
-    """
-    sign = 1
-    r0, r1 = m[0], m[1]
-    d2 = r0[0] * r1[1] - r0[1] * r1[0]
-    if not d2:
-        d2, sign = _pivot(m, 0)
-        if not d2:
-            return 0
-        r0, r1 = m[0], m[1]
-    p, q, a2, a3, a4, a5, a6, a7 = r0
-    s, t, b2, b3, b4, b5, b6, b7 = r1
-    rows = []
-    for x0, x1, x2, x3, x4, x5, x6, x7 in m[2:]:
-        u = x1 * s - x0 * t
-        v = x0 * q - x1 * p
-        rows.append((
-            d2 * x2 + u * a2 + v * b2,
-            d2 * x3 + u * a3 + v * b3,
-            d2 * x4 + u * a4 + v * b4,
-            d2 * x5 + u * a5 + v * b5,
-            d2 * x6 + u * a6 + v * b6,
-            d2 * x7 + u * a7 + v * b7,
-        ))
-    prev = d2
-
-    m = rows
-    r0, r1 = m[0], m[1]
-    d2 = r0[0] * r1[1] - r0[1] * r1[0]
-    if not d2:
-        d2, flip = _pivot(m, 0)
-        if not d2:
-            return 0
-        sign *= flip
-        r0, r1 = m[0], m[1]
-    p, q, a4, a5, a6, a7 = r0
-    s, t, b4, b5, b6, b7 = r1
-    square = prev * prev
-    rows = []
-    for x2, x3, x4, x5, x6, x7 in m[2:]:
-        u = x3 * s - x2 * t
-        v = x2 * q - x3 * p
-        rows.append((
-            (d2 * x4 + u * a4 + v * b4) // square,
-            (d2 * x5 + u * a5 + v * b5) // square,
-            (d2 * x6 + u * a6 + v * b6) // square,
-            (d2 * x7 + u * a7 + v * b7) // square,
-        ))
-    prev = d2 // prev
-
-    m = rows
-    r0, r1 = m[0], m[1]
-    d2 = r0[0] * r1[1] - r0[1] * r1[0]
-    if not d2:
-        d2, flip = _pivot(m, 0)
-        if not d2:
-            return 0
-        sign *= flip
-        r0, r1 = m[0], m[1]
-    p, q, a6, a7 = r0
-    s, t, b6, b7 = r1
-    square = prev * prev
-    (x4, x5, x6, x7), (y4, y5, y6, y7) = m[2], m[3]
-    u, v = x5 * s - x4 * t, x4 * q - x5 * p
-    w, z = y5 * s - y4 * t, y4 * q - y5 * p
-    c66 = (d2 * x6 + u * a6 + v * b6) // square
-    c67 = (d2 * x7 + u * a7 + v * b7) // square
-    c76 = (d2 * y6 + w * a6 + z * b6) // square
-    c77 = (d2 * y7 + w * a7 + z * b7) // square
-    prev = d2 // prev
-
-    return sign * ((c66 * c77 - c67 * c76) // prev)
-
-
-#: Indices of 1, X, X**2, X**3, Y, Y*X, Y*X**2, Y*X**3: with z = X**4, the
-#: group is these eight elements followed by z times them, index + 4.
-_COSET_REPS = (0, 1, 2, 3, 8, 9, 10, 11)
-
-
-def _central_pairs(index: Sequence[Sequence[int]]) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """The 8x8 table of index pairs (index[g][h], index[g][h + 4]) over g, h
-    in ``_COSET_REPS``, after checking that the 16x16 table ``index`` has
-    the block form [[A, B], [B, A]] in that order: index[g + 4][h + 4] ==
-    index[g][h] and index[g + 4][h] == index[g][h + 4].  Raises
-    InternalInconsistency otherwise."""
-    pairs = []
-    for g in _COSET_REPS:
-        row = []
-        for h in _COSET_REPS:
-            i0, i1 = index[g][h], index[g][h + 4]
-            if index[g + 4][h + 4] != i0 or index[g + 4][h] != i1:
-                raise InternalInconsistency(
-                    f"index table is not [[A, B], [B, A]] at rows {g}, {g + 4} "
-                    f"and columns {h}, {h + 4}"
-                )
-            row.append((i0, i1))
-        pairs.append(tuple(row))
-    return tuple(pairs)
-
-
-#: (A + B)[i][j] = c[i0] + c[i1] and (A - B)[i][j] = c[i0] - c[i1] for
-#: (i0, i1) = _CENTRAL_PAIRS[i][j], c the 16 coefficients.
-_CENTRAL_PAIRS = _central_pairs(DET_INDEX)
-
-
-def _central_rows(
-    pairs: Sequence[Sequence[tuple[int, int]]],
-) -> tuple[tuple[itemgetter, ...], tuple[itemgetter, ...]]:
-    """One itemgetter per row of A + B and one per row of A - B, for the
-    table ``pairs`` of :func:`_central_pairs`.  Each pair must be {g, g + 4}
-    for g = ``_COSET_REPS``[t], or InternalInconsistency is raised; the
-    entry is then c[g] + c[g + 4], the central sum number t, and c[g] -
-    c[g + 4] or its negative, item t or t + 8 of the central differences
-    followed by their negatives."""
-    position = {g: t for t, g in enumerate(_COSET_REPS)}
-    plus, minus = [], []
-    for row in pairs:
-        sums, differences = [], []
-        for i0, i1 in row:
-            g = min(i0, i1)
-            if g not in position or max(i0, i1) != g + 4:
-                raise InternalInconsistency(
-                    f"index pair ({i0}, {i1}) is not {{g, g + 4}} for a coset representative g"
-                )
-            sums.append(position[g])
-            differences.append(position[g] + (8 if i0 > i1 else 0))
-        plus.append(itemgetter(*sums))
-        minus.append(itemgetter(*differences))
-    return tuple(plus), tuple(minus)
-
-
-_PLUS_ROWS, _MINUS_ROWS = _central_rows(_CENTRAL_PAIRS)
-
-
-def group_det(a: Sequence[int], b: Sequence[int]) -> int:
-    """Group determinant det(c[g * h**-1]) of the element with X-block
-    coefficients ``a`` and Y-block coefficients ``b``: the determinant of
-    the literal ``DET_INDEX`` matrix M, from two 8x8 eliminations.
-
-    Order rows and columns alike as ``_COSET_REPS`` followed by z times
-    them, z = X**4; a simultaneous permutation keeps the determinant.  z is
-    central and z**2 = 1, so M[zg][zh] = M[g][h] and M[g][zh] = M[zg][h]:
-    M = [[A, B], [B, A]] (checked on ``DET_INDEX`` at import).  Adding
-    block row 2 to block row 1 and then subtracting block column 1 from
-    block column 2 gives [[A + B, 0], [B, A - B]], so det M =
-    det(A + B) * det(A - B): unimodular integer steps, no division.  Every
-    entry of A + B is one of the eight central sums c[g] + c[g + 4], g in
-    ``_COSET_REPS``, and every entry of A - B one of the central
-    differences or its negative, so each row is one itemgetter over them.
-    :func:`_bareiss8` eliminates A + B first, and when it is singular the
-    determinant is 0.
-    """
-    # c[g] + c[g + 4] and c[g] - c[g + 4] for g in _COSET_REPS, c = (*a, *b).
-    a0, a1, a2, a3, a4, a5, a6, a7 = a
-    b0, b1, b2, b3, b4, b5, b6, b7 = b
-    sums = (a0 + a4, a1 + a5, a2 + a6, a3 + a7, b0 + b4, b1 + b5, b2 + b6, b3 + b7)
-    plus = _bareiss8([row(sums) for row in _PLUS_ROWS])
-    if not plus:
-        return 0
-    d = (a0 - a4, a1 - a5, a2 - a6, a3 - a7, b0 - b4, b1 - b5, b2 - b6, b3 - b7)
-    differences = d + tuple(map(neg, d))
-    return plus * _bareiss8([row(differences) for row in _MINUS_ROWS])
 
 
 def _autocorrelation(h: Sequence[int]) -> tuple[int, int, int, int, int]:

@@ -114,13 +114,15 @@ def factor_map(n: int) -> dict[int, int]:
             n //= p
     if n == 1:
         return out
-    stack = [n]
+    stack = [(n, 1)]  # cofactors with the multiplicity each has in n
     while stack:
-        m = stack.pop()
+        m, e = stack.pop()
         if is_probable_prime(m):
-            out[m] = out.get(m, 0) + 1
-            continue
-        d = r if (r := isqrt(m)) * r == m else _pollard_brent(m)
-        stack.append(d)
-        stack.append(m // d)
+            out[m] = out.get(m, 0) + e
+        elif (r := isqrt(m)) * r == m:
+            stack.append((r, 2 * e))
+        else:
+            d = _pollard_brent(m)
+            stack.append((d, e))
+            stack.append((m // d, e))
     return out

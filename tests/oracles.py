@@ -35,7 +35,7 @@ from fractions import Fraction
 from math import isqrt
 
 from q16det import kernel
-from q16det._cayley import DET_INDEX, MUL_TABLE
+from q16det.core import DET_INDEX, MUL_TABLE
 from q16det.classifier import classify
 from q16det.errors import NoDecomposition, NoValidArrangement, PreconditionUnreachable
 from q16det.exact_eval import QuadraticSqrt2, totally_nonneg
@@ -295,9 +295,9 @@ def direct_agrees_reference(values, start, stop) -> bool:
 
 
 def scan_report_reference(values, direct=False, sample_abs_limit=1 << 20, sample_limit=64) -> dict:
-    """``exhaustive_scan(values, direct=direct, sample_abs_limit=...,
-    sample_limit=...).to_dict()`` without ``elapsed_s``, one element at a
-    time: each determinant is sorted into the tallies as it is made, and
+    """``exhaustive_scan(values, direct=direct).to_dict()`` without
+    ``elapsed_s``, with its sample bounds set to ``sample_abs_limit`` and
+    ``sample_limit``, one element at a time: each determinant is sorted into the tallies as it is made, and
     the violation lists are sorted afterwards."""
     values = tuple(sorted(set(values)))
     total = len(values) ** 16

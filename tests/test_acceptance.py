@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from q16det import kernel
+from q16det import analysis, kernel
 from q16det.analysis import exhaustive_scan, random_crosscheck, run_parity_audits
 from q16det.classifier import Classification, classify_and_witness
 from q16det.cli import CertificateDocument, main, verify_document
@@ -115,11 +115,14 @@ def test_criterion_4_extended_ternary_scan():
            f"{elapsed:.1f}s")
 
 
-def test_criterion_5_classifier_witness_round_trip():
+def test_criterion_5_classifier_witness_round_trip(monkeypatch):
     """|n| <= 20000: every Achievable n yields a verified certificate; no
     NotAchievable n is ever produced by the scans."""
     achieved = set()
-    rep = exhaustive_scan((0, 1), sample_abs_limit=1 << 62, sample_limit=1 << 30)
+    # A sample wide enough to hold every value of the scan.
+    monkeypatch.setattr(analysis, "_SAMPLE_ABS_LIMIT", 1 << 62)
+    monkeypatch.setattr(analysis, "_SAMPLE_LIMIT", 1 << 30)
+    rep = exhaustive_scan((0, 1))
     achieved.update(rep.sample)
 
     certificates = 0

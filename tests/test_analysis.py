@@ -326,14 +326,10 @@ class TestExhaustiveScan:
         # (-2, 3) then meets all four kinds; (7,) has determinant 0 only.
         assert want["ok"] == (not direct or support == (7,))
         monkeypatch.setattr(analysis, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(analysis, "_SAMPLE_ABS_LIMIT", sample_abs_limit)
+        monkeypatch.setattr(analysis, "_SAMPLE_LIMIT", sample_limit)
         for workers in (1, 2):
-            got = exhaustive_scan(
-                support,
-                workers=workers,
-                direct=direct,
-                sample_abs_limit=sample_abs_limit,
-                sample_limit=sample_limit,
-            ).to_dict()
+            got = exhaustive_scan(support, workers=workers, direct=direct).to_dict()
             del got["elapsed_s"]
             assert got.keys() == want.keys()
             for key, value in want.items():

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from q16det._cayley import INVERSE, MUL_TABLE
+from q16det.core import INVERSE, MUL_TABLE
 from q16det.group_algebra import (
     GroupRingElement,
     direct_determinant,

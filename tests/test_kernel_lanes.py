@@ -1,12 +1,13 @@
-"""The kernel: the lane names and patch points perfbench relies on,
-exactness for large coefficients, the elimination against the Fraction
-oracle on every branch it takes, the fixed-width 8x8 elimination against
-it and on pivot branches forced at each pass, group_det's split at the
-central element X**4 against the whole literal 16x16, the circulant
-determinant behind direct scans, the half-table scan against the
-per-element reference, and the q-classes a direct scan groups half-vectors
-by."""
+"""The kernel and the core: the core's imports from the library, the lane
+names and patch points perfbench relies on, exactness for large
+coefficients, the elimination against the Fraction oracle on every branch
+it takes, the fixed-width 8x8 elimination against it and on pivot
+branches forced at each pass, group_det's split at the central element
+X**4 against the whole literal 16x16, the circulant determinant behind
+direct scans, the half-table scan against the per-element reference, and
+the q-classes a direct scan groups half-vectors by."""
 
+import ast
 import random
 import subprocess
 import sys
@@ -16,8 +17,8 @@ from pathlib import Path
 
 import pytest
 
-from q16det import kernel
-from q16det._cayley import DET_INDEX, INVERSE, MUL_TABLE, inv, mul
+from q16det import core, kernel
+from q16det.core import DET_INDEX, INVERSE, MUL_TABLE, inv, mul
 from q16det.analysis import exhaustive_scan
 from q16det.errors import InternalInconsistency
 from q16det.group_algebra import GroupRingElement, direct_determinant
@@ -42,6 +43,34 @@ def test_cayley_tables_consistent():
             assert DET_INDEX[i][j] == mul(i, inv(j))
 
 
+def _library_imports(source):
+    """The q16det modules that the Python ``source`` of a q16det module
+    imports, by their dotted names."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level:  # from .x import y, from . import x
+            found.update("q16det." + (node.module or alias.name) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            found.add(node.module)
+    return {name for name in found if name.split(".")[0] == "q16det"}
+
+
+def test_core_imports_only_errors_from_the_library():
+    # Parsed, not imported: importing q16det.core runs q16det/__init__,
+    # which loads every module.
+    assert _library_imports(Path(core.__file__).read_text()) == {"q16det.errors"}
+    probe = "from . import kernel\nfrom .witness import x\nimport q16det.cli\nfrom q16det import y"
+    assert _library_imports(probe) == {"q16det.kernel", "q16det.witness", "q16det.cli", "q16det"}
+
+
+def test_kernel_takes_the_determinant_from_core():
+    assert kernel.group_det is core.group_det
+    assert kernel._bareiss is core._bareiss
+    assert not hasattr(kernel, "_bareiss8") and not hasattr(kernel, "_pivot")
+
+
 def test_active_lane_reported(monkeypatch):
     # perfbench reads these names and wraps the entry points on this module.
     assert kernel.lanes() == {"pure": kernel}
@@ -64,29 +93,29 @@ def _oracle_det(a, b):
     return fraction_det(determinant_matrix(GroupRingElement.from_coeffs(list(a) + list(b))))
 
 
-def _recorded_sizes(monkeypatch, name):
-    """The sizes of the matrices ``kernel.<name>`` is called on, in order."""
-    real = getattr(kernel, name)
+def _recorded_sizes(monkeypatch, module, name):
+    """The sizes of the matrices ``<module>.<name>`` is called on, in order."""
+    real = getattr(module, name)
     sizes = []
 
     def recorded(m, *args):
         sizes.append(len(m))
         return real(m, *args)
 
-    monkeypatch.setattr(kernel, name, recorded)
+    monkeypatch.setattr(module, name, recorded)
     return sizes
 
 
 @pytest.fixture
 def bareiss_sizes(monkeypatch):
     """The sizes of the matrices ``kernel._bareiss`` is called on, in order."""
-    return _recorded_sizes(monkeypatch, "_bareiss")
+    return _recorded_sizes(monkeypatch, kernel, "_bareiss")
 
 
 @pytest.fixture
 def bareiss8_sizes(monkeypatch):
-    """The sizes of the matrices ``kernel._bareiss8`` is called on, in order."""
-    return _recorded_sizes(monkeypatch, "_bareiss8")
+    """The sizes of the matrices ``core._bareiss8`` is called on, in order."""
+    return _recorded_sizes(monkeypatch, core, "_bareiss8")
 
 
 #: The central element z = X**4 and one element of each coset {g, z*g}.
@@ -100,7 +129,7 @@ def _checked_group_det(a, b, sizes):
     8x8 when the block A + B of the z-split is singular and two otherwise."""
     m = determinant_matrix(GroupRingElement(a, b))
     plus = [[m[g][h] + m[g][MUL_TABLE[Z][h]] for h in COSET_REPS] for g in COSET_REPS]
-    whole = kernel._bareiss(m)
+    whole = core._bareiss(m)
     sizes.clear()
     det = kernel.group_det(a, b)
     assert det == whole
@@ -121,22 +150,21 @@ def test_central_pairs_reject_swapped_entries():
         index = [list(row) for row in DET_INDEX]
         index[g1][h1], index[g2][h2] = index[g2][h2], index[g1][h1]
         with pytest.raises(InternalInconsistency, match=r"not \[\[A, B\], \[B, A\]\]"):
-            kernel._central_pairs(index)
+            core._central_rows(index)
         tried += 1
 
 
 @pytest.mark.parametrize("cell", [(0, 0), (2, 9), (9, 3), (11, 11)])
 def test_central_rows_reject_pairs_outside_a_coset(cell):
     # Both cells of the twin pair get the same wrong index, so the block
-    # form holds and _central_pairs passes, but the pair is no longer
-    # {g, g + 4} and no central sum builds the entry.
+    # form holds, but the pair is no longer {g, g + 4} and no central sum
+    # builds the entry.
     g, h = cell
     index = [list(row) for row in DET_INDEX]
     wrong = (index[g][h] + 1) % 16
     index[g][h] = index[g + 4][h + 4] = wrong
-    pairs = kernel._central_pairs(index)
     with pytest.raises(InternalInconsistency, match=r"is not \{g, g \+ 4\} for a coset"):
-        kernel._central_rows(pairs)
+        core._central_rows(index)
 
 
 def test_large_coefficients_exact():
@@ -160,7 +188,7 @@ def _random_matrix(rng, rows, cols, height=9):
 
 
 def _bareiss_cases(n):
-    """Seeded n x n matrices by the branch of ``kernel._bareiss`` they
+    """Seeded n x n matrices by the branch of ``core._bareiss`` they
     take; the names in _SINGULAR_CASES have determinant 0."""
     rng = random.Random(1000 + n)
     cases = {
@@ -213,7 +241,7 @@ _SINGULAR_CASES = (
 def test_bareiss_matches_fraction_det(n):
     for name, m in _bareiss_cases(n).items():
         want = fraction_det(m)
-        assert kernel._bareiss([row[:] for row in m]) == want, name
+        assert core._bareiss([row[:] for row in m]) == want, name
         assert bareiss_reference([row[:] for row in m]) == want, name
         if name in _SINGULAR_CASES:
             assert want == 0, name
@@ -261,19 +289,19 @@ class TestBareiss8:
     def test_matches_bareiss_on_every_branch(self):
         for name, m in _bareiss_cases(8).items():
             want = fraction_det(m)
-            assert kernel._bareiss([row[:] for row in m]) == want, name
-            assert kernel._bareiss8([tuple(row) for row in m]) == want, name
+            assert core._bareiss([row[:] for row in m]) == want, name
+            assert core._bareiss8([tuple(row) for row in m]) == want, name
 
     @pytest.mark.parametrize("height", [9, 10**40])
     def test_forced_pivot_branches(self, monkeypatch, height):
         # _pivot sees the rows left at the pass it is called for, 8 - k,
         # and a singular pivot block ends the elimination there.
-        pivots = _recorded_sizes(monkeypatch, "_pivot")
+        pivots = _recorded_sizes(monkeypatch, core, "_pivot")
         for (branch, k), m in _forced_pivot_cases(height).items():
             want = fraction_det(m)
-            assert kernel._bareiss([row[:] for row in m]) == want, (branch, k)
+            assert core._bareiss([row[:] for row in m]) == want, (branch, k)
             pivots.clear()
-            assert kernel._bareiss8([tuple(row) for row in m]) == want, (branch, k)
+            assert core._bareiss8([tuple(row) for row in m]) == want, (branch, k)
             assert pivots == ([] if k == 6 else [8 - k]), (branch, k)
             assert (want == 0) == (k == 6 or branch == "columns dependent"), (branch, k)
 

@@ -43,6 +43,21 @@ class TestFactorMap:
                 assert factor_map(n) == want, n
                 assert factor_map(-n) == want, -n
 
+    def test_square_cofactor_tested_once(self, monkeypatch):
+        """5*p**2 takes one Miller-Rabin test of p**2 and one of p: the root
+        of a square cofactor is tested once, whatever its multiplicity."""
+        tested = []
+        real = primes.is_probable_prime
+
+        def counted(n):
+            tested.append(n)
+            return real(n)
+
+        monkeypatch.setattr(primes, "is_probable_prime", counted)
+        p = _next_prime(10**9, 7)
+        assert factor_map(5 * p * p) == {5: 1, p: 2}
+        assert tested == [p * p, p]
+
     def test_matches_sympy_factorint(self):
         """factor_map against sympy's factorint on seeded inputs below 10**18
         and on the certify workload's m*p**2 and m*r**2 forms."""
