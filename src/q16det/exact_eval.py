@@ -70,16 +70,29 @@ class FactoredForm(NamedTuple):
     z: QuadraticSqrt2
 
 
+def norm_of_sum(x: int, y: int) -> int:
+    """D = x**2 - 2*y**2 for the sum of norms z = x + y*sqrt(2) of
+    :func:`q16det.kernel.factored_terms`.  Such a z is totally nonnegative,
+    so InternalInconsistency is raised when it is not."""
+    if not totally_nonneg(x, y):
+        raise InternalInconsistency(
+            f"sum of norms {QuadraticSqrt2(x, y)} not totally nonnegative"
+        )
+    return x * x - 2 * y * y
+
+
+def factored_product(A: int, B: int, C: int, D: int) -> int:
+    """The determinant A * B * C**2 * D**2."""
+    return A * B * C * C * D * D
+
+
 def factored_form(e: "GroupRingElement") -> FactoredForm:
     """Exact factorization data of a group-ring element, from
     :func:`q16det.kernel.factored_terms`."""
     A, B, C, X, Y = kernel.factored_terms(e.a, e.b)
-    z = QuadraticSqrt2(X, Y)
-    if not z.is_totally_nonneg():
-        raise InternalInconsistency(f"sum of norms {z} not totally nonnegative")
-    return FactoredForm(A=A, B=B, C=C, D=z.norm(), z=z)
+    return FactoredForm(A=A, B=B, C=C, D=norm_of_sum(X, Y), z=QuadraticSqrt2(X, Y))
 
 
 def determinant_from_factored(ff: FactoredForm) -> int:
     """A * B * C**2 * D**2."""
-    return ff.A * ff.B * ff.C * ff.C * ff.D * ff.D
+    return factored_product(ff.A, ff.B, ff.C, ff.D)

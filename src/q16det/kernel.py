@@ -6,8 +6,9 @@
   ``kernel.group_det``,
 * :func:`factored_terms` - the tuple (A, B, C, X, Y) of the determinant
   factorization, built from two calls of :func:`_half_terms`, the only
-  evaluation at 1, -1, i and w (:func:`q16det.exact_eval.factored_form`
-  and the witness and audit checks read it here),
+  evaluation at 1, -1, i and w (:func:`q16det.exact_eval.factored_form`,
+  the factored side of :func:`q16det.analysis.random_crosscheck`, and the
+  witness and audit checks read it here),
 * :func:`scan_range`  - enumeration of a contiguous index range of a
   coefficient-support scan that starts on a b-row, returning a histogram
   of its determinant values that merges across ranges; it evaluates each

@@ -16,7 +16,12 @@ from q16det.analysis import (
     random_crosscheck,
     run_parity_audits,
 )
-from q16det.errors import BudgetExceeded, MismatchFound, PreconditionUnreachable
+from q16det.errors import (
+    BudgetExceeded,
+    InternalInconsistency,
+    MismatchFound,
+    PreconditionUnreachable,
+)
 from q16det.exact_eval import QuadraticSqrt2, factored_form
 from q16det.group_algebra import GroupRingElement
 
@@ -488,9 +493,32 @@ class TestRandomCrosscheck:
         with pytest.raises(TypeError):
             random_crosscheck(*args)
 
+    @pytest.mark.parametrize("seed", [42, -1])
+    @pytest.mark.parametrize("height", [0, 1, 9, 10**6])
+    def test_element_stream(self, monkeypatch, height, seed):
+        # The seeded element stream is part of acceptance 1 and of the CLI
+        # outputs: each element is 16 randint(-height, height) draws, the
+        # a-half and then the b-half, and each path sees it exactly once.
+        seen = {"group_det": [], "factored_terms": []}
+        for name, calls in seen.items():
+            def record(a, b, fn=getattr(kernel, name), calls=calls):
+                calls.append((list(a), list(b)))
+                return fn(a, b)
+
+            monkeypatch.setattr(kernel, name, record)
+        count = 25
+        assert random_crosscheck(count, height, seed).ok
+        replay = random.Random(seed)
+        want = []
+        for _ in range(count):
+            coeffs = [replay.randint(-height, height) for _ in range(16)]
+            want.append((coeffs[:8], coeffs[8:]))
+        assert seen == {"group_det": want, "factored_terms": want}
+
     def test_mismatch_raises(self, monkeypatch):
+        factored_terms = kernel.factored_terms
         monkeypatch.setattr(
-            analysis, "factored_form", lambda e: factored_form(e)._replace(A=0)
+            kernel, "factored_terms", lambda a, b: (0, *factored_terms(a, b)[1:])
         )
         with pytest.raises(MismatchFound) as exc:
             random_crosscheck(20, 9, seed=42)
@@ -498,3 +526,27 @@ class TestRandomCrosscheck:
         assert rep.mismatches == 1 and not rep.ok
         assert rep.detail == str(exc.value)
         assert rep.detail.startswith(f"element #{rep.count - 1} ")
+
+    def test_direct_side_mismatch_raises(self, monkeypatch):
+        group_det = kernel.group_det
+        monkeypatch.setattr(kernel, "group_det", lambda a, b: group_det(a, b) + 1)
+        with pytest.raises(MismatchFound) as exc:
+            random_crosscheck(20, 9, seed=42)
+        rep = exc.value.report
+        assert rep.mismatches == 1 and not rep.ok and rep.count == 1
+        replay = random.Random(42)
+        coeffs = [replay.randint(-9, 9) for _ in range(16)]
+        det = group_det(coeffs[:8], coeffs[8:])
+        assert rep.detail == str(exc.value)
+        assert rep.detail == f"element #0 {coeffs}: direct {det + 1} != factored {det}"
+
+    def test_not_totally_nonneg_raises(self, monkeypatch):
+        # The kernel never yields such an X + Y*sqrt(2); the crosscheck's
+        # guard is exercised by replacing it, and reads as factored_form's.
+        monkeypatch.setattr(kernel, "factored_terms", lambda a, b: (1, 1, 1, -1, 0))
+        with pytest.raises(InternalInconsistency) as want:
+            factored_form(GroupRingElement((1,) + (0,) * 7, (0,) * 8))
+        with pytest.raises(InternalInconsistency) as got:
+            random_crosscheck(3, 9, seed=42)
+        assert str(got.value) == str(want.value)
+        assert "not totally nonnegative" in str(got.value)

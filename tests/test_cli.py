@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from q16det import analysis, cli, kernel
+from q16det import cli, kernel
 from q16det.cli import (
     EXIT_BUDGET,
     EXIT_FAIL,
@@ -20,7 +20,6 @@ from q16det.cli import (
     verify_document,
 )
 from q16det.errors import BadInput, InternalInconsistency
-from q16det.exact_eval import factored_form
 from q16det.group_algebra import GroupRingElement, direct_determinant
 from q16det.witness import witness_odd_5mod8
 
@@ -232,8 +231,9 @@ class TestCrosscheckAndAudit:
         assert doc["lane"] == "pure"
 
     def test_crosscheck_mismatch_report(self, capsys, monkeypatch):
+        factored_terms = kernel.factored_terms
         monkeypatch.setattr(
-            analysis, "factored_form", lambda e: factored_form(e)._replace(A=0)
+            kernel, "factored_terms", lambda a, b: (0, *factored_terms(a, b)[1:])
         )
         rc, out, _ = run(capsys, "crosscheck", "--count", "20", "--json")
         doc = json.loads(out)
