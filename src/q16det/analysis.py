@@ -280,11 +280,16 @@ def exhaustive_scan(
     :func:`q16det.kernel.scan_range` call; several split it into one block
     of whole b-rows per pool process.  The blocks' value histograms merge
     commutatively, so the report is bit-identical for any worker count.
-    The report echoes ``workers``; the process pool is capped at the CPUs
-    this process may use, and a scan of fewer than ``_POOL_MIN_ELEMS``
-    elements runs in this process as one block.  A ``direct`` scan also calls
-    :func:`q16det.kernel.direct_mismatches` once, in this process, whatever
-    the worker count.
+    A block evaluates each pair of halves that reaches into another block
+    once itself, so the unordered-pair halving of one pass is lost across
+    blocks.  One block evaluates about half of the elements, while each of
+    k equal blocks evaluates about (2k - 1)/(2k**2) of them, so k workers
+    are at best about k**2/(2k - 1) times as fast as one: 1.33x at 2,
+    2.29x at 4.  The report echoes ``workers``; the process pool is capped
+    at the CPUs this process may use, and a scan of fewer than
+    ``_POOL_MIN_ELEMS`` elements runs in this process as one block.  A
+    ``direct`` scan also calls :func:`q16det.kernel.direct_mismatches`
+    once, in this process, whatever the worker count.
 
     This function owns the residue laws: it sorts each distinct value of
     the merged histogram once into the report's tallies, sample and

@@ -13,8 +13,21 @@ zeros allowed.  Any other spelling on the command line (``+9``, ``1_001``,
 non-ASCII digits, a space, or an empty item in a comma list) is a usage
 error: one ``q16det <command>: error: ...`` line on stderr, exit 2.
 
-Machine output (--json) is one JSON object per line; all integers are
-serialized as decimal strings so consumers are safe from 64-bit overflow.
+Machine output (--json) is one JSON object per line.  ``witness``,
+``verify`` and ``classify`` write every integer as a decimal string, so
+consumers are safe from 64-bit overflow.  The reports write some integers
+as JSON numbers, of any size:
+
+* ``scan``: ``support``, ``total``, ``workers``, ``zero``, ``even``,
+  ``even_mult_1024``, ``odd``, the counts in ``odd_mod8`` (keyed by the
+  residue) and ``five_mod8_values`` are numbers; ``sample`` and each
+  violation's ``value`` are decimal strings;
+* ``crosscheck``: ``count``, ``height``, ``seed`` and ``mismatches`` are
+  numbers;
+* ``audit``: ``count``, ``seed``, ``height``, ``audited`` and ``skipped``
+  are numbers.
+
+``elapsed_s`` is a JSON float.
 """
 
 import argparse
@@ -24,12 +37,11 @@ import re
 import sys
 from typing import NamedTuple
 
-from . import __version__, analysis
+from . import __version__, analysis, witness
 from .classifier import Classification, classify, classify_and_witness
-from .errors import BadInput, BudgetExceeded, MismatchFound, Q16DetError
+from .errors import BadInput, BudgetExceeded, InternalInconsistency, MismatchFound, Q16DetError
 from .exact_eval import determinant_from_factored, factored_form
 from .group_algebra import GroupRingElement, direct_determinant
-from .witness import WitnessCertificate
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -136,7 +148,7 @@ def _jsonable(obj):
     return obj
 
 
-def certificate_document(cert: WitnessCertificate) -> CertificateDocument:
+def certificate_document(cert: witness.WitnessCertificate) -> CertificateDocument:
     ff = cert.factored
     return CertificateDocument(
         n=cert.n,
@@ -155,16 +167,19 @@ def certificate_document(cert: WitnessCertificate) -> CertificateDocument:
 
 
 def verify_document(doc: CertificateDocument) -> bool:
-    """Re-verify a loaded document from its coefficient vectors alone."""
+    """Re-verify a loaded document from its coefficient vectors alone, by
+    the rule every certificate is made under, :func:`q16det.witness._certify`:
+    the literal 16x16 determinant and A*B*C**2*D**2 both equal ``n``.  The
+    document's A, B, C, D, X and Y must also be the recomputed ones."""
     e = GroupRingElement(doc.f, doc.g)
-    if direct_determinant(e) != doc.n:
+    # ValueError: the rule's message cannot print a wrong determinant past
+    # the interpreter's integer string limit.
+    try:
+        cert = witness._certify(doc.n, e, doc.trace)
+    except (InternalInconsistency, ValueError):
         return False
-    ff = factored_form(e)
-    return (
-        (ff.A, ff.B, ff.C, ff.D, ff.z.x, ff.z.y)
-        == (doc.A, doc.B, doc.C, doc.D, doc.X, doc.Y)
-        and determinant_from_factored(ff) == doc.n
-    )
+    made = certificate_document(cert)
+    return all(getattr(doc, key) == getattr(made, key) for key in "ABCDXY")
 
 
 def _poly_str(coeffs) -> str:

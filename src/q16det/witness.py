@@ -15,8 +15,9 @@ u + (1 - x^4)*k(x) - m'*h(x), which preserves that sum while moving the
 evaluations at 1; the parities u must match ``_U_PATTERNS`` and
 ``_V_PATTERNS``.
 
-Every certificate is verified by recomputing the full 16x16 determinant;
-an unverified certificate is never returned.  Targets and primes must be
+Every certificate is verified by :func:`_certify`: the full 16x16
+determinant and A*B*C**2*D**2 must both equal the target, and an
+unverified certificate is never returned.  Targets and primes must be
 integers: a float, a string or None raises TypeError.
 """
 
@@ -32,7 +33,7 @@ from .errors import (
     PatternMismatch,
     WrongResidue,
 )
-from .exact_eval import FactoredForm, factored_form
+from .exact_eval import FactoredForm, determinant_from_factored, factored_form
 from .group_algebra import GroupRingElement, direct_determinant
 from .primes import is_probable_prime
 from .quad_ring import (
@@ -124,14 +125,20 @@ def family_value(family: str, m: int) -> int:
 
 
 def _certify(n: int, e: GroupRingElement, trace: dict) -> WitnessCertificate:
+    """The one rule for a valid certificate, applied to every certificate
+    made here and, by :func:`q16det.cli.verify_document`, to every one
+    loaded: the literal 16x16 determinant of ``e`` and A*B*C**2*D**2 of its
+    factored form both equal ``n``.  Raises InternalInconsistency
+    otherwise; the certificate carries the recomputed factored form."""
     det = direct_determinant(e)
     if det != n:
         raise InternalInconsistency(
             f"witness for {n} evaluates to {det}; trace={trace}"
         )
-    return WitnessCertificate(
-        n=n, element=e, factored=factored_form(e), trace=trace, verified=True
-    )
+    ff = factored_form(e)
+    if determinant_from_factored(ff) != n:
+        raise InternalInconsistency(f"witness for {n}: A*B*C^2*D^2 of {ff} is not {n}")
+    return WitnessCertificate(n=n, element=e, factored=ff, trace=trace, verified=True)
 
 
 def witness_even(n: int) -> WitnessCertificate:

@@ -7,8 +7,10 @@ from decimal import Decimal
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from q16det import cli, kernel
+from q16det import analysis, cli, kernel, witness
 from q16det.cli import (
     EXIT_BUDGET,
     EXIT_FAIL,
@@ -21,7 +23,7 @@ from q16det.cli import (
 )
 from q16det.errors import BadInput, InternalInconsistency
 from q16det.group_algebra import GroupRingElement, direct_determinant
-from q16det.witness import witness_odd_5mod8
+from q16det.witness import witness_even, witness_odd_5mod8
 
 
 def run(capsys, *argv):
@@ -270,14 +272,42 @@ class TestCertificateDocuments:
         assert decoded.f == cert.element.a and decoded.g == cert.element.b
         assert verify_document(decoded)
 
-    def test_tampered_document_fails(self):
-        cert = witness_odd_5mod8(637, 7)
-        doc = certificate_document(cert)
-        raw = doc.to_json_dict()
-        raw["n"] = "639"
+    @pytest.mark.parametrize(
+        "field", ["n", *(f"{key}{j}" for key in "fg" for j in range(8)), *"ABCDXY"]
+    )
+    def test_tampered_document_fails(self, field):
+        raw = certificate_document(witness_odd_5mod8(637, 7)).to_json_dict()
+        # "f3" is f[3]; "n" and "A" are top-level fields.
+        holder, slot = (raw[field[0]], int(field[1:])) if field[1:] else (raw, field)
+        holder[slot] = str(int(holder[slot]) + 1)
         assert not verify_document(CertificateDocument.from_json_dict(raw))
-        raw = doc.to_json_dict()
-        raw["A"] = "999"
+
+    def test_swapped_halves_verify(self):
+        # det(g, f) = det(f, g): swapping the halves negates A, B and C only.
+        raw = certificate_document(witness_odd_5mod8(637, 7)).to_json_dict()
+        raw["f"], raw["g"] = raw["g"], raw["f"]
+        for key in "ABC":
+            raw[key] = str(-int(raw[key]))
+        assert verify_document(CertificateDocument.from_json_dict(raw))
+
+    def test_verify_applies_the_certify_rule(self, monkeypatch):
+        doc = certificate_document(witness_odd_5mod8(637, 7))
+        calls = []
+
+        def refuse(n, e, trace):
+            calls.append((n, e, trace))
+            raise InternalInconsistency("refused")
+
+        monkeypatch.setattr(witness, "_certify", refuse)
+        assert not verify_document(doc)
+        assert calls == [(637, GroupRingElement(doc.f, doc.g), doc.trace)]
+
+    def test_wrong_long_determinant_under_the_default_limit(self, default_digit_limit):
+        # The rule's message cannot print this determinant; the answer is
+        # still False, not an error.
+        raw = certificate_document(witness_odd_5mod8(637, 7)).to_json_dict()
+        raw["f"] = ["9" * 400] * 8
+        raw["f"][0] = "8" + "9" * 399
         assert not verify_document(CertificateDocument.from_json_dict(raw))
 
     @pytest.mark.parametrize("flag", ["false", "true", 0, 1, None, []])
@@ -346,6 +376,181 @@ class TestCertificateDocuments:
         raw = certificate_document(witness_odd_5mod8(245, 7)).to_json_dict()
         del raw[key]
         assert verify_document(CertificateDocument.from_json_dict(raw))
+
+
+_DROP = object()
+_DIGITS = st.integers(-9999, 9999).map(str)
+_JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=6), _DIGITS),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=9), st.dictionaries(st.text(max_size=3), inner, max_size=3)
+    ),
+    max_leaves=10,
+)
+_CERT_637 = json.dumps(certificate_document(witness_odd_5mod8(637, 7)).to_json_dict())
+# Up to four of a real certificate's 13 keys, each dropped or given a JSON
+# value; a digit string, or eight of them, is a value that loads.
+_EDITS = st.dictionaries(
+    st.sampled_from(sorted(json.loads(_CERT_637))),
+    st.one_of(st.just(_DROP), _JSON_VALUES, _DIGITS, st.lists(_DIGITS, min_size=8, max_size=8)),
+    max_size=4,
+)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(edits=_EDITS)
+def test_generated_documents_load_or_refuse(edits):
+    raw = json.loads(_CERT_637)
+    for key, value in edits.items():
+        if value is _DROP:
+            del raw[key]
+        else:
+            raw[key] = value
+    try:
+        doc = CertificateDocument.from_json_dict(raw)
+    except BadInput:
+        return
+    assert isinstance(verify_document(doc), bool)
+
+
+def _json_types(value):
+    """The JSON type of a value, as Python names the loaded type, with each
+    list reduced to the distinct types of its items."""
+    if isinstance(value, dict):
+        return {key: _json_types(v) for key, v in value.items()}
+    if isinstance(value, list):
+        types = []
+        for item in map(_json_types, value):
+            if item not in types:
+                types.append(item)
+        return types
+    return type(value).__name__
+
+
+def _even_violation(monkeypatch):
+    scan_range = kernel.scan_range
+
+    def with_two(*args):
+        out = scan_range(*args)
+        out["values"][2] += 1
+        return out
+
+    monkeypatch.setattr(kernel, "scan_range", with_two)
+
+
+def _factored_mismatch(monkeypatch):
+    factored_terms = kernel.factored_terms
+    monkeypatch.setattr(kernel, "factored_terms", lambda a, b: (0, *factored_terms(a, b)[1:]))
+
+
+def _audit_failure(monkeypatch):
+    def fail(e):
+        raise InternalInconsistency("injected")
+
+    monkeypatch.setattr(analysis, "parity_audit", fail)
+
+
+# Per --json command: its arguments, a fault that fills the optional lists
+# and fields, and the type of every field.  Certificates, verify and
+# classify write every integer as a decimal string; the scan, crosscheck
+# and audit reports write counts, parameters and support values as numbers.
+_JSON_TYPES = [
+    (
+        ["classify", "245", "512"],
+        None,
+        [
+            {"n": "str", "achievable": "bool", "recipe": "str"},
+            {"n": "str", "achievable": "bool", "reason": "str"},
+        ],
+    ),
+    (
+        ["witness", "245"],
+        None,
+        [
+            {
+                **dict.fromkeys(("format", "tool", "n"), "str"),
+                "f": ["str"],
+                "g": ["str"],
+                **dict.fromkeys("ABCDXY", "str"),
+                "trace": {
+                    **dict.fromkeys(("family", "p", "m", "shift", "x_target"), "str"),
+                    "split": ["str"],
+                    "adjusted": ["str"],
+                    "four_squares": [["str"]],
+                    "case": "str",
+                    "u": ["str"],
+                    "v": ["str"],
+                },
+                "verified": "bool",
+            }
+        ],
+    ),
+    (
+        ["verify", "--coeffs", "1,1,1,1,1,1,1,1,1,0,1,1,1,0,0,0"],
+        None,
+        [
+            {
+                "f": ["str"],
+                "g": ["str"],
+                **dict.fromkeys(("direct_determinant", *"ABCDXY", "factored_determinant"), "str"),
+                "agree": "bool",
+            }
+        ],
+    ),
+    (
+        ["scan", "--support=0,1"],
+        _even_violation,
+        [
+            {
+                "support": ["int"],
+                "total": "int",
+                "workers": "int",
+                "lane": "str",
+                "direct": "bool",
+                **dict.fromkeys(("zero", "even", "even_mult_1024", "odd"), "int"),
+                "odd_mod8": dict.fromkeys(("1", "3", "5", "7"), "int"),
+                "sample": ["str"],
+                "five_mod8_values": "int",
+                "violations": [{"value": "str", "reason": "str"}],
+                "ok": "bool",
+                "elapsed_s": "float",
+            }
+        ],
+    ),
+    (
+        ["crosscheck", "--count", "3"],
+        _factored_mismatch,
+        [
+            {
+                **dict.fromkeys(("count", "height", "seed", "mismatches"), "int"),
+                "lane": "str",
+                "ok": "bool",
+                "elapsed_s": "float",
+                "detail": "str",
+            }
+        ],
+    ),
+    (
+        ["audit", "--count", "3"],
+        _audit_failure,
+        [
+            {
+                **dict.fromkeys(("count", "seed", "height", "audited", "skipped"), "int"),
+                "failures": ["str"],
+                "ok": "bool",
+                "elapsed_s": "float",
+            }
+        ],
+    ),
+]
+
+
+@pytest.mark.parametrize("argv,fault,types", _JSON_TYPES, ids=[argv[0] for argv, _, _ in _JSON_TYPES])
+def test_json_field_types(capsys, monkeypatch, argv, fault, types):
+    if fault is not None:
+        fault(monkeypatch)
+    _, out, _ = run(capsys, *argv, "--json")
+    assert [_json_types(json.loads(line)) for line in out.splitlines()] == types
 
 
 # Every integer argument, with the argv that puts a spelling into it and the
@@ -524,6 +729,25 @@ class TestLibraryErrors:
         rc, _, err = run(capsys, "witness", "245")
         assert rc == EXIT_FAIL
         assert err == "q16det: RuntimeError: Pollard rho failed\n"
+
+    @pytest.mark.parametrize(
+        "entry,fault,message",
+        [
+            ("factored_terms", lambda out: (out[0] + 2, *out[1:]), r": A\*B\*C\^2\*D\^2 of "),
+            ("group_det", lambda out: out + 1, " evaluates to 5121; "),
+        ],
+        ids=["factored", "direct"],
+    )
+    def test_kernel_fault_emits_no_certificate(self, capsys, monkeypatch, entry, fault, message):
+        # Each path catches a fault that the other one cannot see.
+        original = getattr(kernel, entry)
+        monkeypatch.setattr(kernel, entry, lambda a, b: fault(original(a, b)))
+        with pytest.raises(InternalInconsistency, match=f"^witness for 5120{message}"):
+            witness_even(5120)
+        rc, out, err = run(capsys, "witness", "5120")
+        assert rc == EXIT_FAIL and out == ""
+        assert err.startswith("q16det: InternalInconsistency: witness for 5120")
+        assert err.count("\n") == 1
 
     def test_budget_exceeded_keeps_exit_3(self, capsys):
         rc, _, err = run(capsys, "scan", "--support", "0,1", "--limit", "10")
