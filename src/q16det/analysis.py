@@ -21,6 +21,7 @@ from .errors import (
     InternalInconsistency,
     MismatchFound,
     PreconditionUnreachable,
+    int_text,
 )
 from .exact_eval import QuadraticSqrt2, factored_product, norm_of_sum
 from .group_algebra import GroupRingElement, substitute_neg_x, swap_components
@@ -421,9 +422,14 @@ def random_crosscheck(count: int, height: int, seed: int) -> CrosscheckReport:
     ``height`` and ``seed`` must be integers: any other type raises
     TypeError.
 
-    Each element is 16 ``random.Random(seed).randint(-height, height)``
-    draws in stream order: first its X-block ``a`` (8 draws), then its
-    Y-block ``b`` (8 draws).  The two paths are the two kernel seams, each
+    Each element is exactly 16 ``random.Random(seed).randint(-height,
+    height)`` draws in stream order: first its X-block ``a`` (8 draws), then
+    its Y-block ``b`` (8 draws).  Each draw is made as CPython's randint
+    makes it, without its argument checks: ``getrandbits(k)`` with k the bit
+    length of 2*height + 1, redrawn while it is >= 2*height + 1, minus
+    ``height``.  ``test_element_stream`` replays the stream with
+    ``Random.randint`` itself, at heights whose draws span several words
+    of the generator.  The two paths are the two kernel seams, each
     called once per element and looked up when this function starts:
     ``kernel.group_det(a, b)``, the literal 16x16 determinant, and
     ``kernel.factored_terms(a, b)``, whose X + Y*sqrt(2) must be totally
@@ -448,15 +454,29 @@ def random_crosscheck(count: int, height: int, seed: int) -> CrosscheckReport:
             detail=detail,
         )
 
+    getrandbits, width = rng.getrandbits, 2 * height + 1
+    bits = width.bit_length()
+
+    def draw() -> int:
+        # rng.randint(-height, height), draw for draw.
+        r = getrandbits(bits)
+        while r >= width:
+            r = getrandbits(bits)
+        return r - height
+
     group_det, factored_terms = kernel.group_det, kernel.factored_terms
-    randint, low, half = rng.randint, -height, range(8)
+    half = range(8)
     for i in range(count):
-        a = [randint(low, height) for _ in half]
-        b = [randint(low, height) for _ in half]
+        a = [draw() for _ in half]
+        b = [draw() for _ in half]
         direct = group_det(a, b)
         A, B, C, X, Y = factored_terms(a, b)
         fact = factored_product(A, B, C, norm_of_sum(X, Y))
         if direct != fact:
-            msg = f"element #{i} {a + b}: direct {direct} != factored {fact}"
+            coeffs = ", ".join(map(int_text, a + b))
+            msg = (
+                f"element #{i} [{coeffs}]: "
+                f"direct {int_text(direct)} != factored {int_text(fact)}"
+            )
             raise MismatchFound(msg, report(i + 1, msg))
     return report(count)

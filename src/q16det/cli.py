@@ -172,8 +172,8 @@ def verify_document(doc: CertificateDocument) -> bool:
     the literal 16x16 determinant and A*B*C**2*D**2 both equal ``n``.  The
     document's A, B, C, D, X and Y must also be the recomputed ones."""
     e = GroupRingElement(doc.f, doc.g)
-    # ValueError: the rule's message cannot print a wrong determinant past
-    # the interpreter's integer string limit.
+    # ValueError: the rule's message prints the loaded trace, which may nest
+    # integers past the interpreter's integer string limit.
     try:
         cert = witness._certify(doc.n, e, doc.trace)
     except (InternalInconsistency, ValueError):

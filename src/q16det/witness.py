@@ -32,6 +32,7 @@ from .errors import (
     ParityViolation,
     PatternMismatch,
     WrongResidue,
+    int_text,
 )
 from .exact_eval import FactoredForm, determinant_from_factored, factored_form
 from .group_algebra import GroupRingElement, direct_determinant
@@ -132,12 +133,20 @@ def _certify(n: int, e: GroupRingElement, trace: dict) -> WitnessCertificate:
     otherwise; the certificate carries the recomputed factored form."""
     det = direct_determinant(e)
     if det != n:
+        shown = ", ".join(
+            f"{k!r}: {int_text(v) if isinstance(v, int) else repr(v)}" for k, v in trace.items()
+        )
         raise InternalInconsistency(
-            f"witness for {n} evaluates to {det}; trace={trace}"
+            f"witness for {int_text(n)} evaluates to {int_text(det)}; trace={{{shown}}}"
         )
     ff = factored_form(e)
-    if determinant_from_factored(ff) != n:
-        raise InternalInconsistency(f"witness for {n}: A*B*C^2*D^2 of {ff} is not {n}")
+    value = determinant_from_factored(ff)
+    if value != n:
+        A, B, C, D = map(int_text, ff[:4])
+        raise InternalInconsistency(
+            f"witness for {int_text(n)}: A*B*C^2*D^2 of (A, B, C, D) = "
+            f"({A}, {B}, {C}, {D}) is {int_text(value)}"
+        )
     return WitnessCertificate(n=n, element=e, factored=ff, trace=trace, verified=True)
 
 

@@ -1,6 +1,7 @@
 import concurrent.futures
 import os
 import random
+import re
 import time
 from collections import Counter
 
@@ -494,11 +495,14 @@ class TestRandomCrosscheck:
             random_crosscheck(*args)
 
     @pytest.mark.parametrize("seed", [42, -1])
-    @pytest.mark.parametrize("height", [0, 1, 9, 10**6])
+    @pytest.mark.parametrize("height", [0, 1, 9, 10**6, 2**31 - 1, 2**32, 10**30])
     def test_element_stream(self, monkeypatch, height, seed):
         # The seeded element stream is part of acceptance 1 and of the CLI
         # outputs: each element is 16 randint(-height, height) draws, the
         # a-half and then the b-half, and each path sees it exactly once.
+        # The replay calls Random.randint itself, so a Python whose randint
+        # draws differently fails here; the last three heights take 32, 34
+        # and 101 bits per draw, more than one 32-bit word of the generator.
         seen = {"group_det": [], "factored_terms": []}
         for name, calls in seen.items():
             def record(a, b, fn=getattr(kernel, name), calls=calls):
@@ -539,6 +543,21 @@ class TestRandomCrosscheck:
         det = group_det(coeffs[:8], coeffs[8:])
         assert rep.detail == str(exc.value)
         assert rep.detail == f"element #0 {coeffs}: direct {det + 1} != factored {det}"
+
+    def test_mismatch_past_the_digit_limit(self, monkeypatch, default_digit_limit):
+        # The 16 coefficients have 301 digits each and the determinant more
+        # than 4,300: the detail bounds it instead of raising ValueError.
+        group_det = kernel.group_det
+        monkeypatch.setattr(kernel, "group_det", lambda a, b: group_det(a, b) + 1)
+        with pytest.raises(MismatchFound) as exc:
+            random_crosscheck(1, 10**300, 1)
+        replay = random.Random(1)
+        coeffs = [replay.randint(-(10**300), 10**300) for _ in range(16)]
+        assert exc.value.report.detail == str(exc.value)
+        bounded = r"-?\d{20}\.\.\.\((\d+) digits\)"
+        match = re.fullmatch(f"(.*): direct {bounded} != factored {bounded}", str(exc.value))
+        assert match[1] == f"element #0 {coeffs}"
+        assert int(match[2]) == int(match[3]) > default_digit_limit
 
     def test_not_totally_nonneg_raises(self, monkeypatch):
         # The kernel never yields such an X + Y*sqrt(2); the crosscheck's

@@ -43,15 +43,6 @@ needs_digit_limit = pytest.mark.skipif(
 )
 
 
-@pytest.fixture
-def default_digit_limit():
-    """The interpreter's default limit of 4,300 digits, restored afterwards."""
-    before = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(4300)
-    yield 4300
-    sys.set_int_max_str_digits(before)
-
-
 class TestClassifyCommand:
     def test_achievable(self, capsys):
         rc, out, _ = run(capsys, "classify", "245")
@@ -303,11 +294,20 @@ class TestCertificateDocuments:
         assert calls == [(637, GroupRingElement(doc.f, doc.g), doc.trace)]
 
     def test_wrong_long_determinant_under_the_default_limit(self, default_digit_limit):
-        # The rule's message cannot print this determinant; the answer is
-        # still False, not an error.
+        # The rule's message prints this determinant in bounded form; the
+        # answer is False, not an error.
         raw = certificate_document(witness_odd_5mod8(637, 7)).to_json_dict()
         raw["f"] = ["9" * 400] * 8
         raw["f"][0] = "8" + "9" * 399
+        assert not verify_document(CertificateDocument.from_json_dict(raw))
+
+    def test_wrong_document_with_a_long_trace_integer(self, default_digit_limit):
+        # The rule's message cannot print this loaded trace; the answer is
+        # still False, not an error.
+        raw = certificate_document(witness_odd_5mod8(637, 7)).to_json_dict()
+        raw["trace"] = {"p": [10**5000]}
+        assert verify_document(CertificateDocument.from_json_dict(raw))
+        raw["f"][0] = "5"
         assert not verify_document(CertificateDocument.from_json_dict(raw))
 
     @pytest.mark.parametrize("flag", ["false", "true", 0, 1, None, []])

@@ -7,6 +7,7 @@ from q16det import kernel
 from q16det.cli import certificate_document
 from q16det.errors import (
     BadInput,
+    InternalInconsistency,
     NotMultiple,
     ParityViolation,
     PatternMismatch,
@@ -19,6 +20,7 @@ from q16det.quad_ring import CaseLabel, FourSquares, normalize_decomposition
 from q16det.witness import (
     _U_PATTERNS,
     _V_PATTERNS,
+    _certify,
     _lift,
     build_low_degree_pair,
     family_element,
@@ -92,6 +94,49 @@ class TestWitnessEven:
             witness_even(512)
         with pytest.raises(NotMultiple):
             witness_even(2)
+
+
+
+class TestCertifyMessages:
+    """The rule's messages print integers past the interpreter's 4,300-digit
+    limit in a bounded form instead of raising ValueError."""
+
+    def test_wrong_huge_target(self, default_digit_limit):
+        one = GroupRingElement((1,) + (0,) * 7, (0,) * 8)
+        with pytest.raises(InternalInconsistency) as exc:
+            _certify(10**5000, one, {})
+        assert str(exc.value) == (
+            "witness for 10000000000000000000...(5001 digits) evaluates to 1; trace={}"
+        )
+
+    @pytest.mark.parametrize(
+        "entry,fault,message",
+        [
+            (
+                "factored_terms",
+                lambda out: (out[0] + 2, *out[1:]),
+                ": A*B*C^2*D^2 of (A, B, C, D) = (-63999999999999999999...(5002 digits), "
+                "-4, -2, 2) is 40959999999999999999...(5004 digits)",
+            ),
+            (
+                "group_det",
+                lambda out: out + 1,
+                " evaluates to 40960000000000000000...(5004 digits); "
+                "trace={'family': 'even_4096_m', 'm': 10000000000000000000...(5001 digits)}",
+            ),
+        ],
+        ids=["factored", "direct"],
+    )
+    def test_kernel_fault_on_a_huge_target(
+        self, monkeypatch, default_digit_limit, entry, fault, message
+    ):
+        # even_4096_m at m = 10**5000: the trace, a coefficient sum and both
+        # determinants are past the limit.
+        original = getattr(kernel, entry)
+        monkeypatch.setattr(kernel, entry, lambda a, b: fault(original(a, b)))
+        with pytest.raises(InternalInconsistency) as exc:
+            witness_even(4096 * 10**5000)
+        assert str(exc.value) == "witness for 40960000000000000000...(5004 digits)" + message
 
 
 class TestWitnessOdd1Mod8:
