@@ -16,6 +16,7 @@ from typing import NamedTuple, Sequence
 
 from . import kernel
 from .classifier import classify
+from .core import factored_product, norm_of_sum
 from .errors import (
     BudgetExceeded,
     InternalInconsistency,
@@ -23,7 +24,7 @@ from .errors import (
     PreconditionUnreachable,
     int_text,
 )
-from .exact_eval import QuadraticSqrt2, factored_product, norm_of_sum
+from .exact_eval import QuadraticSqrt2
 from .group_algebra import GroupRingElement, substitute_neg_x, swap_components
 
 # Not called here; perfbench's tracer wraps these three names on this module.

@@ -1,6 +1,7 @@
-"""The literal group determinant of the dicyclic group of order 16: the
-group table and the exact determinant of det(c[g * h**-1]), the definition
-that certificates and crosschecks rely on.
+"""The trusted core: the group table of the dicyclic group of order 16,
+the literal group determinant det(c[g * h**-1]), the factored terms
+A, B, C, X, Y, and :func:`certificate_terms`, the one rule for a valid
+certificate, which requires both determinants to equal the target.
 
 Element indices: 0..7 encode X**j, 8..15 encode Y*X**(j-8).  The defining
 relations are X**8 = 1, Y**2 = X**4 and X*Y = Y*X**(-1), which give the
@@ -23,18 +24,32 @@ written out on tuple rows.  Both hand a singular pivot block to
 two 8x8 blocks of :func:`group_det`, where the whole 16x16 takes 560 and
 one column per pass 1,240.
 
+The factored side evaluates each half f at 1, -1, i and w = exp(2*pi*i/8)
+in :func:`_half_terms`; :func:`factored_terms` combines the two halves
+into (A, B, C, X, Y), :func:`norm_of_sum` checks that X + Y*sqrt(2) is
+totally nonnegative and gives D = X**2 - 2*Y**2, and
+:func:`factored_product` is A*B*C**2*D**2.  That this product equals
+:func:`group_det` for every element is proved by finite exact checks in
+``tests/test_factorization_identity.py``.
+
 This module imports nothing from the library but :mod:`q16det.errors`,
-and a test checks that.  Callers reach :func:`group_det` as
-``kernel.group_det``; a test that patches an elimination here patches it
-on this module.
+and a test checks that; ``import q16det.core`` loads no other library
+module, and no ``typing``.  :func:`certificate_terms` looks up
+:func:`group_det` and :func:`factored_terms` on this module, so a test
+that patches either here reaches the rule.  The scan and crosscheck
+loops reach them as ``kernel.group_det`` and ``kernel.factored_terms``,
+the same objects.
 """
 
 from __future__ import annotations
 
 from operator import itemgetter, neg
-from typing import Sequence
 
-from .errors import InternalInconsistency
+from .errors import InternalInconsistency, int_text
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from collections.abc import Sequence
 
 
 def mul(i: int, j: int) -> int:
@@ -303,3 +318,87 @@ def group_det(a: Sequence[int], b: Sequence[int]) -> int:
     d = (a0 - a4, a1 - a5, a2 - a6, a3 - a7, b0 - b4, b1 - b5, b2 - b6, b3 - b7)
     differences = d + tuple(map(neg, d))
     return plus * _bareiss8([row(differences) for row in _MINUS_ROWS])
+
+
+def _half_terms(h: Sequence[int]) -> tuple[int, int, int, int, int]:
+    """(f(1)**2, f(-1)**2, |f(i)|**2, X, Y) for f with coefficients ``h``,
+    where X + Y*sqrt(2) = |f(w)|**2 and w = exp(2*pi*i/8): the only
+    evaluation at 1, -1, i and w."""
+    h0, h1, h2, h3, h4, h5, h6, h7 = h
+    s1 = h0 + h1 + h2 + h3 + h4 + h5 + h6 + h7
+    sm1 = h0 - h1 + h2 - h3 + h4 - h5 + h6 - h7
+    re, im = h0 - h2 + h4 - h6, h1 - h3 + h5 - h7
+    u0, u1, u2, u3 = h0 - h4, h1 - h5, h2 - h6, h3 - h7
+    return (
+        s1 * s1,
+        sm1 * sm1,
+        re * re + im * im,
+        u0 * u0 + u1 * u1 + u2 * u2 + u3 * u3,
+        u0 * u1 - u0 * u3 + u1 * u2 + u2 * u3,
+    )
+
+
+def factored_terms(a: Sequence[int], b: Sequence[int]) -> tuple[int, int, int, int, int]:
+    """(A, B, C, X, Y) of the factorization of the element with X-block
+    coefficients ``a`` and Y-block coefficients ``b``: A, B and C are the
+    f-side :func:`_half_terms` minus the g-side ones, X and Y their sums.
+    D is :func:`norm_of_sum` of (X, Y)."""
+    Pa, Qa, Ra, Xa, Ya = _half_terms(a)
+    Pb, Qb, Rb, Xb, Yb = _half_terms(b)
+    return Pa - Pb, Qa - Qb, Ra - Rb, Xa + Xb, Ya + Yb
+
+
+def totally_nonneg(x: int, y: int) -> bool:
+    """x + y*sqrt(2) >= 0 under both real embeddings, exactly.
+
+    Both embeddings x +- y*sqrt(2) are nonnegative iff x >= |y|*sqrt(2),
+    i.e. x >= 0 and x**2 >= 2*y**2.
+    """
+    return x >= 0 and x * x >= 2 * y * y
+
+
+def norm_of_sum(x: int, y: int) -> int:
+    """D = x**2 - 2*y**2 for the sum of norms z = x + y*sqrt(2) of
+    :func:`factored_terms`.  Such a z is totally nonnegative, so
+    InternalInconsistency is raised when it is not."""
+    if not totally_nonneg(x, y):
+        raise InternalInconsistency(
+            f"sum of norms QuadraticSqrt2(x={int_text(x)}, y={int_text(y)}) "
+            "not totally nonnegative"
+        )
+    return x * x - 2 * y * y
+
+
+def factored_product(A: int, B: int, C: int, D: int) -> int:
+    """The determinant A * B * C**2 * D**2."""
+    return A * B * C * C * D * D
+
+
+def certificate_terms(
+    n: int, a: Sequence[int], b: Sequence[int], trace: dict
+) -> tuple[int, int, int, int, int, int]:
+    """The one rule for a valid certificate of ``n`` on the element with
+    halves ``a`` and ``b``: the literal 16x16 determinant
+    :func:`group_det` and A*B*C**2*D**2 from :func:`factored_terms` both
+    equal ``n``.  Returns (A, B, C, D, X, Y).  Raises
+    InternalInconsistency otherwise, the first message showing ``trace``,
+    the record of how the element was built; every integer in a message
+    goes through :func:`q16det.errors.int_text`."""
+    det = group_det(a, b)
+    if det != n:
+        shown = ", ".join(
+            f"{k!r}: {int_text(v) if isinstance(v, int) else repr(v)}"
+            for k, v in trace.items()
+        )
+        raise InternalInconsistency(
+            f"witness for {int_text(n)} evaluates to {int_text(det)}; trace={{{shown}}}"
+        )
+    A, B, C, X, Y = factored_terms(a, b)
+    D = norm_of_sum(X, Y)
+    value = factored_product(A, B, C, D)
+    if value != n:
+        raise InternalInconsistency(
+            f"witness for {int_text(n)}: A*B*C^2*D^2 of (A, B, C, D) = "
+            f"({', '.join(map(int_text, (A, B, C, D)))}) is {int_text(value)}"
+        )
+    return A, B, C, D, X, Y

@@ -13,28 +13,17 @@ of x**8 - 1:
 with w a primitive 8th root of unity.  |f(w)|**2 + |g(w)|**2 is an element
 z = X + Y*sqrt(2) of the real quadratic ring Z[sqrt(2)], and the conjugation
 sqrt(2) -> -sqrt(2) realizes the evaluation at w**3, so D is the ring norm
-X**2 - 2*Y**2.  The integers (A, B, C, X, Y) come from
-:func:`q16det.kernel.factored_terms`, and every evaluation at 1, -1, i and
-w from the kernel's per-half ``_half_terms``; this module wraps them and
-evaluates nothing itself.  No floating point is used anywhere.
+X**2 - 2*Y**2.  Every evaluation, the total-nonnegativity check on z and
+the product live in :mod:`q16det.core`; this module only builds the
+public records from them.  No floating point is used anywhere.
 """
 
 from typing import TYPE_CHECKING, NamedTuple
 
-from . import kernel
-from .errors import InternalInconsistency
+from . import core
 
 if TYPE_CHECKING:  # pragma: no cover
     from .group_algebra import GroupRingElement
-
-
-def totally_nonneg(x: int, y: int) -> bool:
-    """x + y*sqrt(2) >= 0 under both real embeddings, exactly.
-
-    Both embeddings x +- y*sqrt(2) are nonnegative iff x >= |y|*sqrt(2),
-    i.e. x >= 0 and x**2 >= 2*y**2.
-    """
-    return x >= 0 and x * x >= 2 * y * y
 
 
 class QuadraticSqrt2(NamedTuple):
@@ -51,7 +40,7 @@ class QuadraticSqrt2(NamedTuple):
         return self.x * self.x - 2 * self.y * self.y
 
     def is_totally_nonneg(self) -> bool:
-        return totally_nonneg(self.x, self.y)
+        return core.totally_nonneg(self.x, self.y)
 
     def is_totally_positive(self) -> bool:
         """x + y*sqrt(2) > 0 under both real embeddings, exactly."""
@@ -70,29 +59,13 @@ class FactoredForm(NamedTuple):
     z: QuadraticSqrt2
 
 
-def norm_of_sum(x: int, y: int) -> int:
-    """D = x**2 - 2*y**2 for the sum of norms z = x + y*sqrt(2) of
-    :func:`q16det.kernel.factored_terms`.  Such a z is totally nonnegative,
-    so InternalInconsistency is raised when it is not."""
-    if not totally_nonneg(x, y):
-        raise InternalInconsistency(
-            f"sum of norms {QuadraticSqrt2(x, y)} not totally nonnegative"
-        )
-    return x * x - 2 * y * y
-
-
-def factored_product(A: int, B: int, C: int, D: int) -> int:
-    """The determinant A * B * C**2 * D**2."""
-    return A * B * C * C * D * D
-
-
 def factored_form(e: "GroupRingElement") -> FactoredForm:
     """Exact factorization data of a group-ring element, from
-    :func:`q16det.kernel.factored_terms`."""
-    A, B, C, X, Y = kernel.factored_terms(e.a, e.b)
-    return FactoredForm(A=A, B=B, C=C, D=norm_of_sum(X, Y), z=QuadraticSqrt2(X, Y))
+    :func:`q16det.core.factored_terms` and :func:`q16det.core.norm_of_sum`."""
+    A, B, C, X, Y = core.factored_terms(e.a, e.b)
+    return FactoredForm(A=A, B=B, C=C, D=core.norm_of_sum(X, Y), z=QuadraticSqrt2(X, Y))
 
 
 def determinant_from_factored(ff: FactoredForm) -> int:
     """A * B * C**2 * D**2."""
-    return factored_product(ff.A, ff.B, ff.C, ff.D)
+    return core.factored_product(ff.A, ff.B, ff.C, ff.D)

@@ -2,13 +2,9 @@
 
 * :func:`group_det`   - determinant of the literal 16x16 ``DET_INDEX``
   matrix, the definition that certificates and crosschecks rely on,
-  defined in :mod:`q16det.core` and reached by every caller as
-  ``kernel.group_det``,
 * :func:`factored_terms` - the tuple (A, B, C, X, Y) of the determinant
   factorization, built from two calls of :func:`_half_terms`, the only
-  evaluation at 1, -1, i and w (:func:`q16det.exact_eval.factored_form`,
-  the factored side of :func:`q16det.analysis.random_crosscheck`, and the
-  witness and audit checks read it here),
+  evaluation at 1, -1, i and w,
 * :func:`scan_range`  - enumeration of a contiguous index range of a
   coefficient-support scan that starts on a b-row, returning a histogram
   of its determinant values that merges across ranges; it evaluates each
@@ -39,10 +35,13 @@ half-classes, never per element.  That the circulant's determinant is
 A*B*C**2*D**2 is proved by finite exact checks in
 ``tests/test_factorization_identity.py``.
 
-Callers reach :func:`group_det`, :func:`factored_terms` and
-:func:`scan_range` as ``kernel.<name>``, so a tracer that patches this
-module sees every call of them; the eliminations inside
-:func:`group_det` are looked up on :mod:`q16det.core`.
+:func:`group_det`, :func:`factored_terms` and :func:`_half_terms` are
+defined in :mod:`q16det.core`, the trusted module, and re-exported here:
+``kernel.factored_terms is core.factored_terms``.  The crosscheck and the
+scan reach them, and :func:`scan_range`, as ``kernel.<name>``, so a
+tracer or a test that patches this module sees those calls.  The
+certificate rule, :func:`q16det.core.certificate_terms`, looks its names
+up on :mod:`q16det.core` instead.
 """
 
 from __future__ import annotations
@@ -52,8 +51,8 @@ from collections import Counter
 from itertools import islice, product
 from typing import Iterator, Sequence
 
-# group_det is defined in core; callers, and the tracer that patches it, use kernel.group_det.
-from .core import _bareiss, group_det
+# Defined in core; the crosscheck, and the tracer that patches it, use kernel.<name>.
+from .core import _bareiss, _half_terms, factored_terms, group_det
 
 # The lane names perfbench reads; scan and crosscheck reports carry ACTIVE_LANE.
 ACTIVE_LANE: str = "pure"
@@ -113,33 +112,6 @@ def _reflection_det(ra: Sequence[int], rb: Sequence[int]) -> int:
         [q4, 2 * q3, 2 * q2, 2 * q1, q0],
     ]
     return _bareiss(symmetric) * anti
-
-
-def _half_terms(h: Sequence[int]) -> tuple[int, int, int, int, int]:
-    """(f(1)**2, f(-1)**2, |f(i)|**2, X, Y) for f with coefficients ``h``,
-    where X + Y*sqrt(2) = |f(w)|**2 and w = exp(2*pi*i/8): the only
-    evaluation at 1, -1, i and w."""
-    h0, h1, h2, h3, h4, h5, h6, h7 = h
-    s1 = h0 + h1 + h2 + h3 + h4 + h5 + h6 + h7
-    sm1 = h0 - h1 + h2 - h3 + h4 - h5 + h6 - h7
-    re, im = h0 - h2 + h4 - h6, h1 - h3 + h5 - h7
-    u0, u1, u2, u3 = h0 - h4, h1 - h5, h2 - h6, h3 - h7
-    return (
-        s1 * s1,
-        sm1 * sm1,
-        re * re + im * im,
-        u0 * u0 + u1 * u1 + u2 * u2 + u3 * u3,
-        u0 * u1 - u0 * u3 + u1 * u2 + u2 * u3,
-    )
-
-
-def factored_terms(a: Sequence[int], b: Sequence[int]) -> tuple[int, int, int, int, int]:
-    """(A, B, C, X, Y) of the factorization; D = X**2 - 2*Y**2 and the
-    determinant A*B*C**2*D**2 are left to the caller.  A, B and C are the
-    f-side :func:`_half_terms` minus the g-side ones, X and Y their sums."""
-    Pa, Qa, Ra, Xa, Ya = _half_terms(a)
-    Pb, Qb, Rb, Xb, Yb = _half_terms(b)
-    return Pa - Pb, Qa - Qb, Ra - Rb, Xa + Xb, Ya + Yb
 
 
 #: The most a-rows :func:`scan_range` holds at once.

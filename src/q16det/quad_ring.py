@@ -11,6 +11,7 @@ import enum
 from math import isqrt
 from typing import NamedTuple
 
+from .core import totally_nonneg
 from .errors import (
     InternalInconsistency,
     InvalidResidue,
@@ -18,8 +19,9 @@ from .errors import (
     NonResidue,
     NotPrime,
     NoValidArrangement,
+    int_text,
 )
-from .exact_eval import QuadraticSqrt2, totally_nonneg
+from .exact_eval import QuadraticSqrt2
 from .primes import is_probable_prime
 
 
@@ -88,15 +90,15 @@ def sqrt2_mod_p(p: int) -> int:
     result is deterministic for a fixed p.
     """
     if p < 2 or not is_probable_prime(p):
-        raise NotPrime(f"{p} is not prime")
+        raise NotPrime(f"{int_text(p)} is not prime")
     if p % 8 not in (1, 7):
-        raise NonResidue(f"2 is a non-residue mod {p} (p = {p % 8} mod 8)")
+        raise NonResidue(f"2 is a non-residue mod {int_text(p)} (p = {p % 8} mod 8)")
     if p % 4 == 3:
         r = pow(2, (p + 1) // 4, p)
     else:
         r = _tonelli_shanks(2, p)
     if r * r % p != 2 % p:
-        raise NotPrime(f"{p}: square-root verification failed, not prime")
+        raise NotPrime(f"{int_text(p)}: square-root verification failed, not prime")
     return min(r, p - r)
 
 
@@ -169,12 +171,12 @@ def split_prime(p: int) -> SplitSolution:
     conjugate), so both orbit minima are compared.
     """
     if p % 8 != 7:
-        raise InvalidResidue(f"p must be 7 mod 8, got {p} = {p % 8} mod 8")
+        raise InvalidResidue(f"p must be 7 mod 8, got {int_text(p)} = {p % 8} mod 8")
     r = sqrt2_mod_p(p)
     x, y = _gcd_sqrt2((p, 0), (r, -1))
     n = x * x - 2 * y * y
     if abs(n) != p:
-        raise InternalInconsistency(f"gcd norm {n} is not +-{p}")
+        raise InternalInconsistency(f"gcd norm {int_text(n)} is not +-{int_text(p)}")
     if n == -p:
         x, y = x + 2 * y, x + y  # times 1 + sqrt(2), norm -1
     x, y = abs(x), abs(y)

@@ -23,7 +23,9 @@ class Mutant(NamedTuple):
 
 _STREAM = "tests/test_analysis.py::TestRandomCrosscheck::test_element_stream"
 _BAREISS = "tests/test_kernel_lanes.py::test_bareiss_matches_fraction_det"
+_BAREISS8 = "tests/test_kernel_lanes.py::TestBareiss8::test_matches_bareiss_on_every_branch"
 _KERNEL_FAULT = "tests/test_cli.py::TestLibraryErrors::test_kernel_fault_emits_no_certificate"
+_HUGE_FAULT = "tests/test_witness.py::TestCertifyMessages::test_kernel_fault_on_a_huge_target"
 
 MUTANTS = (
     # random_crosscheck draws rng.randint(-height, height), a then b, and
@@ -96,22 +98,71 @@ MUTANTS = (
             "tests/test_witness.py::TestCertifyMessages",
         ),
     ),
-    # The certificate rule checks both determinant paths, and a loaded
-    # document must carry the recomputed factored data.
+    # The literal determinant's 8x8 elimination, and its early exit on a
+    # singular A + B block, which only the count of eliminations shows.
+    Mutant(
+        "bareiss8-pass2-divides-by-prev",
+        "q16det/core.py",
+        "square = prev * prev\n    rows = []",
+        "square = prev\n    rows = []",
+        (_BAREISS8,),
+    ),
+    Mutant(
+        "bareiss8-pass3-divides-by-prev",
+        "q16det/core.py",
+        "square = prev * prev\n    (x4, x5, x6, x7)",
+        "square = prev\n    (x4, x5, x6, x7)",
+        (_BAREISS8,),
+    ),
+    Mutant(
+        "group-det-no-early-zero",
+        "q16det/core.py",
+        "    if not plus:\n        return 0\n",
+        "",
+        ("tests/test_kernel_lanes.py::TestCirculantBridge::test_sparse_singular_heavy_elements",),
+    ),
+    # The one evaluation at 1, -1, i and w, and the circulant seam.
+    Mutant(
+        "half-terms-y-sign",
+        "q16det/core.py",
+        "u0 * u1 - u0 * u3 + u1 * u2 + u2 * u3",
+        "u0 * u1 + u0 * u3 + u1 * u2 + u2 * u3",
+        (
+            "tests/test_factorization_identity.py::test_c_factored_terms_are_evaluations_of_q",
+            "tests/test_exact_eval.py::TestFactoredForm::test_kernel_matches_cyclotomic_oracle",
+        ),
+    ),
+    Mutant(
+        "q-parts-unreflected",
+        "q16det/kernel.py",
+        "ra[0] - rb[4], ra[1] - rb[3], ra[2] - rb[2], ra[3] - rb[1], ra[4] - rb[0]",
+        "ra[0] - rb[0], ra[1] - rb[1], ra[2] - rb[2], ra[3] - rb[3], ra[4] - rb[4]",
+        ("tests/test_kernel_lanes.py::TestCirculantBridge::test_matches_group_det_and_oracle",),
+    ),
+    Mutant(
+        "reflection-5x5-middle-sign",
+        "q16det/kernel.py",
+        "[q2, s13, q0 + q4, s13, q2]",
+        "[q2, s13, q0 - q4, s13, q2]",
+        ("tests/test_kernel_lanes.py::TestCirculantBridge::test_blocks_match_8x8_reference",),
+    ),
+    # The certificate rule, core.certificate_terms, checks both determinant
+    # paths; its fault tests patch each path on core and see it called.
     Mutant(
         "certify-skips-16x16",
-        "q16det/witness.py",
+        "q16det/core.py",
         "if det != n:",
         "if False:",
-        (f"{_KERNEL_FAULT}[direct]",),
+        (f"{_KERNEL_FAULT}[direct]", f"{_HUGE_FAULT}[direct]"),
     ),
     Mutant(
         "certify-skips-product",
-        "q16det/witness.py",
+        "q16det/core.py",
         "if value != n:",
         "if False:",
-        (f"{_KERNEL_FAULT}[factored]",),
+        (f"{_KERNEL_FAULT}[factored]", f"{_HUGE_FAULT}[factored]"),
     ),
+    # A loaded document must carry the recomputed factored data.
     Mutant(
         "verify-skips-fields",
         "q16det/cli.py",

@@ -35,10 +35,10 @@ from fractions import Fraction
 from math import isqrt
 
 from q16det import kernel
-from q16det.core import DET_INDEX, MUL_TABLE
 from q16det.classifier import classify
+from q16det.core import DET_INDEX, MUL_TABLE, totally_nonneg
 from q16det.errors import NoDecomposition, NoValidArrangement, PreconditionUnreachable
-from q16det.exact_eval import QuadraticSqrt2, totally_nonneg
+from q16det.exact_eval import QuadraticSqrt2
 from q16det.group_algebra import GroupRingElement, substitute_neg_x, swap_components
 from q16det.quad_ring import CaseLabel, FourSquares
 

@@ -7,7 +7,7 @@ from collections import Counter
 
 import pytest
 
-from q16det import analysis, kernel
+from q16det import analysis, core, kernel
 from q16det.analysis import (
     AuditReport,
     chebyshev_coeffs,
@@ -316,8 +316,9 @@ class TestExhaustiveScan:
         if direct:
             # Stand-ins that break the laws, so that violations show up.
             # The shifted f(1)**2 makes A = f(1)**2 - g(1)**2 + a0 - b0,
-            # still an f-only part plus a g-only part (the reference sees
-            # it through factored_terms), and the circulant stand-in q[0]
+            # still an f-only part plus a g-only part.  The scan loops read
+            # the kernel's binding and the reference reads it through
+            # factored_terms, which lives in core.  The circulant stand-in q[0]
             # depends on the element only through its halves'
             # autocorrelations, as the class-pair check requires.
             real_terms = kernel._half_terms
@@ -327,6 +328,7 @@ class TestExhaustiveScan:
                 return P + h[0], Q, R, X, Y
 
             monkeypatch.setattr(kernel, "_half_terms", shifted_terms)
+            monkeypatch.setattr(core, "_half_terms", shifted_terms)
             monkeypatch.setattr(kernel, "_reflection_det", lambda ra, rb: kernel._q_parts(ra, rb)[0])
         want = scan_report_reference(support, direct, sample_abs_limit, sample_limit)
         # (-2, 3) then meets all four kinds; (7,) has determinant 0 only.
@@ -369,6 +371,7 @@ class TestExhaustiveScan:
         # half-classes keyed by the row alone would compare one pair and
         # miss the disagreement.
         monkeypatch.setattr(kernel, "_half_terms", lambda h: (0, 0, 0, 0, 0))
+        monkeypatch.setattr(core, "_half_terms", lambda h: (0, 0, 0, 0, 0))
         want = scan_report_reference((0, 1), direct=True)
         disagree = "direct and factored determinants disagree"
         assert want["violations"] == [{"value": "0", "reason": disagree}]
@@ -562,7 +565,10 @@ class TestRandomCrosscheck:
     def test_not_totally_nonneg_raises(self, monkeypatch):
         # The kernel never yields such an X + Y*sqrt(2); the crosscheck's
         # guard is exercised by replacing it, and reads as factored_form's.
+        # The crosscheck looks factored_terms up on kernel, factored_form on
+        # core.
         monkeypatch.setattr(kernel, "factored_terms", lambda a, b: (1, 1, 1, -1, 0))
+        monkeypatch.setattr(core, "factored_terms", lambda a, b: (1, 1, 1, -1, 0))
         with pytest.raises(InternalInconsistency) as want:
             factored_form(GroupRingElement((1,) + (0,) * 7, (0,) * 8))
         with pytest.raises(InternalInconsistency) as got:

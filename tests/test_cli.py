@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from q16det import analysis, cli, kernel, witness
+from q16det import analysis, cli, core, kernel, witness
 from q16det.cli import (
     EXIT_BUDGET,
     EXIT_FAIL,
@@ -739,15 +739,25 @@ class TestLibraryErrors:
         ids=["factored", "direct"],
     )
     def test_kernel_fault_emits_no_certificate(self, capsys, monkeypatch, entry, fault, message):
-        # Each path catches a fault that the other one cannot see.
-        original = getattr(kernel, entry)
-        monkeypatch.setattr(kernel, entry, lambda a, b: fault(original(a, b)))
+        # Each path catches a fault that the other one cannot see.  The
+        # rule looks both paths up on core; the calls list shows that the
+        # fault was reached.
+        original = getattr(core, entry)
+        calls = []
+
+        def faulty(a, b):
+            calls.append((a, b))
+            return fault(original(a, b))
+
+        monkeypatch.setattr(core, entry, faulty)
         with pytest.raises(InternalInconsistency, match=f"^witness for 5120{message}"):
             witness_even(5120)
+        assert len(calls) == 1
         rc, out, err = run(capsys, "witness", "5120")
         assert rc == EXIT_FAIL and out == ""
         assert err.startswith("q16det: InternalInconsistency: witness for 5120")
         assert err.count("\n") == 1
+        assert len(calls) == 2
 
     def test_budget_exceeded_keeps_exit_3(self, capsys):
         rc, _, err = run(capsys, "scan", "--support", "0,1", "--limit", "10")

@@ -4,14 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from q16det import kernel
+from q16det import core, kernel
+from q16det.core import totally_nonneg
 from q16det.errors import InternalInconsistency
 from q16det.exact_eval import (
     FactoredForm,
     QuadraticSqrt2,
     determinant_from_factored,
     factored_form,
-    totally_nonneg,
 )
 from q16det.group_algebra import GroupRingElement, direct_determinant
 
@@ -217,7 +217,7 @@ class TestFactoredForm:
     def test_not_totally_nonneg_raises(self, monkeypatch):
         # The kernel never yields such a z; the guard is exercised by
         # replacing it.
-        monkeypatch.setattr(kernel, "factored_terms", lambda a, b: (1, 1, 1, 0, 1))
+        monkeypatch.setattr(core, "factored_terms", lambda a, b: (1, 1, 1, 0, 1))
         with pytest.raises(InternalInconsistency):
             factored_form(GroupRingElement((1,) + (0,) * 7, (0,) * 8))
 

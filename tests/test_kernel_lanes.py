@@ -58,8 +58,8 @@ def _library_imports(source):
 
 
 def test_core_imports_only_errors_from_the_library():
-    # Parsed, not imported: importing q16det.core runs q16det/__init__,
-    # which loads every module.
+    # Parsed: what the source names.  tests/test_package.py checks what a
+    # fresh interpreter loads.
     assert _library_imports(Path(core.__file__).read_text()) == {"q16det.errors"}
     probe = "from . import kernel\nfrom .witness import x\nimport q16det.cli\nfrom q16det import y"
     assert _library_imports(probe) == {"q16det.kernel", "q16det.witness", "q16det.cli", "q16det"}
@@ -68,6 +68,8 @@ def test_core_imports_only_errors_from_the_library():
 def test_kernel_takes_the_determinant_from_core():
     assert kernel.group_det is core.group_det
     assert kernel._bareiss is core._bareiss
+    assert kernel.factored_terms is core.factored_terms
+    assert kernel._half_terms is core._half_terms
     assert not hasattr(kernel, "_bareiss8") and not hasattr(kernel, "_pivot")
 
 

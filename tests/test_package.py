@@ -1,0 +1,59 @@
+"""The package surface: each public name resolves on first use to the
+object its module defines, and ``import q16det.core``, the trusted
+module, loads no other library module but ``q16det.errors``."""
+
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import q16det
+from q16det import core
+from q16det.classifier import classify_and_witness
+
+SRC = Path(core.__file__).resolve().parents[1]
+
+
+def test_public_names_are_their_modules_objects():
+    for name in q16det.__all__:
+        if name == "__version__":
+            continue
+        obj = getattr(q16det, name)
+        home = importlib.import_module(obj.__module__)
+        assert home.__name__.startswith("q16det.") and getattr(home, name) is obj, name
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        q16det.no_such_name
+    assert not hasattr(q16det, "certificate_terms")
+
+
+def test_core_loads_alone_and_applies_the_rule():
+    # The golden certificates of `q16det witness 17 245 637 -7 -3072`,
+    # re-verified by the rule in a fresh interpreter without site.
+    cases = []
+    for n in (17, 245, 637, -7, -3072):
+        cert = classify_and_witness(n)
+        ff = cert.factored
+        terms = (ff.A, ff.B, ff.C, ff.D, ff.z.x, ff.z.y)
+        cases.append((n, cert.element.a, cert.element.b, terms))
+    code = (
+        "import sys\n"
+        "import q16det.core\n"
+        f"for n, a, b, terms in {cases!r}:\n"
+        "    assert q16det.core.certificate_terms(n, a, b, {}) == terms, n\n"
+        "assert set(q16det.__all__) <= set(dir(q16det))\n"
+        "assert 'typing' not in sys.modules\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'q16det'))\n"
+    )
+    run = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "['q16det', 'q16det.core', 'q16det.errors']\n"

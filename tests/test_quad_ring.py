@@ -27,6 +27,11 @@ from q16det.quad_ring import (
 
 from oracles import brute_split, four_squares_reference, normalize_reference
 
+# 5**7000 has 4,893 digits, past the interpreter's default limit, and is
+# 1 mod 8; a message prints it by its first 20 digits and digit count.
+HUGE = 5**7000
+BOUNDED = r"\d{20}\.\.\.\(4893 digits\)"
+
 
 class TestSqrt2ModP:
     def test_small_primes(self):
@@ -52,8 +57,16 @@ class TestSqrt2ModP:
         with pytest.raises(NotPrime):
             sqrt2_mod_p(7 * 23)
 
+    def test_huge_composite_message_is_bounded(self, default_digit_limit):
+        with pytest.raises(NotPrime, match=f"^{BOUNDED} is not prime$"):
+            sqrt2_mod_p(HUGE)
+
 
 class TestSplitPrime:
+    def test_huge_wrong_residue_message_is_bounded(self, default_digit_limit):
+        with pytest.raises(InvalidResidue, match=f"^p must be 7 mod 8, got {BOUNDED} = 1 mod 8$"):
+            split_prime(HUGE)
+
     def test_golden_values(self):
         assert (split_prime(7).X, split_prime(7).Y) == (3, 1)
         assert (split_prime(23).X, split_prime(23).Y) == (5, 1)

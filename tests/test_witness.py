@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from q16det import kernel
+from q16det import core, kernel
 from q16det.cli import certificate_document
 from q16det.errors import (
     BadInput,
@@ -131,12 +131,40 @@ class TestCertifyMessages:
         self, monkeypatch, default_digit_limit, entry, fault, message
     ):
         # even_4096_m at m = 10**5000: the trace, a coefficient sum and both
-        # determinants are past the limit.
-        original = getattr(kernel, entry)
-        monkeypatch.setattr(kernel, entry, lambda a, b: fault(original(a, b)))
+        # determinants are past the limit.  The rule looks both paths up on
+        # core; the calls list shows that the fault was reached.
+        original = getattr(core, entry)
+        calls = []
+
+        def faulty(a, b):
+            calls.append((a, b))
+            return fault(original(a, b))
+
+        monkeypatch.setattr(core, entry, faulty)
         with pytest.raises(InternalInconsistency) as exc:
             witness_even(4096 * 10**5000)
+        assert len(calls) == 1
         assert str(exc.value) == "witness for 40960000000000000000...(5004 digits)" + message
+
+
+class TestHugeInputMessages:
+    """The entry points refuse a target or prime past the interpreter's
+    4,300-digit limit with their own error, printing it bounded."""
+
+    @pytest.mark.parametrize(
+        "call,error,message",
+        [
+            (lambda h: witness_even(512 * h), NotMultiple, "is not a multiple of 2\\*\\*10"),
+            (lambda h: witness_odd_1mod8(3 * h), WrongResidue, "is not 1 mod 8"),
+            (lambda h: witness_odd_5mod8(3 * h, 7), BadInput, "is not 5 mod 8"),
+            (lambda h: witness_odd_5mod8(5, h), BadInput, "is not a prime congruent to 7 mod 8"),
+        ],
+        ids=["even", "odd_1mod8", "odd_5mod8", "odd_5mod8_p"],
+    )
+    def test_refusal(self, default_digit_limit, call, error, message):
+        # 5**7000 has 4,893 digits and is 1 mod 8.
+        with pytest.raises(error, match=rf"^(p=)?\d{{20}}\.\.\.\(\d+ digits\) {message}$"):
+            call(5**7000)
 
 
 class TestWitnessOdd1Mod8:
