@@ -4,7 +4,9 @@ two-path crosscheck.
 
 Scans and crosschecks are evidence, not proofs: they confirm at desk scale
 that every value produced is accepted by the classifier and that the two
-determinant computation paths agree.
+determinant computation paths agree.  The scan states no residue law of
+its own: it asks :func:`q16det.classifier.classify` about each distinct
+value, and the independent copy of the laws lives in the tests.
 """
 
 import operator
@@ -15,7 +17,7 @@ from collections import Counter
 from typing import NamedTuple, Sequence
 
 from . import kernel
-from .classifier import classify
+from .classifier import Reason, classify
 from .core import factored_product, norm_of_sum
 from .errors import (
     BudgetExceeded,
@@ -40,6 +42,13 @@ _POOL_MIN_ELEMS = 1 << 20
 # those within _SAMPLE_ABS_LIMIT of 0.
 _SAMPLE_ABS_LIMIT = 1 << 20
 _SAMPLE_LIMIT = 64
+# A scan report's text for each reason the classifier refuses a value, in
+# the order the report lists the violations.
+_VIOLATION = {
+    Reason.EVEN_NOT_MULTIPLE_OF_1024: "even value not divisible by 2**10",
+    Reason.ODD_CONGRUENT_3_MOD_4: "odd value congruent 3 mod 4",
+    Reason.FIVE_MOD_8_NO_ADMISSIBLE_PRIME_SQUARE: "value 5 mod 8 rejected by classifier",
+}
 
 
 def chebyshev_coeffs(poly: Sequence[int]) -> tuple[int, ...]:
@@ -186,9 +195,9 @@ def run_parity_audits(count: int, seed: int, height: int = 9) -> AuditReport:
     """
     count, seed, height = map(operator.index, (count, seed, height))
     if count < 0:
-        raise ValueError(f"count must be >= 0, got {count}")
+        raise ValueError(f"count must be >= 0, got {int_text(count)}")
     if height < 1:
-        raise ValueError(f"height must be >= 1, got {height}")
+        raise ValueError(f"height must be >= 1, got {int_text(height)}")
     rng = random.Random(seed)
     audited = skipped = 0
     failures: list[str] = []
@@ -274,9 +283,9 @@ def exhaustive_scan(
     budget: int = DEFAULT_SCAN_BUDGET,
     direct: bool = False,
 ) -> ScanReport:
-    """Enumerate every element with coefficients in ``support`` and check
-    the residue laws: even determinants divisible by 2**10, odd ones 1 mod
-    4, and every value 5 mod 8 accepted by the classifier.
+    """Enumerate every element with coefficients in ``support`` and ask
+    :func:`q16det.classifier.classify` about every value produced: each
+    value it refuses is a violation, named by its ``Reason``.
 
     One worker scans the whole index space in a single
     :func:`q16det.kernel.scan_range` call; several split it into one block
@@ -293,9 +302,12 @@ def exhaustive_scan(
     ``direct`` scan also calls :func:`q16det.kernel.direct_mismatches`
     once, in this process, whatever the worker count.
 
-    This function owns the residue laws: it sorts each distinct value of
-    the merged histogram once into the report's tallies, sample and
-    violations, and calls the classifier only on values 5 mod 8.
+    This function decides no value itself: it sorts each distinct value
+    of the merged histogram once into the report's tallies (even values,
+    multiples of 2**10, odd residues mod 8, distinct values 5 mod 8) and
+    sample, and takes the violations from one classifier call per
+    distinct value, listed by reason (even, 3 mod 4, 5 mod 8), each
+    ascending.
 
     The support values, ``workers`` and ``budget`` must be integers: any
     other type raises TypeError.
@@ -306,9 +318,9 @@ def exhaustive_scan(
     if not values:
         raise ValueError("support must be non-empty")
     if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+        raise ValueError(f"workers must be >= 1, got {int_text(workers)}")
     if budget < 1:
-        raise ValueError(f"budget must be >= 1, got {budget}")
+        raise ValueError(f"budget must be >= 1, got {int_text(budget)}")
     total = len(values) ** 16
     if total > budget:
         raise BudgetExceeded(
@@ -341,30 +353,25 @@ def exhaustive_scan(
     for part in parts:
         hist.update(part["values"])
 
-    # One pass over the distinct values, in increasing order, applies the
-    # residue laws; each list of violations comes out sorted.
+    # One pass over the distinct values, in increasing order, keeps the
+    # tallies and asks the classifier about each value; each reason's list
+    # of violations comes out sorted.
     even = even1024 = five_mod8 = 0
     odd_mod8 = {1: 0, 3: 0, 5: 0, 7: 0}
-    even_violations: list[tuple[str, str]] = []
-    odd3_violations: list[tuple[str, str]] = []
-    rejected: list[tuple[str, str]] = []
+    refused: dict[Reason, list[tuple[str, str]]] = {reason: [] for reason in _VIOLATION}
     for v, n in sorted(hist.items()):
         if v % 2 == 0:
             even += n
             if v % 1024 == 0:
                 even1024 += n
-            else:
-                even_violations.append((str(v), "even value not divisible by 2**10"))
         else:
             r = v % 8
             odd_mod8[r] += n
-            if r == 3 or r == 7:
-                odd3_violations.append((str(v), "odd value congruent 3 mod 4"))
-            elif r == 5:
-                five_mod8 += 1
-                if not classify(v).achievable:
-                    rejected.append((str(v), "value 5 mod 8 rejected by classifier"))
-    violations = even_violations + odd3_violations + rejected
+            five_mod8 += r == 5
+        reason = classify(v).reason
+        if reason is not None:
+            refused[reason].append((str(v), _VIOLATION[reason]))
+    violations = [row for rows in refused.values() for row in rows]
     for v in sorted(kernel.direct_mismatches(values) if direct else ()):
         violations.append((str(v), "direct and factored determinants disagree"))
     sample = [v for v in hist if -_SAMPLE_ABS_LIMIT <= v <= _SAMPLE_ABS_LIMIT]
@@ -438,9 +445,9 @@ def random_crosscheck(count: int, height: int, seed: int) -> CrosscheckReport:
     is compared with it."""
     count, height, seed = map(operator.index, (count, height, seed))
     if count < 0:
-        raise ValueError(f"count must be >= 0, got {count}")
+        raise ValueError(f"count must be >= 0, got {int_text(count)}")
     if height < 0:
-        raise ValueError(f"height must be >= 0, got {height}")
+        raise ValueError(f"height must be >= 0, got {int_text(height)}")
     rng = random.Random(seed)
     t0 = time.perf_counter()
 

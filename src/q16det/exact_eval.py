@@ -21,6 +21,7 @@ public records from them.  No floating point is used anywhere.
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import core
+from .errors import int_text
 
 if TYPE_CHECKING:  # pragma: no cover
     from .group_algebra import GroupRingElement
@@ -31,6 +32,11 @@ class QuadraticSqrt2(NamedTuple):
 
     x: int
     y: int
+
+    def __repr__(self) -> str:
+        # Each part through int_text, so a message showing a huge element
+        # raises its own error, not the interpreter's ValueError.
+        return f"QuadraticSqrt2(x={int_text(self.x)}, y={int_text(self.y)})"
 
     def __add__(self, other: "QuadraticSqrt2") -> "QuadraticSqrt2":
         return QuadraticSqrt2(self.x + other.x, self.y + other.y)

@@ -53,6 +53,7 @@ from typing import Iterator, Sequence
 
 # Defined in core; the crosscheck, and the tracer that patches it, use kernel.<name>.
 from .core import _bareiss, _half_terms, factored_terms, group_det
+from .errors import int_text
 
 # The lane names perfbench reads; scan and crosscheck reports carry ACTIVE_LANE.
 ACTIVE_LANE: str = "pure"
@@ -174,9 +175,14 @@ def scan_range(values: Sequence[int], start: int, stop: int) -> dict:
     """
     half = len(values) ** 8
     if start % half:
-        raise ValueError(f"start {start} does not begin a b-row of {half} elements")
+        raise ValueError(
+            f"start {int_text(start)} does not begin a b-row of {int_text(half)} elements"
+        )
     if not start <= stop <= half * half:
-        raise ValueError(f"range [{start}, {stop}) is not within [0, {half * half}]")
+        raise ValueError(
+            f"range [{int_text(start)}, {int_text(stop)}) "
+            f"is not within [0, {int_text(half * half)}]"
+        )
     b_lo, b_full = start // half, stop // half
     tail = stop - b_full * half  # a-halves in the partial last row, if any
     a_count = half if b_full > b_lo else tail

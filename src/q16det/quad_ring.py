@@ -38,13 +38,15 @@ class SplitSolution(_Split):
 
     def __new__(cls, X: int, Y: int, p: int) -> "SplitSolution":
         if X * X - 2 * Y * Y != p:
-            raise InternalInconsistency(f"({X}, {Y}) does not solve X^2-2Y^2={p}")
+            raise InternalInconsistency(
+                f"({int_text(X)}, {int_text(Y)}) does not solve X^2-2Y^2={int_text(p)}"
+            )
         if X <= 0 or Y <= 0:
-            raise InternalInconsistency(f"({X}, {Y}) not positive")
+            raise InternalInconsistency(f"({int_text(X)}, {int_text(Y)}) not positive")
         if X % 2 == 0 or Y % 2 == 0:
-            raise InternalInconsistency(f"({X}, {Y}) not both odd")
+            raise InternalInconsistency(f"({int_text(X)}, {int_text(Y)}) not both odd")
         if not QuadraticSqrt2(X, Y).is_totally_positive():
-            raise InternalInconsistency(f"({X}, {Y}) not totally positive")
+            raise InternalInconsistency(f"({int_text(X)}, {int_text(Y)}) not totally positive")
         return super().__new__(cls, X, Y, p)
 
     def element(self) -> QuadraticSqrt2:
@@ -196,7 +198,7 @@ def unit_adjust(s: SplitSolution, target: int) -> SplitSolution:
     preferred when it keeps Y positive (it shrinks the solution).
     """
     if target not in (1, 3):
-        raise ValueError(f"target must be 1 or 3 mod 4, got {target}")
+        raise ValueError(f"target must be 1 or 3 mod 4, got {int_text(target)}")
     if s.X % 4 == target:
         return s
     x, y = 3 * s.X - 4 * s.Y, 3 * s.Y - 2 * s.X

@@ -3,7 +3,10 @@
 Even multiples of 2**10 and odd values 1 mod 8 come from six fixed
 one-parameter coefficient families built around h(x) = (x+1)(x^2+1)(x^4+1)
 = 1 + x + ... + x^7, which vanishes at -1, i and the primitive 8th roots of
-unity, so adding a multiple of h only moves the evaluation at 1.
+unity, so adding a multiple of h only moves the evaluation at 1.  Each
+family is one row of ``_FAMILIES``: member m has determinant
+step*m + offset, and a target takes the one family whose class, offset
+mod step, holds it.
 
 Values m*p^2 with m = 5 mod 8 and p = 7 mod 8 prime go through the
 quadratic-ring pipeline: split p as X**2 - 2*Y**2, steer X mod 4 with the
@@ -70,66 +73,47 @@ class WitnessCertificate(NamedTuple):
     verified: bool
 
 
-# One-parameter families: (id, base f, base g, sign of m*h in f, in g, n(m)).
-# n(m) is the determinant, verified for every emitted certificate.
+# One-parameter families: id -> (base f, base g, sign of m*h in f, in g,
+# step, offset).  Member m has determinant step*m + offset, so each family
+# covers the class offset mod step: the even families step by 4096 through
+# the classes 0, 1024, 2048 and 3072, the odd ones by 16 through 1 and 9.
+# Every emitted certificate is verified.
 _H = poly_h()
 
 _FAMILIES = {
     "even_1024_4m_minus_3": (
-        _H,
-        (1, 0, 1, 1, 1, 0, 0, 0),
-        -1,
-        -1,
-        lambda m: 1024 * (4 * m - 3),
+        _H, (1, 0, 1, 1, 1, 0, 0, 0), -1, -1, 4096, -3072
     ),
     "even_1024_4m_minus_1": (
-        (1, 1, 0, 0, 1, 1, 0, 0),
-        (1, 1, 0, -1, 0, 0, 0, -1),
-        -1,
-        -1,
-        lambda m: 1024 * (4 * m - 1),
+        (1, 1, 0, 0, 1, 1, 0, 0), (1, 1, 0, -1, 0, 0, 0, -1), -1, -1, 4096, -1024
     ),
     "even_2048_2m_minus_1": (
-        (1, 1, 1, 1, 1, 1, 0, 0),
-        (1, 0, 0, 0, 1, 0, 0, 0),
-        -1,
-        -1,
-        lambda m: 2048 * (2 * m - 1),
+        (1, 1, 1, 1, 1, 1, 0, 0), (1, 0, 0, 0, 1, 0, 0, 0), -1, -1, 4096, -2048
     ),
     "even_4096_m": (
-        (1, 1, 0, 0, 1, 1, -1, -1),
-        (1, 1, 0, -1, 1, 1, 0, -1),
-        -1,
-        1,
-        lambda m: 4096 * m,
+        (1, 1, 0, 0, 1, 1, -1, -1), (1, 1, 0, -1, 1, 1, 0, -1), -1, 1, 4096, 0
     ),
     "odd_16m_plus_1": (
-        (1, 0, 0, 0, 0, 0, 0, 0),
-        (0,) * 8,
-        1,
-        1,
-        lambda m: 16 * m + 1,
+        (1, 0, 0, 0, 0, 0, 0, 0), (0,) * 8, 1, 1, 16, 1
     ),
     "odd_16m_minus_7": (
-        (1, -1, 1, 1, 0, 0, 0, 1),
-        (1, 0, 0, 1, 1, 0, 0, 1),
-        -1,
-        -1,
-        lambda m: 16 * m - 7,
+        (1, -1, 1, 1, 0, 0, 0, 1), (1, 0, 0, 1, 1, 0, 0, 1), -1, -1, 16, -7
     ),
 }
 
 
 def family_element(family: str, m: int) -> GroupRingElement:
     """The coefficient vectors of a family member (exposed for tests)."""
-    base_f, base_g, sf, sg, _ = _FAMILIES[family]
+    base_f, base_g, sf, sg, _, _ = _FAMILIES[family]
     f = tuple(c + sf * m for c in base_f)
     g = tuple(c + sg * m for c in base_g)
     return GroupRingElement(f, g)
 
 
 def family_value(family: str, m: int) -> int:
-    return _FAMILIES[family][4](m)
+    """The determinant step*m + offset of a family member."""
+    step, offset = _FAMILIES[family][4:]
+    return step * m + offset
 
 
 def _certify(n: int, e: GroupRingElement, trace: dict) -> WitnessCertificate:
@@ -145,23 +129,22 @@ def _certify(n: int, e: GroupRingElement, trace: dict) -> WitnessCertificate:
     return WitnessCertificate(n=n, element=e, factored=ff, trace=trace, verified=True)
 
 
+def _family_witness(n: int) -> WitnessCertificate:
+    """The certificate of ``n`` from the family whose class, offset mod
+    step, holds ``n``, at m = (n - offset) // step."""
+    for family, (*_, step, offset) in _FAMILIES.items():
+        m, r = divmod(n - offset, step)
+        if not r:
+            return _certify(n, family_element(family, m), {"family": family, "m": m})
+    raise InternalInconsistency(f"no family holds {int_text(n)}")
+
+
 def witness_even(n: int) -> WitnessCertificate:
     """A verified witness for any multiple of 2**10 (including 0)."""
     n = operator.index(n)
     if n % 1024 != 0:
         raise NotMultiple(f"{int_text(n)} is not a multiple of 2**10")
-    t = n // 1024
-    r = t % 4
-    if r == 1:
-        family, m = "even_1024_4m_minus_3", (t + 3) // 4
-    elif r == 3:
-        family, m = "even_1024_4m_minus_1", (t + 1) // 4
-    elif r == 2:
-        family, m = "even_2048_2m_minus_1", (t + 2) // 4
-    else:
-        family, m = "even_4096_m", t // 4
-    assert family_value(family, m) == n
-    return _certify(n, family_element(family, m), {"family": family, "m": m})
+    return _family_witness(n)
 
 
 def witness_odd_1mod8(n: int) -> WitnessCertificate:
@@ -169,12 +152,7 @@ def witness_odd_1mod8(n: int) -> WitnessCertificate:
     n = operator.index(n)
     if n % 8 != 1:
         raise WrongResidue(f"{int_text(n)} is not 1 mod 8")
-    if n % 16 == 1:
-        family, m = "odd_16m_plus_1", (n - 1) // 16
-    else:
-        family, m = "odd_16m_minus_7", (n + 7) // 16
-    assert family_value(family, m) == n
-    return _certify(n, family_element(family, m), {"family": family, "m": m})
+    return _family_witness(n)
 
 
 def build_low_degree_pair(

@@ -26,6 +26,7 @@ _BAREISS = "tests/test_kernel_lanes.py::test_bareiss_matches_fraction_det"
 _BAREISS8 = "tests/test_kernel_lanes.py::TestBareiss8::test_matches_bareiss_on_every_branch"
 _KERNEL_FAULT = "tests/test_cli.py::TestLibraryErrors::test_kernel_fault_emits_no_certificate"
 _HUGE_FAULT = "tests/test_witness.py::TestCertifyMessages::test_kernel_fault_on_a_huge_target"
+_FAMILY_PROOF = "tests/test_recipe_proofs.py::test_family_determinant_is_its_value_for_every_m"
 
 MUTANTS = (
     # random_crosscheck draws rng.randint(-height, height), a then b, and
@@ -98,8 +99,9 @@ MUTANTS = (
             "tests/test_witness.py::TestCertifyMessages",
         ),
     ),
-    # The literal determinant's 8x8 elimination, and its early exit on a
-    # singular A + B block, which only the count of eliminations shows.
+    # The literal determinant's 8x8 elimination, and its early exits on a
+    # singular pivot block and a singular A + B block, which only the
+    # counts of pivot calls and of eliminations show.
     Mutant(
         "bareiss8-pass2-divides-by-prev",
         "q16det/core.py",
@@ -115,11 +117,43 @@ MUTANTS = (
         (_BAREISS8,),
     ),
     Mutant(
+        "bareiss8-pass1-no-zero-exit",
+        "q16det/core.py",
+        "d2, sign = _pivot(m, 0)\n        if not d2:\n            return 0\n",
+        "d2, sign = _pivot(m, 0)\n",
+        ("tests/test_kernel_lanes.py::TestBareiss8::test_forced_pivot_branches",),
+    ),
+    Mutant(
         "group-det-no-early-zero",
         "q16det/core.py",
         "    if not plus:\n        return 0\n",
         "",
         ("tests/test_kernel_lanes.py::TestCirculantBridge::test_sparse_singular_heavy_elements",),
+    ),
+    # The row getters of A - B, and the table they were checked on at import.
+    Mutant(
+        "minus-rows-one-entry-sign",
+        "q16det/core.py",
+        "differences.append(position[low] + (8 if i0 > i1 else 0))",
+        "differences.append(position[low] + (8 if (i0 > i1) != (g == h == 0) else 0))",
+        (
+            "tests/test_kernel_lanes.py::TestCirculantBridge::test_matches_group_det_and_oracle",
+            "tests/test_acceptance.py::test_criterion_1_factorization_identity",
+        ),
+    ),
+    Mutant(
+        "det-index-swapped-after-check",
+        "q16det/core.py",
+        "_PLUS_ROWS, _MINUS_ROWS = _central_rows(DET_INDEX)\n",
+        "_PLUS_ROWS, _MINUS_ROWS = _central_rows(DET_INDEX)\n"
+        "DET_INDEX = ((DET_INDEX[0][0], DET_INDEX[0][2], DET_INDEX[0][1], *DET_INDEX[0][3:]),"
+        " *DET_INDEX[1:])\n",
+        (
+            "tests/test_factorization_identity.py::test_a_blocks_of_det_index_are_circulants",
+            "tests/test_factorization_identity.py"
+            "::test_b_schur_complement_is_circulant_of_kernel_q",
+            "tests/test_kernel_lanes.py::test_cayley_tables_consistent",
+        ),
     ),
     # The one evaluation at 1, -1, i and w, and the circulant seam.
     Mutant(
@@ -161,6 +195,29 @@ MUTANTS = (
         "if value != n:",
         "if False:",
         (f"{_KERNEL_FAULT}[factored]", f"{_HUGE_FAULT}[factored]"),
+    ),
+    # Each witness family is one row, (base f, base g, signs, step, offset).
+    Mutant(
+        "family-offset-changed",
+        "q16det/witness.py",
+        "-1, -1, 4096, -3072",
+        "-1, -1, 4096, 1024",
+        (f"{_FAMILY_PROOF}[even_1024_4m_minus_3]",),
+    ),
+    Mutant(
+        "family-base-coefficient-changed",
+        "q16det/witness.py",
+        "(1, 1, 0, 0, 1, 1, -1, -1)",
+        "(1, 1, 0, 0, 1, 1, -1, 0)",
+        (f"{_FAMILY_PROOF}[even_4096_m]",),
+    ),
+    # The scan asks the classifier about every value, not only 5 mod 8.
+    Mutant(
+        "scan-drops-refusals-off-5-mod-8",
+        "q16det/analysis.py",
+        "reason = classify(v).reason",
+        "reason = classify(v).reason if v % 8 == 5 else None",
+        ("tests/test_analysis.py::TestExhaustiveScan::test_violations_come_from_the_classifier",),
     ),
     # A loaded document must carry the recomputed factored data.
     Mutant(

@@ -17,6 +17,7 @@ from q16det.analysis import (
     random_crosscheck,
     run_parity_audits,
 )
+from q16det.classifier import Classification, Reason, classify
 from q16det.errors import (
     BudgetExceeded,
     InternalInconsistency,
@@ -32,6 +33,11 @@ from oracles import (
     normalize_for_audit_reference,
     scan_report_reference,
 )
+
+# 5**7000 has 4,893 digits, past the interpreter's default limit; a message
+# prints it by its first 20 digits and digit count.
+HUGE = 5**7000
+BOUNDED = r"\d{20}\.\.\.\(4893 digits\)"
 
 
 class TestChebyshev:
@@ -157,6 +163,18 @@ class TestParityAudit:
             run_parity_audits(5, seed=1, height=0)
         with pytest.raises(ValueError):
             run_parity_audits(-5, seed=1)
+
+    @pytest.mark.parametrize(
+        "kwargs,message",
+        [
+            ({"count": -HUGE}, "count must be >= 0"),
+            ({"count": 1, "height": -HUGE}, "height must be >= 1"),
+        ],
+        ids=["count", "height"],
+    )
+    def test_huge_argument_message_is_bounded(self, default_digit_limit, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{message}, got -{BOUNDED}$"):
+            run_parity_audits(seed=1, **kwargs)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -453,11 +471,29 @@ class TestExhaustiveScan:
         with pytest.raises(ValueError):
             exhaustive_scan((0,), budget=budget)
 
+    @pytest.mark.parametrize("name", ["workers", "budget"])
+    def test_huge_argument_message_is_bounded(self, default_digit_limit, name):
+        with pytest.raises(ValueError, match=f"^{name} must be >= 1, got -{BOUNDED}$"):
+            exhaustive_scan((0, 1), **{name: -HUGE})
+
     def test_budget_exceeded(self):
         with pytest.raises(BudgetExceeded):
             exhaustive_scan((-2, -1, 0, 1, 2))
         with pytest.raises(BudgetExceeded):
             exhaustive_scan((0, 1), budget=1000)
+
+    def test_violations_come_from_the_classifier(self, monkeypatch):
+        # The scan decides no value itself: a classifier that refuses 9, a
+        # value of this support and 1 mod 8, gives exactly that violation,
+        # with the text of the reason it names.
+        def refuse_9(v):
+            if v == 9:
+                return Classification(v, None, Reason.EVEN_NOT_MULTIPLE_OF_1024)
+            return classify(v)
+
+        monkeypatch.setattr(analysis, "classify", refuse_9)
+        report = exhaustive_scan((0, 1))
+        assert report.violations == [("9", "even value not divisible by 2**10")]
 
     def test_support_canonicalized(self):
         rep = exhaustive_scan((1, 0, 1))
@@ -487,6 +523,15 @@ class TestRandomCrosscheck:
         # positive count failed inside randint with an empty range.
         with pytest.raises(ValueError, match="height must be >= 0, got -1"):
             random_crosscheck(count, -1, seed=1)
+
+    @pytest.mark.parametrize(
+        "args,message",
+        [((-HUGE, 9), "count must be >= 0"), ((1, -HUGE), "height must be >= 0")],
+        ids=["count", "height"],
+    )
+    def test_huge_argument_message_is_bounded(self, default_digit_limit, args, message):
+        with pytest.raises(ValueError, match=f"^{message}, got -{BOUNDED}$"):
+            random_crosscheck(*args, seed=1)
 
     @pytest.mark.parametrize(
         "args", [(3.0, 9, 1), (3, 9.0, 1), (3, 9, 1.5), (3, 9, "x"), (0, 9, 1.5)]

@@ -471,6 +471,20 @@ class TestScanHalfTables:
         with pytest.raises(ValueError, match="not within"):
             kernel.scan_range(values, start, stop)
 
+    @pytest.mark.parametrize(
+        "start,stop,message",
+        [
+            (5**7000, 5**7000, r"start {} does not begin a b-row of 256 elements"),
+            (0, 5**7000, r"range \[0, {}\) is not within \[0, 65536\]"),
+        ],
+        ids=["start", "stop"],
+    )
+    def test_huge_range_message_is_bounded(self, default_digit_limit, start, stop, message):
+        # 5**7000 has 4,893 digits, past the interpreter's default limit.
+        bounded = r"\d{20}\.\.\.\(4893 digits\)"
+        with pytest.raises(ValueError, match="^" + message.format(bounded) + "$"):
+            kernel.scan_range((0, 1), start, stop)
+
     @pytest.mark.parametrize("values", [(0, 1), (-1, 10**6)])
     def test_unordered_pairs_match_reference(self, monkeypatch, values):
         # The complete b-rows of each range hold both orders of their

@@ -3,7 +3,9 @@ import random
 
 import pytest
 
+from q16det import quad_ring
 from q16det.errors import (
+    InternalInconsistency,
     InvalidResidue,
     NoDecomposition,
     NonResidue,
@@ -94,6 +96,22 @@ class TestSplitPrime:
         with pytest.raises(Exception):
             SplitSolution(X=3, Y=1, p=5)  # wrong norm
 
+    @pytest.mark.parametrize(
+        "X,Y,message",
+        [
+            (HUGE, 1, rf"\({BOUNDED}, 1\) does not solve X\^2-2Y\^2=7"),
+            (-HUGE, 1, rf"\(-{BOUNDED}, 1\) not positive"),
+            (HUGE + 1, 1, rf"\({BOUNDED}, 1\) not both odd"),
+            (1, HUGE, rf"\(1, {BOUNDED}\) not totally positive"),
+        ],
+        ids=["norm", "positive", "odd", "totally_positive"],
+    )
+    def test_huge_refusal_message_is_bounded(self, default_digit_limit, X, Y, message):
+        # Each solves X**2 - 2*Y**2 = p but the first, whose p is 7.
+        p = 7 if X == HUGE else X * X - 2 * Y * Y
+        with pytest.raises(InternalInconsistency, match=f"^{message}$"):
+            SplitSolution(X=X, Y=Y, p=p)
+
 
 class TestUnitAdjust:
     def test_golden_values(self):
@@ -118,6 +136,10 @@ class TestUnitAdjust:
     def test_bad_target(self):
         with pytest.raises(ValueError):
             unit_adjust(split_prime(7), 2)
+
+    def test_huge_target_message_is_bounded(self, default_digit_limit):
+        with pytest.raises(ValueError, match=f"^target must be 1 or 3 mod 4, got {BOUNDED}$"):
+            unit_adjust(split_prime(7), HUGE)
 
 
 class TestFourSquares:
@@ -149,6 +171,22 @@ class TestFourSquares:
                 s = unit_adjust(split_prime(p), target)
                 fs = cohn_four_squares(s)
                 assert fs.total() == QuadraticSqrt2(2 * s.X, 2 * s.Y)
+
+    @pytest.mark.parametrize(
+        "x,y,message",
+        [
+            (HUGE, 1, rf"sqrt\(2\)-coefficient of QuadraticSqrt2\(x={BOUNDED}, y=1\) is odd; "
+             "no four-squares decomposition"),
+            (-HUGE, 0, rf"QuadraticSqrt2\(x=-{BOUNDED}, y=0\) is not totally nonnegative"),
+            (HUGE, 0, rf"search exhausted for QuadraticSqrt2\(x={BOUNDED}, y=0\)"),
+        ],
+        ids=["odd_y", "negative", "exhausted"],
+    )
+    def test_huge_target_message_is_bounded(self, monkeypatch, default_digit_limit, x, y, message):
+        # No search could finish on a target this size, so it finds nothing.
+        monkeypatch.setattr(quad_ring, "_dfs_four", lambda *args: None)
+        with pytest.raises(NoDecomposition, match=f"^{message}$"):
+            four_squares(QuadraticSqrt2(x, y))
 
     def test_zero_target(self):
         fs = four_squares(QuadraticSqrt2(0, 0))
