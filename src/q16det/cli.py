@@ -37,11 +37,10 @@ import re
 import sys
 from typing import NamedTuple
 
-from . import __version__, analysis, witness
+from . import __version__, analysis, core, witness
 from .classifier import Classification, classify, classify_and_witness
 from .errors import BadInput, BudgetExceeded, InternalInconsistency, MismatchFound, Q16DetError
-from .exact_eval import determinant_from_factored, factored_form
-from .group_algebra import GroupRingElement, direct_determinant
+from .group_algebra import GroupRingElement
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -168,18 +167,18 @@ def certificate_document(cert: witness.WitnessCertificate) -> CertificateDocumen
 
 def verify_document(doc: CertificateDocument) -> bool:
     """Re-verify a loaded document from its coefficient vectors alone, by
-    the rule every certificate is made under, :func:`q16det.witness._certify`:
-    the literal 16x16 determinant and A*B*C**2*D**2 both equal ``n``.  The
-    document's A, B, C, D, X and Y must also be the recomputed ones."""
+    the rule every certificate is made under,
+    :func:`q16det.core.certificate_terms`: the literal 16x16 determinant
+    and A*B*C**2*D**2 both equal ``n``.  The document's A, B, C, D, X and
+    Y must also be the ones the rule returns."""
     e = GroupRingElement(doc.f, doc.g)
     # ValueError: the rule's message prints the loaded trace, which may nest
     # integers past the interpreter's integer string limit.
     try:
-        cert = witness._certify(doc.n, e, doc.trace)
+        terms = core.certificate_terms(doc.n, e.a, e.b, doc.trace)
     except (InternalInconsistency, ValueError):
         return False
-    made = certificate_document(cert)
-    return all(getattr(doc, key) == getattr(made, key) for key in "ABCDXY")
+    return terms == (doc.A, doc.B, doc.C, doc.D, doc.X, doc.Y)
 
 
 def _poly_str(coeffs) -> str:
@@ -308,20 +307,21 @@ def _cmd_witness(args) -> int:
 
 def _cmd_verify(args) -> int:
     e = GroupRingElement.from_coeffs(args.coeffs)
-    det = direct_determinant(e)
-    ff = factored_form(e)
-    fd = determinant_from_factored(ff)
+    det = core.group_det(e.a, e.b)
+    A, B, C, X, Y = core.factored_terms(e.a, e.b)
+    D = core.norm_of_sum(X, Y)
+    fd = core.factored_product(A, B, C, D)
     agree = det == fd
     doc = {
         "f": [str(c) for c in e.a],
         "g": [str(c) for c in e.b],
         "direct_determinant": str(det),
-        "A": str(ff.A),
-        "B": str(ff.B),
-        "C": str(ff.C),
-        "D": str(ff.D),
-        "X": str(ff.z.x),
-        "Y": str(ff.z.y),
+        "A": str(A),
+        "B": str(B),
+        "C": str(C),
+        "D": str(D),
+        "X": str(X),
+        "Y": str(Y),
         "factored_determinant": str(fd),
         "agree": agree,
     }
@@ -329,8 +329,7 @@ def _cmd_verify(args) -> int:
         f"f = {_poly_str(e.a)}",
         f"g = {_poly_str(e.b)}",
         f"direct determinant   = {det}",
-        f"A*B*C^2*D^2          = {fd}   "
-        f"(A={ff.A}, B={ff.B}, C={ff.C}, D={ff.D}, X={ff.z.x}, Y={ff.z.y})",
+        f"A*B*C^2*D^2          = {fd}   (A={A}, B={B}, C={C}, D={D}, X={X}, Y={Y})",
         f"paths agree: {'yes' if agree else 'NO'}",
     ]
     _emit(doc, args.json, human)

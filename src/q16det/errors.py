@@ -1,24 +1,23 @@
 """Exception types raised by the q16det library, and :func:`int_text`
 for the integers their messages print."""
 
-import sys
-
 _LOG10_2 = 0.30102999566398120
 
 
 def int_text(n: int) -> str:
-    """``str(n)`` while ``n`` has at most sys.get_int_max_str_digits()
-    digits (4,300 by default; 0 means no limit), and otherwise its sign,
+    """``str(n)``, or, where ``str`` raises the interpreter's ValueError
+    for more digits than sys.get_int_max_str_digits() allows, its sign,
     first 20 digits and digit count, such as ``-12345678901234567890...
     (5001 digits)``: a message about a huge integer must not itself raise
-    the interpreter's ValueError."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    m = abs(n)
-    if not limit or m < 10**limit:
+    that ValueError.  The interpreter's own check enforces the limit, so
+    a short integer costs one ``str``."""
+    try:
         return str(n)
-    digits = int((m.bit_length() - 1) * _LOG10_2) + 1  # or one more
-    digits += m >= 10**digits
-    return f"{'-' * (n < 0)}{m // 10 ** (digits - 20)}...({digits} digits)"
+    except ValueError:
+        m = abs(n)
+        digits = int((m.bit_length() - 1) * _LOG10_2) + 1  # or one more
+        digits += m >= 10**digits
+        return f"{'-' * (n < 0)}{m // 10 ** (digits - 20)}...({digits} digits)"
 
 
 class Q16DetError(Exception):

@@ -27,6 +27,7 @@ _BAREISS8 = "tests/test_kernel_lanes.py::TestBareiss8::test_matches_bareiss_on_e
 _KERNEL_FAULT = "tests/test_cli.py::TestLibraryErrors::test_kernel_fault_emits_no_certificate"
 _HUGE_FAULT = "tests/test_witness.py::TestCertifyMessages::test_kernel_fault_on_a_huge_target"
 _FAMILY_PROOF = "tests/test_recipe_proofs.py::test_family_determinant_is_its_value_for_every_m"
+_LAYOUT_PROOF = "tests/test_recipe_proofs.py::test_every_decomposition_has_a_layout_and_patterns"
 
 MUTANTS = (
     # random_crosscheck draws rng.randint(-height, height), a then b, and
@@ -88,13 +89,15 @@ MUTANTS = (
         "return 0, sign",
         (_BAREISS,),
     ),
-    # Messages print integers unchanged up to the digit limit, bounded past it.
+    # Messages print integers unchanged up to the digit limit, bounded past
+    # it; the mutant bounds what str can print and prints what it cannot.
     Mutant(
         "int-text-threshold-inverted",
         "q16det/errors.py",
-        "if not limit or m < 10**limit:",
-        "if not limit or m >= 10**limit:",
+        "        return str(n)\n    except ValueError:\n",
+        "        str(n)\n    except ValueError:\n        return str(n)\n    if True:\n",
         (
+            "tests/test_errors.py::test_text_at_the_default_limit",
             "tests/test_analysis.py::TestRandomCrosscheck::test_direct_side_mismatch_raises",
             "tests/test_witness.py::TestCertifyMessages",
         ),
@@ -219,11 +222,11 @@ MUTANTS = (
         "reason = classify(v).reason if v % 8 == 5 else None",
         ("tests/test_analysis.py::TestExhaustiveScan::test_violations_come_from_the_classifier",),
     ),
-    # A loaded document must carry the recomputed factored data.
+    # A loaded document must carry the factored data the rule returns.
     Mutant(
         "verify-skips-fields",
         "q16det/cli.py",
-        'return all(getattr(doc, key) == getattr(made, key) for key in "ABCDXY")',
+        "return terms == (doc.A, doc.B, doc.C, doc.D, doc.X, doc.Y)",
         "return True",
         ("tests/test_cli.py::TestCertificateDocuments::test_tampered_document_fails",),
     ),
@@ -236,5 +239,36 @@ MUTANTS = (
             "tests/test_cli.py::TestCertificateDocuments"
             "::test_wrong_document_with_a_long_trace_integer",
         ),
+    ),
+    # The "if" half of the recipes: the tables and the shift are proved,
+    # so a fault in any of them fails a proof.
+    Mutant(
+        "u-pattern-dropped",
+        "q16det/witness.py",
+        '    (1, 1, 0, 1): "1+x+x^3",\n',
+        "",
+        (_LAYOUT_PROOF,),
+    ),
+    Mutant(
+        "case2-labels-swapped",
+        "q16det/quad_ring.py",
+        "CaseLabel.CASE2_CONGRUENT_MOD4,\n        CaseLabel.CASE2_INCONGRUENT_MOD4,",
+        "CaseLabel.CASE2_INCONGRUENT_MOD4,\n        CaseLabel.CASE2_CONGRUENT_MOD4,",
+        (_LAYOUT_PROOF,),
+    ),
+    Mutant(
+        "shift-sign-flipped",
+        "q16det/witness.py",
+        "(5 - m) // 16",
+        "(m - 5) // 16",
+        ("tests/test_recipe_proofs.py::test_pipeline_shift_solves_the_lift",),
+    ),
+    # The orbit walk steps by 3 - 2*sqrt(2); no real split needs a step.
+    Mutant(
+        "walk-step-wrong-unit",
+        "q16det/quad_ring.py",
+        "x, y = 3 * x - 4 * y, y2",
+        "x, y = 3 * x - 2 * y, y2",
+        ("tests/test_quad_ring.py::TestSplitPrime::test_orbit_walk_returns_the_minimal_solution",),
     ),
 )

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from q16det import analysis, cli, core, kernel, witness
+from q16det import analysis, cli, core, kernel
 from q16det.cli import (
     EXIT_BUDGET,
     EXIT_FAIL,
@@ -282,16 +282,17 @@ class TestCertificateDocuments:
         assert verify_document(CertificateDocument.from_json_dict(raw))
 
     def test_verify_applies_the_certify_rule(self, monkeypatch):
+        # verify_document looks the rule up on core when it is called.
         doc = certificate_document(witness_odd_5mod8(637, 7))
         calls = []
 
-        def refuse(n, e, trace):
-            calls.append((n, e, trace))
+        def refuse(n, a, b, trace):
+            calls.append((n, a, b, trace))
             raise InternalInconsistency("refused")
 
-        monkeypatch.setattr(witness, "_certify", refuse)
+        monkeypatch.setattr(core, "certificate_terms", refuse)
         assert not verify_document(doc)
-        assert calls == [(637, GroupRingElement(doc.f, doc.g), doc.trace)]
+        assert calls == [(637, doc.f, doc.g, doc.trace)]
 
     def test_wrong_long_determinant_under_the_default_limit(self, default_digit_limit):
         # The rule's message prints this determinant in bounded form; the

@@ -90,6 +90,18 @@ class TestSplitPrime:
             assert s.X % 2 == 1 and s.Y % 2 == 1
             assert s.X * s.X > 2 * s.Y * s.Y
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 6])
+    def test_orbit_walk_returns_the_minimal_solution(self, k):
+        # For all 37,255 primes p = 7 (mod 8) below 2*10**6 the gcd lands
+        # on an orbit minimum and the walk takes no step, so it steps here:
+        # the minimal solution times (3 + 2*sqrt(2))**k walks back to it.
+        for p in (7, 23, 31, 47, 71, 79, 103, 127):
+            s = split_prime(p)
+            x, y = s.X, s.Y
+            for _ in range(k):
+                x, y = 3 * x + 4 * y, 2 * x + 3 * y
+            assert quad_ring._reduce_min_y(x, y) == (s.X, s.Y), p
+
     def test_solution_validation(self):
         with pytest.raises(Exception):
             SplitSolution(X=4, Y=1, p=14)  # even X

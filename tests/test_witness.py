@@ -23,8 +23,6 @@ from q16det.witness import (
     _certify,
     _lift,
     build_low_degree_pair,
-    family_element,
-    family_value,
     poly_h,
     witness_even,
     witness_odd_1mod8,
@@ -44,24 +42,6 @@ class TestPolyH:
         assert sum(c * (-1) ** j for j, c in enumerate(h)) == 0  # h(-1)
         assert h[0] - h[2] + h[4] - h[6] == 0 and h[1] - h[3] + h[5] - h[7] == 0
         assert all(h[j] - h[j + 4] == 0 for j in range(4))  # h(w) = 0
-
-
-class TestFamilies:
-    @pytest.mark.parametrize(
-        "family",
-        [
-            "even_1024_4m_minus_3",
-            "even_1024_4m_minus_1",
-            "even_2048_2m_minus_1",
-            "even_4096_m",
-            "odd_16m_plus_1",
-            "odd_16m_minus_7",
-        ],
-    )
-    def test_family_determinants(self, family):
-        for m in range(-4, 5):
-            e = family_element(family, m)
-            assert direct_determinant(e) == family_value(family, m)
 
 
 class TestWitnessEven:
