@@ -115,8 +115,10 @@ def _normalize_for_audit(e: GroupRingElement) -> tuple[GroupRingElement, bool, b
             if g1 % 16 == 4 and gm1 % 16 == 0:
                 cand = swap_components(e) if swapped else e
                 return (substitute_neg_x(cand) if negated else cand), swapped, negated
+    squares = tuple(t % 16 for half in halves for t in half[:2])
     raise PreconditionUnreachable(
-        f"no swap/negate normalization of {e} meets the residue preconditions"
+        "no swap/negate normalization meets the residue preconditions: "
+        f"f(1)**2, f(-1)**2, g(1)**2, g(-1)**2 = {squares} mod 16"
     )
 
 
@@ -126,7 +128,10 @@ def parity_audit(e: GroupRingElement) -> ParityAuditRecord:
 
     The element is normalized internally (swap / x -> -x);
     PreconditionUnreachable is raised when no normalization satisfies the
-    residue preconditions (exactly the non-5-mod-8 determinants).
+    residue preconditions (exactly the non-5-mod-8 determinants).  Its
+    message prints residues mod 16 and the InternalInconsistency ones print
+    integers through :func:`q16det.errors.int_text`, so an element past the
+    interpreter's integer string limit still raises the library's error.
     """
     norm, swapped, negated = _normalize_for_audit(e)
     c = chebyshev_coeffs(norm.a)
@@ -135,9 +140,9 @@ def parity_audit(e: GroupRingElement) -> ParityAuditRecord:
     zg = chebyshev_eval_omega(d)
     z = zf + zg
     # Two-path agreement with the evaluation kernel.
-    _, _, _, x, y = kernel.factored_terms(norm.a, norm.b)
-    if (z.x, z.y) != (x, y):
-        raise InternalInconsistency(f"Chebyshev path {z} != kernel path {(x, y)}")
+    kz = QuadraticSqrt2(*kernel.factored_terms(norm.a, norm.b)[3:])
+    if z != kz:
+        raise InternalInconsistency(f"Chebyshev path {z} != kernel path {kz}")
     D = z.norm()
     checks = {
         "c0 odd": c[0] % 2 == 1,
@@ -151,7 +156,8 @@ def parity_audit(e: GroupRingElement) -> ParityAuditRecord:
     }
     failed = [name for name, ok in checks.items() if not ok]
     if failed:
-        raise InternalInconsistency(f"parity audit failed {failed} on {norm}")
+        coeffs = ", ".join(map(int_text, norm.a + norm.b))
+        raise InternalInconsistency(f"parity audit failed {failed} on [{coeffs}]")
     return ParityAuditRecord(
         element=norm, swapped=swapped, negated=negated,
         c=c, d=d, X=z.x, Y=z.y, D=D,
@@ -184,9 +190,30 @@ class AuditReport(NamedTuple):
         }
 
 
+def _randint_draws(rng: random.Random, height: int):
+    """A function of no arguments whose calls are ``rng.randint(-height,
+    height)``, draw for draw, made as CPython's randint makes them without
+    its argument checks: ``getrandbits(k)`` with k the bit length of
+    2*height + 1, redrawn while it is >= 2*height + 1, minus ``height``.
+    Both seeded streams, the audits' and the crosscheck's, draw here."""
+    getrandbits, width = rng.getrandbits, 2 * height + 1
+    bits = width.bit_length()
+
+    def draw() -> int:
+        # rng.randint(-height, height), draw for draw.
+        r = getrandbits(bits)
+        while r >= width:
+            r = getrandbits(bits)
+        return r - height
+
+    return draw
+
+
 def run_parity_audits(count: int, seed: int, height: int = 9) -> AuditReport:
     """Audit ``count`` seeded random elements that admit the normalization;
-    draws that do not (wrong residue class) are skipped and counted.
+    draws that do not (wrong residue class) are skipped and counted.  Each
+    element is 16 ``random.Random(seed).randint(-height, height)`` draws in
+    stream order, made by :func:`_randint_draws`.
 
     ``height`` must be at least 1: the only element of height 0 is zero,
     which never meets the preconditions, so the draws would never end.
@@ -198,14 +225,12 @@ def run_parity_audits(count: int, seed: int, height: int = 9) -> AuditReport:
         raise ValueError(f"count must be >= 0, got {int_text(count)}")
     if height < 1:
         raise ValueError(f"height must be >= 1, got {int_text(height)}")
-    rng = random.Random(seed)
+    draw = _randint_draws(random.Random(seed), height)
     audited = skipped = 0
     failures: list[str] = []
     t0 = time.perf_counter()
     while audited < count:
-        e = GroupRingElement.from_coeffs(
-            [rng.randint(-height, height) for _ in range(16)]
-        )
+        e = GroupRingElement.from_coeffs([draw() for _ in range(16)])
         try:
             parity_audit(e)
         except PreconditionUnreachable:
@@ -431,14 +456,12 @@ def random_crosscheck(count: int, height: int, seed: int) -> CrosscheckReport:
     TypeError.
 
     Each element is exactly 16 ``random.Random(seed).randint(-height,
-    height)`` draws in stream order: first its X-block ``a`` (8 draws), then
-    its Y-block ``b`` (8 draws).  Each draw is made as CPython's randint
-    makes it, without its argument checks: ``getrandbits(k)`` with k the bit
-    length of 2*height + 1, redrawn while it is >= 2*height + 1, minus
-    ``height``.  ``test_element_stream`` replays the stream with
-    ``Random.randint`` itself, at heights whose draws span several words
-    of the generator.  The two paths are the two kernel seams, each
-    called once per element and looked up when this function starts:
+    height)`` draws in stream order, made by :func:`_randint_draws`: first
+    its X-block ``a`` (8 draws), then its Y-block ``b`` (8 draws).
+    ``test_element_stream`` replays the stream with ``Random.randint``
+    itself, at heights whose draws span several words of the generator.
+    The two paths are the two kernel seams, each called once per element
+    and looked up when this function starts:
     ``kernel.group_det(a, b)``, the literal 16x16 determinant, and
     ``kernel.factored_terms(a, b)``, whose X + Y*sqrt(2) must be totally
     nonnegative (InternalInconsistency otherwise) and whose A*B*C**2*D**2
@@ -448,7 +471,7 @@ def random_crosscheck(count: int, height: int, seed: int) -> CrosscheckReport:
         raise ValueError(f"count must be >= 0, got {int_text(count)}")
     if height < 0:
         raise ValueError(f"height must be >= 0, got {int_text(height)}")
-    rng = random.Random(seed)
+    draw = _randint_draws(random.Random(seed), height)
     t0 = time.perf_counter()
 
     def report(checked: int, detail: str = "") -> CrosscheckReport:
@@ -461,16 +484,6 @@ def random_crosscheck(count: int, height: int, seed: int) -> CrosscheckReport:
             mismatches=1 if detail else 0,
             detail=detail,
         )
-
-    getrandbits, width = rng.getrandbits, 2 * height + 1
-    bits = width.bit_length()
-
-    def draw() -> int:
-        # rng.randint(-height, height), draw for draw.
-        r = getrandbits(bits)
-        while r >= width:
-            r = getrandbits(bits)
-        return r - height
 
     group_det, factored_terms = kernel.group_det, kernel.factored_terms
     half = range(8)

@@ -5,6 +5,13 @@ splitting X**2 - 2*Y**2 = p for p = 7 mod 8, unit adjustment by 3 + 2*sqrt(2)
 to steer X mod 4, and four squares summing to 2*(X + Y*sqrt(2)), found by a
 depth-first search that lists each level's squares lazily and takes the last
 square as the remainder's exact square root.  All is exact.
+
+Every product in Z[sqrt(2)] of the split and the unit steer (the gcd's
+quotient and remainder, the orbit walk, the sign fix by 1 + sqrt(2), the
+conjugate step and both steps of ``unit_adjust``) is one call of
+:func:`_times` on raw integers.  Each row of ``_LAYOUTS`` is one accepted
+parity layout of the four squares with its (label, X mod 4) for both values
+of a3 - a4 mod 4; the witness pipeline checks its X against that row.
 """
 
 import enum
@@ -138,18 +145,22 @@ def _round_div(a: int, b: int) -> int:
     return (2 * a + b) // (2 * b)
 
 
+def _times(x: int, y: int, u: int, v: int) -> tuple[int, int]:
+    """The parts of (x + y*sqrt(2))*(u + v*sqrt(2)): the one product in
+    Z[sqrt(2)] of the split and the unit steer."""
+    return x * u + 2 * y * v, x * v + y * u
+
+
 def _gcd_sqrt2(u: tuple[int, int], v: tuple[int, int]) -> tuple[int, int]:
     """gcd in Z[sqrt(2)], which is norm-Euclidean: each step divides with a
-    remainder of strictly smaller absolute norm."""
+    remainder of strictly smaller absolute norm.  The quotient q is
+    u*conj(v)/N(v) rounded part by part, and the remainder is u - q*v."""
     while v != (0, 0):
-        vx, vy = v
+        (ux, uy), (vx, vy) = u, v
         n = vx * vx - 2 * vy * vy
-        ux, uy = u
-        px = ux * vx - 2 * uy * vy
-        py = uy * vx - ux * vy
-        qx = _round_div(px, n)
-        qy = _round_div(py, n)
-        u, v = v, (ux - qx * vx - 2 * qy * vy, uy - qx * vy - qy * vx)
+        px, py = _times(ux, uy, vx, -vy)
+        wx, wy = _times(_round_div(px, n), _round_div(py, n), vx, vy)
+        u, v = v, (ux - wx, uy - wy)
     return u
 
 
@@ -157,10 +168,10 @@ def _reduce_min_y(x: int, y: int) -> tuple[int, int]:
     """Walk down the orbit of (x, y) under 3 - 2*sqrt(2) to the orbit's
     totally positive representative of minimal Y > 0."""
     while True:
-        y2 = 3 * y - 2 * x
+        x2, y2 = _times(x, y, 3, -2)
         if y2 <= 0 or y2 >= y:
             return x, y
-        x, y = 3 * x - 4 * y, y2
+        x, y = x2, y2
 
 
 def split_prime(p: int) -> SplitSolution:
@@ -180,11 +191,11 @@ def split_prime(p: int) -> SplitSolution:
     if abs(n) != p:
         raise InternalInconsistency(f"gcd norm {int_text(n)} is not +-{int_text(p)}")
     if n == -p:
-        x, y = x + 2 * y, x + y  # times 1 + sqrt(2), norm -1
+        x, y = _times(x, y, 1, 1)  # the unit 1 + sqrt(2) has norm -1
     x, y = abs(x), abs(y)
     x1, y1 = _reduce_min_y(x, y)
     # Conjugate orbit: step (x1, -y1) back to positive Y, then reduce.
-    x2, y2 = _reduce_min_y(3 * x1 - 4 * y1, 2 * x1 - 3 * y1)
+    x2, y2 = _reduce_min_y(*_times(x1, -y1, 3, 2))
     if y2 < y1:
         x1, y1 = x2, y2
     return SplitSolution(X=x1, Y=y1, p=p)
@@ -201,9 +212,9 @@ def unit_adjust(s: SplitSolution, target: int) -> SplitSolution:
         raise ValueError(f"target must be 1 or 3 mod 4, got {int_text(target)}")
     if s.X % 4 == target:
         return s
-    x, y = 3 * s.X - 4 * s.Y, 3 * s.Y - 2 * s.X
+    x, y = _times(s.X, s.Y, 3, -2)
     if y <= 0:
-        x, y = 3 * s.X + 4 * s.Y, 2 * s.X + 3 * s.Y
+        x, y = _times(s.X, s.Y, 3, 2)
     return SplitSolution(X=x, Y=y, p=s.p)
 
 
@@ -317,13 +328,15 @@ def _canonical_pair(pair: tuple[int, int]) -> tuple[int, int]:
 
 
 # The parity layouts (alpha_j mod 2, beta_j mod 2) the coefficient assignment
-# accepts, each with its labels for a3 - a4 = 0 and = 2 (mod 4).
+# accepts, each with its (label, X mod 4) for a3 - a4 = 0 and = 2 (mod 4):
+# four squares of that layout and label sum to 2*(X + Y*sqrt(2)) only with
+# X of that residue.
 _LAYOUTS = {
-    ((1, 1), (1, 0), (1, 0), (1, 0)): (CaseLabel.CASE1_ONE_ODD_BETA,) * 2,
-    ((1, 1), (1, 1), (1, 1), (1, 0)): (CaseLabel.CASE1_THREE_ODD_BETA,) * 2,
+    ((1, 1), (1, 0), (1, 0), (1, 0)): ((CaseLabel.CASE1_ONE_ODD_BETA, 3),) * 2,
+    ((1, 1), (1, 1), (1, 1), (1, 0)): ((CaseLabel.CASE1_THREE_ODD_BETA, 1),) * 2,
     ((1, 1), (1, 0), (0, 1), (0, 0)): (
-        CaseLabel.CASE2_CONGRUENT_MOD4,
-        CaseLabel.CASE2_INCONGRUENT_MOD4,
+        (CaseLabel.CASE2_CONGRUENT_MOD4, 3),
+        (CaseLabel.CASE2_INCONGRUENT_MOD4, 1),
     ),
 }
 
@@ -335,14 +348,16 @@ def normalize_decomposition(fs: FourSquares) -> tuple[FourSquares, CaseLabel]:
     Only square-preserving moves are used: permutations of the four pairs
     and joint negations (a, b) -> (-a, -b).  The canonical pairs are sorted
     stably, odd alphas first and odd betas first within each, and the
-    sorted layout must be one of ``_LAYOUTS``; else NoValidArrangement.  In
-    every layout a3 and a4 have the same parity, so a3 - a4 is 0 or 2 mod 4.
+    sorted layout must be one of ``_LAYOUTS``; else NoValidArrangement,
+    whose message prints that layout and not the pairs, so huge pairs
+    still raise it.  In every layout a3 and a4 have the same parity, so
+    a3 - a4 is 0 or 2 mod 4, and it picks the label from the layout's row.
     For a target 2*(X + Y*sqrt(2)) with X, Y odd a valid arrangement always
     exists: Y odd forces a pair with both entries odd, and 2X even forces
     two or four odd alphas.
     """
     pairs = sorted(map(_canonical_pair, fs.pairs), key=lambda p: (p[0] % 2 == 0, p[1] % 2 == 0))
-    labels = _LAYOUTS.get(tuple((a % 2, b % 2) for a, b in pairs))
-    if labels is None:
-        raise NoValidArrangement(f"{fs.pairs}: no accepted parity layout")
-    return FourSquares(tuple(pairs)), labels[(pairs[2][0] - pairs[3][0]) % 4 // 2]
+    layout = tuple((a % 2, b % 2) for a, b in pairs)
+    if layout not in _LAYOUTS:
+        raise NoValidArrangement(f"no accepted parity layout: the sorted pairs have {layout}")
+    return FourSquares(tuple(pairs)), _LAYOUTS[layout][(pairs[2][0] - pairs[3][0]) % 4 // 2][0]

@@ -11,7 +11,8 @@ mod step, holds it.
 Values m*p^2 with m = 5 mod 8 and p = 7 mod 8 prime go through the
 quadratic-ring pipeline: split p as X**2 - 2*Y**2, steer X mod 4 with the
 unit 3 + 2*sqrt(2), write 2*(X + Y*sqrt(2)) as four squares, sort them
-into one of the parity layouts of ``quad_ring._LAYOUTS``, read off a
+into one of the parity layouts of ``quad_ring._LAYOUTS``, check X mod 4
+against the residue that layout's row pairs with the label, read off a
 degree-3 coefficient pair whose norms at the 8th root of unity sum to
 X + Y*sqrt(2), and lift each vector c = u + 2k of the pair to
 u + (1 - x^4)*k(x) - m'*h(x), which preserves that sum while moving the
@@ -23,8 +24,10 @@ Every certificate is verified by :func:`_certify`, which applies
 A*B*C**2*D**2 must both equal the target, and an unverified certificate
 is never returned.  Targets and primes must be integers: a float, a
 string or None raises TypeError.  A refusal prints a target or prime
-through :func:`q16det.errors.int_text`, so one past the interpreter's
-integer string limit still raises the library's own error.
+through :func:`q16det.errors.int_text`, and the refusals of
+:func:`build_low_degree_pair` and :func:`_lift` print parities only, so
+an integer past the interpreter's string limit still raises the
+library's own error.
 """
 
 import operator
@@ -44,7 +47,7 @@ from .exact_eval import FactoredForm, QuadraticSqrt2
 from .group_algebra import GroupRingElement
 from .primes import is_probable_prime
 from .quad_ring import (
-    CaseLabel,
+    _LAYOUTS,
     FourSquares,
     cohn_four_squares,
     normalize_decomposition,
@@ -167,7 +170,8 @@ def build_low_degree_pair(
     """
     (al1, be1), (al2, be2), (al3, be3), (al4, be4) = fs.pairs
     if (al1 - al2) % 2 != 0 or (al3 - al4) % 2 != 0:
-        raise ParityViolation(f"alphas not pairwise congruent mod 2 in {fs.pairs}")
+        parities = (al1 % 2, al2 % 2, al3 % 2, al4 % 2)
+        raise ParityViolation(f"alphas not pairwise congruent mod 2: parities {parities}")
     a = ((al1 - al2) // 2, be1, (al1 + al2) // 2, be2)
     b = ((al3 - al4) // 2, be3, (al3 + al4) // 2, be4)
     return a, b
@@ -204,7 +208,7 @@ def _lift(
     """
     u = tuple(x % 2 for x in c)
     if u not in patterns:
-        raise PatternMismatch(f"parities {u} of {c} match no expected pattern")
+        raise PatternMismatch(f"parities {u} match no expected pattern")
     k = tuple(x // 2 for x in c)
     return u, tuple(x - y - m for x, y in zip(c, k)) + tuple(-y - m for y in k)
 
@@ -239,11 +243,8 @@ def witness_odd_5mod8(n: int, p: int) -> WitnessCertificate:
         raise InternalInconsistency(
             f"low-degree pair norms {(x, y)} != split solution {(s.X, s.Y)}"
         )
-    label_residue = 3 if label in (
-        CaseLabel.CASE1_ONE_ODD_BETA,
-        CaseLabel.CASE2_CONGRUENT_MOD4,
-    ) else 1
-    if label_residue != x_target:
+    # Each row of the layout table pairs a label with the X mod 4 it goes with.
+    if (label, x_target) not in (row for rows in _LAYOUTS.values() for row in rows):
         raise InternalInconsistency(f"case {label} inconsistent with X={s.X} mod 4")
 
     u, f = _lift(a4, shift, _U_PATTERNS)

@@ -28,10 +28,12 @@ _KERNEL_FAULT = "tests/test_cli.py::TestLibraryErrors::test_kernel_fault_emits_n
 _HUGE_FAULT = "tests/test_witness.py::TestCertifyMessages::test_kernel_fault_on_a_huge_target"
 _FAMILY_PROOF = "tests/test_recipe_proofs.py::test_family_determinant_is_its_value_for_every_m"
 _LAYOUT_PROOF = "tests/test_recipe_proofs.py::test_every_decomposition_has_a_layout_and_patterns"
+_AUDIT_STREAM = "tests/test_analysis.py::TestParityAudit::test_audit_elements_replay_randint"
 
 MUTANTS = (
-    # random_crosscheck draws rng.randint(-height, height), a then b, and
-    # checks X + Y*sqrt(2) through norm_of_sum.
+    # random_crosscheck draws rng.randint(-height, height) through the
+    # shared _randint_draws, a then b, and checks X + Y*sqrt(2) through
+    # norm_of_sum; run_parity_audits draws through the same factory.
     Mutant(
         "crosscheck-draw-accepts-width",
         "q16det/analysis.py",
@@ -59,6 +61,13 @@ MUTANTS = (
         "factored_product(A, B, C, norm_of_sum(X, Y))",
         "factored_product(A, B, C, X * X - 2 * Y * Y)",
         ("tests/test_analysis.py::TestRandomCrosscheck::test_not_totally_nonneg_raises",),
+    ),
+    Mutant(
+        "audit-draw-mirrored",
+        "q16det/analysis.py",
+        "[draw() for _ in range(16)]",
+        "[-draw() for _ in range(16)]",
+        (_AUDIT_STREAM,),
     ),
     # The literal determinant's eliminations and their one pivot policy.
     Mutant(
@@ -252,8 +261,15 @@ MUTANTS = (
     Mutant(
         "case2-labels-swapped",
         "q16det/quad_ring.py",
-        "CaseLabel.CASE2_CONGRUENT_MOD4,\n        CaseLabel.CASE2_INCONGRUENT_MOD4,",
-        "CaseLabel.CASE2_INCONGRUENT_MOD4,\n        CaseLabel.CASE2_CONGRUENT_MOD4,",
+        "(CaseLabel.CASE2_CONGRUENT_MOD4, 3),\n        (CaseLabel.CASE2_INCONGRUENT_MOD4, 1),",
+        "(CaseLabel.CASE2_INCONGRUENT_MOD4, 1),\n        (CaseLabel.CASE2_CONGRUENT_MOD4, 3),",
+        (_LAYOUT_PROOF,),
+    ),
+    Mutant(
+        "layout-residue-wrong",
+        "q16det/quad_ring.py",
+        "((CaseLabel.CASE1_THREE_ODD_BETA, 1),) * 2",
+        "((CaseLabel.CASE1_THREE_ODD_BETA, 3),) * 2",
         (_LAYOUT_PROOF,),
     ),
     Mutant(
@@ -264,11 +280,23 @@ MUTANTS = (
         ("tests/test_recipe_proofs.py::test_pipeline_shift_solves_the_lift",),
     ),
     # The orbit walk steps by 3 - 2*sqrt(2); no real split needs a step.
+    # The mutant steps by its square and jumps over the minimum.
     Mutant(
         "walk-step-wrong-unit",
         "q16det/quad_ring.py",
-        "x, y = 3 * x - 4 * y, y2",
-        "x, y = 3 * x - 2 * y, y2",
+        "x2, y2 = _times(x, y, 3, -2)",
+        "x2, y2 = _times(x, y, 17, -12)",
         ("tests/test_quad_ring.py::TestSplitPrime::test_orbit_walk_returns_the_minimal_solution",),
+    ),
+    # The one product in Z[sqrt(2)], which the gcd, the walk, the sign fix,
+    # the conjugate step and the unit steer all call.  With it the gcd's
+    # remainders stop shrinking and split_prime never returns, so only the
+    # direct test of the product is named.
+    Mutant(
+        "times-sign-flipped",
+        "q16det/quad_ring.py",
+        "return x * u + 2 * y * v, x * v + y * u",
+        "return x * u - 2 * y * v, x * v + y * u",
+        ("tests/test_quad_ring.py::TestTimes::test_is_the_product_in_z_sqrt2",),
     ),
 )

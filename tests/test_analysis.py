@@ -146,6 +146,52 @@ class TestParityAudit:
             branches[want[1:]] += 1
         assert len(branches) == 5
 
+    def test_unreachable_huge_element_message_is_bounded(self, default_digit_limit):
+        # The refusal prints the squares' residues, not the element.
+        e = GroupRingElement((HUGE - 1,) + (0,) * 7, (0,) * 8)
+        with pytest.raises(
+            PreconditionUnreachable,
+            match=r"^no swap/negate .*, g\(-1\)\*\*2 = \(0, 0, 0, 0\) mod 16$",
+        ):
+            parity_audit(e)
+
+    def test_path_mismatch_message_is_bounded(self, monkeypatch, default_digit_limit):
+        factored_terms = kernel.factored_terms
+
+        def off_by_two(a, b):
+            A, B, C, X, Y = factored_terms(a, b)
+            return A, B, C, X + 2, Y
+
+        monkeypatch.setattr(kernel, "factored_terms", off_by_two)
+        e = GroupRingElement((1 + 8 * HUGE, 0, 0, 0, 0, 0, 0, 0), (1, 1, 0, 0, 0, 0, 0, 0))
+        with pytest.raises(InternalInconsistency, match=r"kernel path QuadraticSqrt2\(x=\d{20}"):
+            parity_audit(e)
+
+    def test_audits_past_the_digit_limit(self, default_digit_limit):
+        # Each draw has 5,001 digits; the skipped ones are refused without
+        # printing them.
+        report = run_parity_audits(3, 1, 10**5000)
+        assert report.ok and report.audited == 3
+
+    @pytest.mark.parametrize("height", [1, 9, 2**32, 10**30])
+    def test_audit_elements_replay_randint(self, monkeypatch, height):
+        # The audits draw through the crosscheck's _randint_draws: each
+        # element, audited or skipped, is 16 randint(-height, height) draws.
+        seen = []
+
+        def record(e, audit=analysis.parity_audit):
+            seen.append(e)
+            return audit(e)
+
+        monkeypatch.setattr(analysis, "parity_audit", record)
+        report = run_parity_audits(20, 3, height)
+        replay = random.Random(3)
+        want = [
+            GroupRingElement.from_coeffs([replay.randint(-height, height) for _ in range(16)])
+            for _ in seen
+        ]
+        assert seen == want and len(seen) == report.audited + report.skipped
+
     def test_random_audits_all_pass(self):
         report = run_parity_audits(1000, seed=1)
         assert isinstance(report, AuditReport)
@@ -475,6 +521,10 @@ class TestExhaustiveScan:
     def test_huge_argument_message_is_bounded(self, default_digit_limit, name):
         with pytest.raises(ValueError, match=f"^{name} must be >= 1, got -{BOUNDED}$"):
             exhaustive_scan((0, 1), **{name: -HUGE})
+
+    def test_empty_support_rejected(self):
+        with pytest.raises(ValueError, match="^support must be non-empty$"):
+            exhaustive_scan([])
 
     def test_budget_exceeded(self):
         with pytest.raises(BudgetExceeded):

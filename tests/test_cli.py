@@ -698,11 +698,13 @@ def test_cold_start_skips_dataclasses():
 
 
 def test_closed_pipe_exits_1_without_traceback():
-    # The output outruns the pipe buffer, so a write meets the closed pipe.
+    # The output outruns the pipe buffer, so a write meets the closed pipe
+    # and _run's BrokenPipeError branch, in the child, returns EXIT_FAIL.
     proc = subprocess.Popen(
         [sys.executable, "-m", "q16det.cli", "classify", *map(str, range(1, 40000, 4))],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1])),
     )
     first = proc.stdout.readline()
     proc.stdout.close()

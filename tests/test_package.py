@@ -26,6 +26,11 @@ def test_public_names_are_their_modules_objects():
         assert home.__name__.startswith("q16det.") and getattr(home, name) is obj, name
 
 
+def test_dir_lists_the_public_names():
+    names = dir(q16det)
+    assert set(q16det.__all__) <= set(names) and names == sorted(names)
+
+
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
         q16det.no_such_name

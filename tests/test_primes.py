@@ -4,7 +4,7 @@ from math import isqrt
 import pytest
 
 from q16det import primes
-from q16det.primes import factor_map, is_probable_prime
+from q16det.primes import factor_map, is_probable_prime, primes_below
 
 
 def _next_prime(n, residue=None):
@@ -14,7 +14,16 @@ def _next_prime(n, residue=None):
     return n
 
 
+def test_below_two():
+    assert [n for n in range(-3, 2) if is_probable_prime(n)] == []
+    assert [primes_below(n) for n in (-1, 0, 1, 2, 3)] == [[], [], [], [], [2]]
+
+
 class TestFactorMap:
+    def test_zero_rejected(self):
+        with pytest.raises(ValueError, match="^cannot factor 0$"):
+            factor_map(0)
+
     def test_square_cofactors_split_without_rho(self, monkeypatch):
         """p**2, m*p**2, p**3, p**4*q**2 and (p*q)**2 factor exactly, and rho
         never sees a perfect square."""

@@ -64,6 +64,20 @@ class TestSqrt2ModP:
             sqrt2_mod_p(HUGE)
 
 
+class TestTimes:
+    def test_is_the_product_in_z_sqrt2(self):
+        # For q prime and r**2 = 2 (mod q), sqrt(2) -> r maps Z[sqrt(2)]
+        # onto the integers mod q, and it maps products to products.
+        rng = random.Random(30)
+        roots = {q: r for q in (7, 17, 23, 31, 41, 47) for r in range(q) if r * r % q == 2}
+        for _ in range(200):
+            x, y, u, v = (rng.randint(-(10**12), 10**12) for _ in range(4))
+            a, b = quad_ring._times(x, y, u, v)
+            assert a * a - 2 * b * b == (x * x - 2 * y * y) * (u * u - 2 * v * v)
+            for q, r in roots.items():
+                assert (a + b * r - (x + y * r) * (u + v * r)) % q == 0, (x, y, u, v, q)
+
+
 class TestSplitPrime:
     def test_huge_wrong_residue_message_is_bounded(self, default_digit_limit):
         with pytest.raises(InvalidResidue, match=f"^p must be 7 mod 8, got {BOUNDED} = 1 mod 8$"):
@@ -368,6 +382,14 @@ class TestNormalizeDecomposition:
             e = [rng.randint(-4, 4) for _ in range(8)]
             labels.add(self._reference_label(FourSquares(tuple(zip(e[::2], e[1::2])))))
         assert labels == set(CaseLabel) | {None}
+
+    def test_huge_pairs_message_is_bounded(self, default_digit_limit):
+        # The refusal prints the parity layout, not the pairs.
+        with pytest.raises(
+            NoValidArrangement,
+            match=r"^no accepted parity layout: the sorted pairs have \(\(0, 0\)(, \(0, 0\)){3}\)$",
+        ):
+            normalize_decomposition(FourSquares(((2 * 10**5000, 0),) * 4))
 
     def test_no_arrangement_for_bad_parity_census(self):
         # all alphas even: cannot happen for odd Y, must be rejected

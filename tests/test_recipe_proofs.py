@@ -9,8 +9,8 @@ checked again here.  The chain, one test per step:
 (b) ``quad_ring.unit_adjust`` steers X of a split X**2 - 2*Y**2 = p to
     either residue mod 4 in one unit step.
 (c) Every four squares summing to 2*(X + Y*sqrt(2)) sort into a layout of
-    ``quad_ring._LAYOUTS`` whose label agrees with X mod 4, and lift to
-    patterns of ``witness._U_PATTERNS`` and ``witness._V_PATTERNS``.
+    ``quad_ring._LAYOUTS`` whose row pairs their label with X mod 4, and
+    lift to patterns of ``witness._U_PATTERNS`` and ``witness._V_PATTERNS``.
 (d) ``witness._lift`` fixes A*B*C**2 = m by the patterns and the shift,
     and keeps X + Y*sqrt(2), so D = p.
 (e) Such four squares exist: a totally positive element of Z[sqrt(2)]
@@ -110,16 +110,6 @@ def test_unit_steer_flips_x_mod_4():
         assert unit_adjust(away, s.X % 4) == s, p
 
 
-# The residue of X mod 4 that each label goes with; witness_odd_5mod8
-# refuses any other pairing.
-_X_MOD_4 = {
-    CaseLabel.CASE1_ONE_ODD_BETA: 3,
-    CaseLabel.CASE2_CONGRUENT_MOD4: 3,
-    CaseLabel.CASE1_THREE_ODD_BETA: 1,
-    CaseLabel.CASE2_INCONGRUENT_MOD4: 1,
-}
-
-
 @cache
 def _residue_table():
     """(X mod 4, pairs, layout, label, u, v) for every tuple of four pairs
@@ -153,12 +143,13 @@ def test_every_decomposition_has_a_layout_and_patterns():
     (a3 -+ a4)/2 mod 2, all functions of these residues.  So this
     enumeration covers every decomposition in every order:
     ``normalize_decomposition``, ``build_low_degree_pair`` and ``_lift``
-    raise on none of them, each label agrees with X mod 4, and every
-    entry of the three tables occurs."""
+    raise on none of them, the layout's row of ``_LAYOUTS`` pairs each
+    label with X mod 4 (the pairing ``witness_odd_5mod8`` checks), and
+    every entry of the three tables occurs."""
     rows = _residue_table()
     assert len(rows) == 512
-    for x_target, pairs, _, label, _, _ in rows:
-        assert _X_MOD_4[label] == x_target, pairs
+    for x_target, pairs, layout, label, _, _ in rows:
+        assert (label, x_target) in _LAYOUTS[layout], pairs
     assert {layout for _, _, layout, _, _, _ in rows} == set(_LAYOUTS)
     assert {label for _, _, _, label, _, _ in rows} == set(CaseLabel)
     assert {u for *_, u, _ in rows} == set(_U_PATTERNS)

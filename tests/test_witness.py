@@ -194,6 +194,11 @@ class TestLowDegreePair:
         with pytest.raises(ParityViolation):
             build_low_degree_pair(FourSquares(((1, 0), (2, 0), (1, 0), (1, 0))))
 
+    def test_huge_parity_violation_message_is_bounded(self, default_digit_limit):
+        # The refusal prints the alphas' parities, not the pairs.
+        with pytest.raises(ParityViolation, match=r"parities \(1, 0, 1, 1\)$"):
+            build_low_degree_pair(FourSquares(((10**5000 + 1, 0), (2, 0), (1, 0), (1, 0))))
+
     def test_norm_identity(self):
         fs = FourSquares(((1, 1), (1, 1), (1, 1), (3, 2)))
         a, b = build_low_degree_pair(fs)
@@ -222,6 +227,12 @@ class TestExtractUvks:
             _lift((0, 0, 0, 0), 0, _U_PATTERNS)
         with pytest.raises(PatternMismatch):
             _lift((1, 0, 1, 0), 0, _V_PATTERNS)  # 1 + x^2 not a v pattern
+
+    def test_huge_pattern_mismatch_message_is_bounded(self, default_digit_limit):
+        with pytest.raises(
+            PatternMismatch, match=r"^parities \(0, 0, 0, 0\) match no expected pattern$"
+        ):
+            _lift((2 * 10**5000, 0, 0, 0), 0, _U_PATTERNS)
 
 
 class TestApplyShift:
