@@ -22,6 +22,8 @@ from q16det.cli import (
     verify_document,
 )
 from q16det.errors import BadInput, InternalInconsistency
+
+import golden_outputs
 from q16det.group_algebra import GroupRingElement, direct_determinant
 from q16det.witness import witness_even, witness_odd_5mod8
 
@@ -251,6 +253,29 @@ class TestCrosscheckAndAudit:
         rc, out, _ = run(capsys, "audit", "--count", "300", "--seed", "1", "--json")
         doc = json.loads(out)
         assert rc == EXIT_OK and doc["failures"] == [] and doc["audited"] == 300
+
+
+class TestGoldenOutputs:
+    def test_every_row_replays(self, tmp_path):
+        stdouts, wrong = {}, []
+        for row in golden_outputs.ROWS:
+            code, out, err = golden_outputs.replay(row.argv, str(tmp_path))
+            stdouts[row.argv] = out
+            files = tuple(
+                (name, golden_outputs.digest((tmp_path / name).read_text()))
+                for name, _ in row.files
+            )
+            if (code, golden_outputs.digest(out), golden_outputs.digest(err), files) != row[1:]:
+                wrong.append(f"{' '.join(row.argv)[:200]}: exit {code}\n{out[:2000]}{err[:2000]}")
+        assert not wrong, "\n".join(wrong)
+        # Two workers change the report's worker count and nothing else.
+        one, two = (
+            json.loads(stdouts[argv])
+            for argv in (golden_outputs.SCAN_JSON, golden_outputs.SCAN_TWO_WORKERS)
+        )
+        assert (one.pop("workers"), two.pop("workers")) == (1, 2)
+        del one["elapsed_s"], two["elapsed_s"]
+        assert one == two
 
 
 class TestCertificateDocuments:
