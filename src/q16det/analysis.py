@@ -202,6 +202,7 @@ def _randint_draws(rng: random.Random, height: int):
     def draw() -> int:
         # rng.randint(-height, height), draw for draw.
         r = getrandbits(bits)
+        # variant: none; each draw ends the loop with probability width / 2**bits > 1/2
         while r >= width:
             r = getrandbits(bits)
         return r - height
@@ -229,6 +230,7 @@ def run_parity_audits(count: int, seed: int, height: int = 9) -> AuditReport:
     audited = skipped = 0
     failures: list[str] = []
     t0 = time.perf_counter()
+    # variant: none structural; count - audited falls on every draw that is not skipped
     while audited < count:
         e = GroupRingElement.from_coeffs([draw() for _ in range(16)])
         try:

@@ -99,6 +99,7 @@ def _pivot(m: list, k: int) -> tuple[int, int]:
     """
     n = len(m)
     sign = 1
+    # variant: at most two passes; a pass that swaps leaves row k nonzero in column k
     while True:
         p, q = m[k][k], m[k][k + 1]
         if p or q:
@@ -138,6 +139,7 @@ def _bareiss(m: list[list[int]]) -> int:
     sign = 1
     prev = 1
     k = 0
+    # variant: n - 1 - k, which falls by 2 on every pass
     while k < n - 1:
         row_k, row_l = m[k], m[k + 1]
         d2 = row_k[k] * row_l[k + 1] - row_k[k + 1] * row_l[k]

@@ -46,6 +46,7 @@ def is_probable_prime(n: int) -> bool:
             return n == p
     d = n - 1
     s = 0
+    # variant: d, halved on every pass
     while d % 2 == 0:
         d //= 2
         s += 1
@@ -74,11 +75,13 @@ def _pollard_brent(n: int) -> int:
         y, r, q = x0, 1, 1
         g = 1
         x = y
+        # variant: none; unbounded by design until rho has a work budget (ROADMAP Direction 5)
         while g == 1:
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
             k = 0
+            # variant: r - k, which falls by 128 on every pass
             while k < r and g == 1:
                 ys = y
                 for _ in range(min(128, r - k)):
@@ -91,6 +94,7 @@ def _pollard_brent(n: int) -> int:
             # Backtrack one squaring at a time.
             g = 1
             y = ys
+            # variant: the last block's steps left, one of which shares a factor with n
             while g == 1:
                 y = (y * y + c) % n
                 g = gcd(abs(x - y), n)
@@ -109,12 +113,14 @@ def factor_map(n: int) -> dict[int, int]:
     for p in _trial_primes():
         if p * p > n:
             break
+        # variant: n, divided by p on every pass
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
     if n == 1:
         return out
     stack = [(n, 1)]  # cofactors with the multiplicity each has in n
+    # variant: the sum over the stack of 2*Omega(m) - 1, Omega counting prime factors
     while stack:
         m, e = stack.pop()
         if is_probable_prime(m):

@@ -6,12 +6,14 @@ to steer X mod 4, and four squares summing to 2*(X + Y*sqrt(2)), found by a
 depth-first search that lists each level's squares lazily and takes the last
 square as the remainder's exact square root.  All is exact.
 
-Every product in Z[sqrt(2)] of the split and the unit steer (the gcd's
-quotient and remainder, the orbit walk, the sign fix by 1 + sqrt(2), the
-conjugate step and both steps of ``unit_adjust``) is one call of
-:func:`_times` on raw integers.  Each row of ``_LAYOUTS`` is one accepted
-parity layout of the four squares with its (label, X mod 4) for both values
-of a3 - a4 mod 4; the witness pipeline checks its X against that row.
+The split reduces a basis of a prime ideal over p once, by Lagrange's
+reduction, and ``split_prime``'s docstring proves that the shortest vector
+is already an orbit minimum.  Every product in Z[sqrt(2)] of the split and
+the unit steer (the sign fix by 1 + sqrt(2), the conjugate step and both
+steps of ``unit_adjust``) is one call of :func:`_times` on raw integers.
+Each row of ``_LAYOUTS`` is one accepted parity layout of the four squares
+with its (label, X mod 4) for both values of a3 - a4 mod 4; the witness
+pipeline checks its X against that row.
 """
 
 import enum
@@ -113,16 +115,19 @@ def sqrt2_mod_p(p: int) -> int:
 
 def _tonelli_shanks(a: int, p: int) -> int:
     q, s = p - 1, 0
+    # variant: q, halved on every pass
     while q % 2 == 0:
         q //= 2
         s += 1
     z = 2
+    # variant: p - z; a prime p, which sqrt2_mod_p checks first, has a non-residue below it
     while pow(z, (p - 1) // 2, p) != p - 1:
         z += 1
     c = pow(z, q, p)
     x = pow(a, (q + 1) // 2, p)
     t = pow(a, q, p)
     m = s
+    # variant: m, which every pass replaces by an i < m
     while t != 1:
         t2i = t
         i = 0
@@ -138,67 +143,78 @@ def _tonelli_shanks(a: int, p: int) -> int:
     return x
 
 
-def _round_div(a: int, b: int) -> int:
-    """Nearest integer to a/b (ties toward +infinity)."""
-    if b < 0:
-        a, b = -a, -b
-    return (2 * a + b) // (2 * b)
-
-
 def _times(x: int, y: int, u: int, v: int) -> tuple[int, int]:
     """The parts of (x + y*sqrt(2))*(u + v*sqrt(2)): the one product in
     Z[sqrt(2)] of the split and the unit steer."""
     return x * u + 2 * y * v, x * v + y * u
 
 
-def _gcd_sqrt2(u: tuple[int, int], v: tuple[int, int]) -> tuple[int, int]:
-    """gcd in Z[sqrt(2)], which is norm-Euclidean: each step divides with a
-    remainder of strictly smaller absolute norm.  The quotient q is
-    u*conj(v)/N(v) rounded part by part, and the remainder is u - q*v."""
-    while v != (0, 0):
-        (ux, uy), (vx, vy) = u, v
-        n = vx * vx - 2 * vy * vy
-        px, py = _times(ux, uy, vx, -vy)
-        wx, wy = _times(_round_div(px, n), _round_div(py, n), vx, vy)
-        u, v = v, (ux - wx, uy - wy)
-    return u
+def _shortest(u: tuple[int, int], v: tuple[int, int]) -> tuple[int, int]:
+    """A shortest nonzero vector of the lattice with basis u, v, given
+    Q(u) < Q(v), by Lagrange's reduction (1773).
 
-
-def _reduce_min_y(x: int, y: int) -> tuple[int, int]:
-    """Walk down the orbit of (x, y) under 3 - 2*sqrt(2) to the orbit's
-    totally positive representative of minimal Y > 0."""
-    while True:
-        x2, y2 = _times(x, y, 3, -2)
-        if y2 <= 0 or y2 >= y:
-            return x, y
-        x, y = x2, y2
+    A pair (a, b) stands for a + b*sqrt(2), and its length is
+    Q(a, b) = a**2 + 2*b**2, half the sum of its squared real embeddings.
+    Each pass makes the shorter vector v, takes from the other the nearest
+    multiple of v, and stops when the remainder is no shorter than v: the
+    basis is then reduced, and v is a shortest vector.
+    """
+    (ux, uy), (vx, vy) = u, v
+    qu, qv = ux * ux + 2 * uy * uy, vx * vx + 2 * vy * vy
+    # variant: qv, a positive integer that falls on every pass
+    while qu < qv:
+        ux, uy, vx, vy, qv = vx, vy, ux, uy, qu
+        m = (2 * (ux * vx + 2 * uy * vy) + qv) // (2 * qv)
+        ux, uy = ux - m * vx, uy - m * vy
+        qu = ux * ux + 2 * uy * uy
+    return vx, vy
 
 
 def split_prime(p: int) -> SplitSolution:
     """The minimal (smallest Y > 0) totally positive solution of
     X**2 - 2*Y**2 = p for a prime p = 7 mod 8.
 
-    A generator of a prime ideal over p is found as gcd(p, r - sqrt(2)) with
-    r**2 = 2 mod p; units then fix the norm sign and minimize Y.  Solutions
-    with Y > 0 fall in two orbits of 3 + 2*sqrt(2) (the ideal and its
-    conjugate), so both orbit minima are compared.
+    With r**2 = 2 (mod p) and r < p/2, the prime ideal (p, r - sqrt(2))
+    has the basis (r, -1), (p, 0) in order of length, and one reduction
+    finds its shortest vector v.  The
+    totally positive solutions with Y > 0 fall in two orbits of the unit
+    3 + 2*sqrt(2), those of the ideal and of its conjugate, and v already
+    gives the first orbit's minimum:
+
+    * The embeddings a +- b*sqrt(2) map the ideal onto a lattice of
+      covolume 2*sqrt(2)*p, on which the squared length is 2*Q.  Hermite's
+      constant gamma_2 = 2/sqrt(3) bounds 2*Q(v) by gamma_2 times the
+      covolume, so Q(v) <= sqrt(8/3)*p and |N(v)| <= Q(v) < 2*p.  Since p
+      divides N(v), which is not 0, |N(v)| = p: v generates the ideal.
+    * The two embeddings e1, e2 of v have |e1*e2| = p and
+      e1**2 + e2**2 = 2*Q(v) <= 2*sqrt(8/3)*p, so their ratio is at most
+      2.93.  The sign fix by 1 + sqrt(2) multiplies it by at most
+      (1 + sqrt(2))**2, so the solution X, Y > 0 has
+      (X + Y*sqrt(2))/(X - Y*sqrt(2)) <= 17.1 < (3 + 2*sqrt(2))**2.  That
+      bound is equivalent to Y**2 < 4*p, and so to 3*Y < 2*X, which says
+      that the step down by 3 - 2*sqrt(2) gives 3*Y - 2*X < 0.  Y rises
+      along the orbit, so no member has a smaller Y > 0.  The check of
+      3*Y < 2*X stands in for a walk down the orbit.
+    * The conjugate orbit's minimum is one step away:
+      (X - Y*sqrt(2))*(3 + 2*sqrt(2)) = X' + Y'*sqrt(2) has
+      Y' = 2*X - 3*Y > 0 by 3*Y < 2*X, and
+      3*Y' = 6*X - 9*Y < 6*X - 8*Y = 2*X' since Y > 0.
+
+    The smaller of the two minima's Y is the answer.
     """
     if p % 8 != 7:
         raise InvalidResidue(f"p must be 7 mod 8, got {int_text(p)} = {p % 8} mod 8")
     r = sqrt2_mod_p(p)
-    x, y = _gcd_sqrt2((p, 0), (r, -1))
-    n = x * x - 2 * y * y
-    if abs(n) != p:
-        raise InternalInconsistency(f"gcd norm {int_text(n)} is not +-{int_text(p)}")
-    if n == -p:
+    x, y = _shortest((r, -1), (p, 0))
+    if x * x < 2 * y * y:
         x, y = _times(x, y, 1, 1)  # the unit 1 + sqrt(2) has norm -1
     x, y = abs(x), abs(y)
-    x1, y1 = _reduce_min_y(x, y)
-    # Conjugate orbit: step (x1, -y1) back to positive Y, then reduce.
-    x2, y2 = _reduce_min_y(*_times(x1, -y1, 3, 2))
-    if y2 < y1:
-        x1, y1 = x2, y2
-    return SplitSolution(X=x1, Y=y1, p=p)
+    if 3 * y >= 2 * x:
+        raise InternalInconsistency(f"({int_text(x)}, {int_text(y)}) is not an orbit minimum")
+    x2, y2 = _times(x, -y, 3, 2)
+    if y2 < y:
+        x, y = x2, y2
+    return SplitSolution(X=x, Y=y, p=p)
 
 
 def unit_adjust(s: SplitSolution, target: int) -> SplitSolution:
@@ -240,8 +256,10 @@ def _squares_under(rx: int, ry: int, top: tuple[int, int] | None, odd: bool):
         # interval; s1 and s2 bound it from outside, the exact test trims it.
         lo = -_floor_div_sqrt2(min(s1 + a, s2 - a)) if a else 0
         hi = _floor_div_sqrt2(min(s1 - a, s2 + a))
+        # variant: hi - lo, which falls on every pass
         while lo <= hi and not totally_nonneg(rem - 2 * lo * lo, ry - 2 * a * lo):
             lo += 1
+        # variant: hi - lo, which falls on every pass
         while hi >= lo and not totally_nonneg(rem - 2 * hi * hi, ry - 2 * a * hi):
             hi -= 1
         mtop = max(hi, -lo) if a != ta else min(max(hi, -lo), abs(tb))

@@ -29,6 +29,7 @@ _HUGE_FAULT = "tests/test_witness.py::TestCertifyMessages::test_kernel_fault_on_
 _FAMILY_PROOF = "tests/test_recipe_proofs.py::test_family_determinant_is_its_value_for_every_m"
 _LAYOUT_PROOF = "tests/test_recipe_proofs.py::test_every_decomposition_has_a_layout_and_patterns"
 _AUDIT_STREAM = "tests/test_analysis.py::TestParityAudit::test_audit_elements_replay_randint"
+_SPLIT_ORACLE = "tests/test_quad_ring.py::TestSplitPrime::test_against_enumeration_oracle"
 
 MUTANTS = (
     # random_crosscheck draws rng.randint(-height, height) through the
@@ -279,24 +280,41 @@ MUTANTS = (
         "(m - 5) // 16",
         ("tests/test_recipe_proofs.py::test_pipeline_shift_solves_the_lift",),
     ),
-    # The orbit walk steps by 3 - 2*sqrt(2); no real split needs a step.
-    # The mutant steps by its square and jumps over the minimum.
+    # The conjugate orbit's minimum is one step up by 3 + 2*sqrt(2); the
+    # mutant steps by its square, overshoots, and keeps the other orbit's.
     Mutant(
         "walk-step-wrong-unit",
         "q16det/quad_ring.py",
-        "x2, y2 = _times(x, y, 3, -2)",
-        "x2, y2 = _times(x, y, 17, -12)",
-        ("tests/test_quad_ring.py::TestSplitPrime::test_orbit_walk_returns_the_minimal_solution",),
+        "x2, y2 = _times(x, -y, 3, 2)",
+        "x2, y2 = _times(x, -y, 17, 12)",
+        (_SPLIT_ORACLE,),
     ),
-    # The one product in Z[sqrt(2)], which the gcd, the walk, the sign fix,
-    # the conjugate step and the unit steer all call.  With it the gcd's
-    # remainders stop shrinking and split_prime never returns, so only the
-    # direct test of the product is named.
+    # The one product in Z[sqrt(2)], which the sign fix, the conjugate step
+    # and the unit steer call.  The reduction does not call it, so a fault
+    # here fails the split instead of hanging it.
     Mutant(
         "times-sign-flipped",
         "q16det/quad_ring.py",
         "return x * u + 2 * y * v, x * v + y * u",
         "return x * u - 2 * y * v, x * v + y * u",
-        ("tests/test_quad_ring.py::TestTimes::test_is_the_product_in_z_sqrt2",),
+        ("tests/test_quad_ring.py::TestTimes::test_is_the_product_in_z_sqrt2", _SPLIT_ORACLE),
+    ),
+    # The reduction measures by Q(a, b) = a**2 + 2*b**2; an inner product
+    # of another form still ends the loop but misses the shortest vector.
+    Mutant(
+        "shortest-inner-product-unweighted",
+        "q16det/quad_ring.py",
+        "ux * vx + 2 * uy * vy",
+        "ux * vx + uy * vy",
+        ("tests/test_quad_ring.py::TestShortest::test_matches_brute_force_minimum",),
+    ),
+    # The check that the reduced vector is an orbit minimum stands in for
+    # the walk; without it a vector off the minimum yields a wrong split.
+    Mutant(
+        "orbit-minimum-unchecked",
+        "q16det/quad_ring.py",
+        "if 3 * y >= 2 * x:",
+        "if False:",
+        ("tests/test_quad_ring.py::TestSplitPrime::test_refuses_a_vector_off_the_orbit_minimum",),
     ),
 )

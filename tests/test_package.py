@@ -1,7 +1,9 @@
 """The package surface: each public name resolves on first use to the
 object its module defines, and ``import q16det.core``, the trusted
-module, loads no other library module but ``q16det.errors``."""
+module, loads no other library module but ``q16det.errors``.  Every
+``while`` loop of the library states on the line above it why it ends."""
 
+import ast
 import importlib
 import os
 import subprocess
@@ -15,6 +17,29 @@ from q16det import core
 from q16det.classifier import classify_and_witness
 
 SRC = Path(core.__file__).resolve().parents[1]
+
+
+def _loops_without_variant(source):
+    """Line numbers of the ``while`` loops in ``source`` whose line above is
+    not a ``# variant:`` comment."""
+    above = ["", *source.splitlines()]  # above[n] is the line above line n
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.While)
+        and not above[node.lineno - 1].lstrip().startswith("# variant:")
+    ]
+
+
+def test_every_while_loop_states_its_variant():
+    missing = [
+        f"{path.relative_to(SRC)}:{line}"
+        for path in sorted(SRC.rglob("*.py"))
+        for line in _loops_without_variant(path.read_text())
+    ]
+    assert not missing
+    probe = "while a:\n    pass\n# variant: b\nwhile b:\n    # variant: c\n    while c:\n        pass\n"
+    assert _loops_without_variant(probe) == [1]
 
 
 def test_public_names_are_their_modules_objects():

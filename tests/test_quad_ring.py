@@ -1,5 +1,6 @@
 import itertools
 import random
+from math import isqrt
 
 import pytest
 
@@ -78,6 +79,51 @@ class TestTimes:
                 assert (a + b * r - (x + y * r) * (u + v * r)) % q == 0, (x, y, u, v, q)
 
 
+def _q(a, b):
+    return a * a + 2 * b * b
+
+
+class TestShortest:
+    def test_matches_brute_force_minimum(self):
+        # Every lattice vector with Q below Q(u) lies in the box, so the
+        # box's least nonzero Q over the lattice is the lattice's.
+        rng = random.Random(31)
+        for _ in range(150):
+            u, v = sorted(
+                ((rng.randint(-9, 9), rng.randint(-9, 9)) for _ in range(2)), key=lambda w: _q(*w)
+            )
+            det = u[0] * v[1] - u[1] * v[0]
+            if not det or _q(*u) == _q(*v):
+                continue
+            x, y = quad_ring._shortest(u, v)
+            # (x, y) lies in the lattice: its coordinates in u, v are integers.
+            assert (x * v[1] - y * v[0]) % det == 0 and (u[0] * y - u[1] * x) % det == 0
+            bound = _q(*u)
+            least = min(
+                _q(a, b)
+                for a in range(-isqrt(bound), isqrt(bound) + 1)
+                for b in range(-isqrt(bound // 2), isqrt(bound // 2) + 1)
+                if (a, b) != (0, 0)
+                and (a * v[1] - b * v[0]) % det == 0
+                and (u[0] * b - u[1] * a) % det == 0
+            )
+            assert _q(x, y) == least, (u, v)
+
+    def test_proof_chain_holds(self):
+        # Each step of split_prime's proof as an exact integer inequality.
+        primes = [p for p in primes_below(10**4) if p % 8 == 7]
+        for p in primes + _seeded_primes_7mod8(31, 60, 10**4, 10**60):
+            x, y = quad_ring._shortest((sqrt2_mod_p(p), -1), (p, 0))
+            assert 3 * _q(x, y) ** 2 <= 8 * p * p, p  # Hermite: Q(v) <= sqrt(8/3)*p
+            assert abs(x * x - 2 * y * y) == p, p  # so v generates the ideal
+            if x * x < 2 * y * y:
+                x, y = quad_ring._times(x, y, 1, 1)
+            x, y = abs(x), abs(y)
+            assert 3 * y < 2 * x, p  # an orbit minimum
+            x2, y2 = quad_ring._times(x, -y, 3, 2)
+            assert 0 < y2 and 3 * y2 < 2 * x2, p  # the conjugate orbit's minimum
+
+
 class TestSplitPrime:
     def test_huge_wrong_residue_message_is_bounded(self, default_digit_limit):
         with pytest.raises(InvalidResidue, match=f"^p must be 7 mod 8, got {BOUNDED} = 1 mod 8$"):
@@ -104,17 +150,17 @@ class TestSplitPrime:
             assert s.X % 2 == 1 and s.Y % 2 == 1
             assert s.X * s.X > 2 * s.Y * s.Y
 
-    @pytest.mark.parametrize("k", [1, 2, 3, 6])
-    def test_orbit_walk_returns_the_minimal_solution(self, k):
-        # For all 37,255 primes p = 7 (mod 8) below 2*10**6 the gcd lands
-        # on an orbit minimum and the walk takes no step, so it steps here:
-        # the minimal solution times (3 + 2*sqrt(2))**k walks back to it.
+    def test_refuses_a_vector_off_the_orbit_minimum(self, monkeypatch):
+        # Two steps up the orbit multiply the ratio of the embeddings by
+        # (3 + 2*sqrt(2))**4, so after any sign fix it exceeds the bound
+        # (3 + 2*sqrt(2))**2 that 3*Y < 2*X states.
+        shortest = quad_ring._shortest
+        monkeypatch.setattr(
+            quad_ring, "_shortest", lambda u, v: quad_ring._times(*shortest(u, v), 17, 12)
+        )
         for p in (7, 23, 31, 47, 71, 79, 103, 127):
-            s = split_prime(p)
-            x, y = s.X, s.Y
-            for _ in range(k):
-                x, y = 3 * x + 4 * y, 2 * x + 3 * y
-            assert quad_ring._reduce_min_y(x, y) == (s.X, s.Y), p
+            with pytest.raises(InternalInconsistency, match="is not an orbit minimum$"):
+                split_prime(p)
 
     def test_solution_validation(self):
         with pytest.raises(Exception):
