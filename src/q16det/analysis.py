@@ -304,6 +304,37 @@ def _scan_block(args: tuple) -> dict:
     return kernel.scan_range(*args)
 
 
+def _merged_scan(values: tuple[int, ...], workers: int, total: int) -> Counter[int]:
+    """The merged value histogram of the plain scan of values^16, ``total``
+    elements, from one :func:`q16det.kernel.scan_range` block per pool
+    process (see :func:`exhaustive_scan`)."""
+    # Each pool process scans one contiguous block of whole b-rows, so it
+    # builds the a-table once.  A fork-context pool starts all of its
+    # processes at the first submit, so it never outnumbers the usable CPUs.
+    pool = min(workers, _usable_cpus()) if total >= _POOL_MIN_ELEMS else 1
+    half = len(values) ** 8
+    bounds = [half * k // pool * half for k in range(pool + 1)]
+    tasks = [(values, lo, hi) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
+    if pool > 1 and len(tasks) > 1:
+        # Imported here to keep the pool machinery out of the CLI's cold start.
+        from concurrent.futures import ProcessPoolExecutor
+        from multiprocessing import get_context
+
+        try:
+            ctx = get_context("fork")
+        except ValueError:  # platform without fork
+            ctx = get_context()
+        with ProcessPoolExecutor(max_workers=pool, mp_context=ctx) as ex:
+            parts = list(ex.map(_scan_block, tasks))
+    else:
+        parts = [_scan_block(t) for t in tasks]
+
+    hist: Counter[int] = Counter()
+    for part in parts:
+        hist.update(part["values"])
+    return hist
+
+
 def exhaustive_scan(
     support: Sequence[int],
     workers: int = 1,
@@ -326,8 +357,9 @@ def exhaustive_scan(
     2.29x at 4.  The report echoes ``workers``; the process pool is capped
     at the CPUs this process may use, and a scan of fewer than
     ``_POOL_MIN_ELEMS`` elements runs in this process as one block.  A
-    ``direct`` scan also calls :func:`q16det.kernel.direct_mismatches`
-    once, in this process, whatever the worker count.
+    ``direct`` scan instead takes the histogram and the values the literal
+    16x16 contradicts from one :func:`q16det.kernel.direct_scan` call, in
+    this process, whatever the worker count.
 
     This function decides no value itself: it sorts each distinct value
     of the merged histogram once into the report's tallies (even values,
@@ -355,30 +387,10 @@ def exhaustive_scan(
         )
     t0 = time.perf_counter()
 
-    # Each pool process scans one contiguous block of whole b-rows, so it
-    # builds the a-table once.  A fork-context pool starts all of its
-    # processes at the first submit, so it never outnumbers the usable CPUs.
-    pool = min(workers, _usable_cpus()) if total >= _POOL_MIN_ELEMS else 1
-    half = len(values) ** 8
-    bounds = [half * k // pool * half for k in range(pool + 1)]
-    tasks = [(values, lo, hi) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
-    if pool > 1 and len(tasks) > 1:
-        # Imported here to keep the pool machinery out of the CLI's cold start.
-        from concurrent.futures import ProcessPoolExecutor
-        from multiprocessing import get_context
-
-        try:
-            ctx = get_context("fork")
-        except ValueError:  # platform without fork
-            ctx = get_context()
-        with ProcessPoolExecutor(max_workers=pool, mp_context=ctx) as ex:
-            parts = list(ex.map(_scan_block, tasks))
+    if direct:
+        hist, mismatches = kernel.direct_scan(values)
     else:
-        parts = [_scan_block(t) for t in tasks]
-
-    hist: Counter[int] = Counter()
-    for part in parts:
-        hist.update(part["values"])
+        hist, mismatches = _merged_scan(values, workers, total), set()
 
     # One pass over the distinct values, in increasing order, keeps the
     # tallies and asks the classifier about each value; each reason's list
@@ -399,7 +411,7 @@ def exhaustive_scan(
         if reason is not None:
             refused[reason].append((str(v), _VIOLATION[reason]))
     violations = [row for rows in refused.values() for row in rows]
-    for v in sorted(kernel.direct_mismatches(values) if direct else ()):
+    for v in sorted(mismatches):
         violations.append((str(v), "direct and factored determinants disagree"))
     sample = [v for v in hist if -_SAMPLE_ABS_LIMIT <= v <= _SAMPLE_ABS_LIMIT]
 

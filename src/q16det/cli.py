@@ -461,10 +461,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--direct",
         action="store_true",
-        help="also check each factored value against an eliminated determinant: "
-        "the 8x8 circulant of q as its 5x5 and 3x3 reflection blocks, equal to "
-        "the 16x16 group determinant; certificates and crosscheck keep the "
-        "literal 16x16",
+        help="also check each factored value against the literal 16x16 group "
+        "determinant, evaluated once per pair of half-classes",
     )
     p.add_argument("--json", action="store_true")
     p.add_argument("--output-dir", default=None, help="also write scan_report.json here")

@@ -10,19 +10,13 @@ four multiplication rules implemented in :func:`mul`.
 :func:`group_det` computes the determinant of the literal 16x16
 ``DET_INDEX`` matrix: one exact block step at the central element X**4
 splits it into two 8x8 blocks, whose rows are read from the eight central
-sums c[g] + c[g + 4] and differences, each eliminated by :func:`_bareiss8`.
-Every elimination is Bareiss's two-step integer-preserving elimination
-("Sylvester's identity and multistep integer-preserving Gaussian
-elimination", Math. Comp. 22, 1968): each pass clears two columns with
-the determinant d2 of a 2x2 pivot block and divides every updated entry
-by the square of the previous pass's pivot, exactly by Sylvester's
-identity.  :func:`_bareiss` runs it for any n, and
-:func:`q16det.kernel._reflection_det` uses it on the 3x3 and 5x5 blocks of
-the circulant; :func:`_bareiss8` runs it with n fixed at 8 and each pass
-written out on tuple rows.  Both hand a singular pivot block to
-:func:`_pivot`, the one pivot policy.  That is 112 entry updates on the
-two 8x8 blocks of :func:`group_det`, where the whole 16x16 takes 560 and
-one column per pass 1,240.
+sums c[g] + c[g + 4] and differences, each eliminated by :func:`_bareiss8`,
+the library's one elimination: Bareiss's two-step integer-preserving
+elimination ("Sylvester's identity and multistep integer-preserving
+Gaussian elimination", Math. Comp. 22, 1968) with n fixed at 8, which
+hands a singular pivot block to :func:`_pivot`.  That is 112 entry
+updates on the two 8x8 blocks of :func:`group_det`, where the whole
+16x16 takes 560 and one column per pass 1,240.
 
 The factored side evaluates each half f at 1, -1, i and w = exp(2*pi*i/8)
 in :func:`_half_terms`; :func:`factored_terms` combines the two halves
@@ -84,11 +78,11 @@ DET_INDEX = tuple(
 
 
 def _pivot(m: list, k: int) -> tuple[int, int]:
-    """The pivot policy of :func:`_bareiss` and :func:`_bareiss8`, for a pass
-    whose rows k and k + 1 make the 2x2 block of columns k and k + 1 of the
-    rows ``m`` singular: returns (d2, sign) after swapping rows of ``m`` in
-    place, d2 the new block's determinant and sign -1 after an odd number
-    of swaps.  d2 = 0 means the determinant of the matrix is 0.
+    """The pivot policy of :func:`_bareiss8`, for a pass whose rows k and
+    k + 1 make the 2x2 block of columns k and k + 1 of the rows ``m``
+    singular: returns (d2, sign) after swapping rows of ``m`` in place, d2
+    the new block's determinant and sign -1 after an odd number of swaps.
+    d2 = 0 means the determinant of the matrix is 0.
 
     The first later row that makes d2 nonzero is swapped into row k + 1.
     When no row does, columns k and k + 1 of the remaining block are
@@ -121,54 +115,17 @@ def _pivot(m: list, k: int) -> tuple[int, int]:
         sign = -sign
 
 
-def _bareiss(m: list[list[int]]) -> int:
-    """Exact determinant of a square integer matrix; destroys its argument.
-
-    Two-step fraction-free elimination (Bareiss, "Sylvester's identity and
-    multistep integer-preserving Gaussian elimination", Math. Comp. 22,
-    1968).  Each pass eliminates columns k and k + 1 at once with the 2x2
-    pivot block's determinant d2: every later entry becomes
-    (d2*a_ij + u_i*a_kj + v_i*a_(k+1)j) // prev**2, u_i and v_i the row's
-    two 2x2 cofactors, then prev becomes d2 // prev.  Every entry is then
-    (up to sign) a minor of the original matrix, so each division is
-    exact.  When d2 is 0, :func:`_pivot` swaps rows or finds the
-    determinant 0.  For odd n the last pass leaves the determinant in the
-    bottom right entry.
-    """
-    n = len(m)
-    sign = 1
-    prev = 1
-    k = 0
-    # variant: n - 1 - k, which falls by 2 on every pass
-    while k < n - 1:
-        row_k, row_l = m[k], m[k + 1]
-        d2 = row_k[k] * row_l[k + 1] - row_k[k + 1] * row_l[k]
-        if not d2:
-            d2, flip = _pivot(m, k)
-            if not d2:
-                return 0
-            sign *= flip
-            row_k, row_l = m[k], m[k + 1]
-        p, q, s, t = row_k[k], row_k[k + 1], row_l[k], row_l[k + 1]
-        square = prev * prev
-        columns = range(k + 2, n)
-        for row_i in m[k + 2 :]:
-            aik, ail = row_i[k], row_i[k + 1]
-            u = ail * s - aik * t
-            v = aik * q - ail * p
-            for j in columns:
-                row_i[j] = (d2 * row_i[j] + u * row_k[j] + v * row_l[j]) // square
-        prev = d2 // prev
-        k += 2
-    return sign * (m[k][k] if k < n else prev)
-
-
 def _bareiss8(m: list[tuple[int, ...]]) -> int:
-    """Exact determinant of the 8x8 integer matrix with row tuples ``m``:
-    :func:`_bareiss` with n fixed at 8, each pass written out.
+    """Exact determinant of the 8x8 integer matrix with row tuples ``m``,
+    by two-step fraction-free elimination, each pass written out.
 
-    Pass 1 leaves six rows of six entries, pass 2 four of four and pass 3
-    two of two, and the last 2x2 block's d2 // prev is the determinant.
+    A pass eliminates columns k and k + 1 at once with the 2x2 pivot
+    block's determinant d2: every later entry becomes (d2*a_ij + u_i*a_kj
+    + v_i*a_(k+1)j) // prev**2, u_i and v_i the row's two 2x2 cofactors,
+    then prev becomes d2 // prev.  Every entry is then (up to sign) a
+    minor of the original matrix, so each division is exact.  Pass 1
+    leaves six rows of six entries, pass 2 four of four and pass 3 two of
+    two, and the last 2x2 block's d2 // prev is the determinant.
     Each row is unpacked into locals and its entries written as one
     tuple, so no entry is subscripted or stored on its own.  prev is 1 in
     pass 1, which therefore divides by nothing.  A singular pivot block

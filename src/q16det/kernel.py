@@ -9,10 +9,10 @@
   coefficient-support scan that starts on a b-row, returning a histogram
   of its determinant values that merges across ranges; it evaluates each
   unordered pair of halves once where the range holds both orders,
-* :func:`direct_mismatches` - the check behind direct scans: the factored
-  values, from the :func:`_dets` that builds :func:`scan_range`'s
-  histogram, that the circulant determinant :func:`_reflection_det`
-  contradicts, one comparison per pair of half-classes.
+* :func:`direct_scan` - the whole scan behind ``scan --direct``: the
+  histogram and the factored values that the literal :func:`group_det`
+  contradicts, from one table of half-classes and one literal
+  evaluation per pair of classes.
 
 Every factored term is an f-only part plus a g-only part, and a g-side
 half enters A, B and C with the opposite sign, so :func:`scan_range` calls
@@ -21,19 +21,13 @@ built in blocks of at most ``_A_BLOCK`` rows, and b-rows streamed past
 each block, each combined with a prefix of it.  The same sign rule makes
 det(a, b) = det(b, a) and det(a, a) = 0, so a whole-space scan evaluates
 each unordered pair of distinct halves once and counts its value twice.
-The group determinant also equals that of the 8x8 circulant of
-q = f(x)*f(1/x) - x**4*g(x)*g(1/x) mod x**8 - 1.  q is palindromic, so
-the circulant splits by the reflection j -> -j into a 5x5 and a 3x3
-block, and :func:`_reflection_det`, the one place that eliminates them,
-takes q from the two halves' autocorrelations and eliminates the 3x3
-first with :func:`q16det.core._bareiss`: when it is singular the
-determinant is 0, and only otherwise is the 5x5 eliminated and
-multiplied in.  Exact, but not the literal definition.  q splits into an
-f-part plus a g-part too, so :func:`direct_mismatches` keeps each
-half-class's autocorrelation and eliminates once per pair of
-half-classes, never per element.  That the circulant's determinant is
-A*B*C**2*D**2 is proved by finite exact checks in
-``tests/test_factorization_identity.py``.
+The group determinant depends on the halves only through their cyclic
+autocorrelations, since it equals that of the 8x8 circulant of
+q = f(x)*f(1/x) - x**4*g(x)*g(1/x) mod x**8 - 1, so
+:func:`direct_scan` groups the half-vectors by half terms and
+autocorrelation and evaluates once per pair of groups, never per
+element.  The circulant form itself, and the proof that its determinant
+is A*B*C**2*D**2, live in ``tests/``.
 
 :func:`group_det`, :func:`factored_terms` and :func:`_half_terms` are
 defined in :mod:`q16det.core`, the trusted module, and re-exported here:
@@ -52,7 +46,7 @@ from itertools import islice, product
 from typing import Iterator, Sequence
 
 # Defined in core; the crosscheck, and the tracer that patches it, use kernel.<name>.
-from .core import _bareiss, _half_terms, factored_terms, group_det
+from .core import _half_terms, factored_terms, group_det
 from .errors import int_text
 
 # The lane names perfbench reads; scan and crosscheck reports carry ACTIVE_LANE.
@@ -77,44 +71,6 @@ def _autocorrelation(h: Sequence[int]) -> tuple[int, int, int, int, int]:
     )
 
 
-def _q_parts(ra: Sequence[int], rb: Sequence[int]) -> tuple[int, int, int, int, int]:
-    """q[0..4] = r_a[k] - r_b[4 - k] from the autocorrelations r[0..4] of
-    an a-half and a b-half; q[8 - k] = q[k] gives the rest."""
-    return ra[0] - rb[4], ra[1] - rb[3], ra[2] - rb[2], ra[3] - rb[1], ra[4] - rb[0]
-
-
-def _reflection_det(ra: Sequence[int], rb: Sequence[int]) -> int:
-    """Group determinant of every element whose a-half has the
-    :func:`_autocorrelation` ``ra`` and whose b-half has ``rb``: the
-    determinant of the 8x8 circulant C[i][j] = q[(j - i) % 8] of
-    q = :func:`_q_parts` ``(ra, rb)``, from a 3x3 and a 5x5 block.
-
-    The 16x16 matrix is [[F, G1], [G2, F']] with 8x8 circulant blocks, which
-    commute, so its determinant is that of C (Silvester, "Determinants of
-    block matrices", 2000).  q is palindromic, so C commutes with the
-    reflection e_j -> e_-j and keeps the symmetric sublattice (basis e0,
-    e1+e7, e2+e6, e3+e5, e4) and the antisymmetric one (basis e1-e7,
-    e2-e6, e3-e5); det C is the product sym * anti of the determinants of
-    C on the two.  The 3x3 antisymmetric block is eliminated first, and
-    the 5x5 symmetric one only when that is nonzero.  Exact, but not the
-    literal definition: certificates and crosschecks use :func:`group_det`.
-    """
-    q0, q1, q2, q3, q4 = _q_parts(ra, rb)
-    d02, d13, d24 = q0 - q2, q1 - q3, q2 - q4
-    anti = _bareiss([[d02, d13, d24], [d13, q0 - q4, d13], [d24, d13, d02]])
-    if not anti:
-        return 0
-    s13 = q1 + q3
-    symmetric = [
-        [q0, 2 * q1, 2 * q2, 2 * q3, q4],
-        [q1, q0 + q2, s13, q2 + q4, q3],
-        [q2, s13, q0 + q4, s13, q2],
-        [q3, q2 + q4, s13, q0 + q2, q1],
-        [q4, 2 * q3, 2 * q2, 2 * q1, q0],
-    ]
-    return _bareiss(symmetric) * anti
-
-
 #: The most a-rows :func:`scan_range` holds at once.
 _A_BLOCK = 1 << 14
 
@@ -131,7 +87,7 @@ def _dets(a_rows: Sequence[tuple[int, ...]], b_terms: tuple[int, ...]) -> list[i
     """Factored determinants of the elements (a, b) whose a-halves have the
     :func:`_half_terms` ``a_rows`` and whose b-half has ``b_terms``: the
     one product A*B*C**2*D**2 of two half-term rows, read by both
-    :func:`scan_range` and :func:`direct_mismatches`."""
+    :func:`scan_range` and :func:`direct_scan`."""
     Pb, Qb, Rb, Xb, Yb = b_terms
     dets = []
     for Pa, Qa, Ra, Xa, Ya in a_rows:
@@ -209,27 +165,41 @@ def scan_range(values: Sequence[int], start: int, stop: int) -> dict:
     return {"count": stop - start, "values": hist}
 
 
-def direct_mismatches(values: Sequence[int]) -> set[int]:
-    """Factored values of the scan of values^16 that the circulant
+def direct_scan(values: Sequence[int]) -> tuple[Counter[int], set[int]]:
+    """The histogram of the whole scan of values^16, as :func:`scan_range`
+    gives it, and the set of its factored values that the literal 16x16
     determinant contradicts.
 
-    An element's factored value depends only on the :func:`_half_terms` of
-    its two halves (see :func:`scan_range`), and its circulant determinant
-    only on the autocorrelations of its halves (see :func:`_reflection_det`).
-    So the half-vectors fall into half-classes, one per distinct (half
-    terms, autocorrelation), the same on either side, and one comparison
-    per ordered pair of classes decides every element of the pair.  Each
-    b-class takes one :func:`_dets` call over the rows of half terms of
-    all the a-classes, the call that builds :func:`scan_range`'s
-    histogram, and compares each of its values with the
-    :func:`_reflection_det` of the two stored autocorrelations.
-    """
-    classes = list({(_half_terms(h), _autocorrelation(h)) for h in product(values, repeat=8)})
-    a_rows = [terms for terms, _ in classes]
+    The half-vectors fall into half-classes, one per distinct pair of
+    :func:`_half_terms` and :func:`_autocorrelation`, the same on either
+    side; the table holds each class's count and one representative half.
+    One literal evaluation decides every element of a pair of classes:
 
+    * every element of the pair has the same autocorrelations, so the
+      same literal determinant: the 16x16 equals the determinant of the
+      circulant of q, which its halves' autocorrelations give (steps (a)
+      and (b) of ``tests/test_factorization_identity.py``);
+    * every element also has the same half terms, so the same factored
+      value.
+
+    Each b-class takes one :func:`_dets` call over the rows of half terms
+    of all the a-classes.  Each value of the ordered pair (a-class,
+    b-class) enters the histogram n_a*n_b times and is compared with
+    :func:`group_det` of the two representatives, looked up once per call.
+    """
+    literal_det = group_det
+    classes: dict[tuple, list] = {}
+    for h in product(values, repeat=8):
+        entry = classes.setdefault((_half_terms(h), _autocorrelation(h)), [0, h])
+        entry[0] += 1
+    a_rows = [terms for terms, _ in classes]
+    table = list(classes.values())
+
+    hist: Counter[int] = Counter()
     mismatches: set[int] = set()
-    for b_terms, rb in classes:
-        for (_, ra), det in zip(classes, _dets(a_rows, b_terms)):
-            if _reflection_det(ra, rb) != det:
+    for (b_terms, _), (nb, hb) in classes.items():
+        for (na, ha), det in zip(table, _dets(a_rows, b_terms)):
+            hist[det] += na * nb
+            if literal_det(ha, hb) != det:
                 mismatches.add(det)
-    return mismatches
+    return hist, mismatches

@@ -114,15 +114,27 @@ def sqrt2_mod_p(p: int) -> int:
 
 
 def _tonelli_shanks(a: int, p: int) -> int:
+    """A square root of the residue ``a`` mod the odd prime ``p``.
+
+    The helper z is the smallest non-residue, and the search for it stops
+    at z*(z - 1) >= p, raising NotPrime: a prime has a smaller one.  For
+    the smallest non-residue n and m = ceil(p/n), 0 < m*n - p < n, so
+    m*n - p is a residue, m a non-residue, m >= n and p > (m - 1)*n >=
+    (n - 1)*n.
+    """
     q, s = p - 1, 0
     # variant: q, halved on every pass
     while q % 2 == 0:
         q //= 2
         s += 1
     z = 2
-    # variant: p - z; a prime p, which sqrt2_mod_p checks first, has a non-residue below it
+    # variant: p - z*(z - 1), which falls on every pass and ends the search at 0 or below
     while pow(z, (p - 1) // 2, p) != p - 1:
         z += 1
+        if z * (z - 1) >= p:
+            raise NotPrime(
+                f"{int_text(p)}: no quadratic non-residue z with z*(z - 1) < p, not prime"
+            )
     c = pow(z, q, p)
     x = pow(a, (q + 1) // 2, p)
     t = pow(a, q, p)

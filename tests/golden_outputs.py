@@ -156,6 +156,12 @@ ROWS = (
         EMPTY,
     ),
     Golden(
+        ("scan", "--support=-1,0,1", "--direct", "--json"),
+        0,
+        "cb7d6bf3c26602ab598b9849615f503827a59c6c66520ec806bf369750b65736",
+        EMPTY,
+    ),
+    Golden(
         ("scan", "--support", "0,1", "--limit", "65535"),
         3,
         EMPTY,

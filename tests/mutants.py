@@ -22,8 +22,13 @@ class Mutant(NamedTuple):
 
 
 _STREAM = "tests/test_analysis.py::TestRandomCrosscheck::test_element_stream"
-_BAREISS = "tests/test_kernel_lanes.py::test_bareiss_matches_fraction_det"
 _BAREISS8 = "tests/test_kernel_lanes.py::TestBareiss8::test_matches_bareiss_on_every_branch"
+_FORCED_PIVOTS = "tests/test_kernel_lanes.py::TestBareiss8::test_forced_pivot_branches"
+_DIRECT_AGREES = "tests/test_analysis.py::TestExhaustiveScan::test_direct_mode_agrees"
+_DIRECT_PLAIN = (
+    "tests/test_analysis.py::TestExhaustiveScan"
+    "::test_direct_reports_match_plain_on_two_value_supports"
+)
 _KERNEL_FAULT = "tests/test_cli.py::TestLibraryErrors::test_kernel_fault_emits_no_certificate"
 _HUGE_FAULT = "tests/test_witness.py::TestCertifyMessages::test_kernel_fault_on_a_huge_target"
 _FAMILY_PROOF = "tests/test_recipe_proofs.py::test_family_determinant_is_its_value_for_every_m"
@@ -70,34 +75,53 @@ MUTANTS = (
         "[-draw() for _ in range(16)]",
         (_AUDIT_STREAM,),
     ),
-    # The literal determinant's eliminations and their one pivot policy.
+    # The direct scan: one class table gives the histogram, weighted n_a*n_b
+    # per pair of classes, and one literal 16x16 per pair checks it.
     Mutant(
-        "bareiss-divides-by-prev",
-        "q16det/core.py",
-        "square = prev * prev\n        columns = range(k + 2, n)",
-        "square = prev\n        columns = range(k + 2, n)",
-        (_BAREISS,),
+        "direct-histogram-weight-drops-na",
+        "q16det/kernel.py",
+        "hist[det] += na * nb",
+        "hist[det] += nb",
+        (_DIRECT_PLAIN,),
     ),
+    Mutant(
+        "direct-wrong-representative",
+        "q16det/kernel.py",
+        "literal_det(ha, hb)",
+        "literal_det(hb, hb)",
+        (_DIRECT_AGREES,),
+    ),
+    Mutant(
+        "direct-check-dropped",
+        "q16det/kernel.py",
+        "if literal_det(ha, hb) != det:",
+        "if False:",
+        (
+            "tests/test_analysis.py::TestExhaustiveScan::test_direct_mode_reports_disagreement",
+            "tests/test_cli.py::TestScanCommand::test_direct_disagreement_exit_1",
+        ),
+    ),
+    # The literal determinant's one pivot policy.
     Mutant(
         "pivot-row-swap-keeps-sign",
         "q16det/core.py",
         "m[k + 1], m[r] = m[r], m[k + 1]\n                        sign = -sign",
         "m[k + 1], m[r] = m[r], m[k + 1]",
-        (_BAREISS,),
+        (_BAREISS8, _FORCED_PIVOTS),
     ),
     Mutant(
         "pivot-column-swap-keeps-sign",
         "q16det/core.py",
         "m[k], m[r] = m[r], m[k]\n        sign = -sign",
         "m[k], m[r] = m[r], m[k]",
-        (_BAREISS,),
+        (_BAREISS8, _FORCED_PIVOTS),
     ),
     Mutant(
         "pivot-column-swap-returns-zero",
         "q16det/core.py",
         "m[k], m[r] = m[r], m[k]\n        sign = -sign",
         "return 0, sign",
-        (_BAREISS,),
+        (_BAREISS8, _FORCED_PIVOTS),
     ),
     # Messages print integers unchanged up to the digit limit, bounded past
     # it; the mutant bounds what str can print and prints what it cannot.
@@ -168,7 +192,7 @@ MUTANTS = (
             "tests/test_kernel_lanes.py::test_cayley_tables_consistent",
         ),
     ),
-    # The one evaluation at 1, -1, i and w, and the circulant seam.
+    # The one evaluation at 1, -1, i and w.
     Mutant(
         "half-terms-y-sign",
         "q16det/core.py",
@@ -178,20 +202,6 @@ MUTANTS = (
             "tests/test_factorization_identity.py::test_c_factored_terms_are_evaluations_of_q",
             "tests/test_exact_eval.py::TestFactoredForm::test_kernel_matches_cyclotomic_oracle",
         ),
-    ),
-    Mutant(
-        "q-parts-unreflected",
-        "q16det/kernel.py",
-        "ra[0] - rb[4], ra[1] - rb[3], ra[2] - rb[2], ra[3] - rb[1], ra[4] - rb[0]",
-        "ra[0] - rb[0], ra[1] - rb[1], ra[2] - rb[2], ra[3] - rb[3], ra[4] - rb[4]",
-        ("tests/test_kernel_lanes.py::TestCirculantBridge::test_matches_group_det_and_oracle",),
-    ),
-    Mutant(
-        "reflection-5x5-middle-sign",
-        "q16det/kernel.py",
-        "[q2, s13, q0 + q4, s13, q2]",
-        "[q2, s13, q0 - q4, s13, q2]",
-        ("tests/test_kernel_lanes.py::TestCirculantBridge::test_blocks_match_8x8_reference",),
     ),
     # The certificate rule, core.certificate_terms, checks both determinant
     # paths; its fault tests patch each path on core and see it called.
@@ -316,5 +326,14 @@ MUTANTS = (
         "if 3 * y >= 2 * x:",
         "if False:",
         ("tests/test_quad_ring.py::TestSplitPrime::test_refuses_a_vector_off_the_orbit_minimum",),
+    ),
+    # Euler's test with the wrong exponent finds no non-residue mod a
+    # prime; the bound on the search turns that hang into NotPrime.
+    Mutant(
+        "tonelli-euler-exponent-wrong",
+        "q16det/quad_ring.py",
+        "pow(z, (p - 1) // 2, p)",
+        "pow(z, p - 1, p)",
+        ("tests/test_quad_ring.py::TestSqrt2ModP::test_small_primes",),
     ),
 )

@@ -1,33 +1,36 @@
 """Independent oracles used by the tests.
 
-These deliberately avoid the library's algorithms: the determinant oracle
-uses rational Gaussian elimination instead of fraction-free elimination,
-prime splitting enumerates Y directly, the Laurent helpers multiply
-polynomials term by term, and the evaluations at i and w use Gaussian and
-Z[w] arithmetic instead of the kernel's closed forms, and the embedding
-signs of x + y*sqrt(2) come from a case analysis instead of the library's
-one-line predicates.  The scan references walk the index range one
-element at a time, calling the kernel's ``factored_terms`` and
-``circulant_det`` on each, where the library scan sums precomputed
-half-vector rows and the library's direct check compares once per pair
-of half-classes.  ``circulant_det`` and ``circulant_q`` are the
-per-element forms of the kernel's circulant seam, which the library
-itself only calls per pair of half-classes.  The report reference sorts
-each element into the tallies as it is made, where the library sorts
-the distinct values of a merged histogram.  The group-ring product ``convolve`` feeds the
+These deliberately avoid the library's algorithms: the determinant
+oracle uses rational Gaussian elimination instead of fraction-free
+elimination, prime splitting enumerates Y directly, the Laurent helpers
+multiply polynomials term by term, and the evaluations at i and w use
+Gaussian and Z[w] arithmetic instead of the kernel's closed forms, and
+the embedding signs of x + y*sqrt(2) come from a case analysis instead
+of the library's one-line predicates.  The scan references walk the index
+range one element at a time, calling the kernel's ``factored_terms`` and
+``group_det`` on each, where the library scan sums precomputed
+half-vector rows and the library's direct scan evaluates once per pair
+of half-classes.  The block-circulant form of the group determinant
+(Silvester 2000), which the library does not use, lives here:
+``_q_parts`` and ``_reflection_det`` take q from two halves'
+autocorrelations and eliminate its 3x3 and 5x5 reflection blocks with
+``bareiss_reference``, and ``circulant_det`` and ``circulant_q`` are
+their per-element forms.  The report reference sorts each element into
+the tallies as it is made, where the library sorts the distinct values
+of a merged histogram.  The group-ring product ``convolve`` feeds the
 multiplicativity check of the determinant, and ``determinant_matrix``
-lays out the literal 16x16 matrix for the Fraction oracle.  The
-circulant reference eliminates the whole 8x8 circulant of q with its own
-one-step fraction-free loop, ``bareiss_reference``, where the library
-eliminates its two reflection blocks two columns per pass.  The four-squares
-reference builds and sorts the whole candidate list of a target up front
-and searches it by index, where the library enumerates each level's
-candidates lazily.  The normalization reference branches on the counts of
-odd alphas and odd betas and then checks the layout it built, where the
-library sorts the pairs by parity and looks the layout up in one table.
-The audit normalization reference evaluates each candidate element at 1
-and -1 from its coefficient sums, where the library reads the residues
-once from the squares in the kernel's half terms.
+lays out the literal 16x16 matrix for the Fraction oracle.  The circulant
+reference eliminates the whole 8x8 circulant of q, summed pair by pair,
+where ``_reflection_det`` eliminates its two reflection blocks.  The
+four-squares reference builds and sorts the whole candidate list of a
+target up front and searches it by index, where the library enumerates
+each level's candidates lazily.  The normalization reference branches on
+the counts of odd alphas and odd betas and then checks the layout it
+built, where the library sorts the pairs by parity and looks the layout
+up in one table.  The audit normalization reference evaluates each
+candidate element at 1 and -1 from its coefficient sums, where the
+library reads the residues once from the squares in the kernel's half
+terms.
 """
 
 from collections import Counter
@@ -189,19 +192,56 @@ def cyclotomic_conj(u) -> tuple[int, int, int, int]:
     return (u[0], -u[3], -u[2], -u[1])
 
 
+def _q_parts(ra, rb) -> tuple[int, int, int, int, int]:
+    """q[0..4] = r_a[k] - r_b[4 - k] from the autocorrelations r[0..4] of
+    an a-half and a b-half; q[8 - k] = q[k] gives the rest."""
+    return ra[0] - rb[4], ra[1] - rb[3], ra[2] - rb[2], ra[3] - rb[1], ra[4] - rb[0]
+
+
+def _reflection_det(ra, rb) -> int:
+    """Group determinant of every element whose a-half has the
+    ``kernel._autocorrelation`` ``ra`` and whose b-half has ``rb``: the
+    determinant of the 8x8 circulant C[i][j] = q[(j - i) % 8] of
+    q = ``_q_parts(ra, rb)``, from a 3x3 and a 5x5 block.
+
+    The 16x16 matrix is [[F, G1], [G2, F']] with 8x8 circulant blocks, which
+    commute, so its determinant is that of C (Silvester, "Determinants of
+    block matrices", 2000).  q is palindromic, so C commutes with the
+    reflection e_j -> e_-j and keeps the symmetric sublattice (basis e0,
+    e1+e7, e2+e6, e3+e5, e4) and the antisymmetric one (basis e1-e7,
+    e2-e6, e3-e5); det C is the product sym * anti of the determinants of
+    C on the two.  The 3x3 antisymmetric block is eliminated first, and
+    the 5x5 symmetric one only when that is nonzero; ``bareiss_reference``
+    is looked up on each call, so a test that patches it sees both.
+    """
+    q0, q1, q2, q3, q4 = _q_parts(ra, rb)
+    d02, d13, d24 = q0 - q2, q1 - q3, q2 - q4
+    anti = bareiss_reference([[d02, d13, d24], [d13, q0 - q4, d13], [d24, d13, d02]])
+    if not anti:
+        return 0
+    s13 = q1 + q3
+    symmetric = [
+        [q0, 2 * q1, 2 * q2, 2 * q3, q4],
+        [q1, q0 + q2, s13, q2 + q4, q3],
+        [q2, s13, q0 + q4, s13, q2],
+        [q3, q2 + q4, s13, q0 + q2, q1],
+        [q4, 2 * q3, 2 * q2, 2 * q1, q0],
+    ]
+    return bareiss_reference(symmetric) * anti
+
+
 def circulant_q(a, b) -> list[int]:
     """Coefficients q[0..7] of q = f(x)*f(1/x) - x**4*g(x)*g(1/x) mod x**8 - 1:
     q[k] = r_a[k] - r_b[k + 4] from the cyclic autocorrelations of ``a``
     and ``b``.  q is palindromic, q[k] = q[8 - k]."""
-    q0, q1, q2, q3, q4 = kernel._q_parts(kernel._autocorrelation(a), kernel._autocorrelation(b))
+    q0, q1, q2, q3, q4 = _q_parts(kernel._autocorrelation(a), kernel._autocorrelation(b))
     return [q0, q1, q2, q3, q4, q3, q2, q1]
 
 
 def circulant_det(a, b) -> int:
-    """Group determinant of the element (a, b) from the kernel's circulant
-    seam, ``kernel._reflection_det`` of the two halves' autocorrelations,
-    looked up on each call so that a patched seam reaches it too."""
-    return kernel._reflection_det(kernel._autocorrelation(a), kernel._autocorrelation(b))
+    """Group determinant of the element (a, b) from the circulant form,
+    ``_reflection_det`` of the two halves' autocorrelations."""
+    return _reflection_det(kernel._autocorrelation(a), kernel._autocorrelation(b))
 
 
 #: Layout of the 8x8 circulant of q: C[i][j] = q[(j - i) % 8].
@@ -251,7 +291,8 @@ def _reference_dets(values, start, stop, direct):
     """(det, agrees) for elements ``start`` .. ``stop - 1``, one at a time:
     an odometer over the mixed-radix digits of the index (least significant
     digit = a0), ``factored_terms`` on every element and, when ``direct``,
-    ``circulant_det`` on every element (``agrees`` is True otherwise)."""
+    ``kernel.group_det``, looked up on each call, on every element
+    (``agrees`` is True otherwise)."""
     base = len(values)
     digits = [0] * 16
     coeffs = [values[0]] * 16
@@ -269,7 +310,7 @@ def _reference_dets(values, start, stop, direct):
         A, B, C, X, Y = kernel.factored_terms(a, b)
         D = X * X - 2 * Y * Y
         det = A * B * C * C * D * D
-        yield det, not direct or circulant_det(a, b) == det
+        yield det, not direct or kernel.group_det(a, b) == det
 
         k = 0
         while k < 16 and digits[k] == top:
@@ -289,8 +330,8 @@ def scan_range_reference(values, start, stop) -> dict:
 
 
 def direct_agrees_reference(values, start, stop) -> bool:
-    """Whether ``circulant_det`` equals the factored value on each element
-    ``start`` .. ``stop - 1``, checked one element at a time."""
+    """Whether ``kernel.group_det`` equals the factored value on each
+    element ``start`` .. ``stop - 1``, checked one element at a time."""
     return all(agrees for _, agrees in _reference_dets(values, start, stop, True))
 
 

@@ -1,4 +1,5 @@
 import concurrent.futures
+import itertools
 import os
 import random
 import re
@@ -29,6 +30,7 @@ from q16det.group_algebra import GroupRingElement
 
 from oracles import (
     chebyshev_expand,
+    circulant_q,
     laurent_self_product,
     normalize_for_audit_reference,
     scan_report_reference,
@@ -306,25 +308,27 @@ class TestExhaustiveScan:
     def test_direct_blocks_eliminate_once_per_class_pair(
         self, monkeypatch, in_process_pool
     ):
-        # The direct check eliminates each of the 29 x 29 = 841 pairs of
-        # half-classes of {0, 1} once, in the calling process, whatever
-        # the worker count.
+        # A direct scan evaluates the literal 16x16 once for each of the
+        # 29 x 29 = 841 pairs of half-classes of {0, 1}, in the calling
+        # process, whatever the worker count: no scan_range call, no pool.
         monkeypatch.setattr(analysis, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(analysis, "_POOL_MIN_ELEMS", 1)
-        real = kernel._reflection_det
-        calls = []
+        calls = Counter()
+        for name in ("group_det", "scan_range"):
+            real = getattr(kernel, name)
 
-        def counted(ra, rb):
-            calls.append(1)
-            return real(ra, rb)
+            def counted(*args, _name=name, _real=real):
+                calls[_name] += 1
+                return _real(*args)
 
-        monkeypatch.setattr(kernel, "_reflection_det", counted)
+            monkeypatch.setattr(kernel, name, counted)
         r2 = exhaustive_scan((0, 1), workers=2, direct=True)
-        assert in_process_pool == [2]
-        assert len(calls) == 841
+        assert in_process_pool == []
+        assert calls == {"group_det": 841}
         calls.clear()
         r1 = exhaustive_scan((0, 1), workers=1, direct=True)
-        assert len(calls) == 841
+        assert in_process_pool == []
+        assert calls == {"group_det": 841}
         d1, d2 = r1.to_dict(), r2.to_dict()
         assert d2["workers"] == 2 and d2["ok"]
         for d in (d1, d2):
@@ -344,7 +348,7 @@ class TestExhaustiveScan:
             return real(task)
 
         monkeypatch.setattr(analysis, "_scan_block", recorded)
-        rep = exhaustive_scan((0, 1), workers=2, direct=True)
+        rep = exhaustive_scan((0, 1), workers=2)
         assert in_process_pool == [] and blocks == [((0, 1), 0, 1 << 16)]
         assert rep.workers == 2 and rep.ok
 
@@ -359,7 +363,7 @@ class TestExhaustiveScan:
             return real(h)
 
         monkeypatch.setattr(kernel, "_half_terms", counted)
-        assert kernel.direct_mismatches((0, 1)) == set()
+        assert exhaustive_scan((0, 1), direct=True).ok
         assert len(calls) == 256
 
     @pytest.mark.parametrize("direct", [False, True])
@@ -382,8 +386,8 @@ class TestExhaustiveScan:
             # The shifted f(1)**2 makes A = f(1)**2 - g(1)**2 + a0 - b0,
             # still an f-only part plus a g-only part.  The scan loops read
             # the kernel's binding and the reference reads it through
-            # factored_terms, which lives in core.  The circulant stand-in q[0]
-            # depends on the element only through its halves'
+            # factored_terms, which lives in core.  The group_det stand-in
+            # q[0] depends on the element only through its halves'
             # autocorrelations, as the class-pair check requires.
             real_terms = kernel._half_terms
 
@@ -393,7 +397,7 @@ class TestExhaustiveScan:
 
             monkeypatch.setattr(kernel, "_half_terms", shifted_terms)
             monkeypatch.setattr(core, "_half_terms", shifted_terms)
-            monkeypatch.setattr(kernel, "_reflection_det", lambda ra, rb: kernel._q_parts(ra, rb)[0])
+            monkeypatch.setattr(kernel, "group_det", lambda a, b: circulant_q(a, b)[0])
         want = scan_report_reference(support, direct, sample_abs_limit, sample_limit)
         # (-2, 3) then meets all four kinds; (7,) has determinant 0 only.
         assert want["ok"] == (not direct or support == (7,))
@@ -410,16 +414,17 @@ class TestExhaustiveScan:
     def test_direct_flags_one_wrong_class_pair(self, monkeypatch, in_process_pool):
         # A stand-in wrong for one (a-class, b-class) pair alone: only that
         # pair's value is flagged.  The pair's a-class is not that of the
-        # zero a-half, which begins every b-row.  The stand-in names the
-        # pair by its a-half's and b-half's autocorrelations.
-        real = kernel._reflection_det
+        # zero a-half, which begins every b-row.  The group_det stand-in
+        # names the pair by its a-half's and b-half's autocorrelations.
+        real = kernel.group_det
         ra_wrong = kernel._autocorrelation((1, 1, 0, 1, 0, 0, 0, 0))
         rb_wrong = kernel._autocorrelation((1, 0, 1, 0, 0, 0, 0, 0))
 
-        def one_pair_wrong(ra, rb):
-            return real(ra, rb) + (ra == ra_wrong and rb == rb_wrong)
+        def one_pair_wrong(a, b):
+            ra, rb = kernel._autocorrelation(a), kernel._autocorrelation(b)
+            return real(a, b) + (ra == ra_wrong and rb == rb_wrong)
 
-        monkeypatch.setattr(kernel, "_reflection_det", one_pair_wrong)
+        monkeypatch.setattr(kernel, "group_det", one_pair_wrong)
         want = scan_report_reference((0, 1), direct=True)
         disagree = "direct and factored determinants disagree"
         assert [v["reason"] for v in want["violations"]] == [disagree]
@@ -431,7 +436,7 @@ class TestExhaustiveScan:
 
     def test_direct_rows_coarser_than_q_parts(self, monkeypatch, in_process_pool):
         # A zero row of half terms makes every factored value 0, while
-        # the circulant determinant still tells the autocorrelations apart:
+        # the literal determinant still tells the autocorrelations apart:
         # half-classes keyed by the row alone would compare one pair and
         # miss the disagreement.
         monkeypatch.setattr(kernel, "_half_terms", lambda h: (0, 0, 0, 0, 0))
@@ -457,14 +462,26 @@ class TestExhaustiveScan:
         assert direct == plain
         print(f"\nternary direct scan, 2 workers: {elapsed:.1f} s")
 
+    def test_direct_reports_match_plain_on_two_value_supports(self):
+        # The class table gives the histogram the element scan gives: the
+        # reports differ in "direct" alone, on a seeded sample of the 171
+        # two-value supports in [-9, 9].
+        supports = list(itertools.combinations(range(-9, 10), 2))
+        for support in random.Random(32).sample(supports, 8):
+            direct = exhaustive_scan(support, direct=True).to_dict()
+            plain = exhaustive_scan(support).to_dict()
+            assert direct.pop("direct") and not plain.pop("direct")
+            del direct["elapsed_s"], plain["elapsed_s"]
+            assert direct == plain, support
+
     def test_direct_mode_agrees(self):
         rep = exhaustive_scan((0, 1), direct=True)
         assert rep.ok
         assert rep.even == 32768 and rep.odd == 32768
 
     def test_direct_mode_reports_disagreement(self, monkeypatch):
-        real = kernel._reflection_det
-        monkeypatch.setattr(kernel, "_reflection_det", lambda ra, rb: real(ra, rb) + 1)
+        real = kernel.group_det
+        monkeypatch.setattr(kernel, "group_det", lambda a, b: real(a, b) + 1)
         rep = exhaustive_scan((1,), direct=True)
         assert rep.violations == [("0", "direct and factored determinants disagree")]
         assert exhaustive_scan((1,)).ok  # the factored-only scan never calls it

@@ -205,8 +205,8 @@ class TestScanCommand:
         assert "<lambda>" not in err
 
     def test_direct_disagreement_exit_1(self, capsys, monkeypatch):
-        real = kernel._reflection_det
-        monkeypatch.setattr(kernel, "_reflection_det", lambda ra, rb: real(ra, rb) + 1)
+        real = kernel.group_det
+        monkeypatch.setattr(kernel, "group_det", lambda a, b: real(a, b) + 1)
         rc, out, _ = run(capsys, "scan", "--support", "1", "--direct", "--json")
         doc = json.loads(out)
         assert rc == EXIT_FAIL and doc["ok"] is False

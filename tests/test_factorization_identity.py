@@ -6,8 +6,8 @@ The chain, one test per step:
     literal matrix M = [[F, G1], [G2, F']] are circulants.  Circulants
     commute, so det M = det(F*F' - G1*G2) (Silvester, "Determinants of
     block matrices", Math. Gazette 2000).
-(b) F*F' - G1*G2 is the circulant of the palindromic q whose q[0..4] the
-    kernel reads as ``_q_parts(_autocorrelation(a), _autocorrelation(b))``.
+(b) F*F' - G1*G2 is the circulant of the palindromic q whose q[0..4] are
+    ``oracles._q_parts`` of the kernel's ``_autocorrelation`` of a and b.
 (c) (A, B, C, X, Y) of ``factored_terms`` are q^(1), q^(-1), q^(i) and the
     two parts of q^(w) = X + Y*sqrt(2), w = exp(2*pi*i/8).
 (d) For palindromic q, det circ(q) = A*B*C**2*(X**2 - 2*Y**2)**2 with
@@ -18,9 +18,9 @@ everywhere once they agree at 0, at each e_i and at each e_i + e_j: 137
 points.  (d) compares polynomials of degree at most 8 in each of q0..q4,
 which agree everywhere once they agree on S**5 with |S| = 9: a polynomial
 of degree at most 8 in each variable that vanishes there is zero.  The
-left side of (d) is ``kernel._reflection_det``, the product of the
+left side of (d) is ``oracles._reflection_det``, the product of the
 determinants of a 5x5 and a 3x3 block.  Each degree is asserted, not
-assumed, by running the kernel's closed forms once on symbolic
+assumed, by running the closed forms once on symbolic
 polynomials (:class:`Poly`); the same pass checks that the two blocks are
 the circulant in a basis of its reflection-symmetric and antisymmetric
 vectors, so that their product is det circ(q).
@@ -31,7 +31,8 @@ from itertools import combinations, product
 from q16det import kernel
 from q16det.core import DET_INDEX
 
-from oracles import fraction_det
+import oracles
+from oracles import _q_parts, _reflection_det, fraction_det
 
 
 class Poly:
@@ -135,8 +136,8 @@ def _schur(c):
 
 
 def _kernel_q(c):
-    """q[0..4] as the kernel builds it from the halves of ``c``."""
-    return kernel._q_parts(kernel._autocorrelation(c[:8]), kernel._autocorrelation(c[8:]))
+    """q[0..4] from the kernel's autocorrelations of the halves of ``c``."""
+    return _q_parts(kernel._autocorrelation(c[:8]), kernel._autocorrelation(c[8:]))
 
 
 #: 0, each e_i and each e_i + e_j in Z**16.
@@ -192,7 +193,7 @@ REFLECTION_BASIS = [
 
 def test_d_reflection_blocks_and_degree_bound(monkeypatch):
     # Each elimination returns a fresh variable, 5 then 6, so the result
-    # shows how the kernel combines them: as their product.  Both blocks
+    # shows how _reflection_det combines them: as their product.  Both blocks
     # have linear entries in q, so the degree in each q_k is at most the
     # number of rows that hold q_k, summed over the blocks.
     blocks = []
@@ -201,9 +202,9 @@ def test_d_reflection_blocks_and_degree_bound(monkeypatch):
         blocks.append(m)
         return Poly.var(4 + len(blocks))
 
-    monkeypatch.setattr(kernel, "_bareiss", recorded)
+    monkeypatch.setattr(oracles, "bareiss_reference", recorded)
     q = [Poly.var(k) for k in range(5)]
-    assert kernel._reflection_det(q, (0,) * 5) == Poly.var(5) * Poly.var(6)
+    assert _reflection_det(q, (0,) * 5) == Poly.var(5) * Poly.var(6)
     assert [len(m) for m in blocks] == [3, 5]
     for m in blocks:
         assert all(len(row) == len(m) for row in m)
@@ -232,4 +233,4 @@ def test_d_grid():
     # q = _q_parts(q, 0): the b-half's autocorrelation is zero.
     zero = (0,) * 5
     grid = product(S, repeat=5)
-    assert [q for q in grid if kernel._reflection_det(q, zero) != _factored_det(q)] == []
+    assert [q for q in grid if _reflection_det(q, zero) != _factored_det(q)] == []

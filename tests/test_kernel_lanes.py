@@ -1,11 +1,12 @@
 """The kernel and the core: the core's imports from the library, the lane
 names and patch points perfbench relies on, exactness for large
-coefficients, the elimination against the Fraction oracle on every branch
-it takes, the fixed-width 8x8 elimination against it and on pivot
-branches forced at each pass, group_det's split at the central element
-X**4 against the whole literal 16x16, the circulant determinant behind
-direct scans, the half-table scan against the per-element reference, and
-the q-classes a direct scan groups half-vectors by."""
+coefficients, the reference elimination against the Fraction oracle on
+every branch it takes, the fixed-width 8x8 elimination against both and
+on pivot branches forced at each pass, group_det's split at the central
+element X**4 against the whole literal 16x16, the circulant oracle
+against group_det on the class pairs of direct scans, the half-table scan
+against the per-element reference, and the q-classes a direct scan
+groups half-vectors by."""
 
 import ast
 import random
@@ -23,6 +24,7 @@ from q16det.analysis import exhaustive_scan
 from q16det.errors import InternalInconsistency
 from q16det.group_algebra import GroupRingElement, direct_determinant
 
+import oracles
 from oracles import (
     bareiss_reference,
     circulant_det,
@@ -67,10 +69,12 @@ def test_core_imports_only_errors_from_the_library():
 
 def test_kernel_takes_the_determinant_from_core():
     assert kernel.group_det is core.group_det
-    assert kernel._bareiss is core._bareiss
     assert kernel.factored_terms is core.factored_terms
     assert kernel._half_terms is core._half_terms
     assert not hasattr(kernel, "_bareiss8") and not hasattr(kernel, "_pivot")
+    # _bareiss8 is the one elimination; the circulant form lives in tests/.
+    for name in ("_bareiss", "_q_parts", "_reflection_det", "direct_mismatches"):
+        assert not hasattr(kernel, name) and not hasattr(core, name), name
 
 
 def test_active_lane_reported(monkeypatch):
@@ -110,8 +114,9 @@ def _recorded_sizes(monkeypatch, module, name):
 
 @pytest.fixture
 def bareiss_sizes(monkeypatch):
-    """The sizes of the matrices ``kernel._bareiss`` is called on, in order."""
-    return _recorded_sizes(monkeypatch, kernel, "_bareiss")
+    """The sizes of the matrices ``oracles.bareiss_reference`` is called on,
+    in order."""
+    return _recorded_sizes(monkeypatch, oracles, "bareiss_reference")
 
 
 @pytest.fixture
@@ -131,7 +136,7 @@ def _checked_group_det(a, b, sizes):
     8x8 when the block A + B of the z-split is singular and two otherwise."""
     m = determinant_matrix(GroupRingElement(a, b))
     plus = [[m[g][h] + m[g][MUL_TABLE[Z][h]] for h in COSET_REPS] for g in COSET_REPS]
-    whole = core._bareiss(m)
+    whole = bareiss_reference(m)
     sizes.clear()
     det = kernel.group_det(a, b)
     assert det == whole
@@ -190,8 +195,9 @@ def _random_matrix(rng, rows, cols, height=9):
 
 
 def _bareiss_cases(n):
-    """Seeded n x n matrices by the branch of ``core._bareiss`` they
-    take; the names in _SINGULAR_CASES have determinant 0."""
+    """Seeded n x n matrices by the branch of a two-step elimination
+    (``core._bareiss8`` at n = 8) they take; the names in _SINGULAR_CASES
+    have determinant 0."""
     rng = random.Random(1000 + n)
     cases = {
         # odd n: the determinant is read from m[n-1][n-1] after the last pass
@@ -243,7 +249,6 @@ _SINGULAR_CASES = (
 def test_bareiss_matches_fraction_det(n):
     for name, m in _bareiss_cases(n).items():
         want = fraction_det(m)
-        assert core._bareiss([row[:] for row in m]) == want, name
         assert bareiss_reference([row[:] for row in m]) == want, name
         if name in _SINGULAR_CASES:
             assert want == 0, name
@@ -291,7 +296,7 @@ class TestBareiss8:
     def test_matches_bareiss_on_every_branch(self):
         for name, m in _bareiss_cases(8).items():
             want = fraction_det(m)
-            assert core._bareiss([row[:] for row in m]) == want, name
+            assert bareiss_reference([row[:] for row in m]) == want, name
             assert core._bareiss8([tuple(row) for row in m]) == want, name
 
     @pytest.mark.parametrize("height", [9, 10**40])
@@ -301,7 +306,7 @@ class TestBareiss8:
         pivots = _recorded_sizes(monkeypatch, core, "_pivot")
         for (branch, k), m in _forced_pivot_cases(height).items():
             want = fraction_det(m)
-            assert core._bareiss([row[:] for row in m]) == want, (branch, k)
+            assert bareiss_reference([row[:] for row in m]) == want, (branch, k)
             pivots.clear()
             assert core._bareiss8([tuple(row) for row in m]) == want, (branch, k)
             assert pivots == ([] if k == 6 else [8 - k]), (branch, k)
@@ -349,20 +354,17 @@ class TestCirculantBridge:
     @pytest.mark.parametrize("values", [(0, 1), (-2, 3)])
     def test_blocks_match_8x8_reference_on_every_class_pair(self, bareiss_sizes, values):
         # An a-half's q-part is its autocorrelation r[k], a b-half's is
-        # -r[k + 4]: both sides have the same classes.  The direct check
-        # feeds _reflection_det the classes' autocorrelations; 221 of the
-        # 841 pairs end at a singular 3x3 block, the rest eliminate the
-        # 5x5 as well.
+        # -r[k + 4]: both sides have the same classes, the 29 x 29 = 841
+        # pairs a direct scan evaluates once each.  221 of the pairs end
+        # at a singular 3x3 block, the rest eliminate the 5x5 as well.
         reps = {tuple(circulant_q(h, ZERO_HALF)): h for h in product(values, repeat=8)}
         assert len(reps) == 29
         branches = Counter()
         for a in reps.values():
             for b in reps.values():
                 want = circulant_det_reference(a, b)
-                assert circulant_det(a, b) == want
                 bareiss_sizes.clear()
-                det = kernel._reflection_det(kernel._autocorrelation(a), kernel._autocorrelation(b))
-                assert det == want
+                assert circulant_det(a, b) == want
                 branches[tuple(bareiss_sizes)] += 1
         assert branches == {(3,): 221, (3, 5): 620}
 

@@ -64,6 +64,15 @@ class TestSqrt2ModP:
         with pytest.raises(NotPrime, match=f"^{BOUNDED} is not prime$"):
             sqrt2_mod_p(HUGE)
 
+    def test_non_residue_search_is_bounded(self):
+        # 561 = 3*11*17 is 1 mod 8, and z**280 is 1 mod 3 for every z prime
+        # to 3, so no z passes Euler's test and an unbounded search never
+        # ends.  A prime p has a non-residue z with z*(z - 1) < p, so the
+        # search stops at z = 25.
+        message = r"^561: no quadratic non-residue z with z\*\(z - 1\) < p, not prime$"
+        with pytest.raises(NotPrime, match=message):
+            quad_ring._tonelli_shanks(2, 561)
+
 
 class TestTimes:
     def test_is_the_product_in_z_sqrt2(self):
