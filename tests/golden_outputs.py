@@ -29,6 +29,9 @@ HUGE_ODD = "1" + "0" * 4299 + "1"
 # -147 = -3*7**2, 2645 = 5*23**2, 13*100103**2 and 13*1000000007**2.
 FIVE_MOD_8 = ("245", "-147", "2645", "130267937917", "13000000182000000637")
 TARGETS = ("0", "17", "512", "1024", "-7", *FIVE_MOD_8)
+# 5*7**2*q1*q2 with the 23-digit q1*q2 = 448132953127 * 172570607879, the
+# primes after two draws from random.Random(33) in [10**11, 10**12).
+SMALL_P_LARGE_COFACTOR = "18946971152275761952470085"
 WITNESSED = ("17", "-7", "1024", "-3072", "637", "1029", *FIVE_MOD_8)
 EVEN_FAMILY = "1,1,1,1,1,1,1,1,1,0,1,1,1,0,0,0"
 EMPTY = hashlib.sha256(b"").hexdigest()
@@ -84,6 +87,12 @@ ROWS = (
         ("classify", *TARGETS, "--json"),
         1,
         "c819fb837f6e9b63180c62f4da0cb0a0b75f35a1dd2bda4114b92e28feb7f31c",
+        EMPTY,
+    ),
+    Golden(
+        ("classify", SMALL_P_LARGE_COFACTOR, "--json"),
+        0,
+        "53b2a078622b7a72647b7c11f4a1608f34a3a65a6927dc656eff594e84223de8",
         EMPTY,
     ),
     Golden(
