@@ -76,6 +76,16 @@ def factorize(n: int) -> FactorizationResult:
     )
 
 
+_ADMISSIBLE_TRIAL_PRIMES: list[int] = []
+
+
+def _admissible_trial_primes() -> list[int]:
+    """The trial division primes p = 7 mod 8, ascending."""
+    if not _ADMISSIBLE_TRIAL_PRIMES:
+        _ADMISSIBLE_TRIAL_PRIMES.extend(p for p in primes._trial_primes() if p % 8 == 7)
+    return _ADMISSIBLE_TRIAL_PRIMES
+
+
 def classify(n: int) -> Classification:
     """Decide achievability of n; residues are mathematical (in 0..7).
     n must be an integer: any other type raises TypeError."""
@@ -90,6 +100,14 @@ def classify(n: int) -> Classification:
     if r in (3, 7):  # n = 3 mod 4
         return Classification(n, None, Reason.ODD_CONGRUENT_3_MOD_4)
     # r == 5: need some prime p = 7 mod 8 with p**2 | n; take the smallest.
+    # A trial prime is smaller than any prime factorize adds to it, so the
+    # first trial prime that qualifies, in ascending order, is the answer;
+    # n is factored only when none does.
+    for p in _admissible_trial_primes():
+        if p * p > abs(n):
+            break
+        if n % (p * p) == 0:
+            return Classification(n, Odd5Mod8(p=p, m=n // (p * p)), None)
     for p, e in factorize(n).factors:
         if e >= 2 and p % 8 == 7:
             return Classification(n, Odd5Mod8(p=p, m=n // (p * p)), None)

@@ -16,7 +16,11 @@ elimination ("Sylvester's identity and multistep integer-preserving
 Gaussian elimination", Math. Comp. 22, 1968) with n fixed at 8, which
 hands a singular pivot block to :func:`_pivot`.  That is 112 entry
 updates on the two 8x8 blocks of :func:`group_det`, where the whole
-16x16 takes 560 and one column per pass 1,240.
+16x16 takes 560 and one column per pass 1,240.  The pivot rule is one
+pass over the rows left: the first row nonzero in the two pivot columns
+and the first later row independent of it there become the pivot rows,
+and with no such pair the two columns are dependent and the determinant
+is 0.
 
 The factored side evaluates each half f at 1, -1, i and w = exp(2*pi*i/8)
 in :func:`_half_terms`; :func:`factored_terms` combines the two halves
@@ -77,42 +81,35 @@ DET_INDEX = tuple(
 )
 
 
-def _pivot(m: list, k: int) -> tuple[int, int]:
-    """The pivot policy of :func:`_bareiss8`, for a pass whose rows k and
-    k + 1 make the 2x2 block of columns k and k + 1 of the rows ``m``
-    singular: returns (d2, sign) after swapping rows of ``m`` in place, d2
-    the new block's determinant and sign -1 after an odd number of swaps.
-    d2 = 0 means the determinant of the matrix is 0.
+def _pivot(m: list) -> tuple[int, int]:
+    """The pivot rule of :func:`_bareiss8`, for rows ``m`` whose first two
+    rows make the 2x2 block of columns 0 and 1 singular: returns (d2, sign)
+    after swapping rows of ``m`` in place, d2 the new block's determinant
+    and sign -1 after an odd number of swaps.  d2 = 0 means the
+    determinant of the matrix is 0.
 
-    The first later row that makes d2 nonzero is swapped into row k + 1.
-    When no row does, columns k and k + 1 of the remaining block are
-    dependent and the determinant is 0, unless row k is zero in both: then
-    every d2 is 0, so a later row nonzero in column k is swapped into row k
-    without a search and the search starts again, and with no such row the
-    determinant is 0.
+    One pass: the anchor is the first row nonzero in columns 0 and 1, its
+    partner the first later row whose 2x2 minor with it is nonzero, and
+    the two are swapped into rows 0 and 1.  With no anchor, or no partner,
+    every row is zero or a multiple of the anchor in those two columns, so
+    the columns are dependent and the determinant is 0.
     """
-    n = len(m)
-    sign = 1
-    # variant: at most two passes; a pass that swaps leaves row k nonzero in column k
-    while True:
-        p, q = m[k][k], m[k][k + 1]
+    for a, row in enumerate(m):
+        p, q = row[0], row[1]
         if p or q:
-            for r in range(k + 1, n):
-                d2 = p * m[r][k + 1] - q * m[r][k]
-                if d2:
-                    if r > k + 1:
-                        m[k + 1], m[r] = m[r], m[k + 1]
-                        sign = -sign
-                    return d2, sign
-            # p*a_r(k+1) == q*a_rk for every row r > k: with p != 0 columns
-            # k and k + 1 are dependent, and with p == 0 != q column k is
-            # zero from row k down.
-            return 0, sign
-        r = next((i for i in range(k + 1, n) if m[i][k]), 0)
-        if not r:
-            return 0, sign
-        m[k], m[r] = m[r], m[k]
-        sign = -sign
+            break
+    # Without an anchor, a is the last row and no partner follows it.
+    for r in range(a + 1, len(m)):
+        d2 = p * m[r][1] - q * m[r][0]
+        if d2:
+            break
+    else:
+        return 0, 1
+    m[0], m[a] = m[a], m[0]
+    m[1], m[r] = m[r], m[1]
+    # Each swap of two distinct rows flips the sign: a > 0 moves the
+    # anchor, r > 1 the partner (r > a, so the first swap leaves it).
+    return d2, -1 if (a > 0) != (r > 1) else 1
 
 
 def _bareiss8(m: list[tuple[int, ...]]) -> int:
@@ -131,15 +128,21 @@ def _bareiss8(m: list[tuple[int, ...]]) -> int:
     pass 1, which therefore divides by nothing.  A singular pivot block
     goes through :func:`_pivot` (``m`` is then permuted in place), except
     in the last pass, whose d2 is prev times the determinant, so 0 means
-    the determinant is 0.
+    the determinant is 0.  Every pass takes the pivot rule's result in one
+    form: d2 = 0 ends the elimination at 0, and otherwise sign *= flip.
+    :func:`_pivot` makes one pass over the rows that remain: the first row
+    nonzero in the two pivot columns is the anchor, the first later row
+    whose 2x2 minor with it is nonzero its partner, and the two become
+    rows 0 and 1.
     """
     sign = 1
     r0, r1 = m[0], m[1]
     d2 = r0[0] * r1[1] - r0[1] * r1[0]
     if not d2:
-        d2, sign = _pivot(m, 0)
+        d2, flip = _pivot(m)
         if not d2:
             return 0
+        sign *= flip
         r0, r1 = m[0], m[1]
     p, q, a2, a3, a4, a5, a6, a7 = r0
     s, t, b2, b3, b4, b5, b6, b7 = r1
@@ -161,7 +164,7 @@ def _bareiss8(m: list[tuple[int, ...]]) -> int:
     r0, r1 = m[0], m[1]
     d2 = r0[0] * r1[1] - r0[1] * r1[0]
     if not d2:
-        d2, flip = _pivot(m, 0)
+        d2, flip = _pivot(m)
         if not d2:
             return 0
         sign *= flip
@@ -185,7 +188,7 @@ def _bareiss8(m: list[tuple[int, ...]]) -> int:
     r0, r1 = m[0], m[1]
     d2 = r0[0] * r1[1] - r0[1] * r1[0]
     if not d2:
-        d2, flip = _pivot(m, 0)
+        d2, flip = _pivot(m)
         if not d2:
             return 0
         sign *= flip

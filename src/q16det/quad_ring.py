@@ -120,7 +120,9 @@ def _tonelli_shanks(a: int, p: int) -> int:
     at z*(z - 1) >= p, raising NotPrime: a prime has a smaller one.  For
     the smallest non-residue n and m = ceil(p/n), 0 < m*n - p < n, so
     m*n - p is a residue, m a non-residue, m >= n and p > (m - 1)*n >=
-    (n - 1)*n.
+    (n - 1)*n.  The main loop keeps t**(2**(m - 1)) = 1 when p is prime,
+    so each pass finds an i < m with t**(2**i) = 1 and lowers m to it; a
+    pass that finds none raises NotPrime.
     """
     q, s = p - 1, 0
     # variant: q, halved on every pass
@@ -139,14 +141,15 @@ def _tonelli_shanks(a: int, p: int) -> int:
     x = pow(a, (q + 1) // 2, p)
     t = pow(a, q, p)
     m = s
-    # variant: m, which every pass replaces by an i < m
+    # variant: m, which every pass replaces by an i with 0 < i < m, or raises
     while t != 1:
         t2i = t
-        i = 0
         for i in range(1, m):
             t2i = t2i * t2i % p
             if t2i == 1:
                 break
+        else:
+            raise NotPrime(f"{int_text(p)}: no i < m with t**(2**i) = 1, not prime")
         b = pow(c, 1 << (m - i - 1), p)
         x = x * b % p
         c = b * b % p

@@ -101,26 +101,29 @@ MUTANTS = (
             "tests/test_cli.py::TestScanCommand::test_direct_disagreement_exit_1",
         ),
     ),
-    # The literal determinant's one pivot policy.
+    # The literal determinant's one pivot rule: the anchor, the first row
+    # nonzero in the two pivot columns, moves to row 0 and its partner to
+    # row 1, and each swap of distinct rows flips the sign.  The "column
+    # swap" rows fault the anchor's move, the "row swap" row the partner's.
     Mutant(
         "pivot-row-swap-keeps-sign",
         "q16det/core.py",
-        "m[k + 1], m[r] = m[r], m[k + 1]\n                        sign = -sign",
-        "m[k + 1], m[r] = m[r], m[k + 1]",
+        "-1 if (a > 0) != (r > 1) else 1",
+        "-1 if a > 0 else 1",
         (_BAREISS8, _FORCED_PIVOTS),
     ),
     Mutant(
         "pivot-column-swap-keeps-sign",
         "q16det/core.py",
-        "m[k], m[r] = m[r], m[k]\n        sign = -sign",
-        "m[k], m[r] = m[r], m[k]",
+        "-1 if (a > 0) != (r > 1) else 1",
+        "-1 if r > 1 else 1",
         (_BAREISS8, _FORCED_PIVOTS),
     ),
     Mutant(
         "pivot-column-swap-returns-zero",
         "q16det/core.py",
-        "m[k], m[r] = m[r], m[k]\n        sign = -sign",
-        "return 0, sign",
+        "        if p or q:\n            break",
+        "        if p or q or not a:\n            break",
         (_BAREISS8, _FORCED_PIVOTS),
     ),
     # Messages print integers unchanged up to the digit limit, bounded past
@@ -156,8 +159,10 @@ MUTANTS = (
     Mutant(
         "bareiss8-pass1-no-zero-exit",
         "q16det/core.py",
-        "d2, sign = _pivot(m, 0)\n        if not d2:\n            return 0\n",
-        "d2, sign = _pivot(m, 0)\n",
+        "d2, flip = _pivot(m)\n        if not d2:\n            return 0\n"
+        "        sign *= flip\n        r0, r1 = m[0], m[1]\n    p, q, a2,",
+        "d2, flip = _pivot(m)\n"
+        "        sign *= flip\n        r0, r1 = m[0], m[1]\n    p, q, a2,",
         ("tests/test_kernel_lanes.py::TestBareiss8::test_forced_pivot_branches",),
     ),
     Mutant(
@@ -335,5 +340,14 @@ MUTANTS = (
         "pow(z, (p - 1) // 2, p)",
         "pow(z, p - 1, p)",
         ("tests/test_quad_ring.py::TestSqrt2ModP::test_small_primes",),
+    ),
+    # For a composite p the main loop can find no i < m with t**(2**i) = 1;
+    # without the guard m reaches 0 and a negative shift raises ValueError.
+    Mutant(
+        "tonelli-main-loop-unguarded",
+        "q16det/quad_ring.py",
+        "                break\n        else:\n            raise NotPrime(",
+        "                break\n        if False:\n            raise NotPrime(",
+        ("tests/test_quad_ring.py::TestSqrt2ModP::test_main_loop_is_guarded",),
     ),
 )

@@ -3,6 +3,7 @@ from math import prod
 
 import pytest
 
+from q16det import primes
 from q16det.classifier import (
     Classification,
     EvenFamily,
@@ -15,6 +16,7 @@ from q16det.classifier import (
 )
 from q16det.primes import primes_below
 from q16det.witness import WitnessCertificate
+from test_primes import _next_prime
 
 
 class TestFactorize:
@@ -89,6 +91,44 @@ class TestClassify:
         n = 5 * 7 * 7 * 23 * 23
         c = classify(n)
         assert isinstance(c.recipe, Odd5Mod8) and c.recipe.p == 7
+
+    def test_small_admissible_prime_needs_no_rho(self, monkeypatch):
+        # 5*7**2*q1*q2 with a 23-digit q1*q2: trial division meets 7 first,
+        # so the answer needs no split of q1*q2.
+        def no_rho(n):
+            raise AssertionError(f"pollard rho called on {n}")
+
+        monkeypatch.setattr(primes, "_pollard_brent", no_rho)
+        rng = random.Random(33)
+        for _ in range(3):
+            q1 = _next_prime(rng.randrange(10**11, 10**12))
+            q2 = _next_prime(rng.randrange(10**11, 10**12), residue=q1 % 8)
+            n = 5 * 7**2 * q1 * q2
+            assert classify(n).recipe == Odd5Mod8(p=7, m=5 * q1 * q2)
+
+    def test_matches_complete_factorization(self):
+        # The oracle: the smallest p = 7 mod 8 with p**2 | n in the complete
+        # factorization, on a small p**2 times a large cofactor, p**2 with
+        # p > 10**4, and a semiprime refusal.
+        rng = random.Random(17)
+        sevens = [p for p in primes_below(10_000) if p % 8 == 7]
+        for _ in range(10):
+            p = rng.choice(sevens)
+            big = _next_prime(rng.randrange(10**4, 10**6), residue=7)
+            q1 = _next_prime(rng.randrange(10**6, 10**8))
+            q2 = _next_prime(rng.randrange(10**6, 10**8), residue=(5 * q1) % 8)
+            for n in (
+                (8 * rng.randrange(10**12, 10**13) + 5) * p * p,
+                (8 * rng.randrange(-1000, 1000) + 5) * big * big,
+                q1 * q2,
+            ):
+                assert n % 8 == 5
+                admissible = [q for q, e in factorize(n).factors if e >= 2 and q % 8 == 7]
+                c = classify(n)
+                if admissible:
+                    assert c.recipe == Odd5Mod8(p=admissible[0], m=n // admissible[0] ** 2)
+                else:
+                    assert c.reason == Reason.FIVE_MOD_8_NO_ADMISSIBLE_PRIME_SQUARE
 
     def test_automatic_residue_lemma(self):
         # For n = 5 mod 8 and p = 7 mod 8 with p^2 | n: n / p^2 = 5 mod 8.

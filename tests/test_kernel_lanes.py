@@ -269,6 +269,10 @@ def _forced_pivot_cases(height):
       both pivot columns and a later row must take its place.
     * ("columns dependent", k): column k + 1 is column k plus column 0, so
       no row helps and the determinant is 0.
+    * ("anchor in column k + 1", k): row k is as in "row k zero", and row
+      k + 1 a combination of the rows above it on the first k + 1
+      columns, so the anchor is row k + 1, below the pass's first row and
+      nonzero only in column k + 1; a later row is its partner.
 
     At k = 6, the last pass, every branch means a determinant of 0.
     """
@@ -289,6 +293,14 @@ def _forced_pivot_cases(height):
         for row in m:
             row[k + 1] = row[k] + row[0]
         cases["columns dependent", k] = m
+    for k in (0, 2, 4):
+        m = _random_matrix(rng, 8, 8, height)
+        if k:
+            m[k][: k + 2] = [x - 2 * y for x, y in zip(m[0][: k + 2], m[k - 1][: k + 2])]
+            m[k + 1][: k + 1] = [x + y for x, y in zip(m[0][: k + 1], m[k - 1][: k + 1])]
+        else:
+            m[0][:2], m[1][0] = [0, 0], 0
+        cases["anchor in column k + 1", k] = m
     return cases
 
 

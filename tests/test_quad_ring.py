@@ -73,6 +73,14 @@ class TestSqrt2ModP:
         with pytest.raises(NotPrime, match=message):
             quad_ring._tonelli_shanks(2, 561)
 
+    def test_main_loop_is_guarded(self):
+        # 1649 = 17*97 is 1 mod 8 and passes the non-residue search, but no
+        # i < m has t**(2**i) = 1, so m would reach 0 and the shift count
+        # m - i - 1 turn negative: a ValueError without the guard.
+        message = r"^1649: no i < m with t\*\*\(2\*\*i\) = 1, not prime$"
+        with pytest.raises(NotPrime, match=message):
+            quad_ring._tonelli_shanks(2, 1649)
+
 
 class TestTimes:
     def test_is_the_product_in_z_sqrt2(self):
