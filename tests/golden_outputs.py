@@ -32,6 +32,8 @@ TARGETS = ("0", "17", "512", "1024", "-7", *FIVE_MOD_8)
 # 5*7**2*q1*q2 with the 23-digit q1*q2 = 448132953127 * 172570607879, the
 # primes after two draws from random.Random(33) in [10**11, 10**12).
 SMALL_P_LARGE_COFACTOR = "18946971152275761952470085"
+# 3*p**3 with p = 1000000000039, the first prime = 7 mod 8 above 10**12.
+THREE_P_CUBED = "3000000000351000000013689000000177957"
 WITNESSED = ("17", "-7", "1024", "-3072", "637", "1029", *FIVE_MOD_8)
 EVEN_FAMILY = "1,1,1,1,1,1,1,1,1,0,1,1,1,0,0,0"
 EMPTY = hashlib.sha256(b"").hexdigest()
@@ -93,6 +95,18 @@ ROWS = (
         ("classify", SMALL_P_LARGE_COFACTOR, "--json"),
         0,
         "53b2a078622b7a72647b7c11f4a1608f34a3a65a6927dc656eff594e84223de8",
+        EMPTY,
+    ),
+    Golden(
+        ("classify", THREE_P_CUBED, "--json"),
+        0,
+        "755e29a9668cc25e07b261bbf4bf98facd70c6c22b5e7c286f63bce56bc76e32",
+        EMPTY,
+    ),
+    Golden(
+        ("witness", THREE_P_CUBED, "--json"),
+        0,
+        "f878d838f695c088c79ddfab1311440650b7cc6a287dc4306cfe343164e0ce7a",
         EMPTY,
     ),
     Golden(
