@@ -66,24 +66,12 @@ class FactorizationResult(NamedTuple):
 
 def factorize(n: int) -> FactorizationResult:
     """Deterministic factorization of n != 0 (desk scale)."""
-    if n == 0:
-        raise ValueError("cannot factor 0")
-    fm = primes.factor_map(n)
+    factors = tuple(primes.prime_powers(n))
     return FactorizationResult(
         sign=-1 if n < 0 else 1,
-        factors=tuple(sorted(fm.items())),
-        certain=all(p < primes.MR_DETERMINISTIC_BOUND for p in fm),
+        factors=factors,
+        certain=all(p < primes.MR_DETERMINISTIC_BOUND for p, _ in factors),
     )
-
-
-_ADMISSIBLE_TRIAL_PRIMES: list[int] = []
-
-
-def _admissible_trial_primes() -> list[int]:
-    """The trial division primes p = 7 mod 8, ascending."""
-    if not _ADMISSIBLE_TRIAL_PRIMES:
-        _ADMISSIBLE_TRIAL_PRIMES.extend(p for p in primes._trial_primes() if p % 8 == 7)
-    return _ADMISSIBLE_TRIAL_PRIMES
 
 
 def classify(n: int) -> Classification:
@@ -100,15 +88,9 @@ def classify(n: int) -> Classification:
     if r in (3, 7):  # n = 3 mod 4
         return Classification(n, None, Reason.ODD_CONGRUENT_3_MOD_4)
     # r == 5: need some prime p = 7 mod 8 with p**2 | n; take the smallest.
-    # A trial prime is smaller than any prime factorize adds to it, so the
-    # first trial prime that qualifies, in ascending order, is the answer;
-    # n is factored only when none does.
-    for p in _admissible_trial_primes():
-        if p * p > abs(n):
-            break
-        if n % (p * p) == 0:
-            return Classification(n, Odd5Mod8(p=p, m=n // (p * p)), None)
-    for p, e in factorize(n).factors:
+    # prime_powers yields the primes of n in ascending order and lazily, so
+    # the first that qualifies is the answer and nothing past it is split.
+    for p, e in primes.prime_powers(n):
         if e >= 2 and p % 8 == 7:
             return Classification(n, Odd5Mod8(p=p, m=n // (p * p)), None)
     return Classification(n, None, Reason.FIVE_MOD_8_NO_ADMISSIBLE_PRIME_SQUARE)

@@ -9,6 +9,7 @@ m*p**2), then Brent's Pollard rho with fixed parameters: results reproduce.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from math import gcd, isqrt
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -103,23 +104,27 @@ def _pollard_brent(n: int) -> int:
     raise RuntimeError(f"pollard rho failed on {n}")  # pragma: no cover
 
 
-def factor_map(n: int) -> dict[int, int]:
-    """Prime -> exponent map of |n| for n != 0 (empty for |n| = 1); a composite
-    cofactor r*r is split by isqrt, any other one by Pollard rho."""
+def prime_powers(n: int) -> Iterator[tuple[int, int]]:
+    """(p, e) for each prime power p**e exactly dividing n != 0, p ascending.
+    Lazy: a trial prime is yielded as soon as it is divided out, so a caller
+    that stops early splits nothing past it.  The cofactor left by trial
+    division is split by isqrt when a square, by Pollard rho otherwise, and
+    its primes are yielded sorted once it is split."""
     n = abs(n)
     if n == 0:
         raise ValueError("cannot factor 0")
-    out: dict[int, int] = {}
     for p in _trial_primes():
         if p * p > n:
             break
-        # variant: n, divided by p on every pass
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-    if n == 1:
-        return out
-    stack = [(n, 1)]  # cofactors with the multiplicity each has in n
+        if n % p == 0:
+            e = 0
+            # variant: n, divided by p on every pass
+            while n % p == 0:
+                n //= p
+                e += 1
+            yield p, e
+    out: dict[int, int] = {}
+    stack = [(n, 1)] if n > 1 else []  # cofactors with the multiplicity each has in n
     # variant: the sum over the stack of 2*Omega(m) - 1, Omega counting prime factors
     while stack:
         m, e = stack.pop()
@@ -131,4 +136,9 @@ def factor_map(n: int) -> dict[int, int]:
             d = _pollard_brent(m)
             stack.append((d, e))
             stack.append((m // d, e))
-    return out
+    yield from sorted(out.items())
+
+
+def factor_map(n: int) -> dict[int, int]:
+    """Prime -> exponent map of |n| for n != 0 (empty for |n| = 1)."""
+    return dict(prime_powers(n))
