@@ -3,8 +3,9 @@
 Deterministic Miller-Rabin with the 12-base set that is exact below
 3.3 * 10**24; inputs above that bound fall back to the same bases plus extra
 fixed witnesses and are flagged as probabilistic.  Composites are split by
-trial division, an exact ``isqrt`` split of square cofactors (the p**2 of
-m*p**2), then Brent's Pollard rho with fixed parameters: results reproduce.
+trial division, then the cofactor by an exact integer k-th root when it is
+a perfect power (the p**2 of m*p**2, the p**3 of m*p**3), and otherwise by
+Brent's Pollard rho with fixed parameters: results reproduce.
 """
 
 from __future__ import annotations
@@ -104,12 +105,22 @@ def _pollard_brent(n: int) -> int:
     raise RuntimeError(f"pollard rho failed on {n}")  # pragma: no cover
 
 
+def _iroot(m: int, k: int) -> int:
+    """floor(m ** (1/k)) for m >= 1 and k >= 2, by Newton's method from
+    above: each step from r > root lands on an integer in [root, r)."""
+    r = 1 << -(-m.bit_length() // k)  # 2**ceil(bits/k) > m ** (1/k)
+    # variant: r, which falls on every pass and stays >= the root
+    while (s := ((k - 1) * r + m // r ** (k - 1)) // k) < r:
+        r = s
+    return r
+
+
 def prime_powers(n: int) -> Iterator[tuple[int, int]]:
     """(p, e) for each prime power p**e exactly dividing n != 0, p ascending.
     Lazy: a trial prime is yielded as soon as it is divided out, so a caller
     that stops early splits nothing past it.  The cofactor left by trial
-    division is split by isqrt when a square, by Pollard rho otherwise, and
-    its primes are yielded sorted once it is split."""
+    division is split by its k-th root when a perfect k-th power, by Pollard
+    rho otherwise, and its primes are yielded sorted once it is split."""
     n = abs(n)
     if n == 0:
         raise ValueError("cannot factor 0")
@@ -130,8 +141,12 @@ def prime_powers(n: int) -> Iterator[tuple[int, int]]:
         m, e = stack.pop()
         if is_probable_prime(m):
             out[m] = out.get(m, 0) + e
-        elif (r := isqrt(m)) * r == m:
-            stack.append((r, 2 * e))
+            continue
+        # m's primes exceed 10**4 > 2**13, so m = r**k needs 13*k < bits
+        for k in range(2, m.bit_length() // 13 + 1):
+            if (r := _iroot(m, k)) ** k == m:
+                stack.append((r, k * e))
+                break
         else:
             d = _pollard_brent(m)
             stack.append((d, e))

@@ -35,6 +35,7 @@ _FAMILY_PROOF = "tests/test_recipe_proofs.py::test_family_determinant_is_its_val
 _LAYOUT_PROOF = "tests/test_recipe_proofs.py::test_every_decomposition_has_a_layout_and_patterns"
 _AUDIT_STREAM = "tests/test_analysis.py::TestParityAudit::test_audit_elements_replay_randint"
 _SPLIT_ORACLE = "tests/test_quad_ring.py::TestSplitPrime::test_against_enumeration_oracle"
+_SMALLEST_P = "tests/test_classifier.py::TestClassify::test_matches_complete_factorization"
 
 MUTANTS = (
     # random_crosscheck draws rng.randint(-height, height) through the
@@ -340,6 +341,41 @@ MUTANTS = (
         "pow(z, (p - 1) // 2, p)",
         "pow(z, p - 1, p)",
         ("tests/test_quad_ring.py::TestSqrt2ModP::test_small_primes",),
+    ),
+    # classify takes the first p = 7 mod 8 with e >= 2 that prime_powers
+    # yields, the smallest only while the cofactor's primes come ascending.
+    Mutant(
+        "classify-admissible-residue-3",
+        "q16det/classifier.py",
+        "p % 8 == 7",
+        "p % 8 == 3",
+        ("tests/test_classifier.py::TestClassify::test_achievable", _SMALLEST_P),
+    ),
+    Mutant(
+        "classify-exponent-one",
+        "q16det/classifier.py",
+        "e >= 2",
+        "e >= 1",
+        ("tests/test_classifier.py::TestClassify::test_not_achievable", _SMALLEST_P),
+    ),
+    Mutant(
+        "cofactor-primes-descending",
+        "q16det/primes.py",
+        "yield from sorted(out.items())",
+        "yield from sorted(out.items(), reverse=True)",
+        (_SMALLEST_P, "tests/test_primes.py::TestFactorMap::test_matches_sympy_factorint"),
+    ),
+    # Newton's step for the k-th root with the wrong weight on r never falls
+    # below its start, so a perfect-power cofactor goes to rho.
+    Mutant(
+        "iroot-step-overweights-r",
+        "q16det/primes.py",
+        "((k - 1) * r + m // r ** (k - 1)) // k",
+        "(k * r + m // r ** (k - 1)) // k",
+        (
+            "tests/test_primes.py::TestIntegerRoot::test_is_the_floor_root",
+            "tests/test_classifier.py::TestClassify::test_cube_cofactor_needs_no_rho",
+        ),
     ),
     # For a composite p the main loop can find no i < m with t**(2**i) = 1;
     # without the guard m reaches 0 and a negative shift raises ValueError.

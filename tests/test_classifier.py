@@ -106,29 +106,56 @@ class TestClassify:
             n = 5 * 7**2 * q1 * q2
             assert classify(n).recipe == Odd5Mod8(p=7, m=5 * q1 * q2)
 
+    def test_cube_cofactor_needs_no_rho(self, monkeypatch):
+        # 3*p**3 and p**5 with p the first prime = 7 mod 8 above 10**12: the
+        # cofactor left by trial division is a perfect power.
+        def no_rho(n):
+            raise AssertionError(f"pollard rho called on {n}")
+
+        monkeypatch.setattr(primes, "_pollard_brent", no_rho)
+        p = _next_prime(10**12, residue=7)
+        assert classify(3 * p**3).recipe == Odd5Mod8(p=p, m=3 * p)
+        assert factorize(p**5).factors == ((p, 5),)
+
     def test_matches_complete_factorization(self):
         # The oracle: the smallest p = 7 mod 8 with p**2 | n in the complete
-        # factorization, on a small p**2 times a large cofactor, p**2 with
-        # p > 10**4, and a semiprime refusal.
+        # factorization, on a small p**2 times a large cofactor, p**2, p**3
+        # and p**5 with p > 10**4, (p*q)**3, two admissible squares above
+        # 10**4, and a semiprime refusal.
         rng = random.Random(17)
         sevens = [p for p in primes_below(10_000) if p % 8 == 7]
         for _ in range(10):
             p = rng.choice(sevens)
             big = _next_prime(rng.randrange(10**4, 10**6), residue=7)
+            big2 = _next_prime(rng.randrange(10**4, 10**6), residue=7)
+            r = _next_prime(rng.randrange(10**4, 10**6))
+            s = _next_prime(rng.randrange(10**4, 10**6))
             q1 = _next_prime(rng.randrange(10**6, 10**8))
             q2 = _next_prime(rng.randrange(10**6, 10**8), residue=(5 * q1) % 8)
-            for n in (
+
+            def odd(residue):  # 8*k + residue with k seeded
+                return 8 * rng.randrange(-1000, 1000) + residue
+
+            cases = [
                 (8 * rng.randrange(10**12, 10**13) + 5) * p * p,
-                (8 * rng.randrange(-1000, 1000) + 5) * big * big,
+                odd(5) * big * big,
+                odd(5 * big % 8) * big**3,
+                odd(5 * r % 8) * r**3,
+                odd(5 * r % 8) * r**5,
+                odd(5 * r * s % 8) * (r * s) ** 3,
+                odd(5 * big * r % 8) * (big * r) ** 3,
+                odd(5) * big**2 * big2**2,
                 q1 * q2,
-            ):
+            ]
+            for n in cases:
                 assert n % 8 == 5
                 admissible = [q for q, e in factorize(n).factors if e >= 2 and q % 8 == 7]
                 c = classify(n)
                 if admissible:
-                    assert c.recipe == Odd5Mod8(p=admissible[0], m=n // admissible[0] ** 2)
+                    p_min = min(admissible)
+                    assert c.recipe == Odd5Mod8(p=p_min, m=n // p_min**2), n
                 else:
-                    assert c.reason == Reason.FIVE_MOD_8_NO_ADMISSIBLE_PRIME_SQUARE
+                    assert c.reason == Reason.FIVE_MOD_8_NO_ADMISSIBLE_PRIME_SQUARE, n
 
     def test_automatic_residue_lemma(self):
         # For n = 5 mod 8 and p = 7 mod 8 with p^2 | n: n / p^2 = 5 mod 8.

@@ -4,7 +4,7 @@ from math import isqrt
 import pytest
 
 from q16det import primes
-from q16det.primes import factor_map, is_probable_prime, primes_below
+from q16det.primes import factor_map, is_probable_prime, prime_powers, primes_below
 
 
 def _next_prime(n, residue=None):
@@ -12,6 +12,15 @@ def _next_prime(n, residue=None):
     while not is_probable_prime(n) or (residue is not None and n % 8 != residue):
         n += 1
     return n
+
+
+def _exact_root(n, k):
+    """The r with r**k == n, or None; by bisection, apart from the library."""
+    lo, hi = 1, 1 << (n.bit_length() // k + 1)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (mid + 1, hi) if mid**k < n else (lo, mid)
+    return lo if lo**k == n else None
 
 
 def test_below_two():
@@ -52,6 +61,34 @@ class TestFactorMap:
                 assert factor_map(n) == want, n
                 assert factor_map(-n) == want, -n
 
+    def test_perfect_power_cofactors_split_without_rho(self, monkeypatch):
+        """p**3, p**5, p**6, m*p**3, (p*q)**3 and p**3*q**2 factor exactly,
+        and rho never sees a perfect power."""
+        rho = primes._pollard_brent
+
+        def rho_on_non_powers(n):
+            assert not any(_exact_root(n, k) for k in range(2, n.bit_length())), n
+            return rho(n)
+
+        monkeypatch.setattr(primes, "_pollard_brent", rho_on_non_powers)
+        rng = random.Random(12)
+        for _ in range(4):
+            p = _next_prime(rng.randrange(10**4, 10**7))
+            q = _next_prime(rng.randrange(10**4, 10**6))
+            if p == q:
+                continue
+            m = 3 + 8 * rng.randrange(30)
+            cases = {
+                p**3: {p: 3},
+                p**5: {p: 5},
+                p**6: {p: 6},
+                m * p**3: {**factor_map(m), p: 3},
+                (p * q) ** 3: {p: 3, q: 3},
+                p**3 * q * q: {p: 3, q: 2},
+            }
+            for n, want in cases.items():
+                assert factor_map(n) == want, n
+
     def test_square_cofactor_tested_once(self, monkeypatch):
         """5*p**2 takes one Miller-Rabin test of p**2 and one of p: the root
         of a square cofactor is tested once, whatever its multiplicity."""
@@ -68,8 +105,9 @@ class TestFactorMap:
         assert tested == [p * p, p]
 
     def test_matches_sympy_factorint(self):
-        """factor_map against sympy's factorint on seeded inputs below 10**18
-        and on the certify workload's m*p**2 and m*r**2 forms."""
+        """prime_powers against sympy's factorint, primes ascending, on seeded
+        inputs below 10**18, on the certify workload's m*p**2 and m*r**2
+        forms, and on perfect powers whose primes pass the trial bound."""
         sympy = pytest.importorskip("sympy")
         rng = random.Random(18)
         inputs = [rng.randrange(2, 10**18) for _ in range(200)]
@@ -77,5 +115,20 @@ class TestFactorMap:
             m = 5 + 8 * rng.randrange(30)
             inputs.append(m * _next_prime(rng.randrange(7, 10**9), 7) ** 2)
             inputs.append(m * _next_prime(rng.randrange(11, 10**9), 3) ** 2)
+            p = _next_prime(rng.randrange(10**4, 10**8))
+            q = _next_prime(rng.randrange(10**4, 10**6))
+            inputs += [p**3, m * p**3, p**5, p**7, (p * q) ** 3, m * p**4 * q**3]
         for n in inputs:
+            assert list(prime_powers(n)) == sorted(sympy.factorint(n).items()), n
             assert factor_map(n) == sympy.factorint(n), n
+
+
+class TestIntegerRoot:
+    def test_is_the_floor_root(self):
+        rng = random.Random(5)
+        for _ in range(2000):
+            k = rng.randrange(2, 12)
+            m = rng.randrange(1, 2 ** rng.randrange(1, 300))
+            r = primes._iroot(m, k)
+            assert r**k <= m < (r + 1) ** k, (m, k)
+            assert primes._iroot(r**k, k) == r and primes._iroot((r + 1) ** k - 1, k) == r
