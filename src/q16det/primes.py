@@ -142,7 +142,8 @@ def prime_powers(n: int) -> Iterator[tuple[int, int]]:
         if is_probable_prime(m):
             out[m] = out.get(m, 0) + e
             continue
-        # m's primes exceed 10**4 > 2**13, so m = r**k needs 13*k < bits
+        # A composite m means trial division ran to 10**4, so m's primes
+        # exceed 2**13 and m = r**k needs 13*k < bits.
         for k in range(2, m.bit_length() // 13 + 1):
             if (r := _iroot(m, k)) ** k == m:
                 stack.append((r, k * e))

@@ -1,5 +1,4 @@
 import random
-from math import isqrt
 
 import pytest
 
@@ -34,15 +33,16 @@ class TestFactorMap:
             factor_map(0)
 
     def test_square_cofactors_split_without_rho(self, monkeypatch):
-        """p**2, m*p**2, p**3, p**4*q**2 and (p*q)**2 factor exactly, and rho
-        never sees a perfect square."""
+        """Squares and higher powers, p**2, m*p**2, p**3, p**5, m*p**3,
+        p**4*q**2, (p*q)**2, (p*q)**3 and p**3*q**2, factor exactly, and rho
+        never sees a perfect power."""
         rho = primes._pollard_brent
 
-        def rho_on_non_squares(n):
-            assert isqrt(n) ** 2 != n, f"pollard rho called on the square {n}"
+        def rho_on_non_powers(n):
+            assert not any(_exact_root(n, k) for k in range(2, n.bit_length())), n
             return rho(n)
 
-        monkeypatch.setattr(primes, "_pollard_brent", rho_on_non_squares)
+        monkeypatch.setattr(primes, "_pollard_brent", rho_on_non_powers)
         rng = random.Random(4)
         for _ in range(4):
             p = _next_prime(rng.randrange(10**6, 10**9))
@@ -54,40 +54,16 @@ class TestFactorMap:
                 p * p: {p: 2},
                 m * p * p: {**factor_map(m), p: 2},
                 p**3: {p: 3},
+                p**5: {p: 5},
+                m * p**3: {**factor_map(m), p: 3},
                 p**4 * q * q: {p: 4, q: 2},
                 (p * q) ** 2: {p: 2, q: 2},
-            }
-            for n, want in cases.items():
-                assert factor_map(n) == want, n
-                assert factor_map(-n) == want, -n
-
-    def test_perfect_power_cofactors_split_without_rho(self, monkeypatch):
-        """p**3, p**5, p**6, m*p**3, (p*q)**3 and p**3*q**2 factor exactly,
-        and rho never sees a perfect power."""
-        rho = primes._pollard_brent
-
-        def rho_on_non_powers(n):
-            assert not any(_exact_root(n, k) for k in range(2, n.bit_length())), n
-            return rho(n)
-
-        monkeypatch.setattr(primes, "_pollard_brent", rho_on_non_powers)
-        rng = random.Random(12)
-        for _ in range(4):
-            p = _next_prime(rng.randrange(10**4, 10**7))
-            q = _next_prime(rng.randrange(10**4, 10**6))
-            if p == q:
-                continue
-            m = 3 + 8 * rng.randrange(30)
-            cases = {
-                p**3: {p: 3},
-                p**5: {p: 5},
-                p**6: {p: 6},
-                m * p**3: {**factor_map(m), p: 3},
                 (p * q) ** 3: {p: 3, q: 3},
                 p**3 * q * q: {p: 3, q: 2},
             }
             for n, want in cases.items():
                 assert factor_map(n) == want, n
+                assert factor_map(-n) == want, -n
 
     def test_square_cofactor_tested_once(self, monkeypatch):
         """5*p**2 takes one Miller-Rabin test of p**2 and one of p: the root
