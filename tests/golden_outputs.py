@@ -34,6 +34,11 @@ TARGETS = ("0", "17", "512", "1024", "-7", *FIVE_MOD_8)
 SMALL_P_LARGE_COFACTOR = "18946971152275761952470085"
 # 3*p**3 with p = 1000000000039, the first prime = 7 mod 8 above 10**12.
 THREE_P_CUBED = "3000000000351000000013689000000177957"
+# A 20-digit 5 mod 8 semiprime, 2553350521 * 4970511061: the first draw of
+# random.Random(35) by perfbench's semiprime shape whose smaller prime q has
+# q - 1 = 2**3*3*5*7*23*283*467, powersmooth to 10**3, and whose larger
+# prime r has r - 1 divisible by the prime 82841851.
+SMOOTH_P_MINUS_1 = "12691457007240612781"
 WITNESSED = ("17", "-7", "1024", "-3072", "637", "1029", *FIVE_MOD_8)
 EVEN_FAMILY = "1,1,1,1,1,1,1,1,1,0,1,1,1,0,0,0"
 EMPTY = hashlib.sha256(b"").hexdigest()
@@ -101,6 +106,12 @@ ROWS = (
         ("classify", THREE_P_CUBED, "--json"),
         0,
         "755e29a9668cc25e07b261bbf4bf98facd70c6c22b5e7c286f63bce56bc76e32",
+        EMPTY,
+    ),
+    Golden(
+        ("classify", SMOOTH_P_MINUS_1, "--json"),
+        1,
+        "5e4a4d3dc3f9d643b9eee55f38e00b09f23732aafa0ee55f34f0be91706f2213",
         EMPTY,
     ),
     Golden(
