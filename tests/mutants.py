@@ -377,6 +377,24 @@ MUTANTS = (
             "tests/test_classifier.py::TestClassify::test_cube_cofactor_needs_no_rho",
         ),
     ),
+    # Without the gcd past the plain prefix, trial division stops at 53 and
+    # leaves the other trial primes in the cofactor for rho.
+    Mutant(
+        "trial-gcd-skips-rest",
+        "q16det/primes.py",
+        "g = gcd(n, rest_product)",
+        "g = 1",
+        ("tests/test_classifier.py::TestClassify::test_small_admissible_prime_needs_no_rho",),
+    ),
+    # Without the minus one the p-1 gcd is gcd(2**E mod m, m) = 1 for odd m,
+    # so every cofactor goes to rho.
+    Mutant(
+        "pm1-drops-minus-one",
+        "q16det/primes.py",
+        "pow(2, _pm1_exponent(), m) - 1",
+        "pow(2, _pm1_exponent(), m)",
+        ("tests/test_primes.py::TestPMinus1::test_smooth_prime_splits_without_rho",),
+    ),
     # For a composite p the main loop can find no i < m with t**(2**i) = 1;
     # without the guard m reaches 0 and a negative shift raises ValueError.
     Mutant(

@@ -93,8 +93,10 @@ class TestClassify:
         assert isinstance(c.recipe, Odd5Mod8) and c.recipe.p == 7
 
     def test_small_admissible_prime_needs_no_rho(self, monkeypatch):
-        # 5*7**2*q1*q2 with a 23-digit q1*q2: trial division meets 7 first,
-        # so the answer needs no split of q1*q2.
+        # 5*p**2*q1*q2 with a 23-digit q1*q2: trial division meets p first,
+        # one of the primes it tests one by one (7) or one the gcd with the
+        # product of the others finds (71, 9967), so the answer needs no
+        # split of q1*q2.
         def no_rho(n):
             raise AssertionError(f"pollard rho called on {n}")
 
@@ -103,8 +105,9 @@ class TestClassify:
         for _ in range(3):
             q1 = _next_prime(rng.randrange(10**11, 10**12))
             q2 = _next_prime(rng.randrange(10**11, 10**12), residue=q1 % 8)
-            n = 5 * 7**2 * q1 * q2
-            assert classify(n).recipe == Odd5Mod8(p=7, m=5 * q1 * q2)
+            for p in (7, 71, 9967):
+                n = 5 * p**2 * q1 * q2
+                assert classify(n).recipe == Odd5Mod8(p=p, m=5 * q1 * q2)
 
     def test_cube_cofactor_needs_no_rho(self, monkeypatch):
         # 3*p**3 and p**5 with p the first prime = 7 mod 8 above 10**12: the

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -11,6 +12,33 @@ def _next_prime(n, residue=None):
     while not is_probable_prime(n) or (residue is not None and n % 8 != residue):
         n += 1
     return n
+
+
+def _smooth_prime(rng, digits):
+    """A prime q of ``digits`` digits with q - 1 twice a product of distinct
+    odd primes below the p-1 bound B1, so that q - 1 divides lcm(1..B1)."""
+    odd = primes_below(primes._PM1_B1)[1:]
+    lo, hi = 10 ** (digits - 1), 10**digits
+    while True:
+        k = 2
+        for p in rng.sample(odd, len(odd)):
+            if 2 * k * p >= hi:
+                break
+            k *= p
+        if k >= lo and is_probable_prime(k + 1):
+            return k + 1
+
+
+def _semiprime(rng, digits):
+    """The shape of perfbench's certify semiprimes: two distinct primes of
+    about equal size, their product of exactly ``digits`` digits and 5 mod 8."""
+    lo, hi = 10 ** (digits - 1), 10**digits
+    while True:
+        r1, r2 = rng.choice(((1, 5), (5, 1), (3, 7), (7, 3)))
+        q1 = _next_prime(int(math.isqrt(lo) * (1 + 2 * rng.random())), r1)
+        q2 = _next_prime(-(-lo // q1) + rng.randrange(max(1, lo // q1)), r2)
+        if lo <= q1 * q2 < hi and q1 != q2:
+            return q1 * q2
 
 
 def _exact_root(n, k):
@@ -94,6 +122,13 @@ class TestFactorMap:
             p = _next_prime(rng.randrange(10**4, 10**8))
             q = _next_prime(rng.randrange(10**4, 10**6))
             inputs += [p**3, m * p**3, p**5, p**7, (p * q) ** 3, m * p**4 * q**3]
+        # Certify's refusals at 16-20 digits, which p-1 splits or leaves to
+        # rho, and q1*q2*r with q1 - 1 and q2 - 1 B1-smooth, where the p-1
+        # gcd can be the composite q1*q2.
+        inputs += [_semiprime(rng, d) for d in range(16, 21) for _ in range(2)]
+        for _ in range(3):
+            q1, q2 = _smooth_prime(rng, 6), _smooth_prime(rng, 7)
+            inputs.append(q1 * q2 * _next_prime(rng.randrange(10**7, 10**8)))
         for n in inputs:
             assert list(prime_powers(n)) == sorted(sympy.factorint(n).items()), n
             assert factor_map(n) == sympy.factorint(n), n
@@ -108,3 +143,41 @@ class TestIntegerRoot:
             r = primes._iroot(m, k)
             assert r**k <= m < (r + 1) ** k, (m, k)
             assert primes._iroot(r**k, k) == r and primes._iroot((r + 1) ** k - 1, k) == r
+
+
+class TestPMinus1:
+    def test_smooth_prime_splits_without_rho(self, monkeypatch):
+        """A 17-20-digit semiprime whose smaller prime q has q - 1 dividing
+        lcm(1..B1) is split by the one p-1 power: rho never runs."""
+
+        def no_rho(n):
+            raise AssertionError(f"rho on {n}")
+
+        rng = random.Random(35)
+        cases = []
+        for digits in range(17, 21):
+            q = _smooth_prime(rng, digits // 2)
+            r = _next_prime(rng.randrange(10 ** (digits - 1) // q + 1, 10**digits // q))
+            assert q < r and len(str(q * r)) == digits
+            cases.append((q * r, {q: 1, r: 1}))
+        monkeypatch.setattr(primes, "_pollard_brent", no_rho)
+        for n, want in cases:
+            assert factor_map(n) == want, n
+
+    def test_both_primes_smooth_falls_back_to_rho(self, monkeypatch):
+        """When q - 1 and r - 1 both divide lcm(1..B1) the p-1 gcd is q*r
+        itself, and rho splits it."""
+        rho_calls = []
+        rho = primes._pollard_brent
+
+        def counted(n):
+            rho_calls.append(n)
+            return rho(n)
+
+        monkeypatch.setattr(primes, "_pollard_brent", counted)
+        rng = random.Random(36)
+        for _ in range(3):
+            q, r = _smooth_prime(rng, 9), _smooth_prime(rng, 10)
+            rho_calls.clear()
+            assert factor_map(q * r) == {q: 1, r: 1}
+            assert rho_calls == [q * r]
