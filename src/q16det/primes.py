@@ -22,9 +22,9 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 #: Below this bound the Miller-Rabin bases above are a proof of primality.
 MR_DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
 
-#: Trial division tests the first this many primes (2 to 53) one by one,
-#: then asks one gcd which of the other primes below 10**4 divide n.
-_PLAIN_TRIAL = 16
+#: Trial division tests these primes one by one, then asks one gcd which of
+#: the other primes below 10**4 divide n.
+_PLAIN_TRIAL = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
 
 #: Pollard p-1 stage 1 raises 2 to lcm(1..B1) modulo each composite cofactor
 #: of at least this many bits; prime_powers says how both were chosen.
@@ -33,12 +33,10 @@ _PM1_MIN_BITS = 50
 
 
 @cache
-def _trial_primes() -> tuple[tuple[int, ...], tuple[int, ...], int]:
-    """The primes below 10**4 as (the first _PLAIN_TRIAL, the rest, the
-    product of the rest)."""
-    primes = primes_below(10_000)
-    rest = tuple(primes[_PLAIN_TRIAL:])
-    return tuple(primes[:_PLAIN_TRIAL]), rest, prod(rest)
+def _trial_rest() -> tuple[tuple[int, ...], int]:
+    """The primes below 10**4 past _PLAIN_TRIAL, and their product."""
+    rest = tuple(primes_below(10_000)[len(_PLAIN_TRIAL) :])
+    return rest, prod(rest)
 
 
 @cache
@@ -148,20 +146,19 @@ def prime_powers(n: int) -> Iterator[tuple[int, int]]:
 
     A composite cofactor m that is no perfect power and has at least 50 bits
     first gets one p-1 stage-1 power, g = gcd(2**E - 1, m) with
-    E = lcm(1..B1), B1 = 3000.  It finds every prime q of m whose q - 1
-    divides E; 1 < g < m is a split, and otherwise rho splits m.  B1 and the
+    E = lcm(1..B1), B1 = 3000.  Every prime q of m with q - 1 dividing E
+    divides g; 1 < g < m is a split, and otherwise rho splits m.  B1 and the
     gate were chosen by a paired sweep over 4,800 seeded 12-20 digit
     semiprimes of the benchmark's certify shape, each split by rho alone and
     by p-1 then rho.  Gated at 50 bits, B1 = 3000 ran the set 1.14-1.17x
     faster and split 13-16% of it with no rho; B1 = 2000 gave 1.13-1.14x,
-    and 4000 or 5000 no more than 3000 on one half of the seeds.  Below 50
-    bits (about 15 digits) rho is quicker than the power itself, which made
-    12-15 digit inputs 1.1-2.9x slower."""
+    and 4000 or 5000 1.15-1.17x with a longer power.  Below 50 bits (about
+    15 digits) rho is quicker than the power itself, which made 12-15 digit
+    inputs 1.1-2.9x slower."""
     n = abs(n)
     if n == 0:
         raise ValueError("cannot factor 0")
-    plain, rest, rest_product = _trial_primes()
-    for p in plain:
+    for p in _PLAIN_TRIAL:
         if p * p > n:
             break
         if n % p == 0:
@@ -173,6 +170,7 @@ def prime_powers(n: int) -> Iterator[tuple[int, int]]:
             yield p, e
     else:
         # g is the product of the primes of rest still to come that divide n.
+        rest, rest_product = _trial_rest()
         g = gcd(n, rest_product)
         for p in rest if g > 1 else ():
             if p * p > n:
