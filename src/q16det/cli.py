@@ -11,7 +11,10 @@ Every integer, on the command line and in a certificate document, is read
 by one grammar, ``-?[0-9]+``: ASCII digits after an optional minus, leading
 zeros allowed.  Any other spelling on the command line (``+9``, ``1_001``,
 non-ASCII digits, a space, or an empty item in a comma list) is a usage
-error: one ``q16det <command>: error: ...`` line on stderr, exit 2.
+error: one ``q16det <command>: error: ...`` line on stderr, exit 2.  The
+grammar, the certificate document format that ``witness`` writes and its
+re-verification live in :mod:`q16det.certificate`, which loads without
+this module.
 
 Machine output (--json) is one JSON object per line.  ``witness``,
 ``verify`` and ``classify`` write every integer as a decimal string, so
@@ -33,152 +36,20 @@ as JSON numbers, of any size:
 import argparse
 import json
 import os
-import re
 import sys
-from typing import NamedTuple
 
-from . import __version__, analysis, core, witness
+from . import __version__, analysis, core
+from .certificate import _DECIMAL, _decimal, certificate_document
 from .classifier import Classification, classify, classify_and_witness
-from .errors import BadInput, BudgetExceeded, InternalInconsistency, MismatchFound, Q16DetError
-from .group_algebra import GroupRingElement
+from .errors import BudgetExceeded, MismatchFound, Q16DetError
+
+# Not called here; perfbench's certify worker and probe call these on cli.
+from .certificate import CertificateDocument, verify_document  # noqa: F401
 
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
-
-_FORMAT = "q16det-certificate"
-_REQUIRED_FIELDS = ("n", "f", "g", "A", "B", "C", "D", "X", "Y", "verified")
-
-
-class CertificateDocument(NamedTuple):
-    """Flat serialized form of a witness certificate; re-verification needs
-    nothing beyond this document."""
-
-    n: int
-    f: tuple[int, ...]
-    g: tuple[int, ...]
-    A: int
-    B: int
-    C: int
-    D: int
-    X: int
-    Y: int
-    trace: dict
-    verified: bool
-    tool: str
-
-    def to_json_dict(self) -> dict:
-        return {
-            "format": _FORMAT,
-            "tool": self.tool,
-            "n": str(self.n),
-            "f": [str(c) for c in self.f],
-            "g": [str(c) for c in self.g],
-            "A": str(self.A),
-            "B": str(self.B),
-            "C": str(self.C),
-            "D": str(self.D),
-            "X": str(self.X),
-            "Y": str(self.Y),
-            "trace": _jsonable(self.trace),
-            "verified": self.verified,
-        }
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "CertificateDocument":
-        """Load a document as :meth:`to_json_dict` writes it: integers as
-        decimal strings, ``f`` and ``g`` as lists of 8 of them, ``trace``
-        an object, ``verified`` a boolean, ``tool`` a string and ``format``
-        ``"q16det-certificate"``.  Anything else raises :class:`BadInput`
-        rather than being coerced, and so does a document that is not an
-        object or lacks a required field; ``trace``, ``tool`` and ``format``
-        may be absent."""
-        if not isinstance(doc, dict):
-            raise BadInput(f"a certificate must be a JSON object, got {doc!r}")
-        missing = [key for key in _REQUIRED_FIELDS if key not in doc]
-        if missing:
-            raise BadInput(f"certificate lacks required field(s) {', '.join(missing)}")
-        if not isinstance(doc["verified"], bool):
-            raise BadInput(f"'verified' must be a JSON boolean, got {doc['verified']!r}")
-        if doc.get("format", _FORMAT) != _FORMAT:
-            raise BadInput(f"'format' must be {_FORMAT!r}, got {doc['format']!r}")
-        tool = doc.get("tool", "")
-        if not isinstance(tool, str):
-            raise BadInput(f"'tool' must be a JSON string, got {tool!r}")
-        trace = doc.get("trace", {})
-        if not isinstance(trace, dict):
-            raise BadInput(f"'trace' must be a JSON object, got {trace!r}")
-        for key in ("f", "g"):
-            if not (isinstance(doc[key], list) and len(doc[key]) == 8):
-                raise BadInput(f"{key!r} must be a list of 8 decimal strings, got {doc[key]!r}")
-        ints = {key: _decimal(doc[key], BadInput, f"{key!r} ") for key in "nABCDXY"}
-        f, g = (tuple(_decimal(c, BadInput, f"{key!r} ") for c in doc[key]) for key in "fg")
-        return cls(**ints, f=f, g=g, trace=trace, verified=doc["verified"], tool=tool)
-
-
-_DECIMAL = re.compile(r"-?[0-9]+")
-
-
-def _decimal(text, error=argparse.ArgumentTypeError, name: str = "") -> int:
-    """The integer ``text`` spells in the one grammar of the command line
-    and the certificate loader, ``-?[0-9]+``.  Anything else, a non-string,
-    or more digits than the interpreter converts, raises ``error`` with a
-    message that starts with ``name``: the argparse type error by default,
-    so that this is an argparse ``type``."""
-    if not (isinstance(text, str) and _DECIMAL.fullmatch(text)):
-        raise error(f"{name}must be a decimal integer {_DECIMAL.pattern}, got {text!r}")
-    try:
-        return int(text)
-    except ValueError as exc:  # over sys.get_int_max_str_digits()
-        limit, digits = sys.get_int_max_str_digits(), len(text.lstrip("-"))
-        raise error(f"{name}must have at most {limit} digits, got {digits}") from exc
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, bool) or obj is None:
-        return obj
-    if isinstance(obj, int):
-        return str(obj)
-    return obj
-
-
-def certificate_document(cert: witness.WitnessCertificate) -> CertificateDocument:
-    ff = cert.factored
-    return CertificateDocument(
-        n=cert.n,
-        f=cert.element.a,
-        g=cert.element.b,
-        A=ff.A,
-        B=ff.B,
-        C=ff.C,
-        D=ff.D,
-        X=ff.z.x,
-        Y=ff.z.y,
-        trace=cert.trace,
-        verified=cert.verified,
-        tool=f"q16det {__version__}",
-    )
-
-
-def verify_document(doc: CertificateDocument) -> bool:
-    """Re-verify a loaded document from its coefficient vectors alone, by
-    the rule every certificate is made under,
-    :func:`q16det.core.certificate_terms`: the literal 16x16 determinant
-    and A*B*C**2*D**2 both equal ``n``.  The document's A, B, C, D, X and
-    Y must also be the ones the rule returns."""
-    e = GroupRingElement(doc.f, doc.g)
-    # ValueError: the rule's message prints the loaded trace, which may nest
-    # integers past the interpreter's integer string limit.
-    try:
-        terms = core.certificate_terms(doc.n, e.a, e.b, doc.trace)
-    except (InternalInconsistency, ValueError):
-        return False
-    return terms == (doc.A, doc.B, doc.C, doc.D, doc.X, doc.Y)
 
 
 def _poly_str(coeffs) -> str:
@@ -224,11 +95,16 @@ def _write_out(out_dir: str | None, name: str, doc: dict) -> None:
         sys.exit(EXIT_USAGE)
 
 
+def _integer(text: str) -> int:
+    """argparse type: a decimal integer."""
+    return _decimal(text, argparse.ArgumentTypeError)
+
+
 def _int_at_least(low: int):
     """argparse type: a decimal integer no smaller than ``low``."""
 
     def parse(text: str) -> int:
-        n = _decimal(text)
+        n = _integer(text)
         if n < low:
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {n}")
         return n
@@ -242,7 +118,7 @@ def _int_list(expected: str, count: int | None = None):
 
     def parse(text: str) -> list[int]:
         try:
-            values = [_decimal(item) for item in text.split(",")]
+            values = [_integer(item) for item in text.split(",")]
         except argparse.ArgumentTypeError:
             raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}") from None
         if count is not None and len(values) != count:
@@ -306,15 +182,15 @@ def _cmd_witness(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    e = GroupRingElement.from_coeffs(args.coeffs)
-    det = core.group_det(e.a, e.b)
-    A, B, C, X, Y = core.factored_terms(e.a, e.b)
+    a, b = args.coeffs[:8], args.coeffs[8:]
+    det = core.group_det(a, b)
+    A, B, C, X, Y = core.factored_terms(a, b)
     D = core.norm_of_sum(X, Y)
     fd = core.factored_product(A, B, C, D)
     agree = det == fd
     doc = {
-        "f": [str(c) for c in e.a],
-        "g": [str(c) for c in e.b],
+        "f": [str(c) for c in a],
+        "g": [str(c) for c in b],
         "direct_determinant": str(det),
         "A": str(A),
         "B": str(B),
@@ -326,8 +202,8 @@ def _cmd_verify(args) -> int:
         "agree": agree,
     }
     human = [
-        f"f = {_poly_str(e.a)}",
-        f"g = {_poly_str(e.b)}",
+        f"f = {_poly_str(a)}",
+        f"g = {_poly_str(b)}",
         f"direct determinant   = {det}",
         f"A*B*C^2*D^2          = {fd}   (A={A}, B={B}, C={C}, D={D}, X={X}, Y={Y})",
         f"paths agree: {'yes' if agree else 'NO'}",
@@ -414,12 +290,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("classify", help="decide whether n is an achievable value")
-    p.add_argument("n", type=_decimal, nargs="+")
+    p.add_argument("n", type=_integer, nargs="+")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("witness", help="build a verified witness certificate for n")
-    p.add_argument("n", type=_decimal, nargs="+")
+    p.add_argument("n", type=_integer, nargs="+")
     p.add_argument("--json", action="store_true")
     p.add_argument("--output-dir", default=None, help="also write witness_<n>.json here")
     p.set_defaults(func=_cmd_witness)
@@ -471,13 +347,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("crosscheck", help="random direct-vs-factored agreement check")
     p.add_argument("--count", type=_int_at_least(0), default=100_000)
     p.add_argument("--height", type=_int_at_least(0), default=9)
-    p.add_argument("--seed", type=_decimal, default=42)
+    p.add_argument("--seed", type=_integer, default=42)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_crosscheck)
 
     p = sub.add_parser("audit", help="residue/parity audit of random normalized pairs")
     p.add_argument("--count", type=_int_at_least(0), default=10_000)
-    p.add_argument("--seed", type=_decimal, default=1)
+    p.add_argument("--seed", type=_integer, default=1)
     p.add_argument("--height", type=_int_at_least(1), default=9)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_audit)

@@ -251,20 +251,28 @@ MUTANTS = (
     # A loaded document must carry the factored data the rule returns.
     Mutant(
         "verify-skips-fields",
-        "q16det/cli.py",
+        "q16det/certificate.py",
         "return terms == (doc.A, doc.B, doc.C, doc.D, doc.X, doc.Y)",
         "return True",
         ("tests/test_cli.py::TestCertificateDocuments::test_tampered_document_fails",),
     ),
     Mutant(
         "verify-lets-valueerror-out",
-        "q16det/cli.py",
+        "q16det/certificate.py",
         "except (InternalInconsistency, ValueError):",
         "except InternalInconsistency:",
         (
             "tests/test_cli.py::TestCertificateDocuments"
             "::test_wrong_document_with_a_long_trace_integer",
         ),
+    ),
+    # The loader takes exactly eight coefficients per half.
+    Mutant(
+        "loader-takes-long-halves",
+        "q16det/certificate.py",
+        "len(doc[key]) == 8",
+        "len(doc[key]) >= 8",
+        ("tests/test_cli.py::TestCertificateDocuments::test_fields_must_be_written_form",),
     ),
     # The "if" half of the recipes: the tables and the shift are proved,
     # so a fault in any of them fails a proof.

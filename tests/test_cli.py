@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import random
@@ -355,6 +357,7 @@ class TestCertificateDocuments:
             ("n", " 245"),
             ("f", [0.4, 1.9, 1, 1, 0, 0, 0, 0]),
             ("f", "01110000"),
+            ("f", ["0"] * 9),
             ("g", ["0"] * 7),
             ("g", ["0"] * 7 + [True]),
             ("D", "12a"),
@@ -633,6 +636,94 @@ def test_integer_grammar_accepts_leading_zeros_and_minus(capsys):
     coeffs = ["-01", "002"] + ["0"] * 14
     rc, out, _ = run(capsys, "verify", "--json", f"--coeffs={','.join(coeffs)}")
     assert rc == EXIT_OK and json.loads(out)["f"][:2] == ["-1", "2"]
+
+
+# Generated argv: adversarial spellings in the integer arguments of five
+# commands.  Costs stay bounded: a valid target is a 5,000-digit number off
+# 5 mod 8 or lies below 10**12, a scanned support is at most two values in
+# [-9, 9] or carries --limit=1, and --count is at most 50.
+_BAD_TOKENS = st.sampled_from(
+    ["+9", "1_001", "\u0661\u0662\u0663", "\uff17", "\u00b2", " 9", "9 ", "1 0", "", "-"]
+)
+
+
+@st.composite
+def _tokens(draw, low, high, big=False):
+    """(text, value): an integer in [low, high] with up to three leading
+    zeros, or, if ``big``, sometimes a 5,000-digit number off 5 mod 8."""
+    if big and draw(st.integers(0, 2)) == 0:
+        sign, lead, tail = draw(st.sampled_from(["", "-"])), draw(st.integers(1, 9)), draw(st.integers(0, 998))
+        tail += int(f"{sign}{tail}") % 8 == 5  # the value is +-tail mod 8
+        value = (lead * 10**4999 + tail) * (-1 if sign else 1)
+        return f"{sign}{lead}{'0' * 4996}{tail:03d}", value
+    value, zeros = draw(st.integers(low, high)), draw(st.integers(0, 3))
+    return f"{'-' * (value < 0)}{'0' * zeros}{abs(value)}", value
+
+
+@st.composite
+def _generated_argv(draw):
+    """(argv, valid, budget): ``valid`` unless one integer token was given
+    a spelling outside the grammar, ``budget`` if the scan must refuse its
+    support."""
+    command = draw(st.sampled_from(["classify", "witness", "verify", "scan", "crosscheck"]))
+    if command in ("classify", "witness"):
+        tokens = draw(st.lists(_tokens(1 - 10**12, 10**12 - 1, big=True), min_size=1, max_size=3))
+    elif command == "verify":
+        tokens = draw(st.lists(_tokens(-(10**6), 10**6), min_size=16, max_size=16))
+    elif command == "scan":
+        tokens = draw(st.lists(_tokens(-9, 9, big=True), min_size=1, max_size=4))
+    else:
+        tokens = [draw(_tokens(-(10**6), 10**6, big=True)), draw(_tokens(0, 50))]
+    texts, values = [text for text, _ in tokens], [value for _, value in tokens]
+    valid = draw(st.booleans())
+    if not valid:
+        texts[draw(st.integers(0, len(texts) - 1))] = draw(_BAD_TOKENS)
+    argv = {
+        "verify": lambda: [command, f"--coeffs={','.join(texts)}"],
+        "scan": lambda: [command, f"--support={','.join(texts)}"],
+        "crosscheck": lambda: [command, f"--seed={texts[0]}", f"--count={texts[1]}"],
+    }.get(command, lambda: [command, *texts])()
+    budget = command == "scan" and len(set(values)) > 1
+    if command == "scan" and (len(tokens) > 2 or any(abs(v) > 9 for v in values)):
+        argv.append("--limit=1")
+    else:
+        budget = False
+    if draw(st.booleans()):
+        argv.append("--json")
+    return argv, valid, budget
+
+
+def _check_generated_argv(argv, valid, budget):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+    out, err = out.getvalue(), err.getvalue()
+    assert "Traceback" not in out and "Traceback" not in err
+    if not valid:
+        assert rc == EXIT_USAGE and not out
+        assert err.startswith(f"q16det {argv[0]}: error: ") and err.count("\n") == 1, err
+    elif budget:
+        assert rc == EXIT_BUDGET, err
+    else:
+        assert rc in (EXIT_OK, EXIT_FAIL), err
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(case=_generated_argv())
+def test_generated_argv_exit_cleanly(case):
+    """Every generated argv exits 0, 1, 2 or 3 without a traceback, and one
+    with a token outside ``-?[0-9]+`` exits 2 with one error line."""
+    _check_generated_argv(*case)
+
+
+@pytest.mark.extended
+@settings(derandomize=True, database=None, max_examples=1500, deadline=None)
+@given(case=_generated_argv())
+def test_generated_argv_exit_cleanly_extended(case):
+    _check_generated_argv(*case)
 
 
 @needs_digit_limit

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from q16det import core, kernel
+from q16det import certificate, cli, core, kernel
 from q16det.core import DET_INDEX, INVERSE, MUL_TABLE, inv, mul
 from q16det.analysis import exhaustive_scan
 from q16det.errors import InternalInconsistency
@@ -65,6 +65,24 @@ def test_core_imports_only_errors_from_the_library():
     assert _library_imports(Path(core.__file__).read_text()) == {"q16det.errors"}
     probe = "from . import kernel\nfrom .witness import x\nimport q16det.cli\nfrom q16det import y"
     assert _library_imports(probe) == {"q16det.kernel", "q16det.witness", "q16det.cli", "q16det"}
+
+
+def test_certificate_imports_only_the_checker_closure():
+    # Parsed, as for core; tests/test_package.py checks what a fresh
+    # interpreter loads, argparse excluded.
+    source = Path(certificate.__file__).read_text()
+    assert _library_imports(source) == {
+        "q16det.__version__", "q16det.core", "q16det.errors", "q16det.group_algebra"
+    }
+
+
+def test_cli_takes_the_certificate_names_from_certificate():
+    for name in (
+        "CertificateDocument", "certificate_document", "verify_document", "_decimal", "_DECIMAL"
+    ):
+        assert getattr(cli, name) is getattr(certificate, name), name
+    for name in ("_FORMAT", "_REQUIRED_FIELDS", "_jsonable", "NamedTuple", "re", "GroupRingElement"):
+        assert not hasattr(cli, name), name
 
 
 def test_kernel_takes_the_determinant_from_core():

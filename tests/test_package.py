@@ -1,7 +1,8 @@
 """The package surface: each public name resolves on first use to the
-object its module defines, and ``import q16det.core``, the trusted
-module, loads no other library module but ``q16det.errors``.  Every
-``while`` loop of the library states on the line above it why it ends."""
+object its module defines, ``import q16det.core``, the trusted module,
+loads no other library module but ``q16det.errors``, and certificate
+documents load and re-verify without the command line.  Every ``while``
+loop of the library states on the line above it why it ends."""
 
 import ast
 import importlib
@@ -13,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import q16det
-from q16det import core
+from q16det import cli, core
 from q16det.classifier import classify_and_witness
 
 SRC = Path(core.__file__).resolve().parents[1]
@@ -87,3 +88,33 @@ def test_core_loads_alone_and_applies_the_rule():
     )
     assert run.returncode == 0, run.stderr
     assert run.stdout == "['q16det', 'q16det.core', 'q16det.errors']\n"
+
+
+def test_certificate_loads_without_the_cli(capsys):
+    # The JSON text of `q16det witness 17 245 637 -7 -3072 --json`, loaded
+    # and re-verified through q16det.certificate in a fresh interpreter
+    # without site; one document with A changed verifies as False.
+    assert cli.main(["witness", "17", "245", "637", "-7", "-3072", "--json"]) == 0
+    text = capsys.readouterr().out
+    code = (
+        "import json, sys\n"
+        "from q16det import certificate\n"
+        "raws = [json.loads(line) for line in sys.stdin]\n"
+        "load = certificate.CertificateDocument.from_json_dict\n"
+        "print([certificate.verify_document(load(raw)) for raw in raws])\n"
+        "raws[1]['A'] = str(int(raws[1]['A']) + 1)\n"
+        "print(certificate.verify_document(load(raws[1])), 'argparse' in sys.modules)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'q16det'))\n"
+    )
+    run = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        input=text, env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines() == [
+        "[True, True, True, True, True]",
+        "False False",
+        "['q16det', 'q16det.certificate', 'q16det.core', 'q16det.errors',"
+        " 'q16det.group_algebra', 'q16det.kernel']",
+    ]
