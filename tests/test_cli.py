@@ -357,7 +357,6 @@ class TestCertificateDocuments:
             ("n", " 245"),
             ("f", [0.4, 1.9, 1, 1, 0, 0, 0, 0]),
             ("f", "01110000"),
-            ("f", ["0"] * 9),
             ("g", ["0"] * 7),
             ("g", ["0"] * 7 + [True]),
             ("D", "12a"),
@@ -368,6 +367,7 @@ class TestCertificateDocuments:
             ("format", "other"),
             ("format", None),
             ("format", 1),
+            ("f", ["0"] * 9),
         ],
     )
     def test_fields_must_be_written_form(self, key, value):
@@ -652,7 +652,8 @@ def _tokens(draw, low, high, big=False):
     """(text, value): an integer in [low, high] with up to three leading
     zeros, or, if ``big``, sometimes a 5,000-digit number off 5 mod 8."""
     if big and draw(st.integers(0, 2)) == 0:
-        sign, lead, tail = draw(st.sampled_from(["", "-"])), draw(st.integers(1, 9)), draw(st.integers(0, 998))
+        sign = draw(st.sampled_from(["", "-"]))
+        lead, tail = draw(st.integers(1, 9)), draw(st.integers(0, 998))
         tail += int(f"{sign}{tail}") % 8 == 5  # the value is +-tail mod 8
         value = (lead * 10**4999 + tail) * (-1 if sign else 1)
         return f"{sign}{lead}{'0' * 4996}{tail:03d}", value
@@ -678,16 +679,18 @@ def _generated_argv(draw):
     valid = draw(st.booleans())
     if not valid:
         texts[draw(st.integers(0, len(texts) - 1))] = draw(_BAD_TOKENS)
-    argv = {
-        "verify": lambda: [command, f"--coeffs={','.join(texts)}"],
-        "scan": lambda: [command, f"--support={','.join(texts)}"],
-        "crosscheck": lambda: [command, f"--seed={texts[0]}", f"--count={texts[1]}"],
-    }.get(command, lambda: [command, *texts])()
-    budget = command == "scan" and len(set(values)) > 1
-    if command == "scan" and (len(tokens) > 2 or any(abs(v) > 9 for v in values)):
-        argv.append("--limit=1")
+    budget = False
+    if command == "verify":
+        argv = [command, f"--coeffs={','.join(texts)}"]
+    elif command == "scan":
+        argv = [command, f"--support={','.join(texts)}"]
+        if len(tokens) > 2 or any(abs(v) > 9 for v in values):
+            argv.append("--limit=1")
+            budget = len(set(values)) > 1
+    elif command == "crosscheck":
+        argv = [command, f"--seed={texts[0]}", f"--count={texts[1]}"]
     else:
-        budget = False
+        argv = [command, *texts]
     if draw(st.booleans()):
         argv.append("--json")
     return argv, valid, budget

@@ -77,11 +77,11 @@ def test_certificate_imports_only_the_checker_closure():
 
 
 def test_cli_takes_the_certificate_names_from_certificate():
-    for name in (
-        "CertificateDocument", "certificate_document", "verify_document", "_decimal", "_DECIMAL"
-    ):
+    shared = ("CertificateDocument", "certificate_document", "verify_document", "_decimal", "_DECIMAL")
+    for name in shared:
         assert getattr(cli, name) is getattr(certificate, name), name
-    for name in ("_FORMAT", "_REQUIRED_FIELDS", "_jsonable", "NamedTuple", "re", "GroupRingElement"):
+    dropped = ("_FORMAT", "_REQUIRED_FIELDS", "_jsonable", "NamedTuple", "re", "GroupRingElement")
+    for name in dropped:
         assert not hasattr(cli, name), name
 
 
