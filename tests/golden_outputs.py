@@ -44,6 +44,8 @@ EVEN_FAMILY = "1,1,1,1,1,1,1,1,1,0,1,1,1,0,0,0"
 EMPTY = hashlib.sha256(b"").hexdigest()
 SCAN_JSON = ("scan", "--support", "0,1", "--json")
 SCAN_TWO_WORKERS = ("scan", "--support", "0,1", "--workers", "2", "--json")
+# Outside the grammar -?[0-9]+, and not a negative number to argparse.
+BAD_MINUS = "-1_001"
 
 
 class Golden(NamedTuple):
@@ -248,5 +250,24 @@ ROWS = (
         2,
         EMPTY,
         "50915d5346daf9a7575888ccc48b72a5444bb39ff2f9032488b9f19cfdb36875",
+    ),
+    # Bad spellings that start with a minus.
+    Golden(
+        ("classify", "5", BAD_MINUS),
+        2,
+        EMPTY,
+        "472e92cf67bfc38bdc3a4db50a197a997a7037b1e89b0527c187289fb8e451ca",
+    ),
+    Golden(
+        ("classify", BAD_MINUS),
+        2,
+        EMPTY,
+        "469527547b48e8966dd33c69dd9efdf006042cc114439fbf904d4fbf8dcf5b35",
+    ),
+    Golden(
+        ("crosscheck", "--seed", BAD_MINUS),
+        2,
+        EMPTY,
+        "650bba02a0cf9b69229981f09bece2458b2d21063e1eb34bc39fdd6b9df9125a",
     ),
 )
