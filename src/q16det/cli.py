@@ -10,11 +10,12 @@ short by a closed pipe exits 1 with nothing on stderr.
 Every integer, on the command line and in a certificate document, is read
 by one grammar, ``-?[0-9]+``: ASCII digits after an optional minus, leading
 zeros allowed.  Any other spelling on the command line (``+9``, ``1_001``,
-non-ASCII digits, a space, or an empty item in a comma list) is a usage
-error: one ``q16det <command>: error: ...`` line on stderr, exit 2.  The
-grammar, the certificate document format that ``witness`` writes and its
-re-verification live in :mod:`q16det.certificate`, which loads without
-this module.
+non-ASCII digits, a space, an empty item in a comma list, or ``-1_001``:
+a minus makes a token an option only before a letter or a second minus)
+is a usage error: one ``q16det <command>: error: ...`` line on stderr,
+exit 2.  The grammar, the certificate document format that ``witness``
+writes and its re-verification live in :mod:`q16det.certificate`, which
+loads without this module.
 
 Machine output (--json) is one JSON object per line.  ``witness``,
 ``verify`` and ``classify`` write every integer as a decimal string, so
@@ -270,6 +271,16 @@ def _cmd_audit(args) -> int:
 
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose usage errors are one stderr line, exit 2."""
+
+    def _parse_optional(self, arg_string):
+        # Options are spelled -x or --name.  Any other token that starts
+        # with a minus ("-7", "-1_001", "-+9") is an argument for the
+        # integer grammar to judge; argparse alone would take all but
+        # -[0-9]+ for an unknown option.
+        second = arg_string[1:2]
+        if arg_string[:1] == "-" and not (second.isalpha() or second == "-"):
+            return None
+        return super()._parse_optional(arg_string)
 
     def error(self, message):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")

@@ -251,23 +251,23 @@ ROWS = (
         EMPTY,
         "50915d5346daf9a7575888ccc48b72a5444bb39ff2f9032488b9f19cfdb36875",
     ),
-    # Bad spellings that start with a minus.
+    # Bad spellings that start with a minus get the grammar's message.
     Golden(
         ("classify", "5", BAD_MINUS),
         2,
         EMPTY,
-        "472e92cf67bfc38bdc3a4db50a197a997a7037b1e89b0527c187289fb8e451ca",
+        "6a925d92369b49d6ce6cb493877853a9ed09636fd4a9bd08b119e182c1f29657",
     ),
     Golden(
         ("classify", BAD_MINUS),
         2,
         EMPTY,
-        "469527547b48e8966dd33c69dd9efdf006042cc114439fbf904d4fbf8dcf5b35",
+        "6a925d92369b49d6ce6cb493877853a9ed09636fd4a9bd08b119e182c1f29657",
     ),
     Golden(
         ("crosscheck", "--seed", BAD_MINUS),
         2,
         EMPTY,
-        "650bba02a0cf9b69229981f09bece2458b2d21063e1eb34bc39fdd6b9df9125a",
+        "b4eb87fc7fc233d28bd7c0736668abec6421ff7ccc1b8e9cc9334a340e10f9fe",
     ),
 )

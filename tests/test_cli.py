@@ -592,7 +592,7 @@ _SCALAR_ARGS = [
     (["scan", "--support=0"], "--workers"),
     (["scan", "--support=0"], "--limit"),
 ]
-_REJECTED = ["\u0661\u0662\u0663", "1_001", " 9", "9 ", "+9", "", "-"]
+_REJECTED = ["\u0661\u0662\u0663", "1_001", " 9", "9 ", "+9", "", "-", "-1_001", "-+9", "-\u00b2"]
 _REJECTED_IN_LISTS = _REJECTED + ["1, 0", "1,,0"]
 
 
@@ -641,9 +641,12 @@ def test_integer_grammar_accepts_leading_zeros_and_minus(capsys):
 # Generated argv: adversarial spellings in the integer arguments of five
 # commands.  Costs stay bounded: a valid target is a 5,000-digit number off
 # 5 mod 8 or lies below 10**12, a scanned support is at most two values in
-# [-9, 9] or carries --limit=1, and --count is at most 50.
+# [-9, 9] or carries --limit=1, and --count is at most 50.  The second list
+# of bad spellings starts with a minus, which argparse alone takes for an
+# unknown option; --seed takes its token after = or as the next argument.
 _BAD_TOKENS = st.sampled_from(
     ["+9", "1_001", "\u0661\u0662\u0663", "\uff17", "\u00b2", " 9", "9 ", "1 0", "", "-"]
+    + ["-1_001", "-+9", "-\u00b2", "-\u0661", "-0x1f", "-9.0"]
 )
 
 
@@ -688,7 +691,8 @@ def _generated_argv(draw):
             argv.append("--limit=1")
             budget = len(set(values)) > 1
     elif command == "crosscheck":
-        argv = [command, f"--seed={texts[0]}", f"--count={texts[1]}"]
+        seed = [f"--seed={texts[0]}"] if draw(st.booleans()) else ["--seed", texts[0]]
+        argv = [command, *seed, f"--count={texts[1]}"]
     else:
         argv = [command, *texts]
     if draw(st.booleans()):
