@@ -34,6 +34,7 @@ from .group_algebra import GroupRingElement
 
 _FORMAT = "q16det-certificate"
 _REQUIRED_FIELDS = ("n", "f", "g", "A", "B", "C", "D", "X", "Y", "verified")
+_TOOL = f"q16det {__version__}"
 
 
 class CertificateDocument(NamedTuple):
@@ -58,8 +59,8 @@ class CertificateDocument(NamedTuple):
             "format": _FORMAT,
             "tool": self.tool,
             "n": str(self.n),
-            "f": [str(c) for c in self.f],
-            "g": [str(c) for c in self.g],
+            "f": list(map(str, self.f)),
+            "g": list(map(str, self.g)),
             "A": str(self.A),
             "B": str(self.B),
             "C": str(self.C),
@@ -146,7 +147,7 @@ def certificate_document(cert) -> CertificateDocument:
         Y=ff.z.y,
         trace=cert.trace,
         verified=cert.verified,
-        tool=f"q16det {__version__}",
+        tool=_TOOL,
     )
 
 

@@ -6,7 +6,10 @@ one-parameter coefficient families built around h(x) = (x+1)(x^2+1)(x^4+1)
 unity, so adding a multiple of h only moves the evaluation at 1.  Each
 family is one row of ``_FAMILIES``: member m has determinant
 step*m + offset, and a target takes the one family whose class, offset
-mod step, holds it.
+mod step, holds it.  The family is found by residue class, one lookup of
+(step, n mod step) in a table derived from ``_FAMILIES`` at import, with
+step 4096 for even targets and 16 for odd ones; the certificate rule
+below is the same for every family.
 
 Values m*p^2 with m = 5 mod 8 and p = 7 mod 8 prime go through the
 quadratic-ring pipeline: split p as X**2 - 2*Y**2, steer X mod 4 with the
@@ -105,12 +108,19 @@ _FAMILIES = {
 }
 
 
+# (step, offset mod step) -> (family, offset): the one family whose class
+# holds a target, read off n mod step.
+_FAMILY_OF_CLASS = {
+    (step, offset % step): (family, offset)
+    for family, (*_, step, offset) in _FAMILIES.items()
+}
+
+
 def family_element(family: str, m: int) -> GroupRingElement:
     """The coefficient vectors of a family member (exposed for tests)."""
     base_f, base_g, sf, sg, _, _ = _FAMILIES[family]
-    f = tuple(c + sf * m for c in base_f)
-    g = tuple(c + sg * m for c in base_g)
-    return GroupRingElement(f, g)
+    mf, mg = sf * m, sg * m
+    return GroupRingElement([c + mf for c in base_f], [c + mg for c in base_g])
 
 
 def family_value(family: str, m: int) -> int:
@@ -124,7 +134,7 @@ def _certify(n: int, e: GroupRingElement, trace: dict) -> WitnessCertificate:
     :func:`q16det.core.certificate_terms`, the one rule for a valid
     certificate: the literal 16x16 determinant of ``e`` and
     A*B*C**2*D**2 both equal ``n``.  Every certificate made here goes
-    through it, and :func:`q16det.cli.verify_document` applies the same
+    through it, and :func:`q16det.certificate.verify_document` applies the same
     rule to every one loaded.  Raises InternalInconsistency when the rule
     fails; the certificate carries the factored form the rule computed."""
     A, B, C, D, X, Y = certificate_terms(n, e.a, e.b, trace)
@@ -132,14 +142,15 @@ def _certify(n: int, e: GroupRingElement, trace: dict) -> WitnessCertificate:
     return WitnessCertificate(n=n, element=e, factored=ff, trace=trace, verified=True)
 
 
-def _family_witness(n: int) -> WitnessCertificate:
+def _family_witness(n: int, step: int) -> WitnessCertificate:
     """The certificate of ``n`` from the family whose class, offset mod
-    step, holds ``n``, at m = (n - offset) // step."""
-    for family, (*_, step, offset) in _FAMILIES.items():
-        m, r = divmod(n - offset, step)
-        if not r:
-            return _certify(n, family_element(family, m), {"family": family, "m": m})
-    raise InternalInconsistency(f"no family holds {int_text(n)}")
+    ``step``, holds ``n``, at m = (n - offset) // step."""
+    found = _FAMILY_OF_CLASS.get((step, n % step))
+    if found is None:
+        raise InternalInconsistency(f"no family holds {int_text(n)}")
+    family, offset = found
+    m = (n - offset) // step
+    return _certify(n, family_element(family, m), {"family": family, "m": m})
 
 
 def witness_even(n: int) -> WitnessCertificate:
@@ -147,7 +158,7 @@ def witness_even(n: int) -> WitnessCertificate:
     n = operator.index(n)
     if n % 1024 != 0:
         raise NotMultiple(f"{int_text(n)} is not a multiple of 2**10")
-    return _family_witness(n)
+    return _family_witness(n, 4096)
 
 
 def witness_odd_1mod8(n: int) -> WitnessCertificate:
@@ -155,7 +166,7 @@ def witness_odd_1mod8(n: int) -> WitnessCertificate:
     n = operator.index(n)
     if n % 8 != 1:
         raise WrongResidue(f"{int_text(n)} is not 1 mod 8")
-    return _family_witness(n)
+    return _family_witness(n, 16)
 
 
 def build_low_degree_pair(

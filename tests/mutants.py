@@ -32,6 +32,8 @@ _DIRECT_PLAIN = (
 _KERNEL_FAULT = "tests/test_cli.py::TestLibraryErrors::test_kernel_fault_emits_no_certificate"
 _HUGE_FAULT = "tests/test_witness.py::TestCertifyMessages::test_kernel_fault_on_a_huge_target"
 _FAMILY_PROOF = "tests/test_recipe_proofs.py::test_family_determinant_is_its_value_for_every_m"
+_FAMILY_CLASSES = "tests/test_recipe_proofs.py::test_family_classes_cover_each_residue_once"
+_FAMILY_ROUND_TRIP = "tests/test_recipe_proofs.py::test_classify_and_witness_carries_family_and_m"
 _LAYOUT_PROOF = "tests/test_recipe_proofs.py::test_every_decomposition_has_a_layout_and_patterns"
 _AUDIT_STREAM = "tests/test_analysis.py::TestParityAudit::test_audit_elements_replay_randint"
 _SPLIT_ORACLE = "tests/test_quad_ring.py::TestSplitPrime::test_against_enumeration_oracle"
@@ -238,6 +240,24 @@ MUTANTS = (
         "q16det/witness.py",
         "(1, 1, 0, 0, 1, 1, -1, -1)",
         "(1, 1, 0, 0, 1, 1, -1, 0)",
+        (f"{_FAMILY_PROOF}[even_4096_m]",),
+    ),
+    # The witness functions look the family up by n mod step; keyed by n
+    # mod step/2 (2048 for even targets), half the classes take another
+    # family's row, and the certificate rule refuses its element.
+    Mutant(
+        "family-lookup-half-step",
+        "q16det/witness.py",
+        "_FAMILY_OF_CLASS.get((step, n % step))",
+        "_FAMILY_OF_CLASS.get((step, n % (step // 2)))",
+        (_FAMILY_CLASSES, _FAMILY_ROUND_TRIP),
+    ),
+    # A member adds s*m*h to each base vector with the sign of its half.
+    Mutant(
+        "family-member-one-sign",
+        "q16det/witness.py",
+        "mf, mg = sf * m, sg * m",
+        "mf, mg = sf * m, sf * m",
         (f"{_FAMILY_PROOF}[even_4096_m]",),
     ),
     # The scan asks the classifier about every value, not only 5 mod 8.

@@ -4,8 +4,9 @@ Each check reads the library's own tables, so a change to a table is
 checked again here.  The chain, one test per step:
 
 (a) The families of ``witness._FAMILIES``: each row is (base f, base g,
-    sign of m*h in f, in g, step, offset), and member m of a family has
-    determinant step*m + offset.
+    sign of m*h in f, in g, step, offset), member m of a family has
+    determinant step*m + offset, and ``witness._FAMILY_OF_CLASS`` finds
+    the one family whose class holds a target.
 (b) ``quad_ring.unit_adjust`` steers X of a split X**2 - 2*Y**2 = p to
     either residue mod 4 in one unit step.
 (c) Every four squares summing to 2*(X + Y*sqrt(2)) sort into a layout of
@@ -27,11 +28,13 @@ checks, the pipeline therefore reaches every n = m*p**2 with m = 5 mod 8.
 """
 
 import itertools
+import random
 from functools import cache
 
 import pytest
 
 from q16det import core
+from q16det.classifier import classify_and_witness
 from q16det.primes import primes_below
 from q16det.quad_ring import (
     _LAYOUTS,
@@ -43,6 +46,7 @@ from q16det.quad_ring import (
 )
 from q16det.witness import (
     _FAMILIES,
+    _FAMILY_OF_CLASS,
     _U_PATTERNS,
     _V_PATTERNS,
     _lift,
@@ -71,12 +75,45 @@ def test_family_determinant_is_its_value_for_every_m(family):
         assert core.group_det(e.a, e.b) == family_value(family, m), m
 
 
+def _family_by_search(n):
+    """The first row of ``_FAMILIES`` whose class, offset mod step, holds
+    ``n``: the search the witness functions made before the class table."""
+    for family, (*_, step, offset) in _FAMILIES.items():
+        if (n - offset) % step == 0:
+            return family
+    return None
+
+
 def test_family_classes_cover_each_residue_once():
     # The even classes are the four multiples of 2**10 mod 4096 and the odd
     # ones the two classes 1 mod 8 mod 16, each held by one family: every
     # multiple of 2**10 and every n = 1 mod 8 lies in exactly one class.
     classes = sorted((step, offset % step) for *_, step, offset in _FAMILIES.values())
     assert classes == [(16, 1), (16, 9), (4096, 0), (4096, 1024), (4096, 2048), (4096, 3072)]
+    # The witness functions find the family by one lookup of its class: the
+    # table has one key per class, names each family once with its offset,
+    # and in every class picks the family the row-by-row search finds.
+    assert sorted(_FAMILY_OF_CLASS) == classes
+    assert sorted(_FAMILY_OF_CLASS.values()) == sorted(
+        (family, offset) for family, (*_, offset) in _FAMILIES.items()
+    )
+    for step, r in classes:
+        witness = witness_even if step == 4096 else witness_odd_1mod8
+        for k in (-(10**12), -2, -1, 0, 1, 2, 10**12):
+            n = r + step * k
+            assert witness(n).trace["family"] == _family_by_search(n), n
+
+
+@pytest.mark.parametrize("family", _FAMILIES)
+def test_classify_and_witness_carries_family_and_m(family):
+    # Seeded members of both signs up to 10**15 come back through the
+    # classifier as the family and the m they were built from.
+    rng = random.Random(f"family:{family}")
+    for sign in (1, -1):
+        for _ in range(8):
+            m = sign * rng.randrange(10**15)
+            n = family_value(family, m)
+            assert classify_and_witness(n).trace == {"family": family, "m": m}, n
 
 
 @pytest.mark.parametrize("family", _FAMILIES)
