@@ -138,8 +138,8 @@ def _certify(n: int, e: GroupRingElement, trace: dict) -> WitnessCertificate:
     rule to every one loaded.  Raises InternalInconsistency when the rule
     fails; the certificate carries the factored form the rule computed."""
     A, B, C, D, X, Y = certificate_terms(n, e.a, e.b, trace)
-    ff = FactoredForm(A=A, B=B, C=C, D=D, z=QuadraticSqrt2(X, Y))
-    return WitnessCertificate(n=n, element=e, factored=ff, trace=trace, verified=True)
+    ff = FactoredForm(A, B, C, D, QuadraticSqrt2(X, Y))
+    return WitnessCertificate(n, e, ff, trace, True)
 
 
 def _family_witness(n: int, step: int) -> WitnessCertificate:
