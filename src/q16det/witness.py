@@ -134,9 +134,10 @@ def _certify(n: int, e: GroupRingElement, trace: dict) -> WitnessCertificate:
     :func:`q16det.core.certificate_terms`, the one rule for a valid
     certificate: the literal 16x16 determinant of ``e`` and
     A*B*C**2*D**2 both equal ``n``.  Every certificate made here goes
-    through it, and :func:`q16det.certificate.verify_document` applies the same
-    rule to every one loaded.  Raises InternalInconsistency when the rule
-    fails; the certificate carries the factored form the rule computed."""
+    through it, and :func:`q16det.certificate.verify_document` applies
+    the same rule to every one loaded.  Raises InternalInconsistency when
+    the rule fails; the certificate carries the factored form the rule
+    computed."""
     A, B, C, D, X, Y = certificate_terms(n, e.a, e.b, trace)
     ff = FactoredForm(A, B, C, D, QuadraticSqrt2(X, Y))
     return WitnessCertificate(n, e, ff, trace, True)

@@ -33,7 +33,7 @@ _KERNEL_FAULT = "tests/test_cli.py::TestLibraryErrors::test_kernel_fault_emits_n
 _HUGE_FAULT = "tests/test_witness.py::TestCertifyMessages::test_kernel_fault_on_a_huge_target"
 _FAMILY_PROOF = "tests/test_recipe_proofs.py::test_family_determinant_is_its_value_for_every_m"
 _FAMILY_CLASSES = "tests/test_recipe_proofs.py::test_family_classes_cover_each_residue_once"
-_FAMILY_ROUND_TRIP = "tests/test_recipe_proofs.py::test_classify_and_witness_carries_family_and_m"
+_FAMILY_LOOKUP = "tests/test_recipe_proofs.py::test_lookup_takes_the_family_of_the_class"
 _LAYOUT_PROOF = "tests/test_recipe_proofs.py::test_every_decomposition_has_a_layout_and_patterns"
 _AUDIT_STREAM = "tests/test_analysis.py::TestParityAudit::test_audit_elements_replay_randint"
 _SPLIT_ORACLE = "tests/test_quad_ring.py::TestSplitPrime::test_against_enumeration_oracle"
@@ -250,7 +250,7 @@ MUTANTS = (
         "q16det/witness.py",
         "_FAMILY_OF_CLASS.get((step, n % step))",
         "_FAMILY_OF_CLASS.get((step, n % (step // 2)))",
-        (_FAMILY_CLASSES, _FAMILY_ROUND_TRIP),
+        (_FAMILY_CLASSES, _FAMILY_LOOKUP),
     ),
     # A member adds s*m*h to each base vector with the sign of its half.
     Mutant(

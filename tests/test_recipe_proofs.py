@@ -77,7 +77,7 @@ def test_family_determinant_is_its_value_for_every_m(family):
 
 def _family_by_search(n):
     """The first row of ``_FAMILIES`` whose class, offset mod step, holds
-    ``n``: the search the witness functions made before the class table."""
+    ``n``, found row by row: the reference for the class table."""
     for family, (*_, step, offset) in _FAMILIES.items():
         if (n - offset) % step == 0:
             return family
@@ -105,24 +105,16 @@ def test_family_classes_cover_each_residue_once():
 
 
 @pytest.mark.parametrize("family", _FAMILIES)
-def test_classify_and_witness_carries_family_and_m(family):
-    # Seeded members of both signs up to 10**15 come back through the
-    # classifier as the family and the m they were built from.
-    rng = random.Random(f"family:{family}")
-    for sign in (1, -1):
-        for _ in range(8):
-            m = sign * rng.randrange(10**15)
-            n = family_value(family, m)
-            assert classify_and_witness(n).trace == {"family": family, "m": m}, n
-
-
-@pytest.mark.parametrize("family", _FAMILIES)
 def test_lookup_takes_the_family_of_the_class(family):
-    *_, step, offset = _FAMILIES[family]
+    # Members come back as the family and the m they were built from, from
+    # the witness function of their parity and from the classifier, for
+    # small m and seeded m of both signs below 10**15.
+    step = _FAMILIES[family][4]
     witness = witness_even if step == 4096 else witness_odd_1mod8
-    for m in (-3, 0, 2):
-        n = step * m + offset
-        assert witness(n).trace == {"family": family, "m": m}, n
+    rng = random.Random(f"family:{family}")
+    for m in (-3, 0, 2, *(sign * rng.randrange(10**15) for sign in (1, -1) for _ in range(8))):
+        n = family_value(family, m)
+        assert witness(n).trace == classify_and_witness(n).trace == {"family": family, "m": m}, n
 
 
 def test_unit_steer_flips_x_mod_4():
