@@ -39,6 +39,12 @@ THREE_P_CUBED = "3000000000351000000013689000000177957"
 # q - 1 = 2**3*3*5*7*23*283*467, powersmooth to 10**3, and whose larger
 # prime r has r - 1 divisible by the prime 82841851.
 SMOOTH_P_MINUS_1 = "12691457007240612781"
+# 5 mod 8 targets whose cofactor the trial bounds settle: the 12-digit
+# semiprime 500083 * 1000039, the first primes = 3 mod 8 above 5 * 10**5 and
+# = 7 mod 8 above 10**6; the 14-digit 3000017 * 10000141, the first primes
+# = 1 mod 8 above 3 * 10**6 and = 5 mod 8 above 10**7; and 5 * 10007**2, with
+# 10007 the first prime = 7 mod 8 above 10**4.
+BOUND_SETTLED = ("500102503237", "30000593002397", "500700245")
 WITNESSED = ("17", "-7", "1024", "-3072", "637", "1029", *FIVE_MOD_8)
 EVEN_FAMILY = "1,1,1,1,1,1,1,1,1,0,1,1,1,0,0,0"
 EMPTY = hashlib.sha256(b"").hexdigest()
@@ -115,6 +121,24 @@ ROWS = (
         1,
         "5e4a4d3dc3f9d643b9eee55f38e00b09f23732aafa0ee55f34f0be91706f2213",
         EMPTY,
+    ),
+    Golden(
+        ("classify", *BOUND_SETTLED),
+        1,
+        "f1223830cab198f184ddcbbf59d93f68d43fb20596cc86a8b47b9f4772200541",
+        EMPTY,
+    ),
+    Golden(
+        ("classify", *BOUND_SETTLED, "--json"),
+        1,
+        "9e9e8bb0e6438ce8510b52eac9c5937a80ffbb980a166e108f1633837838886f",
+        EMPTY,
+    ),
+    Golden(
+        ("witness", *BOUND_SETTLED, "--json"),
+        1,
+        "64b45a2a4808713521cf1603bca7fb6a37757c3621d5a14d5faa579cbef06e4d",
+        "c12cbef1319e2a3100460a1f4e2b5b8c0886a695ab5d0e5866060d309d8df10d",
     ),
     Golden(
         ("witness", THREE_P_CUBED, "--json"),
