@@ -414,14 +414,56 @@ MUTANTS = (
         "g = 1",
         ("tests/test_classifier.py::TestClassify::test_small_admissible_prime_needs_no_rho",),
     ),
-    # Without the minus one the p-1 gcd is gcd(2**E mod m, m) = 1 for odd m,
-    # so every cofactor goes to rho.
+    # Without the minus one the p-1 gcd is gcd(2**E mod n, n) = 1 for odd n,
+    # so the power splits nothing and rho goes on alone.
     Mutant(
         "pm1-drops-minus-one",
         "q16det/primes.py",
-        "pow(2, _pm1_exponent(), m) - 1",
-        "pow(2, _pm1_exponent(), m)",
-        ("tests/test_primes.py::TestPMinus1::test_smooth_prime_splits_without_rho",),
+        "pow(2, _pm1_exponent(), n) - 1",
+        "pow(2, _pm1_exponent(), n)",
+        ("tests/test_primes.py::TestPMinus1::test_smooth_prime_splits_by_the_power",),
+    ),
+    # The power before rho's first round costs a cofactor that rho splits
+    # in its round r = 256 the whole power.
+    Mutant(
+        "pm1-before-rho-rounds",
+        "q16det/primes.py",
+        "r == _PM1_AFTER_ROUND",
+        "r == 1",
+        ("tests/test_primes.py::TestPMinus1::test_rho_rounds_come_before_the_power",),
+    ),
+    # The backtrack compares x with the block's start, not with each step:
+    # it finds no factor, and the bound on it raises instead of spinning.
+    Mutant(
+        "rho-backtrack-compares-block-start",
+        "q16det/primes.py",
+        "gcd(abs(x - y), n)",
+        "gcd(abs(x - ys), n)",
+        ("tests/test_primes.py::TestPollardBrent::test_splits_every_small_odd_composite",),
+    ),
+    # The trial bounds' squarefree proof: a square cofactor must be split,
+    # three primes above 10**5 can make 10**15, and the gcd must cover the
+    # primes from 10**4.  Each fault refuses an achievable p**2 or p**2*q.
+    Mutant(
+        "bound-skips-square-test",
+        "q16det/primes.py",
+        "isqrt(m) ** 2 == m",
+        "False",
+        (_SMALLEST_P,),
+    ),
+    Mutant(
+        "bound-cube-of-1e5-raised-to-1e16",
+        "q16det/primes.py",
+        "m >= _SQUAREFREE_BOUND**3",
+        "m >= 10 * _SQUAREFREE_BOUND**3",
+        (_SMALLEST_P,),
+    ),
+    Mutant(
+        "bound-product-starts-at-1e5",
+        "q16det/primes.py",
+        "if p >= _TRIAL_BOUND)",
+        "if p >= _SQUAREFREE_BOUND)",
+        (_SMALLEST_P,),
     ),
     # For a composite p the main loop can find no i < m with t**(2**i) = 1;
     # without the guard m reaches 0 and a negative shift raises ValueError.

@@ -151,14 +151,37 @@ class TestClassify:
                 q1 * q2,
             ]
             for n in cases:
-                assert n % 8 == 5
-                admissible = [q for q, e in factorize(n).factors if e >= 2 and q % 8 == 7]
-                c = classify(n)
-                if admissible:
-                    p_min = min(admissible)
-                    assert c.recipe == Odd5Mod8(p=p_min, m=n // p_min**2), n
-                else:
-                    assert c.reason == Reason.FIVE_MOD_8_NO_ADMISSIBLE_PRIME_SQUARE, n
+                _check_against_factorization(n)
+        # The cofactor shapes of the trial bounds, B = 10**4 and 10**5, each
+        # times a seeded 5 mod 8 multiplier whose primes trial division
+        # removes: the shapes the bounds settle, and the ones next to them
+        # that they must not.
+        rng = random.Random(38)
+        for _ in range(6):
+            for m in _bound_shapes(rng):
+                _check_against_factorization(_five_mod_8_multiple(rng, m))
+
+    def test_bound_settled_refusals_split_nothing(self, monkeypatch):
+        # Below 10**12, and below 10**15 with no prime under 10**5, a
+        # cofactor that is no square is refused without rho or p-1.
+        def no_split(n):
+            raise AssertionError(f"split of {n}")
+
+        monkeypatch.setattr(primes, "_pollard_brent", no_split)
+        monkeypatch.setattr(primes, "_pm1", no_split)
+        rng = random.Random(39)
+        for _ in range(6):
+            q1 = _next_prime(rng.randrange(10**4, 10**6))
+            q2 = _next_prime(rng.randrange(10**5, 10**6))
+            q3 = _next_prime(rng.randrange(10**5, 10**7))
+            q4 = _next_prime(rng.randrange(10**7, 10**8))
+            below = [q1 * q2, _next_prime(rng.randrange(10**11, 10**12))]
+            between = [q3 * q4, _next_prime(rng.randrange(10**12, 10**15))]
+            assert all(m < 10**12 for m in below) and all(10**12 <= m < 10**15 for m in between)
+            for m in below + between:
+                assert primes.bound_proves_squarefree(m), m
+                n = _five_mod_8_multiple(rng, m)
+                assert classify(n).reason == Reason.FIVE_MOD_8_NO_ADMISSIBLE_PRIME_SQUARE, n
 
     def test_automatic_residue_lemma(self):
         # For n = 5 mod 8 and p = 7 mod 8 with p^2 | n: n / p^2 = 5 mod 8.
@@ -176,6 +199,49 @@ class TestClassify:
     def test_negative_even(self):
         assert classify(-2048).achievable
         assert not classify(-512).achievable
+
+
+def _check_against_factorization(n):
+    """classify(n) for n = 5 mod 8 against the smallest p = 7 mod 8 with
+    p**2 | n in the complete factorization."""
+    assert n % 8 == 5
+    admissible = [q for q, e in factorize(n).factors if e >= 2 and q % 8 == 7]
+    c = classify(n)
+    if admissible:
+        p_min = min(admissible)
+        assert c.recipe == Odd5Mod8(p=p_min, m=n // p_min**2), n
+    else:
+        assert c.reason == Reason.FIVE_MOD_8_NO_ADMISSIBLE_PRIME_SQUARE, n
+
+
+def _five_mod_8_multiple(rng, m):
+    """k * m = 5 mod 8 for odd m, with |k| < 8000 seeded: k's primes are all
+    below 10**4, so trial division leaves the cofactor m."""
+    return (8 * rng.randrange(-1000, 1000) + 5 * m % 8) * m
+
+
+def _bound_shapes(rng):
+    """Seeded odd cofactors of every shape around the trial bounds."""
+    q = _next_prime(rng.randrange(10**6, 10**7))
+    r = _next_prime(rng.randrange(10**5, 10**7))
+    between = _next_prime(rng.randrange(10**4, 10**5))  # a prime in [10**4, 10**5)
+    shapes = [
+        _next_prime(rng.randrange(10**5, 10**12 // q - 1000)) * q,  # pq below 10**12
+        r * _next_prime(rng.randrange(10**7, 10**15 // r - 1000)),  # pq in [10**12, 10**15)
+        between * q,  # pq below 10**12 with a prime in [10**4, 10**5)
+        between * _next_prime(rng.randrange(10**8, 10**10)),  # pq in [10**12, 10**15), ditto
+        q * _next_prime(rng.randrange(10**5, 10**6)) * _next_prime(rng.randrange(10**5, 10**6)),
+    ]
+    for residue in (7, 3):
+        p_small = _next_prime(rng.randrange(10**4, 10**5), residue)  # p**2 below 10**12
+        p_mid = _next_prime(rng.randrange(10**6, 3 * 10**7), residue)  # p**2 in [10**12, 10**15)
+        # p**2 * q in [10**12, 10**15), both primes in [10**4, 10**5)
+        shapes += [p_small**2, p_mid**2, p_small**2 * _next_prime(rng.randrange(10**4, 10**5))]
+        # p**2 * q in [10**15, 10**16) with no prime below 10**5
+        p_big = _next_prime(rng.randrange(10**5, 2 * 10**5), residue)
+        lo = max(10**5, 10**15 // p_big**2 + 1)
+        shapes.append(p_big**2 * _next_prime(rng.randrange(lo, 10**16 // p_big**2 - 1000)))
+    return shapes
 
 
 @pytest.mark.parametrize("bad", [245.0, 17.0, 2.5, "245", None])

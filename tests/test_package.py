@@ -118,3 +118,21 @@ def test_certificate_loads_without_the_cli(capsys):
         "['q16det', 'q16det.certificate', 'q16det.core', 'q16det.errors',"
         " 'q16det.group_algebra', 'q16det.kernel']",
     ]
+
+
+def test_cli_import_builds_no_trial_product():
+    # The products of the trial primes below 10**4 and of those in
+    # [10**4, 10**5) are built on first use, so start-up never pays for them.
+    code = (
+        "import q16det.cli\n"
+        "from q16det import primes\n"
+        "print(primes._trial_rest.cache_info().currsize,"
+        " primes._squarefree_product.cache_info().currsize)\n"
+    )
+    run = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "0 0\n"

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from q16det import primes
+from q16det.errors import InternalInconsistency
 from q16det.primes import factor_map, is_probable_prime, prime_powers, primes_below
 
 
@@ -146,12 +147,16 @@ class TestIntegerRoot:
 
 
 class TestPMinus1:
-    def test_smooth_prime_splits_without_rho(self, monkeypatch):
+    def test_smooth_prime_splits_by_the_power(self, monkeypatch):
         """A 17-20-digit semiprime whose smaller prime q has q - 1 dividing
-        lcm(1..B1) is split by the one p-1 power: rho never runs."""
+        lcm(1..B1): rho's rounds up to r = 256 find no factor, and the one
+        p-1 power then splits it into q and r."""
+        powers = []
+        power = primes._pm1
 
-        def no_rho(n):
-            raise AssertionError(f"rho on {n}")
+        def counted(n):
+            powers.append((n, power(n)))
+            return powers[-1][1]
 
         rng = random.Random(35)
         cases = []
@@ -159,10 +164,22 @@ class TestPMinus1:
             q = _smooth_prime(rng, digits // 2)
             r = _next_prime(rng.randrange(10 ** (digits - 1) // q + 1, 10**digits // q))
             assert q < r and len(str(q * r)) == digits
-            cases.append((q * r, {q: 1, r: 1}))
-        monkeypatch.setattr(primes, "_pollard_brent", no_rho)
-        for n, want in cases:
-            assert factor_map(n) == want, n
+            cases.append((q * r, q, r))
+        monkeypatch.setattr(primes, "_pm1", counted)
+        for n, q, r in cases:
+            powers.clear()
+            assert factor_map(n) == {q: 1, r: 1}, n
+            assert powers == [(n, q)], n
+
+    def test_rho_rounds_come_before_the_power(self, monkeypatch):
+        """10012351 * 100054387: rho splits it in its round r = 256, so the
+        p-1 power, which would cost about twice that, never runs."""
+
+        def no_power(n):
+            raise AssertionError(f"p-1 power on {n}")
+
+        monkeypatch.setattr(primes, "_pm1", no_power)
+        assert factor_map(10012351 * 100054387) == {10012351: 1, 100054387: 1}
 
     def test_both_primes_smooth_falls_back_to_rho(self, monkeypatch):
         """When q - 1 and r - 1 both divide lcm(1..B1) the p-1 gcd is q*r
@@ -181,3 +198,28 @@ class TestPMinus1:
             rho_calls.clear()
             assert factor_map(q * r) == {q: 1, r: 1}
             assert rho_calls == [q * r]
+
+
+class TestPollardBrent:
+    def test_splits_every_small_odd_composite(self):
+        # About 500 of these end a block with the product 0 mod n and find
+        # their factor by the backtrack through that block.
+        for n in range(9, 20_000, 2):
+            if not is_probable_prime(n):
+                d = primes._pollard_brent(n)
+                assert 1 < d < n and n % d == 0, n
+
+    def test_backtrack_is_bounded(self, monkeypatch):
+        # A gcd that reports the first block's product as 0 mod n and then
+        # no common factor: the backtrack gives up after the 128 steps a
+        # block can hold, instead of spinning.
+        calls = []
+
+        def lying_gcd(a, n):
+            calls.append(a)
+            return n if len(calls) == 1 else 1
+
+        monkeypatch.setattr(primes, "gcd", lying_gcd)
+        with pytest.raises(InternalInconsistency, match="^rho's backtrack found no factor of 10403"):
+            primes._pollard_brent(10403)
+        assert len(calls) == 1 + 128
