@@ -11,7 +11,6 @@ certificate.
 
 import enum
 import operator
-from collections.abc import Iterator
 from typing import NamedTuple, Union
 
 from . import primes
@@ -81,8 +80,8 @@ def classify(n: int) -> Classification:
 
     A 5 mod 8 target is achievable exactly when some prime p = 7 mod 8 has
     p**2 | n, so a refusal needs no split of what trial division leaves:
-    only a proof that no square divides it.  primes.bound_proves_squarefree
-    gives one when that cofactor m is no perfect square and, having no prime
+    only a proof that no square divides it.  primes.square_candidates skips
+    the split when that cofactor m is no perfect square and, having no prime
     below B, is below B**3 for B = 10**4, or for B = 10**5 after one gcd:
     then m is 1, a prime or a product of two distinct primes.  Otherwise m
     is split, and the answer is the first admissible prime found."""
@@ -99,19 +98,10 @@ def classify(n: int) -> Classification:
     # r == 5: need some prime p = 7 mod 8 with p**2 | n; take the smallest.
     # The primes come in ascending order and lazily, so the first that
     # qualifies is the answer and nothing past it is split.
-    for p, e in _square_candidates(abs(n)):
+    for p, e in primes.square_candidates(n):
         if e >= 2 and p % 8 == 7:
             return Classification(n, Odd5Mod8(p=p, m=n // (p * p)), None)
     return Classification(n, None, Reason.FIVE_MOD_8_NO_ADMISSIBLE_PRIME_SQUARE)
-
-
-def _square_candidates(n: int) -> Iterator[tuple[int, int]]:
-    """The prime powers of n > 0 in ascending order, as prime_powers yields
-    them, but none of the cofactor's when the trial bounds prove it
-    squarefree: a prime that divides n once cannot be admissible."""
-    m = yield from primes.trial_powers(n)
-    if not primes.bound_proves_squarefree(m):
-        yield from primes.cofactor_powers(m)
 
 
 def classify_and_witness(n: int) -> WitnessCertificate | Classification:

@@ -5,12 +5,11 @@ Deterministic Miller-Rabin with the 12-base set that is exact below
 fixed witnesses and are flagged as probabilistic.  Composites are split by
 trial division below 10**4, then the cofactor by an exact integer k-th root
 when it is a perfect power (the p**2 of m*p**2, the p**3 of m*p**3), and
-otherwise by Brent's Pollard rho (Brent 1980), which on cofactors of at
-least 50 bits takes one Pollard p-1 stage-1 power (Pollard 1974) with the
-fixed bound B1 = 3000 after its rounds up to r = 256 find no factor.  Every
-parameter is fixed: results reproduce.  A cofactor that the trial bounds
-prove squarefree (``bound_proves_squarefree``) lets the classifier refuse
-a target without splitting it.
+otherwise by one Pollard p-1 stage-1 power (Pollard 1974) with the fixed
+bound B1 = 3000 on cofactors of at least 50 bits, and where that finds no
+proper factor by Brent's Pollard rho (Brent 1980) with fixed parameters:
+results reproduce.  ``square_candidates`` skips the split of a cofactor
+that the trial bounds prove squarefree.
 """
 
 from __future__ import annotations
@@ -32,17 +31,15 @@ MR_DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
 _TRIAL_BOUND = 10_000
 _PLAIN_TRIAL = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
 
-#: bound_proves_squarefree takes one gcd with the product of the primes in
+#: _bound_proves_squarefree takes one gcd with the product of the primes in
 #: [_TRIAL_BOUND, _SQUAREFREE_BOUND) on a cofactor in
 #: [_TRIAL_BOUND**3, _SQUAREFREE_BOUND**3).
 _SQUAREFREE_BOUND = 100_000
 
-#: Brent's rho raises 2 to lcm(1..B1) modulo each composite of at least
-#: _PM1_MIN_BITS bits once its rounds up to r = _PM1_AFTER_ROUND fail;
-#: _pollard_brent says how the three were chosen.
+#: Pollard p-1 stage 1 raises 2 to lcm(1..B1) modulo each composite cofactor
+#: of at least this many bits; _cofactor_powers says how both were chosen.
 _PM1_B1 = 3000
 _PM1_MIN_BITS = 50
-_PM1_AFTER_ROUND = 256
 
 
 @cache
@@ -104,34 +101,10 @@ def is_probable_prime(n: int) -> bool:
     return True
 
 
-def _pm1(n: int) -> int:
-    """gcd(2**E - 1, n) with E = lcm(1..B1): Pollard p-1 stage 1.  Every
-    prime q of n with q - 1 dividing E divides it."""
-    return gcd(pow(2, _pm1_exponent(), n) - 1, n)
-
-
 def _pollard_brent(n: int) -> int:
-    """A nontrivial factor of odd composite n (deterministic parameters).
-    On n of at least _PM1_MIN_BITS bits, the one p-1 power (_pm1) runs once
-    the first sequence's rounds up to r = _PM1_AFTER_ROUND have found no
-    factor, and that sequence goes on when the power finds none either.
-
-    B1 = 3000 and the 50-bit gate were chosen by a paired sweep over 4,800
-    seeded 12-20 digit semiprimes of the benchmark's certify shape, each
-    split by rho alone and by p-1 then rho.  Gated at 50 bits, B1 = 3000
-    ran the set 1.14-1.17x faster and split 13-16% of it with no rho;
-    B1 = 2000 gave 1.13-1.14x, and 4000 or 5000 1.15-1.17x with a longer
-    power.  Below 50 bits (about 15 digits) rho is quicker than the power
-    itself.  The power's place was swept on 350 seeded 16-20 digit certify
-    semiprimes and on 50-62 bit cofactors with one small prime: after the
-    round r = 256 (about 1,000 steps, as long as the power) the semiprimes
-    ran within 1.5% of the power first, as after any round from 32 to 512;
-    80 cofactors with a prime in [10**4, 10**7) ran 1.3x faster, and 80 with
-    one in [10**6, 10**8) the same; 10012351 * 100054387, which rho splits
-    in that round, went from 1.33 to 0.48 ms."""
+    """A nontrivial factor of odd composite n (deterministic parameters)."""
     if n % 2 == 0:
         return 2
-    pm1_due = n.bit_length() >= _PM1_MIN_BITS
     x0 = 2
     for c in range(1, 1000):
         y, r, q = x0, 1, 1
@@ -151,10 +124,6 @@ def _pollard_brent(n: int) -> int:
                     q = q * abs(x - y) % n
                 g = gcd(q, n)
                 k += 128
-            if pm1_due and r == _PM1_AFTER_ROUND and g == 1:
-                pm1_due = False
-                if 1 < (d := _pm1(n)) < n:
-                    return d
             r *= 2
         if g == n:
             # The product before the last block was prime to n, so one of
@@ -184,7 +153,7 @@ def _iroot(m: int, k: int) -> int:
     return r
 
 
-def trial_powers(n: int) -> Generator[tuple[int, int], None, int]:
+def _trial_powers(n: int) -> Generator[tuple[int, int], None, int]:
     """Yield (p, e) for each prime p below _TRIAL_BOUND with p**e exactly
     dividing n >= 1, p ascending, and return the cofactor: n without them.
     Lazy: a prime is yielded as soon as it is divided out, so a caller that
@@ -224,18 +193,20 @@ def trial_powers(n: int) -> Generator[tuple[int, int], None, int]:
     return n
 
 
-def bound_proves_squarefree(m: int) -> bool:
-    """True when the trial bounds prove that the cofactor m returned by
-    trial_powers has no square factor but 1: m is no perfect square, and m
-    is below _TRIAL_BOUND**3 (10**12), or below _SQUAREFREE_BOUND**3
+def _bound_proves_squarefree(m: int) -> bool:
+    """True when the trial bounds prove that m, a cofactor returned by
+    _trial_powers, has no square factor but 1: m is no perfect square, and
+    m is below _TRIAL_BOUND**3 (10**12), or below _SQUAREFREE_BOUND**3
     (10**15) and prime to every prime in [_TRIAL_BOUND, _SQUAREFREE_BOUND).
+    Only such a cofactor: 45 passes the test, and 9 divides it.
 
     Proof.  A cofactor with a prime below _TRIAL_BOUND is that prime, since
-    trial division stopped at p * p > m.  Otherwise m has no prime below B, with B = _TRIAL_BOUND in the first
-    case and B = _SQUAREFREE_BOUND in the second (the gcd), and m < B**3.
-    Three primes of m would make m >= B**3, so m is 1, a prime q, q**2 or
-    q*r with primes q < r.  Of these only q**2 is a square, and only q**2
-    has a square factor other than 1.
+    trial division stopped at p * p > m.  Otherwise m has no prime below B,
+    with B = _TRIAL_BOUND in the first case and B = _SQUAREFREE_BOUND in
+    the second (the gcd), and m < B**3.  Three primes of m would make
+    m >= B**3, so m is 1, a prime q, q**2 or q*r with primes q < r.  Of
+    these only q**2 is a square, and only q**2 has a square factor other
+    than 1.
 
     The gcd costs about 55-75 us on a 13-15 digit m; the product, of
     129,539 bits, is built on first use.  A False says nothing: m may
@@ -245,14 +216,27 @@ def bound_proves_squarefree(m: int) -> bool:
     return m < _TRIAL_BOUND**3 or gcd(m, _squarefree_product()) == 1
 
 
-def cofactor_powers(m: int) -> Iterator[tuple[int, int]]:
-    """(p, e) for each prime power p**e exactly dividing the cofactor m
-    returned by trial_powers, p ascending, yielded once m is split.
+def _pm1(m: int) -> int:
+    """gcd(2**E - 1, m) with E = lcm(1..B1): Pollard p-1 stage 1.  Every
+    prime q of m with q - 1 dividing E divides it."""
+    return gcd(pow(2, _pm1_exponent(), m) - 1, m)
+
+
+def _cofactor_powers(m: int) -> Iterator[tuple[int, int]]:
+    """(p, e) for each prime power p**e exactly dividing m, a cofactor
+    returned by _trial_powers, p ascending, yielded once m is split.
 
     A composite m has no prime below _TRIAL_BOUND, so its primes exceed
-    2**13.  It is split by its k-th root when a perfect k-th power, and
-    otherwise by _pollard_brent (rho, with one p-1 power on m of at least
-    50 bits)."""
+    2**13.  It is split by its k-th root when a perfect k-th power.
+    Otherwise, on at least 50 bits, it first gets one p-1 power (_pm1):
+    1 < g < m is a split, and else rho splits m.  B1 and the gate were
+    chosen by a paired sweep over 4,800 seeded 12-20 digit semiprimes of
+    the benchmark's certify shape, each split by rho alone and by p-1 then
+    rho.  Gated at 50 bits, B1 = 3000 ran the set 1.14-1.17x faster and
+    split 13-16% of it with no rho; B1 = 2000 gave 1.13-1.14x, and 4000 or
+    5000 1.15-1.17x with a longer power.  Below 50 bits (about 15 digits)
+    rho is quicker than the power itself, which made 12-15 digit inputs
+    1.1-2.9x slower."""
     out: dict[int, int] = {}
     stack = [(m, 1)] if m > 1 else []  # cofactors with the multiplicity each has in m
     # variant: the sum over the stack of 2*Omega(m) - 1, Omega counting prime factors
@@ -267,26 +251,45 @@ def cofactor_powers(m: int) -> Iterator[tuple[int, int]]:
                 stack.append((r, k * e))
                 break
         else:
-            d = _pollard_brent(m)
+            d = _pm1(m) if m.bit_length() >= _PM1_MIN_BITS else 1
+            if not 1 < d < m:
+                d = _pollard_brent(m)
             stack.append((d, e))
             stack.append((m // d, e))
     yield from sorted(out.items())
 
 
 def prime_powers(n: int) -> Iterator[tuple[int, int]]:
-    """(p, e) for each prime power p**e exactly dividing n != 0, p ascending:
-    trial_powers, then cofactor_powers of the cofactor it returns.  Lazy, so
-    a caller that stops early splits nothing past the prime it stopped at.
-    The factorization is always complete.  Only classify skips the split,
-    where bound_proves_squarefree holds: a cofactor that is no square and
-    is below 10**12, or below 10**15 with no prime under 10**5, has at most
-    two primes, and they differ, so no prime divides it twice.  A 5 mod 8
-    refusal needs no more than that."""
+    """(p, e) for each prime power p**e exactly dividing n != 0, p ascending.
+    Lazy: a prime below 10**4 is yielded as soon as trial division takes it
+    out, so a caller that stops early splits nothing past it; the cofactor
+    left over is split, and its primes are yielded sorted.  The
+    factorization is always complete: square_candidates is the variant that
+    may skip the cofactor."""
     n = abs(n)
     if n == 0:
         raise ValueError("cannot factor 0")
-    m = yield from trial_powers(n)
-    yield from cofactor_powers(m)
+    m = yield from _trial_powers(n)
+    yield from _cofactor_powers(m)
+
+
+def square_candidates(n: int) -> Iterator[tuple[int, int]]:
+    """prime_powers(n), but without the cofactor's primes when the trial
+    bounds prove the cofactor squarefree: every prime p with p**2 | n is
+    still yielded, with its exponent, in ascending order.
+
+    The rule: after trial division below 10**4, a cofactor m that is no
+    perfect square and is below 10**12, or below 10**15 and prime to the
+    primes in [10**4, 10**5) (one gcd), is not split.  Such an m has no
+    prime below B and is below B**3, for B = 10**4 or 10**5, so it is 1, a
+    prime or a product of two distinct primes: none of its primes divides
+    n twice.  _bound_proves_squarefree has the proof in full."""
+    n = abs(n)
+    if n == 0:
+        raise ValueError("cannot factor 0")
+    m = yield from _trial_powers(n)
+    if not _bound_proves_squarefree(m):
+        yield from _cofactor_powers(m)
 
 
 def factor_map(n: int) -> dict[int, int]:

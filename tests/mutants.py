@@ -414,23 +414,14 @@ MUTANTS = (
         "g = 1",
         ("tests/test_classifier.py::TestClassify::test_small_admissible_prime_needs_no_rho",),
     ),
-    # Without the minus one the p-1 gcd is gcd(2**E mod n, n) = 1 for odd n,
-    # so the power splits nothing and rho goes on alone.
+    # Without the minus one the p-1 gcd is gcd(2**E mod m, m) = 1 for odd m,
+    # so every cofactor goes to rho.
     Mutant(
         "pm1-drops-minus-one",
         "q16det/primes.py",
-        "pow(2, _pm1_exponent(), n) - 1",
-        "pow(2, _pm1_exponent(), n)",
-        ("tests/test_primes.py::TestPMinus1::test_smooth_prime_splits_by_the_power",),
-    ),
-    # The power before rho's first round costs a cofactor that rho splits
-    # in its round r = 256 the whole power.
-    Mutant(
-        "pm1-before-rho-rounds",
-        "q16det/primes.py",
-        "r == _PM1_AFTER_ROUND",
-        "r == 1",
-        ("tests/test_primes.py::TestPMinus1::test_rho_rounds_come_before_the_power",),
+        "pow(2, _pm1_exponent(), m) - 1",
+        "pow(2, _pm1_exponent(), m)",
+        ("tests/test_primes.py::TestPMinus1::test_smooth_prime_splits_without_rho",),
     ),
     # The backtrack compares x with the block's start, not with each step:
     # it finds no factor, and the bound on it raises instead of spinning.

@@ -179,7 +179,7 @@ class TestClassify:
             between = [q3 * q4, _next_prime(rng.randrange(10**12, 10**15))]
             assert all(m < 10**12 for m in below) and all(10**12 <= m < 10**15 for m in between)
             for m in below + between:
-                assert primes.bound_proves_squarefree(m), m
+                assert primes._bound_proves_squarefree(m), m
                 n = _five_mod_8_multiple(rng, m)
                 assert classify(n).reason == Reason.FIVE_MOD_8_NO_ADMISSIBLE_PRIME_SQUARE, n
 

@@ -147,16 +147,12 @@ class TestIntegerRoot:
 
 
 class TestPMinus1:
-    def test_smooth_prime_splits_by_the_power(self, monkeypatch):
+    def test_smooth_prime_splits_without_rho(self, monkeypatch):
         """A 17-20-digit semiprime whose smaller prime q has q - 1 dividing
-        lcm(1..B1): rho's rounds up to r = 256 find no factor, and the one
-        p-1 power then splits it into q and r."""
-        powers = []
-        power = primes._pm1
+        lcm(1..B1) is split by the one p-1 power: rho never runs."""
 
-        def counted(n):
-            powers.append((n, power(n)))
-            return powers[-1][1]
+        def no_rho(n):
+            raise AssertionError(f"rho on {n}")
 
         rng = random.Random(35)
         cases = []
@@ -164,40 +160,33 @@ class TestPMinus1:
             q = _smooth_prime(rng, digits // 2)
             r = _next_prime(rng.randrange(10 ** (digits - 1) // q + 1, 10**digits // q))
             assert q < r and len(str(q * r)) == digits
-            cases.append((q * r, q, r))
-        monkeypatch.setattr(primes, "_pm1", counted)
-        for n, q, r in cases:
-            powers.clear()
-            assert factor_map(n) == {q: 1, r: 1}, n
-            assert powers == [(n, q)], n
-
-    def test_rho_rounds_come_before_the_power(self, monkeypatch):
-        """10012351 * 100054387: rho splits it in its round r = 256, so the
-        p-1 power, which would cost about twice that, never runs."""
-
-        def no_power(n):
-            raise AssertionError(f"p-1 power on {n}")
-
-        monkeypatch.setattr(primes, "_pm1", no_power)
-        assert factor_map(10012351 * 100054387) == {10012351: 1, 100054387: 1}
+            cases.append((q * r, {q: 1, r: 1}))
+        monkeypatch.setattr(primes, "_pollard_brent", no_rho)
+        for n, want in cases:
+            assert factor_map(n) == want, n
 
     def test_both_primes_smooth_falls_back_to_rho(self, monkeypatch):
         """When q - 1 and r - 1 both divide lcm(1..B1) the p-1 gcd is q*r
         itself, and rho splits it."""
-        rho_calls = []
-        rho = primes._pollard_brent
+        calls = []
+        power, rho = primes._pm1, primes._pollard_brent
 
-        def counted(n):
-            rho_calls.append(n)
+        def counted_power(n):
+            calls.append(("p-1", n, power(n)))
+            return calls[-1][2]
+
+        def counted_rho(n):
+            calls.append(("rho", n))
             return rho(n)
 
-        monkeypatch.setattr(primes, "_pollard_brent", counted)
+        monkeypatch.setattr(primes, "_pm1", counted_power)
+        monkeypatch.setattr(primes, "_pollard_brent", counted_rho)
         rng = random.Random(36)
         for _ in range(3):
             q, r = _smooth_prime(rng, 9), _smooth_prime(rng, 10)
-            rho_calls.clear()
+            calls.clear()
             assert factor_map(q * r) == {q: 1, r: 1}
-            assert rho_calls == [q * r]
+            assert calls == [("p-1", q * r, q * r), ("rho", q * r)]
 
 
 class TestPollardBrent:
