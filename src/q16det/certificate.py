@@ -20,8 +20,9 @@ beyond the document.
 
 This module imports nothing from the library but :mod:`q16det.core`,
 :mod:`q16det.errors`, :mod:`q16det.group_algebra` and the package
-``__version__``, and a test checks that: checking a document loads those,
-:mod:`q16det.kernel` (through ``group_algebra``), and no ``argparse``.
+``__version__``, and a test checks that: checking a document loads those
+modules and the package, and neither the scan engine,
+:mod:`q16det.kernel`, nor ``argparse``.
 """
 
 import re

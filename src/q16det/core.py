@@ -34,9 +34,10 @@ This module imports nothing from the library but :mod:`q16det.errors`,
 and a test checks that; ``import q16det.core`` loads no other library
 module, and no ``typing``.  :func:`certificate_terms` looks up
 :func:`group_det` and :func:`factored_terms` on this module, so a test
-that patches either here reaches the rule.  The scan and crosscheck
-loops reach them as ``kernel.group_det`` and ``kernel.factored_terms``,
-the same objects.
+that patches either here reaches the rule;
+:func:`q16det.group_algebra.direct_determinant` looks up :func:`group_det`
+here too.  The scan and crosscheck loops reach them as
+``kernel.group_det`` and ``kernel.factored_terms``, the same objects.
 """
 
 from __future__ import annotations

@@ -3,15 +3,18 @@
 An element is stored as two blocks of eight integer coefficients: ``a`` for
 the powers X**0..X**7 and ``b`` for Y*X**0..Y*X**7.  The group determinant
 is det(M) for the 16x16 matrix M[g][h] = coefficient of g * h**-1, computed
-exactly on that literal matrix by :func:`q16det.kernel.group_det`: one
-block step at the central element X**4, unimodular and division-free,
-splits M into two 8x8 blocks, each eliminated fraction-free.
+exactly on that literal matrix by :func:`q16det.core.group_det`, the
+trusted definition: one block step at the central element X**4,
+unimodular and division-free, splits M into two 8x8 blocks, each
+eliminated fraction-free.  This module builds on :mod:`q16det.core`
+alone, so the code that classifies, witnesses and checks certificates
+never loads the scan engine, :mod:`q16det.kernel`.
 """
 
 import operator
 from typing import Iterable, NamedTuple, Sequence
 
-from . import kernel
+from . import core
 
 
 def _coeff_tuple(coeffs: Iterable[int], name: str) -> tuple[int, ...]:
@@ -46,7 +49,7 @@ class GroupRingElement(_Blocks):
 
 def direct_determinant(e: GroupRingElement) -> int:
     """Exact group determinant straight from the 16x16 matrix definition."""
-    return kernel.group_det(e.a, e.b)
+    return core.group_det(e.a, e.b)
 
 
 def substitute_neg_x(e: GroupRingElement) -> GroupRingElement:

@@ -34,8 +34,11 @@ defined in :mod:`q16det.core`, the trusted module, and re-exported here:
 ``kernel.factored_terms is core.factored_terms``.  The crosscheck and the
 scan reach them, and :func:`scan_range`, as ``kernel.<name>``, so a
 tracer or a test that patches this module sees those calls.  The
-certificate rule, :func:`q16det.core.certificate_terms`, looks its names
-up on :mod:`q16det.core` instead.
+certificate rule, :func:`q16det.core.certificate_terms`, and
+:func:`q16det.group_algebra.direct_determinant` look their names up on
+:mod:`q16det.core` instead, so classifying, witnessing and checking a
+certificate never load this module; only the scan, crosscheck and audit
+in :mod:`q16det.analysis` do.
 """
 
 from __future__ import annotations

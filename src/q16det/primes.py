@@ -155,15 +155,19 @@ def _iroot(m: int, k: int) -> int:
 
 def _trial_powers(n: int) -> Generator[tuple[int, int], None, int]:
     """Yield (p, e) for each prime p below _TRIAL_BOUND with p**e exactly
-    dividing n >= 1, p ascending, and return the cofactor: n without them.
-    Lazy: a prime is yielded as soon as it is divided out, so a caller that
-    stops early divides nothing past it.  The cofactor is 1, a prime, or has
-    no prime below _TRIAL_BOUND.
+    dividing n != 0, p ascending, and return the cofactor: |n| without
+    them.  n = 0 raises ValueError on the first step.  Lazy: a prime is
+    yielded as soon as it is divided out, so a caller that stops early
+    divides nothing past it.  The cofactor is 1, a prime, or has no prime
+    below _TRIAL_BOUND.
 
     The primes 2 to 53 are tested one by one, stopping once p * p > n.  Past
     them, g = gcd(n, product of the other primes below _TRIAL_BOUND) names
     the trial primes left to find, and the walk ends when g is 1: an n with
     no such prime skips about 1,200 divisions."""
+    n = abs(n)
+    if n == 0:
+        raise ValueError("cannot factor 0")
     for p in _PLAIN_TRIAL:
         if p * p > n:
             return n
@@ -266,9 +270,6 @@ def prime_powers(n: int) -> Iterator[tuple[int, int]]:
     left over is split, and its primes are yielded sorted.  The
     factorization is always complete: square_candidates is the variant that
     may skip the cofactor."""
-    n = abs(n)
-    if n == 0:
-        raise ValueError("cannot factor 0")
     m = yield from _trial_powers(n)
     yield from _cofactor_powers(m)
 
@@ -284,9 +285,6 @@ def square_candidates(n: int) -> Iterator[tuple[int, int]]:
     prime below B and is below B**3, for B = 10**4 or 10**5, so it is 1, a
     prime or a product of two distinct primes: none of its primes divides
     n twice.  _bound_proves_squarefree has the proof in full."""
-    n = abs(n)
-    if n == 0:
-        raise ValueError("cannot factor 0")
     m = yield from _trial_powers(n)
     if not _bound_proves_squarefree(m):
         yield from _cofactor_powers(m)

@@ -286,6 +286,14 @@ MUTANTS = (
             "::test_wrong_document_with_a_long_trace_integer",
         ),
     ),
+    # A written trace keeps JSON booleans; only integers become strings.
+    Mutant(
+        "jsonable-bool-as-int",
+        "q16det/certificate.py",
+        "if isinstance(obj, bool) or obj is None:",
+        "if obj is None:",
+        ("tests/test_cli.py::TestCertificateDocuments::test_roundtrip_through_json",),
+    ),
     # The loader takes exactly eight coefficients per half.
     Mutant(
         "loader-takes-long-halves",

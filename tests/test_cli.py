@@ -289,6 +289,11 @@ class TestCertificateDocuments:
         assert decoded.n == 637
         assert decoded.f == cert.element.a and decoded.g == cert.element.b
         assert verify_document(decoded)
+        # JSON's true, false and null stay themselves in a written trace.
+        raw = json.loads(encoded)
+        raw["trace"] = {"split": True, "steer": [False, None, "7"], "note": None}
+        trace = CertificateDocument.from_json_dict(raw).to_json_dict()["trace"]
+        assert trace == {"split": True, "steer": [False, None, "7"], "note": None}
 
     @pytest.mark.parametrize(
         "field", ["n", *(f"{key}{j}" for key in "fg" for j in range(8)), *"ABCDXY"]

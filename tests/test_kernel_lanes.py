@@ -1,12 +1,12 @@
-"""The kernel and the core: the core's imports from the library, the lane
-names and patch points perfbench relies on, exactness for large
-coefficients, the reference elimination against the Fraction oracle on
-every branch it takes, the fixed-width 8x8 elimination against both and
-on pivot branches forced at each pass, group_det's split at the central
-element X**4 against the whole literal 16x16, the circulant oracle
-against group_det on the class pairs of direct scans, the half-table scan
-against the per-element reference, and the q-classes a direct scan
-groups half-vectors by."""
+"""The kernel and the core: the core's imports from the library, the one
+library module that imports the kernel, the lane names and patch points
+perfbench relies on, exactness for large coefficients, the reference
+elimination against the Fraction oracle on every branch it takes, the
+fixed-width 8x8 elimination against both and on pivot branches forced
+at each pass, group_det's split at the central element X**4 against
+the whole literal 16x16, the circulant oracle against group_det on the
+class pairs of direct scans, the half-table scan against the per-element
+reference, and the q-classes a direct scan groups half-vectors by."""
 
 import ast
 import random
@@ -20,7 +20,7 @@ import pytest
 
 from q16det import certificate, cli, core, kernel
 from q16det.core import DET_INDEX, INVERSE, MUL_TABLE, inv, mul
-from q16det.analysis import exhaustive_scan
+from q16det.analysis import exhaustive_scan, random_crosscheck
 from q16det.errors import InternalInconsistency
 from q16det.group_algebra import GroupRingElement, direct_determinant
 
@@ -95,8 +95,21 @@ def test_kernel_takes_the_determinant_from_core():
         assert not hasattr(kernel, name) and not hasattr(core, name), name
 
 
+def test_only_analysis_imports_the_kernel():
+    # Parsed: classify, witness and the certificate check never name the
+    # scan engine; tests/test_package.py checks what a fresh interpreter loads.
+    importers = {
+        path.stem
+        for path in Path(core.__file__).parent.glob("*.py")
+        if "q16det.kernel" in _library_imports(path.read_text())
+    }
+    assert importers == {"analysis"}
+
+
 def test_active_lane_reported(monkeypatch):
-    # perfbench reads these names and wraps the entry points on this module.
+    # perfbench reads these names and wraps the entry points on this module,
+    # where the crosscheck and the scan reach them; direct_determinant takes
+    # the literal determinant from core.
     assert kernel.lanes() == {"pure": kernel}
     assert kernel.ACTIVE_LANE == "pure"
     calls = []
@@ -108,9 +121,11 @@ def test_active_lane_reported(monkeypatch):
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(kernel, name, traced)
-    assert direct_determinant(GroupRingElement((1,) + (0,) * 7, (0,) * 8)) == 1
+    e = GroupRingElement((1,) * 8, (1, 0, 1, 1, 1, 0, 0, 0))
+    assert direct_determinant(e) == core.group_det(e.a, e.b) == -3072
+    assert random_crosscheck(2, 1, 0).count == 2
     assert exhaustive_scan((1,)).total == 1
-    assert calls == ["group_det", "scan_range"]
+    assert calls == ["group_det", "group_det", "scan_range"]
 
 
 def _oracle_det(a, b):

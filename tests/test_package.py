@@ -1,8 +1,10 @@
 """The package surface: each public name resolves on first use to the
 object its module defines, ``import q16det.core``, the trusted module,
-loads no other library module but ``q16det.errors``, and certificate
-documents load and re-verify without the command line.  Every ``while``
-loop of the library states on the line above it why it ends."""
+loads no other library module but ``q16det.errors``, certificate
+documents load and re-verify without the command line, and neither a
+certificate check nor ``import q16det.classifier`` loads the scan
+engine.  Every ``while`` loop of the library states on the line above it
+why it ends."""
 
 import ast
 import importlib
@@ -116,8 +118,28 @@ def test_certificate_loads_without_the_cli(capsys):
         "[True, True, True, True, True]",
         "False False",
         "['q16det', 'q16det.certificate', 'q16det.core', 'q16det.errors',"
-        " 'q16det.group_algebra', 'q16det.kernel']",
+        " 'q16det.group_algebra']",
     ]
+
+
+def test_classifier_loads_without_the_scan_engine():
+    # Deciding and witnessing need neither q16det.kernel nor q16det.analysis.
+    code = (
+        "import sys\n"
+        "import q16det.classifier\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'q16det'))\n"
+    )
+    run = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == (
+        "['q16det', 'q16det.classifier', 'q16det.core', 'q16det.errors',"
+        " 'q16det.exact_eval', 'q16det.group_algebra', 'q16det.primes',"
+        " 'q16det.quad_ring', 'q16det.witness']\n"
+    )
 
 
 def test_cli_import_builds_no_trial_product():

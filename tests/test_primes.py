@@ -60,6 +60,8 @@ class TestFactorMap:
     def test_zero_rejected(self):
         with pytest.raises(ValueError, match="^cannot factor 0$"):
             factor_map(0)
+        with pytest.raises(ValueError, match="^cannot factor 0$"):
+            list(primes.square_candidates(0))
 
     def test_square_cofactors_split_without_rho(self, monkeypatch):
         """Squares and higher powers, p**2, m*p**2, p**3, p**5, m*p**3,
