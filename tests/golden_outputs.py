@@ -45,6 +45,16 @@ SMOOTH_P_MINUS_1 = "12691457007240612781"
 # = 1 mod 8 above 3 * 10**6 and = 5 mod 8 above 10**7; and 5 * 10007**2, with
 # 10007 the first prime = 7 mod 8 above 10**4.
 BOUND_SETTLED = ("500102503237", "30000593002397", "500700245")
+# 5 mod 8 targets whose cofactor lies in [10**15, 10**17): the 16-digit
+# semiprime 30000059 * 100000007, the first primes = 3 mod 8 above 3 * 10**7
+# and = 7 mod 8 above 10**8; the 17-digit 200000033 * 300000149, the first
+# primes = 1 mod 8 above 2 * 10**8 and = 5 mod 8 above 3 * 10**8; the
+# unbalanced 1001779641733837 = 10012351 * 100054387; and 5 * q**2 * r with
+# q = 250007 and r = 300017, the first primes = 7 mod 8 above 250000 and
+# = 1 mod 8 above 3 * 10**5, achievable with p = q.
+SEVENTEEN_DIGITS = (
+    "3000006110000413", "60000039700004917", "1001779641733837", "93760562871004165",
+)
 WITNESSED = ("17", "-7", "1024", "-3072", "637", "1029", *FIVE_MOD_8)
 EVEN_FAMILY = "1,1,1,1,1,1,1,1,1,0,1,1,1,0,0,0"
 EMPTY = hashlib.sha256(b"").hexdigest()
@@ -139,6 +149,24 @@ ROWS = (
         1,
         "64b45a2a4808713521cf1603bca7fb6a37757c3621d5a14d5faa579cbef06e4d",
         "c12cbef1319e2a3100460a1f4e2b5b8c0886a695ab5d0e5866060d309d8df10d",
+    ),
+    Golden(
+        ("classify", *SEVENTEEN_DIGITS),
+        1,
+        "f28483bc03903f295c7f1e8faad414c1d27d8c65f64bf3cfff22938b67dba12d",
+        EMPTY,
+    ),
+    Golden(
+        ("classify", *SEVENTEEN_DIGITS, "--json"),
+        1,
+        "f74384c09bc7b734e1fc93a627538e374776aecde037a5d3c1baee8e776e0147",
+        EMPTY,
+    ),
+    Golden(
+        ("witness", *SEVENTEEN_DIGITS, "--json"),
+        1,
+        "4320bb57898f965ad2d9834fb0a13fc532e7c35cd0d069f7f25fea00262d1c7f",
+        "e7ba555498f76001d842badf3913a20299e0c7c201de9ada1a18d94497873162",
     ),
     Golden(
         ("witness", THREE_P_CUBED, "--json"),
