@@ -126,7 +126,7 @@ def _jsonable(obj):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, bool) or obj is None:
+    if isinstance(obj, bool):
         return obj
     if isinstance(obj, int):
         return str(obj)

@@ -81,10 +81,12 @@ def classify(n: int) -> Classification:
     A 5 mod 8 target is achievable exactly when some prime p = 7 mod 8 has
     p**2 | n, so a refusal needs no split of what trial division leaves:
     only a proof that no square divides it.  primes.square_candidates skips
-    the split when that cofactor m is no perfect square and, having no prime
-    below B, is below B**3 for B = 10**4, or for B = 10**5 after one gcd:
-    then m is 1, a prime or a product of two distinct primes.  Otherwise m
-    is split, and the answer is the first admissible prime found."""
+    the split when that cofactor m is no perfect square, is below
+    464,159**3 (just above 10**17), and is prime or has no prime below the
+    least B of 10**4, 10**5, 215,444 and 464,159 with m < B**3 (one gcd
+    past 10**4): then m is 1, a prime or a product of two distinct primes.
+    Otherwise m is split, and the answer is the first admissible prime
+    found."""
     n = operator.index(n)
     if n % 2 == 0:
         if n % 1024 == 0:

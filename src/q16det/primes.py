@@ -9,13 +9,14 @@ otherwise by one Pollard p-1 stage-1 power (Pollard 1974) with the fixed
 bound B1 = 3000 on cofactors of at least 50 bits, and where that finds no
 proper factor by Brent's Pollard rho (Brent 1980) with fixed parameters:
 results reproduce.  ``square_candidates`` skips the split of a cofactor
-that the trial bounds prove squarefree.
+up to about 10**17 that the squarefree ladder proves squarefree.
 """
 
 from __future__ import annotations
 
 from collections.abc import Generator, Iterator
 from functools import cache
+from itertools import compress
 from math import gcd, isqrt, lcm, prod
 
 from .errors import InternalInconsistency, int_text
@@ -31,10 +32,10 @@ MR_DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
 _TRIAL_BOUND = 10_000
 _PLAIN_TRIAL = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
 
-#: _bound_proves_squarefree takes one gcd with the product of the primes in
-#: [_TRIAL_BOUND, _SQUAREFREE_BOUND) on a cofactor in
-#: [_TRIAL_BOUND**3, _SQUAREFREE_BOUND**3).
-_SQUAREFREE_BOUND = 100_000
+#: The squarefree ladder, B**3 >= 10**12, 10**15, 10**16 and 10**17:
+#: _bound_proves_squarefree takes, at the least step B with m < B**3, one
+#: gcd with the product of the primes in [_TRIAL_BOUND, B).
+_SQUAREFREE_STEPS = (_TRIAL_BOUND, 100_000, 215_444, 464_159)
 
 #: Pollard p-1 stage 1 raises 2 to lcm(1..B1) modulo each composite cofactor
 #: of at least this many bits; _cofactor_powers says how both were chosen.
@@ -50,9 +51,18 @@ def _trial_rest() -> tuple[tuple[int, ...], int]:
 
 
 @cache
-def _squarefree_product() -> int:
-    """The product of the primes in [_TRIAL_BOUND, _SQUAREFREE_BOUND)."""
-    return prod(p for p in primes_below(_SQUAREFREE_BOUND) if p >= _TRIAL_BOUND)
+def _step_product(step: int) -> int:
+    """The product of the primes in [_TRIAL_BOUND, _SQUAREFREE_STEPS[step]):
+    the step below's product times a balanced product of the new primes,
+    read from a sieve below the step's B that is dropped once read."""
+    if step == 0:
+        return 1
+    lo, hi = _SQUAREFREE_STEPS[step - 1], _SQUAREFREE_STEPS[step]
+    layer = list(compress(range(lo, hi), memoryview(_sieve(hi))[lo:hi]))
+    # variant: len(layer), which halves on every pass
+    while len(layer) > 1:
+        layer = [prod(layer[i : i + 2]) for i in range(0, len(layer), 2)]
+    return _step_product(step - 1) * layer[0]
 
 
 @cache
@@ -60,16 +70,21 @@ def _pm1_exponent() -> int:
     return lcm(*range(1, _PM1_B1 + 1))
 
 
-def primes_below(limit: int) -> list[int]:
-    """All primes < limit by a plain sieve."""
-    if limit <= 2:
-        return []
+def _sieve(limit: int) -> bytearray:
+    """A plain sieve for limit > 2: byte i is 1 exactly when i is prime."""
     sieve = bytearray([1]) * limit
     sieve[0] = sieve[1] = 0
     for i in range(2, isqrt(limit - 1) + 1):
         if sieve[i]:
-            sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
-    return [i for i in range(limit) if sieve[i]]
+            sieve[i * i :: i] = bytes(len(range(i * i, limit, i)))
+    return sieve
+
+
+def primes_below(limit: int) -> list[int]:
+    """All primes < limit by a plain sieve."""
+    if limit <= 2:
+        return []
+    return list(compress(range(limit), _sieve(limit)))
 
 
 def is_probable_prime(n: int) -> bool:
@@ -198,26 +213,30 @@ def _trial_powers(n: int) -> Generator[tuple[int, int], None, int]:
 
 
 def _bound_proves_squarefree(m: int) -> bool:
-    """True when the trial bounds prove that m, a cofactor returned by
-    _trial_powers, has no square factor but 1: m is no perfect square, and
-    m is below _TRIAL_BOUND**3 (10**12), or below _SQUAREFREE_BOUND**3
-    (10**15) and prime to every prime in [_TRIAL_BOUND, _SQUAREFREE_BOUND).
-    Only such a cofactor: 45 passes the test, and 9 divides it.
+    """True when the squarefree ladder proves that m, a cofactor returned
+    by _trial_powers, has no square factor but 1: m is no perfect square,
+    m is below the top step's cube 464,159**3 (just above 10**17), and at
+    the least step B of _SQUAREFREE_STEPS with m < B**3, m is prime or
+    prime to every prime in [_TRIAL_BOUND, B).  The first step,
+    B = _TRIAL_BOUND, needs no gcd.  Only such a cofactor: 45 passes the
+    test, and 9 divides it.
 
-    Proof.  A cofactor with a prime below _TRIAL_BOUND is that prime, since
-    trial division stopped at p * p > m.  Otherwise m has no prime below B,
-    with B = _TRIAL_BOUND in the first case and B = _SQUAREFREE_BOUND in
-    the second (the gcd), and m < B**3.  Three primes of m would make
+    Proof.  A prime m is squarefree; Miller-Rabin is exact at this size.  A
+    cofactor with a prime below _TRIAL_BOUND is that prime, since trial
+    division stopped at p * p > m.  Otherwise m has no prime below B (trial
+    division, then the gcd), and m < B**3.  Three primes of m would make
     m >= B**3, so m is 1, a prime q, q**2 or q*r with primes q < r.  Of
     these only q**2 is a square, and only q**2 has a square factor other
     than 1.
 
-    The gcd costs about 55-75 us on a 13-15 digit m; the product, of
-    129,539 bits, is built on first use.  A False says nothing: m may
+    The gcd costs about 70-90, 150-165 and 340-495 us at the steps 10**5,
+    215,444 and 464,159; each step's product, of 0.13, 0.30 and 0.65
+    million bits, is built on first use.  A False says nothing: m may
     still be squarefree."""
-    if m >= _SQUAREFREE_BOUND**3 or isqrt(m) ** 2 == m:
+    if m >= _SQUAREFREE_STEPS[-1] ** 3 or isqrt(m) ** 2 == m:
         return False
-    return m < _TRIAL_BOUND**3 or gcd(m, _squarefree_product()) == 1
+    step = next(i for i, b in enumerate(_SQUAREFREE_STEPS) if m < b**3)
+    return step == 0 or is_probable_prime(m) or gcd(m, _step_product(step)) == 1
 
 
 def _pm1(m: int) -> int:
@@ -275,16 +294,17 @@ def prime_powers(n: int) -> Iterator[tuple[int, int]]:
 
 
 def square_candidates(n: int) -> Iterator[tuple[int, int]]:
-    """prime_powers(n), but without the cofactor's primes when the trial
-    bounds prove the cofactor squarefree: every prime p with p**2 | n is
-    still yielded, with its exponent, in ascending order.
+    """prime_powers(n), but without the cofactor's primes when the
+    squarefree ladder proves the cofactor squarefree: every prime p with
+    p**2 | n is still yielded, with its exponent, in ascending order.
 
     The rule: after trial division below 10**4, a cofactor m that is no
-    perfect square and is below 10**12, or below 10**15 and prime to the
-    primes in [10**4, 10**5) (one gcd), is not split.  Such an m has no
-    prime below B and is below B**3, for B = 10**4 or 10**5, so it is 1, a
-    prime or a product of two distinct primes: none of its primes divides
-    n twice.  _bound_proves_squarefree has the proof in full."""
+    perfect square and below 464,159**3 is not split when it is below
+    10**12, or is prime, or is prime to the primes in [10**4, B) (one gcd)
+    for the least B of 10**5, 215,444 and 464,159 with m < B**3.  Such an m
+    has no prime below B and is below B**3, so it is 1, a prime or a
+    product of two distinct primes: none of its primes divides n twice.
+    _bound_proves_squarefree has the proof in full."""
     m = yield from _trial_powers(n)
     if not _bound_proves_squarefree(m):
         yield from _cofactor_powers(m)

@@ -38,6 +38,7 @@ _LAYOUT_PROOF = "tests/test_recipe_proofs.py::test_every_decomposition_has_a_lay
 _AUDIT_STREAM = "tests/test_analysis.py::TestParityAudit::test_audit_elements_replay_randint"
 _SPLIT_ORACLE = "tests/test_quad_ring.py::TestSplitPrime::test_against_enumeration_oracle"
 _SMALLEST_P = "tests/test_classifier.py::TestClassify::test_matches_complete_factorization"
+_GOLDEN = "tests/test_cli.py::TestGoldenOutputs::test_every_row_replays"
 
 MUTANTS = (
     # random_crosscheck draws rng.randint(-height, height) through the
@@ -290,8 +291,8 @@ MUTANTS = (
     Mutant(
         "jsonable-bool-as-int",
         "q16det/certificate.py",
-        "if isinstance(obj, bool) or obj is None:",
-        "if obj is None:",
+        "if isinstance(obj, bool):",
+        "if False:",
         ("tests/test_cli.py::TestCertificateDocuments::test_roundtrip_through_json",),
     ),
     # The loader takes exactly eight coefficients per half.
@@ -440,9 +441,12 @@ MUTANTS = (
         "gcd(abs(x - ys), n)",
         ("tests/test_primes.py::TestPollardBrent::test_splits_every_small_odd_composite",),
     ),
-    # The trial bounds' squarefree proof: a square cofactor must be split,
-    # three primes above 10**5 can make 10**15, and the gcd must cover the
-    # primes from 10**4.  Each fault refuses an achievable p**2 or p**2*q.
+    # The squarefree ladder's proof: a square cofactor must be split, three
+    # primes of the step's new range can make its B**3, and each gcd must
+    # cover the primes from 10**4 up to its own step's B.  Each fault
+    # refuses an achievable p**2 or p**2*r, except the top cube raised
+    # tenfold (its id predates the ladder): that lets a cofactor in
+    # [464,159**3, about 10**18) reach the step lookup, which raises.
     Mutant(
         "bound-skips-square-test",
         "q16det/primes.py",
@@ -453,16 +457,30 @@ MUTANTS = (
     Mutant(
         "bound-cube-of-1e5-raised-to-1e16",
         "q16det/primes.py",
-        "m >= _SQUAREFREE_BOUND**3",
-        "m >= 10 * _SQUAREFREE_BOUND**3",
+        "m >= _SQUAREFREE_STEPS[-1] ** 3",
+        "m >= 10 * _SQUAREFREE_STEPS[-1] ** 3",
         (_SMALLEST_P,),
     ),
     Mutant(
         "bound-product-starts-at-1e5",
         "q16det/primes.py",
-        "if p >= _TRIAL_BOUND)",
-        "if p >= _SQUAREFREE_BOUND)",
+        "if step == 0:",
+        "if step <= 1:",
         (_SMALLEST_P,),
+    ),
+    Mutant(
+        "ladder-product-stops-a-step-early",
+        "q16det/primes.py",
+        "gcd(m, _step_product(step))",
+        "gcd(m, _step_product(step - 1))",
+        (_SMALLEST_P, _GOLDEN),
+    ),
+    Mutant(
+        "ladder-takes-the-next-step",
+        "q16det/primes.py",
+        "if m < b**3)",
+        "if m < 10 * b**3)",
+        (_SMALLEST_P, _GOLDEN),
     ),
     # For a composite p the main loop can find no i < m with t**(2**i) = 1;
     # without the guard m reaches 0 and a negative shift raises ValueError.

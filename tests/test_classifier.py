@@ -1,3 +1,4 @@
+import math
 import random
 from math import prod
 
@@ -152,18 +153,20 @@ class TestClassify:
             ]
             for n in cases:
                 _check_against_factorization(n)
-        # The cofactor shapes of the trial bounds, B = 10**4 and 10**5, each
-        # times a seeded 5 mod 8 multiplier whose primes trial division
-        # removes: the shapes the bounds settle, and the ones next to them
-        # that they must not.
+        # The cofactor shapes of the squarefree ladder's steps, each times a
+        # seeded 5 mod 8 multiplier whose primes trial division removes: the
+        # shapes the ladder settles, and the ones next to them that it must
+        # not.
         rng = random.Random(38)
         for _ in range(6):
             for m in _bound_shapes(rng):
                 _check_against_factorization(_five_mod_8_multiple(rng, m))
 
     def test_bound_settled_refusals_split_nothing(self, monkeypatch):
-        # Below 10**12, and below 10**15 with no prime under 10**5, a
-        # cofactor that is no square is refused without rho or p-1.
+        # Below 10**12, and below B**3 with no prime under B at each later
+        # step B, a cofactor that is no square is refused without rho or
+        # p-1.  Next to each q*r just below B**3, a q*r*s and a q**2*r whose
+        # smallest prime lies in the step's new range [lo, B) still split.
         def no_split(n):
             raise AssertionError(f"split of {n}")
 
@@ -173,15 +176,52 @@ class TestClassify:
         for _ in range(6):
             q1 = _next_prime(rng.randrange(10**4, 10**6))
             q2 = _next_prime(rng.randrange(10**5, 10**6))
-            q3 = _next_prime(rng.randrange(10**5, 10**7))
-            q4 = _next_prime(rng.randrange(10**7, 10**8))
             below = [q1 * q2, _next_prime(rng.randrange(10**11, 10**12))]
-            between = [q3 * q4, _next_prime(rng.randrange(10**12, 10**15))]
-            assert all(m < 10**12 for m in below) and all(10**12 <= m < 10**15 for m in between)
-            for m in below + between:
+            assert all(m < 10**12 for m in below)
+            settled = below + [_next_prime(rng.randrange(10**12, 10**15))]
+            for lo, hi in zip(STEPS, STEPS[1:]):
+                q = _next_prime(rng.randrange(hi, 2 * hi))
+                settled.append(_just_below_cube(q, hi))
+                assert 10**12 <= lo**3 <= settled[-1] < hi**3, settled[-1]
+                for m in (_three_primes(rng, lo, hi), _square_times_prime(rng, lo, hi, 7)):
+                    assert lo**3 <= m < hi**3, m
+                    assert not primes._bound_proves_squarefree(m), m
+                    with pytest.raises(AssertionError, match="^split of "):
+                        classify(_five_mod_8_multiple(rng, m, squarefree=True))
+            for m in settled:
                 assert primes._bound_proves_squarefree(m), m
-                n = _five_mod_8_multiple(rng, m)
+                n = _five_mod_8_multiple(rng, m, squarefree=True)
                 assert classify(n).reason == Reason.FIVE_MOD_8_NO_ADMISSIBLE_PRIME_SQUARE, n
+
+    def test_prime_cofactor_takes_no_gcd(self, monkeypatch):
+        # Miller-Rabin settles a prime cofactor in [10**15, 10**17) before
+        # the step's gcd: the gcd is patched to raise on the ladder's
+        # products (trial division's own gcd still runs), and rho and p-1
+        # to raise on anything.
+        ladder = [primes._step_product(step) for step in range(1, len(STEPS))]
+
+        def gcd_off_the_ladder(a, b):
+            if any(a is p or b is p for p in ladder):
+                raise AssertionError(f"the ladder's gcd on {min(a, b)}")
+            return math.gcd(a, b)
+
+        def no_split(n):
+            raise AssertionError(f"split of {n}")
+
+        monkeypatch.setattr(primes, "gcd", gcd_off_the_ladder)
+        monkeypatch.setattr(primes, "_pollard_brent", no_split)
+        monkeypatch.setattr(primes, "_pm1", no_split)
+        rng = random.Random(40)
+        for lo, hi in ((10**15, 10**16), (10**16, 10**17)):
+            for _ in range(3):
+                q = _next_prime(rng.randrange(lo, hi - 10**6))
+                assert primes._bound_proves_squarefree(q), q
+                n = _five_mod_8_multiple(rng, q, squarefree=True)
+                assert classify(n).reason == Reason.FIVE_MOD_8_NO_ADMISSIBLE_PRIME_SQUARE, n
+        # A composite cofactor there still takes the gcd.
+        m = _just_below_cube(_next_prime(10**6), 464_159)
+        with pytest.raises(AssertionError, match="^the ladder's gcd on "):
+            primes._bound_proves_squarefree(m)
 
     def test_automatic_residue_lemma(self):
         # For n = 5 mod 8 and p = 7 mod 8 with p^2 | n: n / p^2 = 5 mod 8.
@@ -214,33 +254,80 @@ def _check_against_factorization(n):
         assert c.reason == Reason.FIVE_MOD_8_NO_ADMISSIBLE_PRIME_SQUARE, n
 
 
-def _five_mod_8_multiple(rng, m):
-    """k * m = 5 mod 8 for odd m, with |k| < 8000 seeded: k's primes are all
-    below 10**4, so trial division leaves the cofactor m."""
-    return (8 * rng.randrange(-1000, 1000) + 5 * m % 8) * m
+def _five_mod_8_multiple(rng, m, squarefree=False):
+    """k * m = 5 mod 8 for odd m, with |k| < 8000 seeded, and squarefree
+    when asked: k's primes are all below 10**4, so trial division leaves
+    the cofactor m."""
+    while True:
+        k = 8 * rng.randrange(-1000, 1000) + 5 * m % 8
+        if not squarefree or max(primes.factor_map(k).values(), default=1) == 1:
+            return k * m
+
+
+#: The squarefree ladder's steps B, each the least with B**3 >= 10**12,
+#: 10**15, 10**16 and 10**17.
+STEPS = (10**4, 10**5, 215_444, 464_159)
+
+
+def _prev_prime(n):
+    """The last prime <= n."""
+    while not primes.is_probable_prime(n):
+        n -= 1
+    return n
+
+
+def _just_below_cube(q, b):
+    """q * r for the last prime r with q * r < b**3."""
+    return q * _prev_prime((b**3 - 1) // q)
+
+
+def _three_primes(rng, lo, hi):
+    """q * r * s, one prime from each third of [lo, hi)."""
+    third = (hi - lo) // 3
+    return prod(_next_prime(rng.randrange(lo + i * third, lo + (i + 1) * third - 1000)) for i in range(3))
+
+
+def _square_times_prime(rng, lo, hi, residue):
+    """p**2 * r in [lo**3, hi**3) with p = residue mod 8 in [lo, hi) its
+    smallest prime."""
+    p = _next_prime(rng.randrange(lo, (lo + hi) // 2), residue)
+    return p * p * _next_prime(rng.randrange(max(p, lo**3 // p**2) + 1, hi**3 // p**2 - 10**4))
 
 
 def _bound_shapes(rng):
-    """Seeded odd cofactors of every shape around the trial bounds."""
+    """Seeded odd cofactors of every shape around the squarefree ladder."""
     q = _next_prime(rng.randrange(10**6, 10**7))
-    r = _next_prime(rng.randrange(10**5, 10**7))
     between = _next_prime(rng.randrange(10**4, 10**5))  # a prime in [10**4, 10**5)
     shapes = [
         _next_prime(rng.randrange(10**5, 10**12 // q - 1000)) * q,  # pq below 10**12
-        r * _next_prime(rng.randrange(10**7, 10**15 // r - 1000)),  # pq in [10**12, 10**15)
         between * q,  # pq below 10**12 with a prime in [10**4, 10**5)
-        between * _next_prime(rng.randrange(10**8, 10**10)),  # pq in [10**12, 10**15), ditto
-        q * _next_prime(rng.randrange(10**5, 10**6)) * _next_prime(rng.randrange(10**5, 10**6)),
     ]
     for residue in (7, 3):
         p_small = _next_prime(rng.randrange(10**4, 10**5), residue)  # p**2 below 10**12
-        p_mid = _next_prime(rng.randrange(10**6, 3 * 10**7), residue)  # p**2 in [10**12, 10**15)
-        # p**2 * q in [10**12, 10**15), both primes in [10**4, 10**5)
-        shapes += [p_small**2, p_mid**2, p_small**2 * _next_prime(rng.randrange(10**4, 10**5))]
-        # p**2 * q in [10**15, 10**16) with no prime below 10**5
-        p_big = _next_prime(rng.randrange(10**5, 2 * 10**5), residue)
-        lo = max(10**5, 10**15 // p_big**2 + 1)
-        shapes.append(p_big**2 * _next_prime(rng.randrange(lo, 10**16 // p_big**2 - 1000)))
+        shapes.append(p_small**2)
+    # At each gcd step B over the step below, lo: q*r just below B**3 with
+    # no prime below B, q*r with q in [lo, B), q*r*s with all three there,
+    # a prime, p**2, and p**2*r with p in [lo, B), all in [lo**3, B**3).
+    for lo, hi in zip(STEPS, STEPS[1:]):
+        q = _next_prime(rng.randrange(lo, hi - 1000))
+        shapes += [
+            _just_below_cube(_next_prime(rng.randrange(hi, 2 * hi)), hi),
+            q * _next_prime(rng.randrange(lo**3 // q + 1, hi**3 // q - 10**4)),
+            _three_primes(rng, lo, hi),
+            _next_prime(rng.randrange(lo**3, hi**3 - 10**4)),
+        ]
+        for residue in (7, 3):
+            p = _next_prime(rng.randrange(math.isqrt(lo**3) + 1, math.isqrt(hi**3) - 1000), residue)
+            shapes += [p**2, _square_times_prime(rng, lo, hi, residue)]
+    # Past the ladder's top, top = 464,159**3 (just above 10**17): p**2*r in
+    # [top, 10**18) with no prime below 464,159, and q*r just above top.
+    top = STEPS[-1] ** 3
+    for residue in (7, 3):
+        p = _next_prime(rng.randrange(STEPS[-1], 6 * 10**5), residue)
+        shapes.append(p * p * _next_prime(rng.randrange(max(p, top // p**2) + 1, 10**18 // p**2 - 10**4)))
+    q = _next_prime(rng.randrange(STEPS[-1], 10**6))
+    shapes.append(q * _next_prime(top // q + 1))
+    assert all(m % 2 and m > 1 for m in shapes)
     return shapes
 
 

@@ -143,13 +143,14 @@ def test_classifier_loads_without_the_scan_engine():
 
 
 def test_cli_import_builds_no_trial_product():
-    # The products of the trial primes below 10**4 and of those in
-    # [10**4, 10**5) are built on first use, so start-up never pays for them.
+    # The product of the trial primes below 10**4 and the squarefree
+    # ladder's step products are built on first use, so start-up never pays
+    # for them.
     code = (
         "import q16det.cli\n"
         "from q16det import primes\n"
         "print(primes._trial_rest.cache_info().currsize,"
-        " primes._squarefree_product.cache_info().currsize)\n"
+        " primes._step_product.cache_info().currsize)\n"
     )
     run = subprocess.run(
         [sys.executable, "-S", "-c", code],

@@ -137,6 +137,21 @@ class TestFactorMap:
             assert factor_map(n) == sympy.factorint(n), n
 
 
+class TestSquarefreeLadder:
+    def test_each_step_is_the_least_cube_root(self):
+        steps = primes._SQUAREFREE_STEPS
+        assert steps == (10**4, 10**5, 215_444, 464_159)
+        for b, e in zip(steps, (12, 15, 16, 17)):
+            assert (b - 1) ** 3 < 10**e <= b**3, b
+
+    def test_step_products(self):
+        # Built by a product tree on each step's new primes, each step's
+        # product is the plain product of the primes in [10**4, B).
+        for step, b in enumerate(primes._SQUAREFREE_STEPS):
+            want = math.prod(p for p in primes_below(b) if p >= 10**4)
+            assert primes._step_product(step) == want, b
+
+
 class TestIntegerRoot:
     def test_is_the_floor_root(self):
         rng = random.Random(5)
