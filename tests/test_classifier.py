@@ -284,14 +284,15 @@ def _just_below_cube(q, b):
 def _three_primes(rng, lo, hi):
     """q * r * s, one prime from each third of [lo, hi)."""
     third = (hi - lo) // 3
-    return prod(_next_prime(rng.randrange(lo + i * third, lo + (i + 1) * third - 1000)) for i in range(3))
+    starts = (lo, lo + third, lo + 2 * third)
+    return prod(_next_prime(rng.randrange(start, start + third - 1000)) for start in starts)
 
 
 def _square_times_prime(rng, lo, hi, residue):
     """p**2 * r in [lo**3, hi**3) with p = residue mod 8 in [lo, hi) its
     smallest prime."""
     p = _next_prime(rng.randrange(lo, (lo + hi) // 2), residue)
-    return p * p * _next_prime(rng.randrange(max(p, lo**3 // p**2) + 1, hi**3 // p**2 - 10**4))
+    return p * p * _next_prime(rng.randrange(p + 1, hi**3 // p**2 - 10**4))
 
 
 def _bound_shapes(rng):
@@ -317,14 +318,15 @@ def _bound_shapes(rng):
             _next_prime(rng.randrange(lo**3, hi**3 - 10**4)),
         ]
         for residue in (7, 3):
-            p = _next_prime(rng.randrange(math.isqrt(lo**3) + 1, math.isqrt(hi**3) - 1000), residue)
+            roots = math.isqrt(lo**3) + 1, math.isqrt(hi**3) - 1000
+            p = _next_prime(rng.randrange(*roots), residue)  # p**2 in [lo**3, hi**3)
             shapes += [p**2, _square_times_prime(rng, lo, hi, residue)]
     # Past the ladder's top, top = 464,159**3 (just above 10**17): p**2*r in
     # [top, 10**18) with no prime below 464,159, and q*r just above top.
     top = STEPS[-1] ** 3
     for residue in (7, 3):
         p = _next_prime(rng.randrange(STEPS[-1], 6 * 10**5), residue)
-        shapes.append(p * p * _next_prime(rng.randrange(max(p, top // p**2) + 1, 10**18 // p**2 - 10**4)))
+        shapes.append(p * p * _next_prime(rng.randrange(p + 1, 10**18 // p**2 - 10**4)))
     q = _next_prime(rng.randrange(STEPS[-1], 10**6))
     shapes.append(q * _next_prime(top // q + 1))
     assert all(m % 2 and m > 1 for m in shapes)
